@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyReportError, ValidationError
-from .rng import RngStream, chunk_bounds
+from .rng import Coin, RngStream, count_cells, threshold, trial_codes
+from .spinmodel import require_spin
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -71,12 +71,6 @@ ALICE_FILTERS = (Color.AMBER, Color.CHERRY)
 BOB_FILTERS = (Color.BLUE, Color.CHERRY)
 
 
-def _require_sign(value: int, name: str) -> int:
-    if isinstance(value, bool) or value not in (1, -1):
-        raise ValidationError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
-
-
 def _require_prob(value: float, name: str) -> float:
     v = float(value)
     if not math.isfinite(v) or not 0.0 <= v <= 1.0:
@@ -91,7 +85,7 @@ class SignedBall:
     addressee: Addressee
 
     def __post_init__(self) -> None:
-        _require_sign(self.sign, "sign")
+        require_spin(self.sign, "sign")
 
     def label(self) -> str:
         side = "A" if self.addressee is Addressee.ALICE else "B"
@@ -122,7 +116,7 @@ class AlgorithmTable:
             raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage!r}")
         if self.fixed_color is self.variable_color:
             raise ValidationError("fixed and variable colors must differ")
-        _require_sign(self.fixed_alice_sign, "fixed_alice_sign")
+        require_spin(self.fixed_alice_sign, "fixed_alice_sign")
         _require_prob(self.correlated_prob, "correlated_prob")
 
     def mirrored(self, algorithm_id: str) -> "AlgorithmTable":
@@ -532,62 +526,37 @@ class BallTrialArrays:
         return (self.alice_sign != 0) & (self.bob_sign != 0)
 
 
-def _signs_for_filter(
-    config: StageConfig, observer: Addressee,
-    s: np.ndarray, v: np.ndarray, filter_colors: np.ndarray,
-) -> np.ndarray:
-    """Registered sign per trial for one observer (0 = not registered)."""
-    fixed, variable = STAGE_COLORS[config.stage]
-    if observer is Addressee.ALICE:
-        per_color = {fixed: s, variable: -v}
-    else:
-        per_color = {variable: v, fixed: -s}
-    out = np.zeros(len(s), dtype=np.int8)
-    for color, signs in per_color.items():
-        out = np.where(filter_colors == ord(color.value), signs.astype(np.int8), out)
-    return out
+#: Cell of a trial in which either observer registered nothing.
+_DROPPED = 8
 
 
-def _simulate_stage_chunk(config: StageConfig, lo: int, hi: int) -> BallTrialArrays:
-    """Vectorized trials [lo, hi); draw-for-draw identical to the actor path."""
-    n = hi - lo
-    u = config.stream().trial_doubles(n, 4, start=lo)
-    first, second = config.algorithms()
-    alg_index = np.where(u[:, 0] < 0.5, 0, 1).astype(np.int8)
-    s = np.where(alg_index == 0, first.fixed_alice_sign, second.fixed_alice_sign)
-    correlated = u[:, 1] < first.correlated_prob
-    v = np.where(correlated, s, -s)
+def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], np.ndarray]:
+    """The trial's four coins and, per world code, what the observers record.
 
+    Coins, one per draw: the algorithm (below 1/2: the first), the
+    correlated configuration, then Alice's and Bob's filter mismatch.
+    A world's row holds the :class:`BallTrialArrays` fields (sign 0 =
+    nothing registered), then its cell: algorithm (2) x registered sign
+    pair (4), or :data:`_DROPPED`.  Draw for draw this is the actor path:
+    :func:`sam_emit`, the two mismatch draws, then :func:`observer_detect`.
+    """
+    algorithms = config.algorithms()
     m = config.filter_mismatch_prob
-    alice_filter = np.full(n, ord(config.alice_filter.value), dtype=np.uint8)
-    bob_filter = np.full(n, ord(config.bob_filter.value), dtype=np.uint8)
-    if m > 0.0:
-        alice_alt = (
-            ALICE_FILTERS[1] if config.alice_filter is ALICE_FILTERS[0] else ALICE_FILTERS[0]
-        )
-        bob_alt = BOB_FILTERS[1] if config.bob_filter is BOB_FILTERS[0] else BOB_FILTERS[0]
-        alice_filter = np.where(u[:, 2] < m, ord(alice_alt.value), alice_filter).astype(np.uint8)
-        bob_filter = np.where(u[:, 3] < m, ord(bob_alt.value), bob_filter).astype(np.uint8)
-
-    alice_sign = _signs_for_filter(config, Addressee.ALICE, s, v, alice_filter)
-    bob_sign = _signs_for_filter(config, Addressee.BOB, s, v, bob_filter)
-    return BallTrialArrays(
-        algorithm_index=alg_index,
-        alice_color=alice_filter,
-        alice_sign=alice_sign,
-        bob_color=bob_filter,
-        bob_sign=bob_sign,
-    )
-
-
-def _stage_counts(arrays: BallTrialArrays) -> np.ndarray:
-    """8-cell integer histogram: algorithm (2) x registered sign pair (4)."""
-    mask = arrays.registered
-    alg = arrays.algorithm_index[mask].astype(np.int64)
-    a = arrays.alice_sign[mask].astype(np.int64)
-    b = arrays.bob_sign[mask].astype(np.int64)
-    idx = alg * 4 + (1 - a) + (1 - b) // 2
-    return np.bincount(idx, minlength=8)
+    coins = ((0, threshold(0.5)), (1, threshold(config.correlated_prob)),
+             (2, threshold(m)), (3, threshold(m)))
+    alice_alt = ALICE_FILTERS[1] if config.alice_filter is ALICE_FILTERS[0] else ALICE_FILTERS[0]
+    bob_alt = BOB_FILTERS[1] if config.bob_filter is BOB_FILTERS[0] else BOB_FILTERS[0]
+    rows = []
+    for world in range(1 << len(coins)):
+        first, correlated, alice_flip, bob_flip = (bool((world >> bit) & 1) for bit in range(4))
+        k = 0 if first else 1
+        af = alice_alt if alice_flip else config.alice_filter
+        bf = bob_alt if bob_flip else config.bob_filter
+        a = _registered_sign(config, algorithms[k], correlated, Addressee.ALICE, af)
+        b = _registered_sign(config, algorithms[k], correlated, Addressee.BOB, bf)
+        cell = _DROPPED if a is None or b is None else 4 * k + (1 - a) + (1 - b) // 2
+        rows.append((k, ord(af.value), a or 0, ord(bf.value), b or 0, cell))
+    return coins, np.array(rows, dtype=np.int16)
 
 
 def run_stage(config: StageConfig, workers: int = 1) -> AggregateReport:
@@ -598,22 +567,18 @@ def run_stage(config: StageConfig, workers: int = 1) -> AggregateReport:
     histogram is a sum of per-chunk integer counts, so the report is
     identical for every worker count.
     """
-    bounds = [(lo, hi) for lo, hi in chunk_bounds(config.trials, workers) if hi > lo]
-    if workers == 1 or len(bounds) <= 1:
-        chunks = [_stage_counts(_simulate_stage_chunk(config, lo, hi)) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda b: _stage_counts(_simulate_stage_chunk(config, *b)), bounds)
-            )
-    counts = np.sum(chunks, axis=0, dtype=np.int64)
-    return _report_from_counts(config, counts)
+    coins, table = _world_table(config)
+    cells = table[:, -1]
+    counts = count_cells(config.stream(), config.trials, coins, cells, _DROPPED + 1, workers)
+    return _report_from_counts(config, counts[:_DROPPED])
 
 
 def run_stage_records(config: StageConfig) -> tuple[AggregateReport, BallTrialArrays]:
     """Like :func:`run_stage` but also returns the per-trial records."""
-    arrays = _simulate_stage_chunk(config, 0, config.trials)
-    return _report_from_counts(config, _stage_counts(arrays)), arrays
+    coins, table = _world_table(config)
+    codes = trial_codes(config.stream(), config.trials, coins)
+    counts = np.bincount(table[codes, -1], minlength=_DROPPED + 1)[:_DROPPED]
+    return _report_from_counts(config, counts), BallTrialArrays(*table[codes, :-1].T)
 
 
 def _report_from_counts(config: StageConfig, counts: np.ndarray) -> AggregateReport:
@@ -687,10 +652,6 @@ def write_stage_csv(path, arrays: BallTrialArrays, config: StageConfig) -> None:
             )
 
 
-EXPECTED_FILTERS = {1: (Color.AMBER, Color.BLUE), 2: (Color.AMBER, Color.CHERRY),
-                    3: (Color.CHERRY, Color.BLUE)}
-
-
 @dataclass(frozen=True, slots=True)
 class InequalityReport:
     """The cross-stage frequency inequality and whether it is violated.
@@ -734,7 +695,7 @@ def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityRep
     for report, stage in zip(reports, (1, 2, 3)):
         if report.stage != stage:
             raise ValidationError(f"expected stage {stage}, got stage {report.stage}")
-        expected = EXPECTED_FILTERS[stage]
+        expected = STAGE_COLORS[stage]
         if (report.alice_filter, report.bob_filter) != expected:
             raise ValidationError(
                 f"stage {stage} requires filters ({expected[0].value}, {expected[1].value}), "
@@ -800,8 +761,8 @@ def contextual_decomposition(
     and Bob registers ``bob_sign`` on his"; both the per-algorithm
     conditionals and the direct unconditional frequency are exact.
     """
-    _require_sign(alice_sign, "alice_sign")
-    _require_sign(bob_sign, "bob_sign")
+    require_spin(alice_sign, "alice_sign")
+    require_spin(bob_sign, "bob_sign")
     first, second = config.algorithms()
     # The event names the configured filter colors, so in mismatch worlds
     # (device flipped to the other color) it does not occur.

@@ -199,13 +199,19 @@ MC_DEFAULTS = {
 }
 
 
-def _mc_single(cfg: dict, description: Description, workers: int) -> tuple[dict, list[Check]]:
+def _mc_single(
+    cfg: dict, description: Description, workers: int, csv_out: str | None
+) -> tuple[dict, list[Check]]:
     axis1, axis2 = Direction(cfg["theta1"]), Direction(cfg["theta2"])
     config = mc.ExperimentConfig(
         axis1, axis2, cfg["trials"], description, cfg["seed"],
         stream_id=0 if description is Description.ALICE else 1,
     )
-    stats = mc.run_experiment(config, workers=workers)
+    if csv_out:
+        stats, arrays = mc.run_experiment_records(config)
+        mc.write_trials_csv(csv_out, arrays)
+    else:
+        stats = mc.run_experiment(config, workers=workers)
     analytic = quantum_correlation(axis1, axis2, description)
     tol = mc.covariance_tolerance(analytic, cfg["trials"])
     error = abs(stats.covariance - analytic)
@@ -272,17 +278,9 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
                   tolerance=comparison.combined_tolerance),
         ]
     else:
-        description = Description(cfg["description"])
+        results, checks = _mc_single(cfg, Description(cfg["description"]), workers, ns.csv_out)
         if ns.csv_out:
-            config = mc.ExperimentConfig(
-                Direction(cfg["theta1"]), Direction(cfg["theta2"]), cfg["trials"],
-                description, cfg["seed"],
-                stream_id=0 if description is Description.ALICE else 1,
-            )
-            _, arrays = mc.run_experiment_records(config)
-            mc.write_trials_csv(ns.csv_out, arrays)
             outputs["trials_csv"] = ns.csv_out
-        results, checks = _mc_single(cfg, description, workers)
 
     report = build_report(
         "mc-run", cfg, results, checks, seed=cfg["seed"],

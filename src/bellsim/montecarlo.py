@@ -14,13 +14,12 @@ sequential execution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .rng import RngStream, chunk_bounds
+from .rng import Coin, RngStream, count_cells, threshold, trial_codes
 from .spinmodel import (
     Description,
     Direction,
@@ -172,54 +171,49 @@ def simulate_trial(config: ExperimentConfig, rng: np.random.Generator) -> TrialR
     return TrialRecord(lam.first_particle, outcome1, outcome2)
 
 
-def _simulate_chunk(config: ExperimentConfig, lo: int, hi: int) -> TrialArrays:
-    """Vectorized trials [lo, hi); draw-for-draw identical to simulate_trial."""
-    u = config.stream().trial_doubles(hi - lo, 2, start=lo)
-    signs = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
-    signs_f = signs.astype(np.float64)
-    if config.description is Description.ALICE:
-        # Particle 2's mean given the axis1-anchored hidden variable.
-        cos_phi = math.cos(angle_between(config.axis1, config.axis2))
-        p_plus = 0.5 * (1.0 + (-signs_f) * cos_phi)
-        outcome2 = np.where(u[:, 1] < p_plus, 1, -1).astype(np.int8)
-        outcome1 = signs
-    else:
-        cos_phi = math.cos(angle_between(config.axis2, config.axis1))
-        p_plus = 0.5 * (1.0 + signs_f * cos_phi)
-        outcome1 = np.where(u[:, 1] < p_plus, 1, -1).astype(np.int8)
-        outcome2 = (-signs).astype(np.int8)
-    return TrialArrays(signs, outcome1, outcome2)
+def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], np.ndarray]:
+    """The trial's coins and, per world code, (lambda_sign, outcome1, outcome2, cell).
 
-
-def _histogram(arrays: TrialArrays) -> np.ndarray:
-    o1 = arrays.outcome1.astype(np.int64)
-    o2 = arrays.outcome2.astype(np.int64)
-    idx = (1 - o1) + (1 - o2) // 2
-    return np.bincount(idx, minlength=4)
+    Coin 0 is the sign draw (below 1/2: the hidden variable is +1).
+    Coins 1 and 2 compare the outcome draw against the non-anchored
+    observer's probability of +1 given lambda = +1 and lambda = -1; a
+    world reads the one that matches its sign.  Draw for draw this is
+    :func:`simulate_trial`.
+    """
+    alice = config.description is Description.ALICE
+    cos_phi = math.cos(angle_between(config.axis1, config.axis2))
+    # The outcome mean of particle 2 is -lambda*cos(phi), that of particle 1 +lambda*cos(phi).
+    p_plus = {s: 0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0)}
+    coins = ((0, threshold(0.5)), (1, threshold(p_plus[1.0])), (1, threshold(p_plus[-1.0])))
+    rows = []
+    for world in range(1 << len(coins)):
+        sign = 1 if world & 1 else -1
+        drawn = 1 if (world >> (1 if sign == 1 else 2)) & 1 else -1
+        o1, o2 = (sign, drawn) if alice else (drawn, -sign)
+        rows.append((sign, o1, o2, (1 - o1) + (1 - o2) // 2))
+    return coins, np.array(rows, dtype=np.int8)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> EmpiricalStats:
     """Run all trials and summarize them.
 
-    ``workers`` only controls how trials are chunked and dispatched;
+    ``workers`` only controls how many threads run the trial chunks;
     the histogram is a sum of per-chunk integer counts, so the result
     is identical for every worker count and for repeated runs.
     """
-    bounds = [(lo, hi) for lo, hi in chunk_bounds(config.trials, workers) if hi > lo]
-    if workers == 1 or len(bounds) <= 1:
-        chunks = [_histogram(_simulate_chunk(config, lo, hi)) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda b: _histogram(_simulate_chunk(config, *b)), bounds))
-    counts = np.sum(chunks, axis=0, dtype=np.int64) if chunks else np.zeros(4, dtype=np.int64)
+    coins, table = _world_table(config)
+    counts = count_cells(
+        config.stream(), config.trials, coins, table[:, -1], len(HISTOGRAM_CELLS), workers
+    )
     return EmpiricalStats.from_counts(counts, config.trials)
 
 
 def run_experiment_records(config: ExperimentConfig) -> tuple[EmpiricalStats, TrialArrays]:
     """Like :func:`run_experiment` but also returns the per-trial records."""
-    arrays = _simulate_chunk(config, 0, config.trials)
-    stats = EmpiricalStats.from_counts(_histogram(arrays), config.trials)
-    return stats, arrays
+    coins, table = _world_table(config)
+    codes = trial_codes(config.stream(), config.trials, coins)
+    counts = np.bincount(table[codes, -1], minlength=len(HISTOGRAM_CELLS))
+    return EmpiricalStats.from_counts(counts, config.trials), TrialArrays(*table[codes, :-1].T)
 
 
 def write_trials_csv(path, arrays: TrialArrays) -> None:

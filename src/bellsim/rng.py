@@ -1,15 +1,25 @@
-"""Deterministic counter-based random streams.
+"""Deterministic counter-based random streams and the trial driver.
 
 Built on the Philox bit generator, whose output is a pure function of
 (key, counter).  The key is the (seed, stream_id) pair and each
-simulation trial owns one counter block of four doubles, so trial i's
-randomness depends only on (seed, stream_id, i): partitioning trials
-across any number of workers reproduces the sequential sequence
-exactly, on every platform.
+simulation trial owns one counter block of four 64-bit words, so trial
+i's randomness depends only on (seed, stream_id, i), on every platform.
+
+numpy draws a double as ``(w >> 11) * 2**-53``, so ``u < p`` holds
+exactly when ``(w >> 11) < threshold(p)``: simulations compare integer
+draws against integer thresholds and every trial keeps the outcome the
+float draw gives it.  The driver cuts the trials into fixed chunks of
+:data:`CHUNK_TRIALS` whatever the worker count, so memory does not grow
+with the trial count, and runs them on at most ``os.cpu_count()``
+threads.  Chunks reduce to exact integer histograms, so the sum is the
+same for every worker count.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +28,15 @@ from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 
-#: Doubles available per counter block (one Philox block is 4 x 64 bits).
+#: Draws available per counter block (one Philox block is 4 x 64 bits).
 BLOCK_DRAWS = 4
+
+#: Trials per chunk: the unit of work a thread picks up.
+CHUNK_TRIALS = 1 << 16
+
+#: (draw index within the trial's block, threshold): the coin comes up
+#: when that draw's 53-bit integer is below the threshold.
+Coin = tuple[int, np.uint64]
 
 
 def _require_u64(value: int, name: str) -> int:
@@ -31,9 +48,14 @@ def _require_u64(value: int, name: str) -> int:
     return v
 
 
+def threshold(p: float) -> np.uint64:
+    """``ceil(p * 2**53)``: ``(w >> 11) < threshold(p)`` exactly when numpy's ``u < p``."""
+    return np.uint64(math.ceil(p * 9007199254740992.0))
+
+
 @dataclass(frozen=True, slots=True)
 class RngStream:
-    """A named, reproducible stream of uniform doubles in [0, 1)."""
+    """A named, reproducible stream of uniform draws."""
 
     seed: int
     stream_id: int = 0
@@ -43,45 +65,69 @@ class RngStream:
         object.__setattr__(self, "stream_id", _require_u64(self.stream_id, "stream_id"))
 
     def _bit_generator(self, block: int) -> np.random.Philox:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
+        block = _require_u64(block, "block")
+        bg = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         if block:
             bg.advance(block)
         return bg
 
     def generator(self, block: int = 0) -> np.random.Generator:
-        """Sequential generator starting at the given counter block."""
-        return np.random.Generator(self._bit_generator(_require_u64(block, "block")))
+        """Sequential generator starting at the given counter block.
 
-    def trial_generator(self, index: int) -> np.random.Generator:
-        """Generator for one trial's private counter block (up to 4 doubles).
-
-        Drawing more than :data:`BLOCK_DRAWS` doubles from it runs into
-        the next trial's block; per-trial simulation code must stay
-        within the block budget.
+        ``generator(i)`` is trial i's private block; drawing more than
+        :data:`BLOCK_DRAWS` doubles from it runs into trial i + 1's.
         """
-        return self.generator(index)
+        return np.random.Generator(self._bit_generator(block))
 
-    def trial_doubles(self, n_trials: int, per_trial: int, start: int = 0) -> np.ndarray:
-        """Uniform doubles for a contiguous run of trials, shape (n_trials, per_trial).
+    def trial_words(self, n_trials: int, start: int = 0) -> np.ndarray:
+        """Raw uint64 words of trials [start, start + n_trials), shape (n_trials, 4).
 
-        Row i is the start of counter block ``start + i``, so chunked
-        generation with matching offsets concatenates to the sequential
-        stream regardless of chunk boundaries.
+        Row i is counter block ``start + i``, so chunks with matching
+        offsets concatenate to the sequential stream.
         """
-        if not 1 <= per_trial <= BLOCK_DRAWS:
-            raise ValidationError(f"per_trial must be in 1..{BLOCK_DRAWS}, got {per_trial}")
         if n_trials < 0:
             raise ValidationError(f"n_trials must be >= 0, got {n_trials}")
-        raw = self.generator(start).random(n_trials * BLOCK_DRAWS)
-        return raw.reshape(n_trials, BLOCK_DRAWS)[:, :per_trial]
+        words = self._bit_generator(start).random_raw(n_trials * BLOCK_DRAWS)
+        return words.reshape(n_trials, BLOCK_DRAWS)
 
 
-def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) trial ranges, one per worker (some may be empty)."""
+def _chunk_codes(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...]) -> np.ndarray:
+    """World code of each trial in the chunk at ``lo``: bit k is set when coin k came up."""
+    draws = stream.trial_words(min(CHUNK_TRIALS, trials - lo), lo)
+    np.right_shift(draws, 11, out=draws)
+    codes = np.zeros(len(draws), dtype=np.uint8)
+    for bit, (draw, limit) in enumerate(coins):
+        if limit:  # a zero threshold never comes up
+            codes |= (draws[:, draw] < limit).view(np.uint8) << bit
+    return codes
+
+
+def count_cells(
+    stream: RngStream, trials: int, coins: tuple[Coin, ...], cells: np.ndarray,
+    n_cells: int, workers: int = 1,
+) -> np.ndarray:
+    """Exact int64 counts over ``range(n_cells)`` of ``cells[world code]``, trials [0, trials).
+
+    ``workers`` only sets how many threads pick up chunks, capped at the
+    chunk count and the CPU count; the histogram is the same for any value.
+    """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if total < 0:
-        raise ValidationError(f"total must be >= 0, got {total}")
-    edges = [round(total * w / workers) for w in range(workers + 1)]
-    return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    starts = range(0, trials, CHUNK_TRIALS)
+
+    def count(lo: int) -> np.ndarray:
+        return np.bincount(_chunk_codes(stream, lo, trials, coins), minlength=len(cells))
+
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        worlds = sum(pool.map(count, starts))
+    counts = np.zeros(n_cells, dtype=np.int64)
+    np.add.at(counts, cells, worlds)
+    return counts
+
+
+def trial_codes(stream: RngStream, trials: int, coins: tuple[Coin, ...]) -> np.ndarray:
+    """World code of every trial in [0, trials), for per-trial records."""
+    return np.concatenate(
+        [_chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
+    )

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from float_oracles import stage_counts
 
 from bellsim import ballprotocol as bp
 from bellsim.errors import EmptyReportError, ValidationError
+from bellsim.rng import CHUNK_TRIALS
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -69,14 +71,14 @@ class TestSamEmit:
     def test_roughly_fair_algorithm_choice(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
         stream = cfg.stream()
-        picks = [bp.sam_emit(cfg, stream.trial_generator(i))[0] for i in range(4000)]
+        picks = [bp.sam_emit(cfg, stream.generator(i))[0] for i in range(4000)]
         frac = picks.count("A1") / len(picks)
         assert 0.45 < frac < 0.55
 
     def test_deterministic(self):
         cfg = bp.StageConfig(stage=2, trials=1, seed=12)
-        first = [bp.sam_emit(cfg, cfg.stream().trial_generator(i)) for i in range(100)]
-        second = [bp.sam_emit(cfg, cfg.stream().trial_generator(i)) for i in range(100)]
+        first = [bp.sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
+        second = [bp.sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
         assert first == second
 
 
@@ -116,21 +118,47 @@ class TestObserverDetect:
             bp.observer_detect(balls, bp.Color.AMBER)
 
 
+def _other(filters, chosen):
+    return filters[1] if chosen is filters[0] else filters[0]
+
+
 class TestActorPathEquivalence:
-    @pytest.mark.parametrize("stage", [1, 2, 3])
-    def test_vectorized_matches_per_trial_loop(self, stage):
-        cfg = bp.StageConfig(stage=stage, trials=2048, seed=77)
+    @staticmethod
+    def check_against_actor_path(cfg):
         _, arrays = bp.run_stage_records(cfg)
         first, second = cfg.algorithms()
         ids = {first.algorithm_id: 0, second.algorithm_id: 1}
         stream = cfg.stream()
+        m = cfg.filter_mismatch_prob
         for i in range(cfg.trials):
-            algorithm_id, quadruple = bp.sam_emit(cfg, stream.trial_generator(i))
+            rng = stream.generator(i)
+            algorithm_id, quadruple = bp.sam_emit(cfg, rng)
+            # Draws 3 and 4 of the trial decide each observer's filter mismatch.
+            alice_filter = _other(bp.ALICE_FILTERS, cfg.alice_filter) \
+                if rng.random() < m else cfg.alice_filter
+            bob_filter = _other(bp.BOB_FILTERS, cfg.bob_filter) \
+                if rng.random() < m else cfg.bob_filter
             assert ids[algorithm_id] == int(arrays.algorithm_index[i])
-            alice = bp.observer_detect(quadruple[:2], cfg.alice_filter)
-            bob = bp.observer_detect(quadruple[2:], cfg.bob_filter)
+            alice = bp.observer_detect(quadruple[:2], alice_filter)
+            bob = bp.observer_detect(quadruple[2:], bob_filter)
             assert (alice.sign or 0) == int(arrays.alice_sign[i])
             assert (bob.sign or 0) == int(arrays.bob_sign[i])
+            assert chr(int(arrays.alice_color[i])) == alice_filter.value
+            assert chr(int(arrays.bob_color[i])) == bob_filter.value
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_vectorized_matches_per_trial_loop(self, stage):
+        self.check_against_actor_path(bp.StageConfig(stage=stage, trials=2048, seed=77))
+
+    @pytest.mark.parametrize(
+        "stage,filters,mismatch",
+        [(1, (None, None), 0.1), (2, (None, None), 0.1), (3, (None, None), 0.1),
+         (2, (None, "b"), 1.0), (1, ("c", None), 0.1), (1, ("c", None), 0.5)],
+    )
+    def test_filter_mismatch_matches_per_trial_loop(self, stage, filters, mismatch):
+        cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],
+                             trials=2048, seed=78, filter_mismatch_prob=mismatch)
+        self.check_against_actor_path(cfg)
 
 
 class TestRunStage:
@@ -166,6 +194,20 @@ class TestRunStage:
     def test_worker_count_invariance(self, workers):
         cfg = bp.StageConfig(stage=1, trials=100_001, seed=23)
         assert bp.run_stage(cfg, workers=workers) == bp.run_stage(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "stage,filters,mismatch,p",
+        [(1, (None, None), 0.0, 0.15), (2, (None, None), 0.1, 0.04),
+         (2, (None, "b"), 1.0, 0.04), (1, ("c", None), 0.1, 0.15),
+         (3, ("a", "c"), 0.1, 1.0), (1, (None, None), 0.1, 0.0)],
+    )
+    def test_matches_float_oracle(self, stage, filters, mismatch, p, workers):
+        cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],
+                             trials=2 * CHUNK_TRIALS + 1, seed=43, p_stage1=p, p_stage23=p,
+                             filter_mismatch_prob=mismatch)
+        expected = bp._report_from_counts(cfg, stage_counts(cfg))
+        assert bp.run_stage(cfg, workers=workers) == expected
 
     def test_conditional_correlations_vanish_empirically(self):
         report = bp.run_stage(bp.StageConfig(stage=1, trials=200_000, seed=29))
@@ -355,7 +397,7 @@ class TestStructuralLocality:
 
     def test_detection_record_carries_no_source_state(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
-        _, quadruple = bp.sam_emit(cfg, cfg.stream().trial_generator(0))
+        _, quadruple = bp.sam_emit(cfg, cfg.stream().generator(0))
         record = bp.observer_detect(quadruple[:2], cfg.alice_filter)
         fields = set(bp.DetectionRecord.__dataclass_fields__)
         assert fields == {"registered", "color", "sign", "passages"}

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from float_oracles import mc_counts
 
 from bellsim import montecarlo as mc
 from bellsim.errors import ValidationError
-from bellsim.rng import RngStream
+from bellsim.rng import CHUNK_TRIALS, RngStream, threshold
 from bellsim.spinmodel import Description, Direction
 
 A0 = Direction(0.0)
@@ -19,18 +20,18 @@ def config(phi, trials, description=Description.ALICE, seed=0, stream_id=0):
 
 class TestSampleHiddenVariable:
     def test_balanced_at_default_seed(self):
-        u = RngStream(0, 0).trial_doubles(1_000_000, 1)[:, 0]
-        frac_plus = float(np.mean(u < 0.5))
+        draws = RngStream(0, 0).trial_words(1_000_000)[:, 0] >> np.uint64(11)
+        frac_plus = float(np.mean(draws < threshold(0.5)))
         assert 0.499 <= frac_plus <= 0.501
 
     def test_deterministic_repeat(self):
         axis = Direction(0.3)
         first = [
-            mc.sample_hidden_variable(axis, RngStream(5, 1).trial_generator(i)).first_particle
+            mc.sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
             for i in range(50)
         ]
         second = [
-            mc.sample_hidden_variable(axis, RngStream(5, 1).trial_generator(i)).first_particle
+            mc.sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
             for i in range(50)
         ]
         assert first == second
@@ -46,7 +47,7 @@ class TestSimulateTrial:
     def test_equal_axes_always_anticorrelated(self):
         cfg = config(0.0, 1)
         for i in range(500):
-            rec = mc.simulate_trial(cfg, cfg.stream().trial_generator(i))
+            rec = mc.simulate_trial(cfg, cfg.stream().generator(i))
             assert rec.outcome2 == -rec.outcome1
 
     @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
@@ -54,12 +55,12 @@ class TestSimulateTrial:
         cfg = config(1.1, 4096, description=description, seed=31)
         stats, arrays = mc.run_experiment_records(cfg)
         for i in range(len(arrays)):
-            rec = mc.simulate_trial(cfg, cfg.stream().trial_generator(i))
+            rec = mc.simulate_trial(cfg, cfg.stream().generator(i))
             assert rec == arrays.record(i)
 
     def test_anchored_observer_reads_off_hidden_variable(self):
         cfg = config(0.9, 1, description=Description.BOB, seed=2)
-        rec = mc.simulate_trial(cfg, cfg.stream().trial_generator(0))
+        rec = mc.simulate_trial(cfg, cfg.stream().generator(0))
         assert rec.outcome2 == -rec.lambda_sign
 
 
@@ -94,6 +95,13 @@ class TestRunExperiment:
     def test_worker_count_invariance(self, workers):
         cfg = config(0.6, 100_001, seed=13)
         assert mc.run_experiment(cfg, workers=workers) == mc.run_experiment(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
+    @pytest.mark.parametrize("phi", [0.0, 1.1, math.pi])
+    def test_matches_float_oracle(self, phi, description, workers):
+        cfg = config(phi, 2 * CHUNK_TRIALS + 1, description, seed=41, stream_id=1)
+        assert mc.run_experiment(cfg, workers=workers).counts == mc_counts(cfg)
 
     def test_repeat_runs_identical(self):
         cfg = config(0.6, 50_000, seed=13)

@@ -1,10 +1,16 @@
-"""Counter-based stream: determinism, chunking, stream separation."""
+"""Counter-based stream: determinism, chunking, stream separation, the driver."""
+
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from bellsim import rng
 from bellsim.errors import ValidationError
-from bellsim.rng import BLOCK_DRAWS, RngStream, chunk_bounds
+from bellsim.rng import BLOCK_DRAWS, CHUNK_TRIALS, RngStream, threshold
 
 
 def test_same_key_same_sequence():
@@ -25,39 +31,30 @@ def test_distinct_seeds_differ():
     assert np.any(a != b)
 
 
-def test_trial_doubles_matches_sequential_stream():
+def test_trial_words_match_sequential_stream():
     stream = RngStream(7, 3)
-    full = stream.generator().random(40 * BLOCK_DRAWS)
-    rows = stream.trial_doubles(40, BLOCK_DRAWS)
-    assert np.array_equal(rows.ravel(), full)
+    words = stream.trial_words(40)
+    assert words.shape == (40, BLOCK_DRAWS) and words.dtype == np.uint64
+    assert np.array_equal(words.ravel(), stream.generator().bit_generator.random_raw(160))
+    # numpy's double is the top 53 bits of the word, scaled by 2**-53.
+    doubles = stream.generator().random(40 * BLOCK_DRAWS)
+    assert np.array_equal((words.ravel() >> np.uint64(11)) * 2.0**-53, doubles)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 7, 8])
-def test_chunked_generation_equals_sequential(workers):
+@pytest.mark.parametrize("parts", [1, 2, 7, 8])
+def test_chunked_generation_equals_sequential(parts):
     stream = RngStream(42, 1)
     total = 1001
-    full = stream.trial_doubles(total, 2)
-    parts = [
-        stream.trial_doubles(hi - lo, 2, start=lo)
-        for lo, hi in chunk_bounds(total, workers)
-        if hi > lo
-    ]
-    assert np.array_equal(np.vstack(parts), full)
+    edges = [round(total * k / parts) for k in range(parts + 1)]
+    chunks = [stream.trial_words(hi - lo, start=lo) for lo, hi in zip(edges, edges[1:])]
+    assert np.array_equal(np.vstack(chunks), stream.trial_words(total))
 
 
-def test_trial_generator_matches_trial_doubles_row():
+def test_trial_generator_matches_trial_words_row():
     stream = RngStream(9, 2)
-    rows = stream.trial_doubles(10, BLOCK_DRAWS)
+    rows = stream.trial_words(10) >> np.uint64(11)
     for i in range(10):
-        gen = stream.trial_generator(i)
-        assert np.array_equal(gen.random(BLOCK_DRAWS), rows[i])
-
-
-def test_chunk_bounds_partition():
-    bounds = chunk_bounds(10, 3)
-    assert bounds[0][0] == 0 and bounds[-1][1] == 10
-    assert all(lo <= hi for lo, hi in bounds)
-    assert sum(hi - lo for lo, hi in bounds) == 10
+        assert np.array_equal(stream.generator(i).random(BLOCK_DRAWS), rows[i] * 2.0**-53)
 
 
 @pytest.mark.parametrize(
@@ -68,6 +65,89 @@ def test_key_validation(seed, stream):
         RngStream(seed, stream)
 
 
-def test_per_trial_limit_enforced():
+@pytest.mark.parametrize("n_trials,start", [(-1, 0), (4, -1), (4, 2**64)])
+def test_trial_words_rejects_bad_ranges(n_trials, start):
     with pytest.raises(ValidationError):
-        RngStream(0).trial_doubles(4, BLOCK_DRAWS + 1)
+        RngStream(0).trial_words(n_trials, start)
+
+
+def _edge_probabilities():
+    """0, 1, 1/2 and k * 2**-53, each with its float neighbours in [0, 1]."""
+    k = st.integers(min_value=0, max_value=2**53)
+    exact = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), k.map(lambda i: i * 2.0**-53))
+    neighbour = st.tuples(exact, st.sampled_from([-math.inf, math.inf])).map(
+        lambda t: math.nextafter(*t)
+    )
+    return st.one_of(exact, neighbour).filter(lambda p: 0.0 <= p <= 1.0)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.one_of(_edge_probabilities(), st.floats(min_value=0.0, max_value=1.0)),
+)
+@example(2**64 - 1, 1.0)
+@example(0, 0.0)
+@example(2**11 - 1, 2.0**-53)
+def test_threshold_identity(word, p):
+    k = np.uint64(word) >> np.uint64(11)
+    assert bool(k < threshold(p)) == (float(k) * 2.0**-53 < p)
+
+
+class _InlineExecutor:
+    """Stands in for the thread pool: records its size, runs map inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys):
+    from bellsim import cli
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    argv = ["mc-run", "--phi", "60deg", "--trials", str(3 * CHUNK_TRIALS),
+            "--seed", "4", "--format", "json", "--no-timestamp"]
+    assert cli.main([*argv, "--workers", "1"]) == 0
+    baseline = capsys.readouterr().out
+    _InlineExecutor.sizes.clear()
+    assert cli.main([*argv, "--workers", str(10**9)]) == 0
+    assert capsys.readouterr().out == baseline
+    assert _InlineExecutor.sizes and all(
+        1 <= size <= min(3, os.cpu_count() or 1) for size in _InlineExecutor.sizes
+    )
+
+
+def test_workers_must_be_positive():
+    with pytest.raises(ValidationError):
+        rng.count_cells(RngStream(0), 10, (), np.zeros(1, dtype=np.intp), 1, workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_is_bounded_by_the_chunk(monkeypatch, workers):
+    from bellsim import ballprotocol as bp
+    from bellsim import montecarlo as mc
+    from bellsim.spinmodel import Direction
+
+    blocks = []
+    draw = RngStream.trial_words
+
+    def recording(self, n_trials, start=0):
+        blocks.append(n_trials)
+        return draw(self, n_trials, start)
+
+    monkeypatch.setattr(RngStream, "trial_words", recording)
+    trials = 3 * CHUNK_TRIALS + 1
+    mc.run_experiment(mc.ExperimentConfig(Direction(0.0), Direction(1.0), trials), workers)
+    bp.run_stage(bp.StageConfig(stage=2, trials=trials, filter_mismatch_prob=0.1), workers)
+    assert sorted(blocks) == [1, 1] + [CHUNK_TRIALS] * 6
