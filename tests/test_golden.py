@@ -1,0 +1,117 @@
+"""Golden reports: pinned-seed CLI output must stay byte-identical.
+
+Each README example, plus a few filter-mismatch and empirical cases, runs
+with ``--seed 1 --format json --no-timestamp`` and at most 20,000 trials;
+its stdout must equal the file in ``tests/golden/``.  Per-trial CSV
+exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
+boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``.
+
+Regenerate the files only when a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bellsim.cli import main
+from bellsim.rng import CHUNK_TRIALS
+
+GOLDEN = Path(__file__).resolve().with_name("golden")
+FLAGS = ("--seed", "1", "--format", "json", "--no-timestamp")
+
+#: The common-cause model document from the README.
+MODEL = {
+    "p_z": 0.5,
+    "joint_given_z": [[0.15, 0.85], [0.0, 0.0]],
+    "joint_given_not_z": [[0.0, 0.0], [0.85, 0.15]],
+    "sample_size": None,
+}
+
+#: Golden file name -> command.  Output paths are relative, so the
+#: manifest does not depend on the working directory.
+REPORTS = {
+    "spin-correlation-phi": "spin-correlation --phi 60deg",
+    "spin-correlation-sweep": "spin-correlation --sweep 0:180:5deg --sweep-out sweep.dat",
+    "mc-run-phi": "mc-run --phi 60deg --trials 20000",
+    "mc-run-both": "mc-run --phi 45deg --description both --trials 20000",
+    "ball-stage1": "ball-protocol --stage 1 --trials 20000",
+    "ball-all-stages": "ball-protocol --all-stages --trials 20000",
+    "ball-all-stages-analytic": "ball-protocol --all-stages --mode analytic",
+    "common-cause-ball": "common-cause --builtin ball",
+    "common-cause-spin": "common-cause --builtin spin --phi 45deg",
+    "common-cause-model": "common-cause --model my_model.json",
+    "chsh": "chsh",
+    "chsh-empirical": "chsh --mode empirical --trials 20000",
+    "ball-stage2-cherry-mismatch":
+        "ball-protocol --stage 2 --alice-filter c --mismatch-prob 0.1 --trials 20000",
+    "ball-all-stages-analytic-mismatch":
+        "ball-protocol --all-stages --mode analytic --mismatch-prob 0.1",
+    "common-cause-ball-empirical": "common-cause --builtin ball --empirical --trials 20000",
+}
+
+CSV_TRIALS = 2 * CHUNK_TRIALS + 1
+CSV_RUNS = {
+    "mc-run-alice": "mc-run --phi 60deg",
+    "mc-run-bob": "mc-run --phi 60deg --description bob",
+    "ball-stage1": "ball-protocol --stage 1",
+    "ball-stage2-cherry-mismatch": "ball-protocol --stage 2 --alice-filter c --mismatch-prob 0.1",
+}
+
+
+def run(command: str) -> tuple[int, str]:
+    """Exit code and stdout of one CLI command, run in the current directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*command.split(), *FLAGS])
+    return code, out.getvalue()
+
+
+def csv_digest(command: str) -> str:
+    code, _ = run(f"{command} --trials {CSV_TRIALS} --csv-out trials.csv")
+    assert code in (0, 1)
+    return hashlib.sha256(Path("trials.csv").read_bytes()).hexdigest()
+
+
+def write_model(directory: Path) -> None:
+    (directory / "my_model.json").write_text(json.dumps(MODEL, indent=2), encoding="utf-8")
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_model(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_is_byte_identical(workdir, name):
+    code, text = run(REPORTS[name])
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert code == (0 if json.loads(text)["passed"] else 1)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RUNS))
+def test_csv_export_is_byte_identical(workdir, name):
+    pins = json.loads((GOLDEN / "csv_sha256.json").read_text(encoding="utf-8"))
+    assert csv_digest(CSV_RUNS[name]) == pins[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        write_model(Path(tmp))
+        for name, command in REPORTS.items():
+            (GOLDEN / f"{name}.json").write_text(run(command)[1], encoding="utf-8")
+        pins = {name: csv_digest(command) for name, command in CSV_RUNS.items()}
+    (GOLDEN / "csv_sha256.json").write_text(
+        json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
