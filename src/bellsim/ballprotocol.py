@@ -22,6 +22,12 @@ Locality is structural: no operation here accepts both observers'
 state, and the observers exchange no messages.  Trial randomness is
 counter-based (one block per trial), so chunked execution reproduces
 the sequential stream exactly.
+
+A trial's four coins (algorithm, correlated configuration, and each
+observer's filter mismatch) give 16 worlds, and one table says what each
+means: its probability, its registered cell and its CSV row.  The exact
+report and the simulated one are the same reduction of that table, over
+world probabilities and over world counts.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyReportError, ValidationError
-from .rng import Coin, RngStream, count_cells, threshold, trial_codes
+from .rng import Coin, RngStream, count_worlds, threshold, write_trials
 from .spinmodel import require_spin
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -375,17 +381,6 @@ class AggregateReport:
         }
 
 
-def conditional_correlation(report: AggregateReport, algorithm_id: str) -> float:
-    """Sign correlation with the named algorithm held fixed.
-
-    The algorithm must belong to the report's stage.  Analytically zero
-    for every algorithm whenever Alice registers the algorithm's fixed
-    color: her sign is then constant given the algorithm, so the
-    covariance vanishes term by term.
-    """
-    return report.algorithm(algorithm_id).correlation
-
-
 def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, float]:
     alice = sum(a * f for (a, _), f in freq.items())
     bob = sum(b * f for (_, b), f in freq.items())
@@ -394,8 +389,7 @@ def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, f
 
 
 def _registered_sign(
-    config: StageConfig, algorithm: AlgorithmTable, correlated: bool,
-    observer: Addressee, filter_color: Color,
+    algorithm: AlgorithmTable, correlated: bool, observer: Addressee, filter_color: Color
 ) -> int | None:
     """Sign the observer registers for one emission, or None."""
     s = algorithm.fixed_alice_sign
@@ -413,65 +407,96 @@ def _registered_sign(
     return None
 
 
-def _enumerate_worlds(config: StageConfig):
-    """Yield (algorithm, probability, filters, alice_sign|None, bob_sign|None) atoms.
+@dataclass(frozen=True, slots=True)
+class _World:
+    """One outcome of a trial's four coins."""
 
-    Enumerates algorithm choice, the variable-sign coin and, when
-    enabled, the two filter-mismatch coins; the per-observer registered
-    sign is None when that observer's effective filter matches neither
-    ball.
+    code: int  # bit k is set when coin k came up
+    prob: float  # the product of its coin probabilities
+    algorithm: int  # 0 for the stage's first algorithm, 1 for its mirror
+    kept_filters: bool  # neither observer's device switched color
+    signs: tuple[int, int] | None  # registered (Alice, Bob) signs; None unless both register
+    row: str  # CSV row text after the trial number
+
+
+def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
+    """The trial's four coins and its 16 worlds, in the order reports add them up.
+
+    Coins, one per draw: the algorithm (below 1/2: the first), the
+    correlated configuration, then Alice's and Bob's filter mismatch.
+    Worlds run by algorithm, then correlated before not, then Alice's and
+    Bob's device kept before switched; every report sums masses in this
+    order, so its floats do not depend on how the worlds were counted.
+    Draw for draw this is the actor path: :func:`sam_emit`, the two
+    mismatch draws, then :func:`observer_detect`.
     """
     m = config.filter_mismatch_prob
-    alice_alt = ALICE_FILTERS[1] if config.alice_filter is ALICE_FILTERS[0] else ALICE_FILTERS[0]
-    bob_alt = BOB_FILTERS[1] if config.bob_filter is BOB_FILTERS[0] else BOB_FILTERS[0]
-    filter_atoms = [(config.alice_filter, config.bob_filter, 1.0)]
-    if m > 0.0:
-        filter_atoms = [
-            (af, bf, pa * pb)
-            for af, pa in ((config.alice_filter, 1.0 - m), (alice_alt, m))
-            for bf, pb in ((config.bob_filter, 1.0 - m), (bob_alt, m))
-        ]
-    for algorithm in config.algorithms():
-        for correlated, p_corr in (
-            (True, algorithm.correlated_prob),
-            (False, 1.0 - algorithm.correlated_prob),
-        ):
-            for af, bf, p_filt in filter_atoms:
-                prob = 0.5 * p_corr * p_filt
-                a = _registered_sign(config, algorithm, correlated, Addressee.ALICE, af)
-                b = _registered_sign(config, algorithm, correlated, Addressee.BOB, bf)
-                yield algorithm, prob, af, bf, a, b
+    coins = ((0, threshold(0.5)), (1, threshold(config.correlated_prob)),
+             (2, threshold(m)), (3, threshold(m)))
+
+    def devices(chosen: Color, admissible: tuple[Color, Color]):
+        other = admissible[1] if chosen is admissible[0] else admissible[0]
+        return ((chosen, 1.0 - m, 0), (other, m, 1))
+
+    worlds = []
+    for k, algorithm in enumerate(config.algorithms()):
+        p = algorithm.correlated_prob
+        for correlated, p_corr in ((True, p), (False, 1.0 - p)):
+            for af, pa, alice_flip in devices(config.alice_filter, ALICE_FILTERS):
+                for bf, pb, bob_flip in devices(config.bob_filter, BOB_FILTERS):
+                    a = _registered_sign(algorithm, correlated, Addressee.ALICE, af)
+                    b = _registered_sign(algorithm, correlated, Addressee.BOB, bf)
+                    both = a is not None and b is not None
+                    worlds.append(_World(
+                        code=(1 - k) | correlated << 1 | alice_flip << 2 | bob_flip << 3,
+                        prob=0.5 * p_corr * (pa * pb),
+                        algorithm=k,
+                        kept_filters=not (alice_flip or bob_flip),
+                        signs=(a, b) if both else None,
+                        row=f",{algorithm.algorithm_id},{af.value if a else ''},{a or ''},"
+                            f"{bf.value if b else ''},{b or ''},{int(both)}\n",
+                    ))
+    return coins, worlds
 
 
-def analytic_stage_report(config: StageConfig) -> AggregateReport:
-    """Exact registered-outcome distribution for a stage configuration."""
-    first, second = config.algorithms()
-    cells = {alg.algorithm_id: {pair: 0.0 for pair in SIGN_PAIRS} for alg in (first, second)}
-    reg_prob = {alg.algorithm_id: 0.0 for alg in (first, second)}
-    for algorithm, prob, _af, _bf, a, b in _enumerate_worlds(config):
-        if a is None or b is None:
-            continue
-        cells[algorithm.algorithm_id][(a, b)] += prob
-        reg_prob[algorithm.algorithm_id] += prob
-    total_registered = sum(reg_prob.values())
-    if total_registered <= 0.0:
+def _reduce(
+    config: StageConfig, worlds: list[_World], mass, trials: int | None
+) -> AggregateReport:
+    """The stage report from each world's mass, ``mass[world code]``.
+
+    Masses are world probabilities for the analytic report (``trials``
+    None) and world counts for the empirical one.  Worlds in which
+    either observer registered nothing are dropped from the frequency
+    denominators but, empirically, still counted as passages.
+    """
+    cells = ({pair: 0 for pair in SIGN_PAIRS}, {pair: 0 for pair in SIGN_PAIRS})
+    registered = [0, 0]
+    for world in worlds:
+        if world.signs is not None:
+            cells[world.algorithm][world.signs] += mass[world.code]
+            registered[world.algorithm] += mass[world.code]
+    total = registered[0] + registered[1]
+    if total <= 0:
+        happened = "registers no joint trials" if trials is None else \
+            f"registered no joint trials in {trials} emissions"
         raise EmptyReportError(
             f"stage {config.stage} with filters "
-            f"({config.alice_filter.value}, {config.bob_filter.value}) registers no joint trials"
+            f"({config.alice_filter.value}, {config.bob_filter.value}) {happened}"
         )
+    empirical = trials is not None
     alg_stats = []
-    for alg in (first, second):
-        aid = alg.algorithm_id
-        if reg_prob[aid] > 0.0:
-            freq = {pair: cells[aid][pair] / reg_prob[aid] for pair in SIGN_PAIRS}
+    for k, alg in enumerate(config.algorithms()):
+        n_alg = registered[k]
+        if n_alg > 0:
+            freq = {pair: cells[k][pair] / n_alg for pair in SIGN_PAIRS}
         else:
             freq = {pair: 0.0 for pair in SIGN_PAIRS}
         am, bm, pm, corr = _moments(freq)
         alg_stats.append(
             AlgorithmStats(
-                algorithm_id=aid,
-                weight=reg_prob[aid] / total_registered,
-                registered=None,
+                algorithm_id=alg.algorithm_id,
+                weight=n_alg / total,
+                registered=n_alg if empirical else None,
                 joint_freq=freq,
                 alice_mean=am,
                 bob_mean=bm,
@@ -479,21 +504,17 @@ def analytic_stage_report(config: StageConfig) -> AggregateReport:
                 correlation=corr,
             )
         )
-    joint = {
-        pair: (cells[first.algorithm_id][pair] + cells[second.algorithm_id][pair])
-        / total_registered
-        for pair in SIGN_PAIRS
-    }
+    joint = {pair: (cells[0][pair] + cells[1][pair]) / total for pair in SIGN_PAIRS}
     am, bm, pm, corr = _moments(joint)
     return AggregateReport(
         stage=config.stage,
         alice_filter=config.alice_filter,
         bob_filter=config.bob_filter,
-        mode="analytic",
-        trials=None,
-        passages_per_observer=None,
-        registered_trials=None,
-        registered_fraction=total_registered,
+        mode="empirical" if empirical else "analytic",
+        trials=trials,
+        passages_per_observer=2 * trials if empirical else None,
+        registered_trials=total if empirical else None,
+        registered_fraction=total / trials if empirical else total,
         joint_freq=joint,
         alice_mean=am,
         bob_mean=bm,
@@ -503,60 +524,10 @@ def analytic_stage_report(config: StageConfig) -> AggregateReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class BallTrialArrays:
-    """Column-oriented per-trial records of one simulated stage.
-
-    ``alice_sign``/``bob_sign`` are 0 where the observer registered
-    nothing; ``algorithm_index`` is 0 for the stage's first algorithm
-    and 1 for its mirror.
-    """
-
-    algorithm_index: np.ndarray
-    alice_color: np.ndarray
-    alice_sign: np.ndarray
-    bob_color: np.ndarray
-    bob_sign: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.algorithm_index)
-
-    @property
-    def registered(self) -> np.ndarray:
-        return (self.alice_sign != 0) & (self.bob_sign != 0)
-
-
-#: Cell of a trial in which either observer registered nothing.
-_DROPPED = 8
-
-
-def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], np.ndarray]:
-    """The trial's four coins and, per world code, what the observers record.
-
-    Coins, one per draw: the algorithm (below 1/2: the first), the
-    correlated configuration, then Alice's and Bob's filter mismatch.
-    A world's row holds the :class:`BallTrialArrays` fields (sign 0 =
-    nothing registered), then its cell: algorithm (2) x registered sign
-    pair (4), or :data:`_DROPPED`.  Draw for draw this is the actor path:
-    :func:`sam_emit`, the two mismatch draws, then :func:`observer_detect`.
-    """
-    algorithms = config.algorithms()
-    m = config.filter_mismatch_prob
-    coins = ((0, threshold(0.5)), (1, threshold(config.correlated_prob)),
-             (2, threshold(m)), (3, threshold(m)))
-    alice_alt = ALICE_FILTERS[1] if config.alice_filter is ALICE_FILTERS[0] else ALICE_FILTERS[0]
-    bob_alt = BOB_FILTERS[1] if config.bob_filter is BOB_FILTERS[0] else BOB_FILTERS[0]
-    rows = []
-    for world in range(1 << len(coins)):
-        first, correlated, alice_flip, bob_flip = (bool((world >> bit) & 1) for bit in range(4))
-        k = 0 if first else 1
-        af = alice_alt if alice_flip else config.alice_filter
-        bf = bob_alt if bob_flip else config.bob_filter
-        a = _registered_sign(config, algorithms[k], correlated, Addressee.ALICE, af)
-        b = _registered_sign(config, algorithms[k], correlated, Addressee.BOB, bf)
-        cell = _DROPPED if a is None or b is None else 4 * k + (1 - a) + (1 - b) // 2
-        rows.append((k, ord(af.value), a or 0, ord(bf.value), b or 0, cell))
-    return coins, np.array(rows, dtype=np.int16)
+def analytic_stage_report(config: StageConfig) -> AggregateReport:
+    """Exact registered-outcome distribution for a stage configuration."""
+    _, worlds = _world_table(config)
+    return _reduce(config, worlds, {world.code: world.prob for world in worlds}, None)
 
 
 def run_stage(config: StageConfig, workers: int = 1) -> AggregateReport:
@@ -567,89 +538,25 @@ def run_stage(config: StageConfig, workers: int = 1) -> AggregateReport:
     histogram is a sum of per-chunk integer counts, so the report is
     identical for every worker count.
     """
-    coins, table = _world_table(config)
-    cells = table[:, -1]
-    counts = count_cells(config.stream(), config.trials, coins, cells, _DROPPED + 1, workers)
-    return _report_from_counts(config, counts[:_DROPPED])
+    coins, worlds = _world_table(config)
+    histogram = count_worlds(config.stream(), config.trials, coins, workers)
+    return _reduce(config, worlds, histogram.tolist(), config.trials)
 
 
-def run_stage_records(config: StageConfig) -> tuple[AggregateReport, BallTrialArrays]:
-    """Like :func:`run_stage` but also returns the per-trial records."""
-    coins, table = _world_table(config)
-    codes = trial_codes(config.stream(), config.trials, coins)
-    counts = np.bincount(table[codes, -1], minlength=_DROPPED + 1)[:_DROPPED]
-    return _report_from_counts(config, counts), BallTrialArrays(*table[codes, :-1].T)
+def write_stage_csv(path, config: StageConfig) -> AggregateReport:
+    """Simulate a stage once, writing per-trial CSV rows to ``path`` chunk by chunk.
 
-
-def _report_from_counts(config: StageConfig, counts: np.ndarray) -> AggregateReport:
-    first, second = config.algorithms()
-    registered = int(counts.sum())
-    if registered == 0:
-        raise EmptyReportError(
-            f"stage {config.stage} with filters "
-            f"({config.alice_filter.value}, {config.bob_filter.value}) registered no joint "
-            f"trials in {config.trials} emissions"
-        )
-    alg_stats = []
-    for k, alg in enumerate((first, second)):
-        sub = counts[4 * k : 4 * k + 4]
-        n_alg = int(sub.sum())
-        if n_alg > 0:
-            freq = {pair: int(c) / n_alg for pair, c in zip(SIGN_PAIRS, sub)}
-        else:
-            freq = {pair: 0.0 for pair in SIGN_PAIRS}
-        am, bm, pm, corr = _moments(freq)
-        alg_stats.append(
-            AlgorithmStats(
-                algorithm_id=alg.algorithm_id,
-                weight=n_alg / registered,
-                registered=n_alg,
-                joint_freq=freq,
-                alice_mean=am,
-                bob_mean=bm,
-                pair_mean=pm,
-                correlation=corr,
-            )
-        )
-    joint = {
-        pair: int(counts[i] + counts[4 + i]) / registered for i, pair in enumerate(SIGN_PAIRS)
-    }
-    am, bm, pm, corr = _moments(joint)
-    return AggregateReport(
-        stage=config.stage,
-        alice_filter=config.alice_filter,
-        bob_filter=config.bob_filter,
-        mode="empirical",
-        trials=config.trials,
-        passages_per_observer=2 * config.trials,
-        registered_trials=registered,
-        registered_fraction=registered / config.trials,
-        joint_freq=joint,
-        alice_mean=am,
-        bob_mean=bm,
-        pair_mean=pm,
-        correlation=corr,
-        algorithms=tuple(alg_stats),
+    Columns: trial, algorithm, alice_color, alice_sign, bob_color,
+    bob_sign, registered; an observer's color and sign are empty when
+    they registered nothing.  Returns what :func:`run_stage` returns.
+    """
+    coins, worlds = _world_table(config)
+    histogram = write_trials(
+        path, "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered",
+        config.stream(), config.trials, coins,
+        [world.row for world in sorted(worlds, key=lambda world: world.code)],
     )
-
-
-def write_stage_csv(path, arrays: BallTrialArrays, config: StageConfig) -> None:
-    """Per-trial CSV: trial, algorithm, alice_color, alice_sign, bob_color, bob_sign, registered."""
-    ids = ALGORITHM_IDS[config.stage]
-    registered = arrays.registered
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered\n")
-        for i in range(len(arrays)):
-            a_sign = int(arrays.alice_sign[i])
-            b_sign = int(arrays.bob_sign[i])
-            a_color = chr(int(arrays.alice_color[i])) if a_sign else ""
-            b_color = chr(int(arrays.bob_color[i])) if b_sign else ""
-            fh.write(
-                f"{i},{ids[int(arrays.algorithm_index[i])]},"
-                f"{a_color},{a_sign if a_sign else ''},"
-                f"{b_color},{b_sign if b_sign else ''},"
-                f"{int(registered[i])}\n"
-            )
+    return _reduce(config, worlds, histogram.tolist(), config.trials)
 
 
 @dataclass(frozen=True, slots=True)
@@ -766,19 +673,16 @@ def contextual_decomposition(
     first, second = config.algorithms()
     # The event names the configured filter colors, so in mismatch worlds
     # (device flipped to the other color) it does not occur.
-    matched = {first.algorithm_id: 0.0, second.algorithm_id: 0.0}
+    ids = (first.algorithm_id, second.algorithm_id)
+    matched = {aid: 0.0 for aid in ids}
     direct = 0.0
-    for algorithm, prob, af, bf, a, b in _enumerate_worlds(config):
-        if (
-            af is config.alice_filter
-            and bf is config.bob_filter
-            and a == alice_sign
-            and b == bob_sign
-        ):
-            matched[algorithm.algorithm_id] += prob
-            direct += prob
+    _, worlds = _world_table(config)
+    for world in worlds:
+        if world.kept_filters and world.signs == (alice_sign, bob_sign):
+            matched[ids[world.algorithm]] += world.prob
+            direct += world.prob
     conditionals = {aid: mass / 0.5 for aid, mass in matched.items()}
-    weights = {first.algorithm_id: 0.5, second.algorithm_id: 0.5}
+    weights = {aid: 0.5 for aid in ids}
     composed = sum(weights[aid] * conditionals[aid] for aid in sorted(conditionals))
     event = (
         f"{config.alice_filter.value}_A{_SIGN_GLYPH[alice_sign]}; "

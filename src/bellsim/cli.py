@@ -208,8 +208,7 @@ def _mc_single(
         stream_id=0 if description is Description.ALICE else 1,
     )
     if csv_out:
-        stats, arrays = mc.run_experiment_records(config)
-        mc.write_trials_csv(csv_out, arrays)
+        stats = mc.write_trials_csv(csv_out, config)
     else:
         stats = mc.run_experiment(config, workers=workers)
     analytic = quantum_correlation(axis1, axis2, description)
@@ -382,8 +381,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
         if cfg["mode"] == "analytic":
             stage_reports.append(bp.analytic_stage_report(config))
         elif ns.csv_out:
-            rep, arrays = bp.run_stage_records(config)
-            bp.write_stage_csv(ns.csv_out, arrays, config)
+            rep = bp.write_stage_csv(ns.csv_out, config)
             outputs["trials_csv"] = ns.csv_out
             stage_reports.append(rep)
             checks.extend(_stage_checks(rep, config))
@@ -441,6 +439,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
         "tolerance": ns.tolerance,
     }
     cfg = _resolve(CAUSE_DEFAULTS, _load_config_file(ns.config), cli_cfg)
+    workers = _require_positive_int(ns.workers if ns.workers is not None else 1, "workers")
     if (cfg["builtin"] is None) == (cfg["model_file"] is None):
         raise UsageError("common-cause needs exactly one of --builtin or --model")
 
@@ -462,7 +461,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
         stage_cfg = bp.StageConfig(stage=cfg["stage"], trials=cfg["trials"], seed=cfg["seed"])
         if cfg["empirical"]:
             model = cc.empirical_ball_event_model(
-                bp.run_stage(stage_cfg), cfg["x_outcome"], cfg["y_outcome"]
+                bp.run_stage(stage_cfg, workers), cfg["x_outcome"], cfg["y_outcome"]
             )
         else:
             model = cc.ball_event_model(stage_cfg, cfg["x_outcome"], cfg["y_outcome"])
@@ -643,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     except BellsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # reads turn theirs into usage errors, so this came from a write
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ given the hidden variable and consumes no randomness.  Trials can be
 split into contiguous chunks and processed by any number of workers;
 aggregation keeps exact integer histograms and derives all summary
 statistics once from the final counts, so results are bit-identical to
-sequential execution.
+sequential execution.  The per-trial CSV export streams from the same
+chunks and returns the same statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rng import Coin, RngStream, count_cells, threshold, trial_codes
+from .rng import Coin, RngStream, count_worlds, threshold, write_trials
 from .spinmodel import (
     Description,
     Direction,
@@ -71,23 +72,6 @@ class TrialRecord:
     lambda_sign: int
     outcome1: int
     outcome2: int
-
-
-@dataclass(frozen=True, slots=True)
-class TrialArrays:
-    """Column-oriented per-trial records (int8 arrays of equal length)."""
-
-    lambda_sign: np.ndarray
-    outcome1: np.ndarray
-    outcome2: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.outcome1)
-
-    def record(self, i: int) -> TrialRecord:
-        return TrialRecord(
-            int(self.lambda_sign[i]), int(self.outcome1[i]), int(self.outcome2[i])
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,27 +155,36 @@ def simulate_trial(config: ExperimentConfig, rng: np.random.Generator) -> TrialR
     return TrialRecord(lam.first_particle, outcome1, outcome2)
 
 
-def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], np.ndarray]:
-    """The trial's coins and, per world code, (lambda_sign, outcome1, outcome2, cell).
+def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[tuple[int, str]]]:
+    """The trial's coins and, per world code, its histogram cell and CSV row text.
 
     Coin 0 is the sign draw (below 1/2: the hidden variable is +1).
     Coins 1 and 2 compare the outcome draw against the non-anchored
     observer's probability of +1 given lambda = +1 and lambda = -1; a
-    world reads the one that matches its sign.  Draw for draw this is
-    :func:`simulate_trial`.
+    world reads the one that matches its sign.  The row text follows the
+    trial number: ``,lambda_sign,outcome1,outcome2``.  Draw for draw this
+    is :func:`simulate_trial`.
     """
     alice = config.description is Description.ALICE
     cos_phi = math.cos(angle_between(config.axis1, config.axis2))
     # The outcome mean of particle 2 is -lambda*cos(phi), that of particle 1 +lambda*cos(phi).
     p_plus = {s: 0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0)}
     coins = ((0, threshold(0.5)), (1, threshold(p_plus[1.0])), (1, threshold(p_plus[-1.0])))
-    rows = []
+    worlds = []
     for world in range(1 << len(coins)):
         sign = 1 if world & 1 else -1
         drawn = 1 if (world >> (1 if sign == 1 else 2)) & 1 else -1
         o1, o2 = (sign, drawn) if alice else (drawn, -sign)
-        rows.append((sign, o1, o2, (1 - o1) + (1 - o2) // 2))
-    return coins, np.array(rows, dtype=np.int8)
+        worlds.append(((1 - o1) + (1 - o2) // 2, f",{sign},{o1},{o2}\n"))
+    return coins, worlds
+
+
+def _stats(config: ExperimentConfig, worlds: list[tuple[int, str]], histogram) -> EmpiricalStats:
+    """Fold the world-code histogram into the outcome-pair cells."""
+    counts = [0] * len(HISTOGRAM_CELLS)
+    for (cell, _), n in zip(worlds, histogram.tolist()):
+        counts[cell] += n
+    return EmpiricalStats.from_counts(counts, config.trials)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> EmpiricalStats:
@@ -201,30 +194,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EmpiricalStats
     the histogram is a sum of per-chunk integer counts, so the result
     is identical for every worker count and for repeated runs.
     """
-    coins, table = _world_table(config)
-    counts = count_cells(
-        config.stream(), config.trials, coins, table[:, -1], len(HISTOGRAM_CELLS), workers
+    coins, worlds = _world_table(config)
+    return _stats(config, worlds, count_worlds(config.stream(), config.trials, coins, workers))
+
+
+def write_trials_csv(path, config: ExperimentConfig) -> EmpiricalStats:
+    """Run all trials once, writing per-trial CSV rows to ``path`` chunk by chunk.
+
+    Columns: trial, lambda_sign, outcome1, outcome2.  Returns what
+    :func:`run_experiment` returns for ``config``.
+    """
+    coins, worlds = _world_table(config)
+    histogram = write_trials(
+        path, "trial,lambda_sign,outcome1,outcome2", config.stream(), config.trials, coins,
+        [row for _, row in worlds],
     )
-    return EmpiricalStats.from_counts(counts, config.trials)
-
-
-def run_experiment_records(config: ExperimentConfig) -> tuple[EmpiricalStats, TrialArrays]:
-    """Like :func:`run_experiment` but also returns the per-trial records."""
-    coins, table = _world_table(config)
-    codes = trial_codes(config.stream(), config.trials, coins)
-    counts = np.bincount(table[codes, -1], minlength=len(HISTOGRAM_CELLS))
-    return EmpiricalStats.from_counts(counts, config.trials), TrialArrays(*table[codes, :-1].T)
-
-
-def write_trials_csv(path, arrays: TrialArrays) -> None:
-    """Per-trial records as CSV: trial, lambda_sign, outcome1, outcome2."""
-    table = np.column_stack(
-        [np.arange(len(arrays)), arrays.lambda_sign, arrays.outcome1, arrays.outcome2]
-    )
-    np.savetxt(
-        path, table, fmt="%d", delimiter=",",
-        header="trial,lambda_sign,outcome1,outcome2", comments="",
-    )
+    return _stats(config, worlds, histogram)
 
 
 def covariance_tolerance(analytic: float, trials: int, sigmas: float = 3.0) -> float:
@@ -409,17 +394,3 @@ def chsh_details(
         trials=trials if mode == "empirical" else None,
         seed=seed if mode == "empirical" else None,
     )
-
-
-def chsh_value(
-    a: Direction,
-    a_prime: Direction,
-    b: Direction,
-    b_prime: Direction,
-    mode: str = "analytic",
-    trials: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> float:
-    """The CHSH value; see :func:`chsh_details` for the full breakdown."""
-    return chsh_details(a, a_prime, b, b_prime, mode, trials, seed, workers).value

@@ -8,11 +8,16 @@ i's randomness depends only on (seed, stream_id, i), on every platform.
 numpy draws a double as ``(w >> 11) * 2**-53``, so ``u < p`` holds
 exactly when ``(w >> 11) < threshold(p)``: simulations compare integer
 draws against integer thresholds and every trial keeps the outcome the
-float draw gives it.  The driver cuts the trials into fixed chunks of
-:data:`CHUNK_TRIALS` whatever the worker count, so memory does not grow
-with the trial count, and runs them on at most ``os.cpu_count()``
-threads.  Chunks reduce to exact integer histograms, so the sum is the
-same for every worker count.
+float draw gives it.  A simulation declares its coins (draw, threshold);
+bit k of a trial's world code is set when coin k came up.
+
+The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
+whatever the worker count, so memory does not grow with the trial count.
+:func:`count_worlds` runs the chunks on at most ``os.cpu_count()``
+threads and sums their exact world-code histograms, so the result is the
+same for every worker count.  :func:`write_trials` runs them in order on
+one thread, writing each chunk's CSV rows before drawing the next, and
+returns the same histogram; the caller folds it into its own cells.
 """
 
 from __future__ import annotations
@@ -102,11 +107,10 @@ def _chunk_codes(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...
     return codes
 
 
-def count_cells(
-    stream: RngStream, trials: int, coins: tuple[Coin, ...], cells: np.ndarray,
-    n_cells: int, workers: int = 1,
+def count_worlds(
+    stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int = 1
 ) -> np.ndarray:
-    """Exact int64 counts over ``range(n_cells)`` of ``cells[world code]``, trials [0, trials).
+    """Exact int64 histogram of the world codes of trials [0, trials).
 
     ``workers`` only sets how many threads pick up chunks, capped at the
     chunk count and the CPU count; the histogram is the same for any value.
@@ -116,18 +120,28 @@ def count_cells(
     starts = range(0, trials, CHUNK_TRIALS)
 
     def count(lo: int) -> np.ndarray:
-        return np.bincount(_chunk_codes(stream, lo, trials, coins), minlength=len(cells))
+        return np.bincount(_chunk_codes(stream, lo, trials, coins), minlength=1 << len(coins))
 
     threads = min(workers, len(starts), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        worlds = sum(pool.map(count, starts))
-    counts = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(counts, cells, worlds)
-    return counts
+        return sum(pool.map(count, starts))
 
 
-def trial_codes(stream: RngStream, trials: int, coins: tuple[Coin, ...]) -> np.ndarray:
-    """World code of every trial in [0, trials), for per-trial records."""
-    return np.concatenate(
-        [_chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
-    )
+def write_trials(
+    path, header: str, stream: RngStream, trials: int, coins: tuple[Coin, ...],
+    row_text: list[str],
+) -> np.ndarray:
+    """Write a CSV of trials [0, trials) and return :func:`count_worlds`' histogram.
+
+    The file is opened before anything is simulated.  Trial i's line is
+    ``f"{i}{row_text[code]}"`` for its world code; rows are written one
+    chunk at a time, so memory does not grow with ``trials``.
+    """
+    worlds = np.zeros(1 << len(coins), dtype=np.int64)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, trials, CHUNK_TRIALS):
+            codes = _chunk_codes(stream, lo, trials, coins)
+            worlds += np.bincount(codes, minlength=len(worlds))
+            fh.write("".join([f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist(), lo)]))
+    return worlds

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from records import read_mc_csv
 
 from bellsim import ballprotocol as bp
 from bellsim import commoncause as cc
@@ -80,7 +81,7 @@ def test_c02_subquantum_correlation_vanishes():
     announce(2, "subquantum correlation 0 at 1e-12 for 1000 angles x both signs x both forms")
 
 
-def test_c03_certainty_and_anticorrelation():
+def test_c03_certainty_and_anticorrelation(tmp_path):
     for theta in (0.0, 1.0, 4.5):
         axis = Direction(theta)
         for r in (1, -1):
@@ -92,7 +93,8 @@ def test_c03_certainty_and_anticorrelation():
             cfg = mc.ExperimentConfig(
                 Direction(0.7), Direction(0.7), 100_000, description, seed
             )
-            stats, arrays = mc.run_experiment_records(cfg)
+            stats = mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+            arrays = read_mc_csv(tmp_path / "trials.csv")
             assert np.all(arrays.outcome2 == -arrays.outcome1)
             assert stats.counts[0] == 0 and stats.counts[3] == 0
     announce(3, "equal axes: opposite outcomes in 100% of trials; same-sign probability 0")

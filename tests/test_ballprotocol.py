@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from float_oracles import stage_counts
+from records import read_stage_csv
 
 from bellsim import ballprotocol as bp
 from bellsim.errors import EmptyReportError, ValidationError
@@ -124,10 +125,10 @@ def _other(filters, chosen):
 
 class TestActorPathEquivalence:
     @staticmethod
-    def check_against_actor_path(cfg):
-        _, arrays = bp.run_stage_records(cfg)
-        first, second = cfg.algorithms()
-        ids = {first.algorithm_id: 0, second.algorithm_id: 1}
+    def check_against_actor_path(cfg, path):
+        assert bp.write_stage_csv(path, cfg) == bp.run_stage(cfg)
+        rows = read_stage_csv(path)
+        assert len(rows) == cfg.trials
         stream = cfg.stream()
         m = cfg.filter_mismatch_prob
         for i in range(cfg.trials):
@@ -138,27 +139,34 @@ class TestActorPathEquivalence:
                 if rng.random() < m else cfg.alice_filter
             bob_filter = _other(bp.BOB_FILTERS, cfg.bob_filter) \
                 if rng.random() < m else cfg.bob_filter
-            assert ids[algorithm_id] == int(arrays.algorithm_index[i])
             alice = bp.observer_detect(quadruple[:2], alice_filter)
             bob = bp.observer_detect(quadruple[2:], bob_filter)
-            assert (alice.sign or 0) == int(arrays.alice_sign[i])
-            assert (bob.sign or 0) == int(arrays.bob_sign[i])
-            assert chr(int(arrays.alice_color[i])) == alice_filter.value
-            assert chr(int(arrays.bob_color[i])) == bob_filter.value
+            # A color and sign are written only for an observer who registered.
+            assert rows[i] == {
+                "trial": str(i),
+                "algorithm": algorithm_id,
+                "alice_color": alice_filter.value if alice.registered else "",
+                "alice_sign": str(alice.sign) if alice.registered else "",
+                "bob_color": bob_filter.value if bob.registered else "",
+                "bob_sign": str(bob.sign) if bob.registered else "",
+                "registered": str(int(alice.registered and bob.registered)),
+            }
 
     @pytest.mark.parametrize("stage", [1, 2, 3])
-    def test_vectorized_matches_per_trial_loop(self, stage):
-        self.check_against_actor_path(bp.StageConfig(stage=stage, trials=2048, seed=77))
+    def test_vectorized_matches_per_trial_loop(self, stage, tmp_path):
+        self.check_against_actor_path(
+            bp.StageConfig(stage=stage, trials=2048, seed=77), tmp_path / "stage.csv"
+        )
 
     @pytest.mark.parametrize(
         "stage,filters,mismatch",
         [(1, (None, None), 0.1), (2, (None, None), 0.1), (3, (None, None), 0.1),
          (2, (None, "b"), 1.0), (1, ("c", None), 0.1), (1, ("c", None), 0.5)],
     )
-    def test_filter_mismatch_matches_per_trial_loop(self, stage, filters, mismatch):
+    def test_filter_mismatch_matches_per_trial_loop(self, stage, filters, mismatch, tmp_path):
         cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],
                              trials=2048, seed=78, filter_mismatch_prob=mismatch)
-        self.check_against_actor_path(cfg)
+        self.check_against_actor_path(cfg, tmp_path / "stage.csv")
 
 
 class TestRunStage:
@@ -206,20 +214,23 @@ class TestRunStage:
         cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],
                              trials=2 * CHUNK_TRIALS + 1, seed=43, p_stage1=p, p_stage23=p,
                              filter_mismatch_prob=mismatch)
-        expected = bp._report_from_counts(cfg, stage_counts(cfg))
-        assert bp.run_stage(cfg, workers=workers) == expected
+        report = bp.run_stage(cfg, workers=workers)
+        # The 8-cell histogram the report was reduced from.
+        cells = [round(alg.registered * alg.joint_freq[pair])
+                 for alg in report.algorithms for pair in bp.SIGN_PAIRS]
+        assert cells == stage_counts(cfg).tolist()
 
     def test_conditional_correlations_vanish_empirically(self):
         report = bp.run_stage(bp.StageConfig(stage=1, trials=200_000, seed=29))
         # Alice's sign is constant given the algorithm, so the sample
         # covariance cancels exactly, not just statistically.
-        assert bp.conditional_correlation(report, "A1") == 0.0
-        assert bp.conditional_correlation(report, "A2") == 0.0
+        assert report.algorithm("A1").correlation == 0.0
+        assert report.algorithm("A2").correlation == 0.0
 
     def test_algorithm_stage_mismatch_rejected(self):
         report = bp.run_stage(bp.StageConfig(stage=1, trials=1000, seed=1))
         with pytest.raises(ValidationError):
-            bp.conditional_correlation(report, "A1'")
+            report.algorithm("A1'")
 
     def test_empty_registered_set_is_an_error(self):
         cfg = bp.StageConfig(
@@ -429,9 +440,8 @@ class TestSerialization:
 
     def test_write_stage_csv(self, tmp_path):
         cfg = bp.StageConfig(stage=1, trials=50, seed=2)
-        _, arrays = bp.run_stage_records(cfg)
         path = tmp_path / "stage.csv"
-        bp.write_stage_csv(path, arrays, cfg)
+        assert bp.write_stage_csv(path, cfg) == bp.run_stage(cfg)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered"
         assert len(lines) == 51

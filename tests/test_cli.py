@@ -352,6 +352,20 @@ class TestDeterminism:
         assert "timestamp" not in json.loads(out)["manifest"]
 
 
+@pytest.mark.parametrize("args", [
+    ("spin-correlation", "--phi", "60deg", "--out", "{missing}"),
+    ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}"),
+    ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}"),
+    ("ball-protocol", "--stage", "1", "--trials", "100", "--csv-out", "{missing}"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in args))
+    assert code == 2
+    assert err.startswith("error: cannot write") and missing in err
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint_runs():
     import subprocess
     import sys

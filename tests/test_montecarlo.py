@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from float_oracles import mc_counts
+from records import read_mc_csv
 
 from bellsim import montecarlo as mc
 from bellsim.errors import ValidationError
@@ -51,12 +52,14 @@ class TestSimulateTrial:
             assert rec.outcome2 == -rec.outcome1
 
     @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
-    def test_matches_vectorized_engine(self, description):
+    def test_matches_vectorized_engine(self, description, tmp_path):
         cfg = config(1.1, 4096, description=description, seed=31)
-        stats, arrays = mc.run_experiment_records(cfg)
-        for i in range(len(arrays)):
+        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        rows = read_mc_csv(tmp_path / "trials.csv")
+        assert rows.trial.tolist() == list(range(cfg.trials))
+        for i, row in enumerate(rows):
             rec = mc.simulate_trial(cfg, cfg.stream().generator(i))
-            assert rec == arrays.record(i)
+            assert rec == mc.TrialRecord(row.lambda_sign, row.outcome1, row.outcome2)
 
     def test_anchored_observer_reads_off_hidden_variable(self):
         cfg = config(0.9, 1, description=Description.BOB, seed=2)
@@ -114,17 +117,19 @@ class TestRunExperiment:
         stats = mc.run_experiment(config(math.pi / 3, 1_000_000, seed=0))
         assert stats.counts[0] / stats.trials == pytest.approx(expected, abs=0.002)
 
-    def test_conditional_frequency_at_right_angle(self):
+    def test_conditional_frequency_at_right_angle(self, tmp_path):
         cfg = config(math.pi / 2, 1_000_000, seed=0)
-        stats, arrays = mc.run_experiment_records(cfg)
+        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        arrays = read_mc_csv(tmp_path / "trials.csv")
         sel = arrays.outcome1 == 1
         freq = float(np.mean(arrays.outcome2[sel] == 1))
         assert 0.497 <= freq <= 0.503
 
-    def test_per_lambda_conditional_matches_model(self):
+    def test_per_lambda_conditional_matches_model(self, tmp_path):
         phi = 1.05
         cfg = config(phi, 400_000, seed=21)
-        _, arrays = mc.run_experiment_records(cfg)
+        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        arrays = read_mc_csv(tmp_path / "trials.csv")
         for sign in (1, -1):
             sel = arrays.lambda_sign == sign
             n = int(np.sum(sel))
@@ -173,21 +178,21 @@ class TestChsh:
         expected = (
             -math.cos(b - a) + math.cos(bp - a) - math.cos(b - ap) - math.cos(bp - ap)
         )
-        value = mc.chsh_value(*OPTIMAL)
+        value = mc.chsh_details(*OPTIMAL).value
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_all_directions_equal(self):
         a = Direction(0.3)
-        assert mc.chsh_value(a, a, a, a) == pytest.approx(-2.0, abs=1e-12)
+        assert mc.chsh_details(a, a, a, a).value == pytest.approx(-2.0, abs=1e-12)
 
     def test_empirical_optimal_angles(self):
-        value = mc.chsh_value(*OPTIMAL, mode="empirical", trials=1_000_000, seed=20240901)
+        value = mc.chsh_details(*OPTIMAL, mode="empirical", trials=1_000_000, seed=20240901).value
         assert value == pytest.approx(-2.0 * math.sqrt(2.0), abs=0.012)
 
     def test_exceeds_local_bound_in_both_modes(self):
-        assert abs(mc.chsh_value(*OPTIMAL)) > 2.0
-        emp = mc.chsh_value(*OPTIMAL, mode="empirical", trials=200_000, seed=6)
+        assert abs(mc.chsh_details(*OPTIMAL).value) > 2.0
+        emp = mc.chsh_details(*OPTIMAL, mode="empirical", trials=200_000, seed=6).value
         assert abs(emp) > 2.0
 
     def test_contexts_use_distinct_streams(self):
@@ -203,7 +208,7 @@ class TestChsh:
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValidationError):
-            mc.chsh_value(*OPTIMAL, mode="exact")
+            mc.chsh_details(*OPTIMAL, mode="exact")
 
 
 class TestEmpiricalStats:
@@ -228,9 +233,8 @@ class TestEmpiricalStats:
 
 def test_write_trials_csv(tmp_path):
     cfg = config(0.8, 200, seed=3)
-    _, arrays = mc.run_experiment_records(cfg)
     path = tmp_path / "trials.csv"
-    mc.write_trials_csv(path, arrays)
+    assert mc.write_trials_csv(path, cfg) == mc.run_experiment(cfg)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,lambda_sign,outcome1,outcome2"
     assert len(lines) == 201

@@ -128,13 +128,29 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys):
     )
 
 
+def test_common_cause_honours_workers(monkeypatch, capsys):
+    from bellsim import cli
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    argv = ["common-cause", "--builtin", "ball", "--empirical",
+            "--trials", str(3 * CHUNK_TRIALS), "--format", "json", "--no-timestamp"]
+    assert cli.main([*argv, "--workers", "2"]) == 0
+    assert _InlineExecutor.sizes == [2]
+    _InlineExecutor.sizes.clear()
+    assert cli.main([*argv, "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert _InlineExecutor.sizes == []
+
+
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
-        rng.count_cells(RngStream(0), 10, (), np.zeros(1, dtype=np.intp), 1, workers=0)
+        rng.count_worlds(RngStream(0), 10, (), workers=0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_memory_is_bounded_by_the_chunk(monkeypatch, workers):
+def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
     from bellsim import ballprotocol as bp
     from bellsim import montecarlo as mc
     from bellsim.spinmodel import Direction
@@ -148,6 +164,10 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, workers):
 
     monkeypatch.setattr(RngStream, "trial_words", recording)
     trials = 3 * CHUNK_TRIALS + 1
-    mc.run_experiment(mc.ExperimentConfig(Direction(0.0), Direction(1.0), trials), workers)
-    bp.run_stage(bp.StageConfig(stage=2, trials=trials, filter_mismatch_prob=0.1), workers)
-    assert sorted(blocks) == [1, 1] + [CHUNK_TRIALS] * 6
+    mc_config = mc.ExperimentConfig(Direction(0.0), Direction(1.0), trials)
+    stage_config = bp.StageConfig(stage=2, trials=trials, filter_mismatch_prob=0.1)
+    mc.run_experiment(mc_config, workers)
+    bp.run_stage(stage_config, workers)
+    mc.write_trials_csv(tmp_path / "trials.csv", mc_config)
+    bp.write_stage_csv(tmp_path / "stage.csv", stage_config)
+    assert sorted(blocks) == [1] * 4 + [CHUNK_TRIALS] * 12
