@@ -1,8 +1,10 @@
 """Golden reports: pinned-seed CLI output must stay byte-identical.
 
 Each README example, plus a few filter-mismatch and empirical cases, runs
-with ``--seed 1 --format json --no-timestamp`` and at most 20,000 trials;
-its stdout must equal the file in ``tests/golden/``.  Per-trial CSV
+with ``--seed 1 --no-timestamp`` and at most 20,000 trials; its stdout in
+``--format json`` and in the default text format must equal the files in
+``tests/golden/``, and feeding the golden manifest's ``config`` back via
+``--config`` must reproduce the golden JSON.  Per-trial CSV
 exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
 boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``.
 
@@ -25,7 +27,7 @@ from bellsim.cli import main
 from bellsim.rng import CHUNK_TRIALS
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
-FLAGS = ("--seed", "1", "--format", "json", "--no-timestamp")
+FLAGS = ("--seed", "1", "--no-timestamp")
 
 #: The common-cause model document from the README.
 MODEL = {
@@ -66,11 +68,11 @@ CSV_RUNS = {
 }
 
 
-def run(command: str) -> tuple[int, str]:
+def run(command: str, fmt: str = "json") -> tuple[int, str]:
     """Exit code and stdout of one CLI command, run in the current directory."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*command.split(), *FLAGS])
+        code = main([*command.split(), *FLAGS, "--format", fmt])
     return code, out.getvalue()
 
 
@@ -98,6 +100,26 @@ def test_report_is_byte_identical(workdir, name):
     assert code == (0 if json.loads(text)["passed"] else 1)
 
 
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_text_report_is_byte_identical(workdir, name):
+    code, text = run(REPORTS[name], "text")
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert code == (0 if "\nRESULT: PASS " in text else 1)
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_manifest_config_reproduces_report(workdir, name):
+    golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    manifest = json.loads(golden)["manifest"]
+    (workdir / "config.json").write_text(json.dumps(manifest["config"]), encoding="utf-8")
+    command = f"{manifest['subcommand']} --config config.json"
+    if "sweep_data" in manifest["outputs"]:
+        command += f" --sweep-out {manifest['outputs']['sweep_data']}"
+    code, text = run(command)
+    assert text == golden
+    assert code == (0 if json.loads(text)["passed"] else 1)
+
+
 @pytest.mark.parametrize("name", sorted(CSV_RUNS))
 def test_csv_export_is_byte_identical(workdir, name):
     pins = json.loads((GOLDEN / "csv_sha256.json").read_text(encoding="utf-8"))
@@ -111,6 +133,7 @@ if __name__ == "__main__":
         write_model(Path(tmp))
         for name, command in REPORTS.items():
             (GOLDEN / f"{name}.json").write_text(run(command)[1], encoding="utf-8")
+            (GOLDEN / f"{name}.txt").write_text(run(command, "text")[1], encoding="utf-8")
         pins = {name: csv_digest(command) for name, command in CSV_RUNS.items()}
     (GOLDEN / "csv_sha256.json").write_text(
         json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8"
