@@ -237,28 +237,6 @@ class StageConfig:
         }
 
 
-def stage_config_from_json_dict(data: dict) -> StageConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("stage config must be a JSON object")
-    allowed = {
-        "stage", "alice_filter", "bob_filter", "trials", "seed",
-        "stream_id", "p_stage1", "p_stage23", "filter_mismatch_prob",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValidationError(f"unknown stage config fields: {sorted(unknown)}")
-    if "stage" not in data:
-        raise ValidationError("stage config requires a 'stage' field")
-    kwargs = dict(data)
-    for key in ("alice_filter", "bob_filter"):
-        if kwargs.get(key) is not None:
-            try:
-                kwargs[key] = Color(kwargs[key])
-            except ValueError as exc:
-                raise ValidationError(f"{key} must be one of 'a', 'b', 'c'") from exc
-    return StageConfig(**kwargs)
-
-
 def sam_emit(
     config: StageConfig, rng: np.random.Generator
 ) -> tuple[str, tuple[SignedBall, SignedBall, SignedBall, SignedBall]]:

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: spin-correlation, mc-run, ball-protocol, common-cause,
-chsh.  Configuration precedence is flags over config-file values over
-defaults; the resolved configuration is embedded in every report's
-manifest and can be fed back via --config to reproduce the run.
+chsh.  Each subcommand declares its configuration once, as a table of
+fields (config key, default, kind, flag, help); the table builds the
+flags and checks config-file values.  Precedence is flags over
+config-file values over defaults; the resolved configuration is
+embedded in every report's manifest and can be fed back via --config to
+reproduce the run.
 
 Exit codes: 0 when all embedded checks pass, 1 when a check fails or
 the run hits a data-level error (such as an empty registered set), 2
@@ -17,6 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import ballprotocol as bp
 from . import commoncause as cc
@@ -24,7 +28,6 @@ from . import montecarlo as mc
 from .errors import (
     BellsimError,
     ConditioningUndefinedError,
-    EmptyReportError,
     ValidationError,
 )
 from .report import Check, build_report, render_json, render_text
@@ -87,27 +90,96 @@ def _load_config_file(path: str | None) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must contain a JSON object")
     return data
 
 
-def _resolve(defaults: dict, file_cfg: dict, cli_cfg: dict) -> dict:
-    unknown = set(file_cfg) - set(defaults)
+def _real(value: Any) -> bool:
+    """A JSON number, not a boolean, that converts to a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _sweep(value: Any) -> bool:
+    return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
+            and all(map(_real, value.values()))
+            and value["step"] > 0 and value["stop"] >= value["start"])
+
+
+class Kind(NamedTuple):
+    """Which JSON values a field takes, and how its flag's text becomes one.
+
+    A kind checks type and shape only.  Ranges (a probability's [0, 1], a
+    tolerance's sign, a seed's 64 bits) are the library's checks, which
+    raise ValidationError and so also exit 2.
+    """
+
+    meaning: str  # completes "<key> must be ..."
+    valid: Callable[[Any], bool]
+    flag: dict  # add_argument keywords
+
+
+def choice(*options) -> Kind:
+    return Kind("one of " + ", ".join(json.dumps(o) for o in options),
+                lambda v: type(v) is type(options[0]) and v in options,
+                {"type": type(options[0]), "choices": options})
+
+
+ANGLE = Kind("an angle in radians", _real, {"type": parse_angle, "metavar": "ANGLE"})
+ANGLES = Kind("a list of angles in radians", lambda v: type(v) is list and all(map(_real, v)),
+              {"type": parse_angle, "metavar": "ANGLE", "action": "append"})
+FOUR_ANGLES = Kind("a list of four angles in radians",
+                   lambda v: type(v) is list and len(v) == 4 and all(map(_real, v)),
+                   {"type": lambda t: [parse_angle(a) for a in t.split(",")],
+                    "metavar": "A,A',B,B'"})
+SWEEP = Kind("an object {start, stop, step} in radians with step > 0 and stop >= start",
+             _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
+COUNT = Kind("a positive integer", lambda v: type(v) is int and v >= 1, {"type": int})
+SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
+PROBABILITY = Kind("a probability in [0, 1]", _real, {"type": float, "metavar": "P"})
+TOLERANCE = Kind("a nonnegative number", _real, {"type": float})
+SWITCH = Kind("true or false", lambda v: type(v) is bool,
+              {"action": "store_true", "default": None})
+PATH = Kind("a file name", lambda v: type(v) is str, {"metavar": "FILE"})
+
+
+class Field(NamedTuple):
+    """One config key: its default, its kind and the flag that sets it.
+
+    A field whose default is null also takes null.
+    """
+
+    key: str
+    default: Any
+    kind: Kind
+    flag: str
+    help: str | None = None
+
+
+_TRIALS = Field("trials", 1_000_000, COUNT, "--trials", "number of trials")
+_SEED = Field("seed", 0, SEED, "--seed", "RNG seed (64-bit)")
+
+
+def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
+    """Flags over config-file values over defaults, each checked against its kind.
+
+    Values are checked, never converted, so a manifest fed back via
+    --config reproduces the run byte for byte.
+    """
+    file_cfg = _load_config_file(ns.config)
+    unknown = set(file_cfg) - {f.key for f in schema}
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
-    resolved = dict(defaults)
-    resolved.update(file_cfg)
-    resolved.update({k: v for k, v in cli_cfg.items() if v is not None})
-    return resolved
-
-
-def _require_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {value!r}")
-    return value
+    cfg = {}
+    for f in schema:
+        flag = getattr(ns, f.key)
+        value = file_cfg.get(f.key, f.default) if flag is None else flag
+        if not (value is None and f.default is None or f.kind.valid(value)):
+            raise UsageError(f"{f.key} must be {f.kind.meaning}, got {json.dumps(value)}")
+        cfg[f.key] = value
+    return cfg
 
 
 def _emit(report: dict, ns: argparse.Namespace) -> int:
@@ -119,10 +191,11 @@ def _emit(report: dict, ns: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
-    parser.add_argument("--trials", type=int, default=None, help="number of trials")
-    parser.add_argument("--workers", type=int, default=None,
+def _add_flags(parser: argparse.ArgumentParser, schema: tuple[Field, ...]) -> None:
+    """The schema's flags, then the flags every subcommand takes."""
+    for f in (*schema, *(f for f in (_SEED, _TRIALS) if f not in schema)):
+        parser.add_argument(f.flag, dest=f.key, help=f.help, **f.kind.flag)
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker count; results are identical for any value")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config file (flags override it)")
@@ -138,15 +211,14 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 # spin-correlation
 
 
-SPIN_DEFAULTS = {"phi": None, "sweep": None}
+SPIN = (
+    Field("phi", None, ANGLES, "--phi", "angle between the axes, e.g. 60deg (repeatable)"),
+    Field("sweep", None, SWEEP, "--sweep", "angle sweep, e.g. 0:180:5deg"),
+)
 
 
 def cmd_spin_correlation(ns: argparse.Namespace) -> int:
-    cli_cfg = {
-        "phi": [parse_angle(p) for p in ns.phi] if ns.phi else None,
-        "sweep": parse_sweep(ns.sweep) if ns.sweep else None,
-    }
-    cfg = _resolve(SPIN_DEFAULTS, _load_config_file(ns.config), cli_cfg)
+    cfg = _resolve(SPIN, ns)
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
 
@@ -190,13 +262,13 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> int:
 # mc-run
 
 
-MC_DEFAULTS = {
-    "theta1": 0.0,
-    "theta2": 0.0,
-    "trials": 1_000_000,
-    "seed": 0,
-    "description": "alice",
-}
+MC = (
+    Field("theta1", 0.0, ANGLE, "--theta1", "first measurement axis"),
+    Field("theta2", 0.0, ANGLE, "--theta2", "second measurement axis"),
+    _TRIALS,
+    _SEED,
+    Field("description", "alice", choice("alice", "bob", "both"), "--description"),
+)
 
 
 def _mc_single(
@@ -232,24 +304,12 @@ def _mc_single(
 
 
 def cmd_mc_run(ns: argparse.Namespace) -> int:
-    cli_cfg = {
-        "theta1": parse_angle(ns.theta1) if ns.theta1 else None,
-        "theta2": parse_angle(ns.theta2) if ns.theta2 else None,
-        "trials": ns.trials,
-        "seed": ns.seed,
-        "description": ns.description,
-    }
-    if ns.phi:
-        if ns.theta1 or ns.theta2:
+    if ns.phi is not None:
+        if ns.theta1 is not None or ns.theta2 is not None:
             raise UsageError("--phi is a shorthand for --theta1 0rad --theta2 PHI; "
                              "do not combine them")
-        cli_cfg["theta1"] = 0.0
-        cli_cfg["theta2"] = parse_angle(ns.phi)
-    cfg = _resolve(MC_DEFAULTS, _load_config_file(ns.config), cli_cfg)
-    _require_positive_int(cfg["trials"], "trials")
-    workers = _require_positive_int(ns.workers if ns.workers is not None else 1, "workers")
-    if cfg["description"] not in ("alice", "bob", "both"):
-        raise UsageError("description must be alice, bob or both")
+        ns.theta1, ns.theta2 = 0.0, ns.phi
+    cfg = _resolve(MC, ns)
 
     outputs: dict = {}
     if cfg["description"] == "both":
@@ -257,7 +317,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
             raise UsageError("per-trial CSV output requires a single description")
         comparison = mc.description_equivalence(
             Direction(cfg["theta1"]), Direction(cfg["theta2"]),
-            cfg["trials"], cfg["seed"], workers=workers,
+            cfg["trials"], cfg["seed"], workers=ns.workers,
         )
         results = {"equivalence": comparison.to_json_dict()}
         checks = [
@@ -277,7 +337,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
                   tolerance=comparison.combined_tolerance),
         ]
     else:
-        results, checks = _mc_single(cfg, Description(cfg["description"]), workers, ns.csv_out)
+        results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
         if ns.csv_out:
             outputs["trials_csv"] = ns.csv_out
 
@@ -292,18 +352,21 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
 # ball-protocol
 
 
-BALL_DEFAULTS = {
-    "stage": None,
-    "all_stages": False,
-    "alice_filter": None,
-    "bob_filter": None,
-    "trials": 1_000_000,
-    "seed": 0,
-    "p_stage1": 0.15,
-    "p_stage23": 0.04,
-    "filter_mismatch_prob": 0.0,
-    "mode": "empirical",
-}
+BALL = (
+    Field("stage", None, choice(1, 2, 3), "--stage"),
+    Field("all_stages", False, SWITCH, "--all-stages",
+          "run stages 1-3 and evaluate the cross-stage inequality"),
+    Field("alice_filter", None, choice("a", "c"), "--alice-filter"),
+    Field("bob_filter", None, choice("b", "c"), "--bob-filter"),
+    _TRIALS,
+    _SEED,
+    Field("p_stage1", 0.15, PROBABILITY, "--p1", "stage-1 correlated-configuration probability"),
+    Field("p_stage23", 0.04, PROBABILITY, "--p23",
+          "stage-2/3 correlated-configuration probability"),
+    Field("filter_mismatch_prob", 0.0, PROBABILITY, "--mismatch-prob",
+          "per-observer chance of an unsuitable filter choice per trial"),
+    Field("mode", "empirical", choice("empirical", "analytic"), "--mode"),
+)
 
 
 def _stage_checks(report: bp.AggregateReport, config: bp.StageConfig) -> list[Check]:
@@ -326,23 +389,7 @@ def _stage_checks(report: bp.AggregateReport, config: bp.StageConfig) -> list[Ch
 
 
 def cmd_ball_protocol(ns: argparse.Namespace) -> int:
-    cli_cfg = {
-        "stage": ns.stage,
-        "all_stages": True if ns.all_stages else None,
-        "alice_filter": ns.alice_filter,
-        "bob_filter": ns.bob_filter,
-        "trials": ns.trials,
-        "seed": ns.seed,
-        "p_stage1": ns.p1,
-        "p_stage23": ns.p23,
-        "filter_mismatch_prob": ns.mismatch_prob,
-        "mode": ns.mode,
-    }
-    cfg = _resolve(BALL_DEFAULTS, _load_config_file(ns.config), cli_cfg)
-    _require_positive_int(cfg["trials"], "trials")
-    workers = _require_positive_int(ns.workers if ns.workers is not None else 1, "workers")
-    if cfg["mode"] not in ("empirical", "analytic"):
-        raise UsageError("mode must be empirical or analytic")
+    cfg = _resolve(BALL, ns)
     if cfg["all_stages"]:
         if cfg["stage"] is not None or cfg["alice_filter"] or cfg["bob_filter"]:
             raise UsageError("--all-stages uses the canonical stage filters; "
@@ -351,24 +398,19 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
     else:
         if cfg["stage"] is None:
             raise UsageError("ball-protocol needs --stage or --all-stages")
-        if cfg["stage"] not in (1, 2, 3):
-            raise UsageError("stage must be 1, 2 or 3")
         stages = [cfg["stage"]]
 
     def stage_config(stage: int) -> bp.StageConfig:
-        try:
-            return bp.StageConfig(
-                stage=stage,
-                alice_filter=cfg["alice_filter"] if not cfg["all_stages"] else None,
-                bob_filter=cfg["bob_filter"] if not cfg["all_stages"] else None,
-                trials=cfg["trials"],
-                seed=cfg["seed"],
-                p_stage1=cfg["p_stage1"],
-                p_stage23=cfg["p_stage23"],
-                filter_mismatch_prob=cfg["filter_mismatch_prob"],
-            )
-        except ValidationError as exc:
-            raise UsageError(str(exc)) from exc
+        return bp.StageConfig(
+            stage=stage,
+            alice_filter=cfg["alice_filter"] if not cfg["all_stages"] else None,
+            bob_filter=cfg["bob_filter"] if not cfg["all_stages"] else None,
+            trials=cfg["trials"],
+            seed=cfg["seed"],
+            p_stage1=cfg["p_stage1"],
+            p_stage23=cfg["p_stage23"],
+            filter_mismatch_prob=cfg["filter_mismatch_prob"],
+        )
 
     if ns.csv_out and (len(stages) != 1 or cfg["mode"] != "empirical"):
         raise UsageError("per-trial CSV output requires a single empirical stage")
@@ -386,7 +428,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
             stage_reports.append(rep)
             checks.extend(_stage_checks(rep, config))
         else:
-            rep = bp.run_stage(config, workers=workers)
+            rep = bp.run_stage(config, workers=ns.workers)
             stage_reports.append(rep)
             checks.extend(_stage_checks(rep, config))
 
@@ -411,35 +453,24 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
 # common-cause
 
 
-CAUSE_DEFAULTS = {
-    "builtin": None,
-    "model_file": None,
-    "phi": math.pi / 3,
-    "x_outcome": 1,
-    "y_outcome": 1,
-    "stage": 1,
-    "empirical": False,
-    "trials": 1_000_000,
-    "seed": 0,
-    "tolerance": None,
-}
+CAUSE = (
+    Field("builtin", None, choice("spin", "ball"), "--builtin"),
+    Field("model_file", None, PATH, "--model",
+          "JSON file with p_z, joint_given_z, joint_given_not_z"),
+    Field("phi", math.pi / 3, ANGLE, "--phi", "axis angle for --builtin spin"),
+    Field("x_outcome", 1, choice(1, -1), "--x-outcome"),
+    Field("y_outcome", 1, choice(1, -1), "--y-outcome"),
+    Field("stage", 1, choice(1, 2, 3), "--stage", "stage for --builtin ball"),
+    Field("empirical", False, SWITCH, "--empirical",
+          "estimate the ball model from a simulated run"),
+    _TRIALS,
+    _SEED,
+    Field("tolerance", None, TOLERANCE, "--tolerance"),
+)
 
 
 def cmd_common_cause(ns: argparse.Namespace) -> int:
-    cli_cfg = {
-        "builtin": ns.builtin,
-        "model_file": ns.model,
-        "phi": parse_angle(ns.phi) if ns.phi else None,
-        "x_outcome": ns.x_outcome,
-        "y_outcome": ns.y_outcome,
-        "stage": ns.stage,
-        "empirical": True if ns.empirical else None,
-        "trials": ns.trials,
-        "seed": ns.seed,
-        "tolerance": ns.tolerance,
-    }
-    cfg = _resolve(CAUSE_DEFAULTS, _load_config_file(ns.config), cli_cfg)
-    workers = _require_positive_int(ns.workers if ns.workers is not None else 1, "workers")
+    cfg = _resolve(CAUSE, ns)
     if (cfg["builtin"] is None) == (cfg["model_file"] is None):
         raise UsageError("common-cause needs exactly one of --builtin or --model")
 
@@ -448,7 +479,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
             data = json.loads(Path(cfg["model_file"]).read_text(encoding="utf-8"))
         except OSError as exc:
             raise UsageError(f"cannot read model file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise UsageError(f"model file is not valid JSON: {exc}") from exc
         model = cc.binary_event_model_from_json_dict(data)
         source = {"kind": "file", "path": cfg["model_file"]}
@@ -457,17 +488,15 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
             Direction(0.0), Direction(cfg["phi"]), cfg["x_outcome"], cfg["y_outcome"]
         )
         source = {"kind": "builtin-spin", "phi": cfg["phi"]}
-    elif cfg["builtin"] == "ball":
+    else:
         stage_cfg = bp.StageConfig(stage=cfg["stage"], trials=cfg["trials"], seed=cfg["seed"])
         if cfg["empirical"]:
             model = cc.empirical_ball_event_model(
-                bp.run_stage(stage_cfg, workers), cfg["x_outcome"], cfg["y_outcome"]
+                bp.run_stage(stage_cfg, ns.workers), cfg["x_outcome"], cfg["y_outcome"]
             )
         else:
             model = cc.ball_event_model(stage_cfg, cfg["x_outcome"], cfg["y_outcome"])
         source = {"kind": "builtin-ball", "stage": cfg["stage"], "empirical": cfg["empirical"]}
-    else:
-        raise UsageError("builtin must be 'spin' or 'ball'")
 
     cause_report = cc.full_report(model, cfg["tolerance"])
     results = {
@@ -497,33 +526,22 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
 # chsh
 
 
-CHSH_DEFAULTS = {
-    "angles": [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4],
-    "mode": "analytic",
-    "trials": 1_000_000,
-    "seed": 0,
-}
+CHSH = (
+    Field("angles", [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4], FOUR_ANGLES, "--angles",
+          "four comma-separated angles, e.g. 0deg,90deg,45deg,135deg"),
+    Field("mode", "analytic", choice("analytic", "empirical"), "--mode"),
+    _TRIALS,
+    _SEED,
+)
 
 
 def cmd_chsh(ns: argparse.Namespace) -> int:
-    cli_cfg = {
-        "angles": [parse_angle(a) for a in ns.angles.split(",")] if ns.angles else None,
-        "mode": ns.mode,
-        "trials": ns.trials,
-        "seed": ns.seed,
-    }
-    cfg = _resolve(CHSH_DEFAULTS, _load_config_file(ns.config), cli_cfg)
-    if not isinstance(cfg["angles"], list) or len(cfg["angles"]) != 4:
-        raise UsageError("chsh needs exactly four angles: a, a', b, b'")
-    if cfg["mode"] not in ("analytic", "empirical"):
-        raise UsageError("mode must be analytic or empirical")
-    _require_positive_int(cfg["trials"], "trials")
-    workers = _require_positive_int(ns.workers if ns.workers is not None else 1, "workers")
+    cfg = _resolve(CHSH, ns)
 
     axes = [Direction(float(a)) for a in cfg["angles"]]
     result = mc.chsh_details(
         *axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
-        workers=workers,
+        workers=ns.workers,
     )
     checks = []
     if cfg["mode"] == "analytic":
@@ -568,61 +586,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spin-correlation",
                        help="analytic quantum and subquantum correlations per angle")
-    p.add_argument("--phi", action="append", metavar="ANGLE",
-                   help="angle between the axes, e.g. 60deg (repeatable)")
-    p.add_argument("--sweep", metavar="START:STOP:STEP",
-                   help="angle sweep, e.g. 0:180:5deg")
+    _add_flags(p, SPIN)
     p.add_argument("--sweep-out", metavar="PATH",
                    help="write the sweep as two-column text here")
-    _common_flags(p)
     p.set_defaults(handler=cmd_spin_correlation)
 
     p = sub.add_parser("mc-run", help="Monte Carlo run vs the analytic correlation")
-    p.add_argument("--phi", metavar="ANGLE", help="shorthand for --theta1 0rad --theta2 ANGLE")
-    p.add_argument("--theta1", metavar="ANGLE", help="first measurement axis")
-    p.add_argument("--theta2", metavar="ANGLE", help="second measurement axis")
-    p.add_argument("--description", choices=("alice", "bob", "both"), default=None)
+    _add_flags(p, MC)
+    p.add_argument("--phi", type=parse_angle, metavar="ANGLE",
+                   help="shorthand for --theta1 0rad --theta2 ANGLE")
     p.add_argument("--csv-out", metavar="PATH", help="write per-trial records as CSV")
-    _common_flags(p)
     p.set_defaults(handler=cmd_mc_run)
 
     p = sub.add_parser("ball-protocol", help="colored-ball stages, optionally the full trilogy")
-    p.add_argument("--stage", type=int, choices=(1, 2, 3), default=None)
-    p.add_argument("--all-stages", action="store_true",
-                   help="run stages 1-3 and evaluate the cross-stage inequality")
-    p.add_argument("--alice-filter", choices=("a", "c"), default=None)
-    p.add_argument("--bob-filter", choices=("b", "c"), default=None)
-    p.add_argument("--p1", type=float, default=None, metavar="P",
-                   help="stage-1 correlated-configuration probability")
-    p.add_argument("--p23", type=float, default=None, metavar="P",
-                   help="stage-2/3 correlated-configuration probability")
-    p.add_argument("--mismatch-prob", type=float, default=None, metavar="P",
-                   help="per-observer chance of an unsuitable filter choice per trial")
-    p.add_argument("--mode", choices=("empirical", "analytic"), default=None)
+    _add_flags(p, BALL)
     p.add_argument("--csv-out", metavar="PATH", help="write per-trial records as CSV")
-    _common_flags(p)
     p.set_defaults(handler=cmd_ball_protocol)
 
     p = sub.add_parser("common-cause", help="six-condition common-cause report")
-    p.add_argument("--builtin", choices=("spin", "ball"), default=None)
-    p.add_argument("--model", metavar="FILE", default=None,
-                   help="JSON file with p_z, joint_given_z, joint_given_not_z")
-    p.add_argument("--phi", metavar="ANGLE", default=None, help="axis angle for --builtin spin")
-    p.add_argument("--x-outcome", type=int, choices=(1, -1), default=None)
-    p.add_argument("--y-outcome", type=int, choices=(1, -1), default=None)
-    p.add_argument("--stage", type=int, choices=(1, 2, 3), default=None,
-                   help="stage for --builtin ball")
-    p.add_argument("--empirical", action="store_true",
-                   help="estimate the ball model from a simulated run")
-    p.add_argument("--tolerance", type=float, default=None)
-    _common_flags(p)
+    _add_flags(p, CAUSE)
     p.set_defaults(handler=cmd_common_cause)
 
     p = sub.add_parser("chsh", help="CHSH combination (derived demonstration)")
-    p.add_argument("--angles", metavar="A,A',B,B'", default=None,
-                   help="four comma-separated angles, e.g. 0deg,90deg,45deg,135deg")
-    p.add_argument("--mode", choices=("analytic", "empirical"), default=None)
-    _common_flags(p)
+    _add_flags(p, CHSH)
     p.set_defaults(handler=cmd_chsh)
 
     return parser
@@ -630,15 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)  # angle and sweep flags raise UsageError
+        if ns.workers < 1:
+            raise UsageError(f"workers must be a positive integer, got {ns.workers}")
         return ns.handler(ns)
     except (UsageError, ValidationError, ConditioningUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmptyReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BellsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -416,14 +416,6 @@ class TestStructuralLocality:
 
 
 class TestSerialization:
-    def test_stage_config_json_round_trip(self):
-        cfg = bp.StageConfig(stage=2, trials=5000, seed=9, p_stage23=0.1)
-        assert bp.stage_config_from_json_dict(cfg.to_json_dict()) == cfg
-
-    def test_stage_config_rejects_unknown_fields(self):
-        with pytest.raises(ValidationError):
-            bp.stage_config_from_json_dict({"stage": 1, "colour": "a"})
-
     def test_invalid_filters_rejected(self):
         with pytest.raises(ValidationError):
             bp.StageConfig(stage=1, alice_filter=bp.Color.BLUE, trials=1)

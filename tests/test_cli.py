@@ -1,10 +1,15 @@
 """CLI: subcommands, config precedence, exit codes, byte-stable output."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellsim import cli
 from bellsim.cli import main, parse_angle, parse_sweep, sweep_values
 
 
@@ -148,12 +153,6 @@ class TestMcRun:
         assert code == 0
         assert report["manifest"]["config"]["theta2"] == pytest.approx(math.pi / 2)
         assert report["manifest"]["config"]["trials"] == 1000
-
-    def test_unknown_config_field_rejected(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"phi": 0.5}))
-        code, _, err = run_cli(capsys, "mc-run", "--config", str(cfg_path))
-        assert code == 2 and "unknown config fields" in err
 
 
 class TestBallProtocol:
@@ -364,6 +363,145 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
     assert code == 2
     assert err.startswith("error: cannot write") and missing in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
+def test_zero_workers_is_a_usage_error(capsys, name):
+    code, out, err = run_cli(capsys, *SUBCOMMAND_ARGS[name], "--workers", "0")
+    assert code == 2 and out == ""
+    assert err == "error: workers must be a positive integer, got 0\n"
+
+
+# ---------------------------------------------------------------------------
+# The config contract: a config document means what the flags mean, and a
+# value of the wrong type or shape exits 2 with one line naming its key.
+
+
+def run_config(capsys, tmp_path, subcommand, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, subcommand, "--config", str(path), "--format", "json",
+                   "--no-timestamp")
+
+
+@pytest.mark.parametrize("subcommand,key", [
+    ("spin-correlation", "theta1"),
+    ("mc-run", "phi"),
+    ("ball-protocol", "stream_id"),
+    ("common-cause", "angles"),
+    ("chsh", "phi"),
+])
+def test_unknown_config_field_rejected(capsys, tmp_path, subcommand, key):
+    code, _, err = run_config(capsys, tmp_path, subcommand, {key: 0.5})
+    assert code == 2 and "unknown config fields" in err and key in err
+
+
+MALFORMED = [
+    ("mc-run", "theta2", {"theta2": "abc"}),
+    ("mc-run", "theta2", {"theta2": None}),
+    ("mc-run", "theta1", {"theta1": "1"}),
+    ("ball-protocol", "p_stage1", {"stage": 1, "p_stage1": "x"}),
+    ("ball-protocol", "p_stage1", {"stage": 1, "p_stage1": None}),
+    ("ball-protocol", "alice_filter", {"stage": 1, "alice_filter": "z"}),
+    ("chsh", "angles", {"angles": [0, 1, 2, "x"]}),
+    ("common-cause", "tolerance", {"builtin": "ball", "tolerance": "x"}),
+    ("common-cause", "phi", {"builtin": "spin", "phi": "60deg"}),
+    ("common-cause", "phi", {"builtin": "spin", "phi": None}),
+    ("common-cause", "model_file", {"model_file": 3}),
+    ("common-cause", "empirical", {"builtin": "ball", "empirical": "yes"}),
+    ("common-cause", "x_outcome", {"builtin": "ball", "x_outcome": True}),
+    ("spin-correlation", "phi", {"phi": "60deg"}),
+    ("spin-correlation", "phi", {"phi": [True]}),
+    ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1}}),
+    ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1, "step": 0}}),
+]
+
+
+@pytest.mark.parametrize("subcommand,key,doc", MALFORMED,
+                         ids=[f"{s}-{json.dumps(d)}" for s, _, d in MALFORMED])
+def test_malformed_config_value_is_a_usage_error(capsys, tmp_path, subcommand, key, doc):
+    code, out, err = run_config(capsys, tmp_path, subcommand, doc)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+#: Any JSON value.  Integers stay at or below 300, so a drawn ``trials``
+#: never runs a long simulation.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=300) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=4,
+)
+ANGLE_VALUES = st.integers(-7, 7) | st.floats(-10.0, 10.0)
+#: Valid values of each kind, by meaning; choices draw from their options.
+VALID = {
+    cli.ANGLE.meaning: ANGLE_VALUES,
+    cli.ANGLES.meaning: st.lists(ANGLE_VALUES, max_size=3),
+    cli.FOUR_ANGLES.meaning: st.lists(ANGLE_VALUES, min_size=4, max_size=4),
+    cli.SWEEP.meaning: st.builds(  # at most 2,000 points
+        lambda start, step, n: {"start": start, "stop": start + n * step, "step": step},
+        st.floats(-4.0, 4.0), st.floats(1e-3, 1.0), st.integers(0, 1_999)),
+    cli.COUNT.meaning: st.integers(1, 300),
+    cli.SEED.meaning: st.integers(0, 2**64 - 1),
+    cli.PROBABILITY.meaning: st.sampled_from([0, 1, 0.0, 1.0]) | st.floats(0.0, 1.0),
+    cli.TOLERANCE.meaning: st.floats(0.0, 1.0),
+    cli.SWITCH.meaning: st.booleans(),
+}
+SCHEMAS = {
+    "spin-correlation": cli.SPIN,
+    "mc-run": cli.MC,
+    "ball-protocol": cli.BALL,
+    "common-cause": cli.CAUSE,
+    "chsh": cli.CHSH,
+}
+
+
+@st.composite
+def config_documents(draw, schema, model_files):
+    """A document of valid values, with at most one key set to any JSON value."""
+
+    def valid(field):
+        if field.kind is cli.PATH:
+            return st.sampled_from(model_files)
+        if "choices" in field.kind.flag:
+            return st.sampled_from(field.kind.flag["choices"])
+        return VALID[field.kind.meaning]
+
+    keys = {f.key: valid(f) for f in schema}
+    required = {"trials": keys.pop("trials")} if "trials" in keys else {}
+    doc = draw(st.fixed_dictionaries(required, optional=keys))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from([f.key for f in schema]))] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("subcommand", sorted(SCHEMAS))
+def test_any_config_document_keeps_the_exit_code_contract(tmp_path, subcommand):
+    (tmp_path / "model.json").write_text(json.dumps({
+        "p_z": 0.5,
+        "joint_given_z": [[0.15, 0.85], [0.0, 0.0]],
+        "joint_given_not_z": [[0.0, 0.0], [0.85, 0.15]],
+    }))
+    (tmp_path / "list.json").write_text("[0.5]")
+    (tmp_path / "broken.json").write_text("{")
+    model_files = [str(tmp_path / name)
+                   for name in ("model.json", "list.json", "broken.json", "missing.json", "")]
+    config = tmp_path / "cfg.json"
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(doc=config_documents(SCHEMAS[subcommand], model_files))
+    def check(doc):
+        config.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(config), "--format", "json",
+                         "--no-timestamp"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 def test_module_entrypoint_runs():
