@@ -122,6 +122,7 @@ class Kind(NamedTuple):
 
 
 def choice(*options) -> Kind:
+    """One of the options, of the same type (so true is not 1)."""
     return Kind("one of " + ", ".join(json.dumps(o) for o in options),
                 lambda v: type(v) is type(options[0]) and v in options,
                 {"type": type(options[0]), "choices": options})
