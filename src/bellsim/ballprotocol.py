@@ -18,10 +18,13 @@ conditioning variable yields an inequality that the actual frequencies
 violate; the per-algorithm weighted decomposition shows where that
 composition breaks.
 
-Locality is structural: no operation here accepts both observers'
-state, and the observers exchange no messages.  Trial randomness is
-counter-based (one block per trial), so chunked execution reproduces
-the sequential stream exactly.
+Each emission is a color->sign table, giving each color's (Alice's
+sign, Bob's sign); an observer registers the entry of their own
+filter's color, or nothing when the stage sends no ball of it.
+Locality is structural: an observer reads only their own filter's
+entry, so neither observer's result depends on the other's filter.
+Trial randomness is counter-based (one block per trial), so chunked
+execution reproduces the sequential stream exactly.
 
 A trial's four coins (algorithm, correlated configuration, and each
 observer's filter mismatch) give 16 worlds, and one table says what each
@@ -34,9 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import EmptyReportError, ValidationError
 from .rng import Coin, RngStream, count_worlds, threshold, write_trials
@@ -53,11 +54,6 @@ class Color(str, enum.Enum):
     CHERRY = "c"
 
 
-class Addressee(str, enum.Enum):
-    ALICE = "alice"
-    BOB = "bob"
-
-
 #: Stage number -> (fixed-sign color, variable-sign color).  The fixed
 #: color is the one whose signs the executive algorithms pin down; it is
 #: also the canonical filter choice for Alice, the variable color for Bob.
@@ -67,6 +63,8 @@ STAGE_COLORS: dict[int, tuple[Color, Color]] = {
     3: (Color.CHERRY, Color.BLUE),
 }
 
+#: Stage number -> (first algorithm, its mirror).  The first gives Alice
+#: the fixed color's + sign, the mirror flips every sign.
 ALGORITHM_IDS: dict[int, tuple[str, str]] = {
     1: ("A1", "A2"),
     2: ("A1'", "A2'"),
@@ -77,102 +75,9 @@ ALICE_FILTERS = (Color.AMBER, Color.CHERRY)
 BOB_FILTERS = (Color.BLUE, Color.CHERRY)
 
 
-def _require_prob(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-        raise ValidationError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return v
-
-
-@dataclass(frozen=True, slots=True)
-class SignedBall:
-    color: Color
-    sign: int
-    addressee: Addressee
-
-    def __post_init__(self) -> None:
-        require_spin(self.sign, "sign")
-
-    def label(self) -> str:
-        side = "A" if self.addressee is Addressee.ALICE else "B"
-        return f"{self.color.value}_{side}{_SIGN_GLYPH[self.sign]}"
-
-
-@dataclass(frozen=True, slots=True)
-class AlgorithmTable:
-    """One executive algorithm of a stage.
-
-    The fixed color's signs are forced: ``fixed_alice_sign`` to Alice
-    and its negation to Bob.  The variable color's signs are drawn
-    once per trial: with probability ``correlated_prob`` Bob's
-    variable-color ball carries the same sign as Alice's fixed-color
-    ball (the "correlated" configuration), otherwise the opposite.
-    Alice's variable-color ball is always the negation of Bob's.
-    """
-
-    algorithm_id: str
-    stage: int
-    fixed_color: Color
-    variable_color: Color
-    fixed_alice_sign: int
-    correlated_prob: float
-
-    def __post_init__(self) -> None:
-        if self.stage not in STAGE_COLORS:
-            raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage!r}")
-        if self.fixed_color is self.variable_color:
-            raise ValidationError("fixed and variable colors must differ")
-        require_spin(self.fixed_alice_sign, "fixed_alice_sign")
-        _require_prob(self.correlated_prob, "correlated_prob")
-
-    def mirrored(self, algorithm_id: str) -> "AlgorithmTable":
-        """The complementary algorithm: every sign flipped, same bias."""
-        return replace(
-            self, algorithm_id=algorithm_id, fixed_alice_sign=-self.fixed_alice_sign
-        )
-
-    def variable_bob_sign(self, correlated: bool) -> int:
-        return self.fixed_alice_sign if correlated else -self.fixed_alice_sign
-
-    def quadruple(self, correlated: bool) -> tuple[SignedBall, SignedBall, SignedBall, SignedBall]:
-        """The four balls of one emission: (fixed_A, variable_A; variable_B, fixed_B)."""
-        s = self.fixed_alice_sign
-        v = self.variable_bob_sign(correlated)
-        return (
-            SignedBall(self.fixed_color, s, Addressee.ALICE),
-            SignedBall(self.variable_color, -v, Addressee.ALICE),
-            SignedBall(self.variable_color, v, Addressee.BOB),
-            SignedBall(self.fixed_color, -s, Addressee.BOB),
-        )
-
-    def emission_table(self) -> dict[tuple[SignedBall, ...], float]:
-        """The two possible quadruples with their probabilities."""
-        return {
-            self.quadruple(True): self.correlated_prob,
-            self.quadruple(False): 1.0 - self.correlated_prob,
-        }
-
-
-def stage_algorithms(stage: int, correlated_prob: float) -> tuple[AlgorithmTable, AlgorithmTable]:
-    """The stage's complementary algorithm pair, second mirrored from the first."""
-    if stage not in STAGE_COLORS:
-        raise ValidationError(f"stage must be 1, 2 or 3, got {stage!r}")
-    fixed, variable = STAGE_COLORS[stage]
-    id1, id2 = ALGORITHM_IDS[stage]
-    first = AlgorithmTable(
-        algorithm_id=id1,
-        stage=stage,
-        fixed_color=fixed,
-        variable_color=variable,
-        fixed_alice_sign=1,
-        correlated_prob=_require_prob(correlated_prob, "correlated_prob"),
-    )
-    return first, first.mirrored(id2)
-
-
 @dataclass(frozen=True, slots=True)
 class StageConfig:
-    """One stage of the experiment: colors, filters, bias, trials, stream.
+    """One stage of the experiment: colors, filters, bias, trials, seed.
 
     Filters default to the stage's canonical choice (Alice on the fixed
     color, Bob on the variable color).  Alice's device only accepts
@@ -187,7 +92,6 @@ class StageConfig:
     bob_filter: Color | None = None
     trials: int = 1_000_000
     seed: int = 0
-    stream_id: int | None = None
     p_stage1: float = 0.15
     p_stage23: float = 0.04
     filter_mismatch_prob: float = 0.0
@@ -208,80 +112,19 @@ class StageConfig:
         object.__setattr__(self, "bob_filter", bob)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        _require_prob(self.p_stage1, "p_stage1")
-        _require_prob(self.p_stage23, "p_stage23")
-        _require_prob(self.filter_mismatch_prob, "filter_mismatch_prob")
+        for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+                raise ValidationError(
+                    f"{name} must be a probability in [0, 1], got {getattr(self, name)!r}"
+                )
 
     @property
     def correlated_prob(self) -> float:
         return self.p_stage1 if self.stage == 1 else self.p_stage23
 
-    def algorithms(self) -> tuple[AlgorithmTable, AlgorithmTable]:
-        return stage_algorithms(self.stage, self.correlated_prob)
-
     def stream(self) -> RngStream:
-        sid = self.stream_id if self.stream_id is not None else self.stage
-        return RngStream(self.seed, sid)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "alice_filter": self.alice_filter.value,
-            "bob_filter": self.bob_filter.value,
-            "trials": self.trials,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "p_stage1": self.p_stage1,
-            "p_stage23": self.p_stage23,
-            "filter_mismatch_prob": self.filter_mismatch_prob,
-        }
-
-
-def sam_emit(
-    config: StageConfig, rng: np.random.Generator
-) -> tuple[str, tuple[SignedBall, SignedBall, SignedBall, SignedBall]]:
-    """Pick the stage's algorithm by a fair coin and emit its four balls.
-
-    Consumes two draws: algorithm choice, then the variable-sign coin.
-    Every emitted quadruple obeys the anticorrelation rule by
-    construction.
-    """
-    first, second = config.algorithms()
-    algorithm = first if rng.random() < 0.5 else second
-    correlated = rng.random() < algorithm.correlated_prob
-    return algorithm.algorithm_id, algorithm.quadruple(correlated)
-
-
-@dataclass(frozen=True, slots=True)
-class DetectionRecord:
-    """What one observer's device did with one trial's pair of balls."""
-
-    registered: bool
-    color: Color | None
-    sign: int | None
-    passages: int
-
-
-def observer_detect(
-    balls: tuple[SignedBall, SignedBall], filter_color: Color
-) -> DetectionRecord:
-    """Scan one observer's pair of balls with a single-color detector.
-
-    The device counts both passing balls regardless of color; it
-    records (color, sign) only for a ball matching the filter color.
-    If neither ball matches, no result is recorded.
-    """
-    if len(balls) != 2:
-        raise ValidationError("an observer receives exactly two balls per trial")
-    if balls[0].addressee is not balls[1].addressee:
-        raise ValidationError("both balls must be addressed to the same observer")
-    filter_color = Color(filter_color)
-    for ball in balls:
-        if ball.color is filter_color:
-            return DetectionRecord(True, ball.color, ball.sign, passages=2)
-    return DetectionRecord(False, None, None, passages=2)
-
-
+        return RngStream(self.seed, self.stage)
 @dataclass(frozen=True, slots=True)
 class AlgorithmStats:
     """Registered-outcome statistics conditional on one algorithm."""
@@ -366,24 +209,6 @@ def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, f
     return alice, bob, pair, pair - alice * bob
 
 
-def _registered_sign(
-    algorithm: AlgorithmTable, correlated: bool, observer: Addressee, filter_color: Color
-) -> int | None:
-    """Sign the observer registers for one emission, or None."""
-    s = algorithm.fixed_alice_sign
-    v = algorithm.variable_bob_sign(correlated)
-    if observer is Addressee.ALICE:
-        if filter_color is algorithm.fixed_color:
-            return s
-        if filter_color is algorithm.variable_color:
-            return -v
-        return None
-    if filter_color is algorithm.variable_color:
-        return v
-    if filter_color is algorithm.fixed_color:
-        return -s
-    return None
-
 
 @dataclass(frozen=True, slots=True)
 class _World:
@@ -405,25 +230,32 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
     Worlds run by algorithm, then correlated before not, then Alice's and
     Bob's device kept before switched; every report sums masses in this
     order, so its floats do not depend on how the worlds were counted.
-    Draw for draw this is the actor path: :func:`sam_emit`, the two
-    mismatch draws, then :func:`observer_detect`.
+
+    An emission is the color->sign table ``{fixed: (s, -s), variable:
+    (-v, v)}`` of (Alice's sign, Bob's sign): the algorithm gives Alice
+    the fixed color's sign ``s`` (+1 for the first, -1 for its mirror),
+    and Bob's variable-color sign ``v`` equals ``s`` in the correlated
+    configuration and ``-s`` otherwise.  Each observer reads only their
+    own filter's entry; a color the stage does not send registers nothing.
     """
     m = config.filter_mismatch_prob
-    coins = ((0, threshold(0.5)), (1, threshold(config.correlated_prob)),
-             (2, threshold(m)), (3, threshold(m)))
+    p = config.correlated_prob
+    coins = ((0, threshold(0.5)), (1, threshold(p)), (2, threshold(m)), (3, threshold(m)))
+    fixed, variable = STAGE_COLORS[config.stage]
 
     def devices(chosen: Color, admissible: tuple[Color, Color]):
         other = admissible[1] if chosen is admissible[0] else admissible[0]
         return ((chosen, 1.0 - m, 0), (other, m, 1))
 
     worlds = []
-    for k, algorithm in enumerate(config.algorithms()):
-        p = algorithm.correlated_prob
+    for k, (algorithm_id, s) in enumerate(zip(ALGORITHM_IDS[config.stage], (1, -1))):
         for correlated, p_corr in ((True, p), (False, 1.0 - p)):
+            v = s if correlated else -s
+            signs = {fixed: (s, -s), variable: (-v, v)}
             for af, pa, alice_flip in devices(config.alice_filter, ALICE_FILTERS):
+                a = signs[af][0] if af in signs else None
                 for bf, pb, bob_flip in devices(config.bob_filter, BOB_FILTERS):
-                    a = _registered_sign(algorithm, correlated, Addressee.ALICE, af)
-                    b = _registered_sign(algorithm, correlated, Addressee.BOB, bf)
+                    b = signs[bf][1] if bf in signs else None
                     both = a is not None and b is not None
                     worlds.append(_World(
                         code=(1 - k) | correlated << 1 | alice_flip << 2 | bob_flip << 3,
@@ -431,7 +263,7 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
                         algorithm=k,
                         kept_filters=not (alice_flip or bob_flip),
                         signs=(a, b) if both else None,
-                        row=f",{algorithm.algorithm_id},{af.value if a else ''},{a or ''},"
+                        row=f",{algorithm_id},{af.value if a else ''},{a or ''},"
                             f"{bf.value if b else ''},{b or ''},{int(both)}\n",
                     ))
     return coins, worlds
@@ -463,7 +295,7 @@ def _reduce(
         )
     empirical = trials is not None
     alg_stats = []
-    for k, alg in enumerate(config.algorithms()):
+    for k, algorithm_id in enumerate(ALGORITHM_IDS[config.stage]):
         n_alg = registered[k]
         if n_alg > 0:
             freq = {pair: cells[k][pair] / n_alg for pair in SIGN_PAIRS}
@@ -472,7 +304,7 @@ def _reduce(
         am, bm, pm, corr = _moments(freq)
         alg_stats.append(
             AlgorithmStats(
-                algorithm_id=alg.algorithm_id,
+                algorithm_id=algorithm_id,
                 weight=n_alg / total,
                 registered=n_alg if empirical else None,
                 joint_freq=freq,
@@ -648,10 +480,9 @@ def contextual_decomposition(
     """
     require_spin(alice_sign, "alice_sign")
     require_spin(bob_sign, "bob_sign")
-    first, second = config.algorithms()
     # The event names the configured filter colors, so in mismatch worlds
     # (device flipped to the other color) it does not occur.
-    ids = (first.algorithm_id, second.algorithm_id)
+    ids = ALGORITHM_IDS[config.stage]
     matched = {aid: 0.0 for aid in ids}
     direct = 0.0
     _, worlds = _world_table(config)

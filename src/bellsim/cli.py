@@ -29,6 +29,7 @@ from .errors import (
     BellsimError,
     ConditioningUndefinedError,
     ValidationError,
+    is_real,
 )
 from .report import Check, build_report, render_json, render_text
 from .spinmodel import (
@@ -72,9 +73,10 @@ def parse_sweep(text: str) -> dict:
         raise UsageError(f"malformed sweep {text!r}") from exc
     if unit == "deg":
         start, stop, step = (math.radians(v) for v in (start, stop, step))
-    if step <= 0.0 or stop < start:
-        raise UsageError("sweep needs step > 0 and stop >= start")
-    return {"start": start, "stop": stop, "step": step}
+    sweep = {"start": start, "stop": stop, "step": step}
+    if not _sweep(sweep):
+        raise UsageError(f"sweep must be {SWEEP.meaning}, got {text!r}")
+    return sweep
 
 
 def sweep_values(sweep: dict) -> list[float]:
@@ -97,15 +99,11 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _real(value: Any) -> bool:
-    """A JSON number, not a boolean, that converts to a finite float."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _sweep(value: Any) -> bool:
     return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
-            and all(map(_real, value.values()))
-            and value["step"] > 0 and value["stop"] >= value["start"])
+            and all(map(is_real, value.values()))
+            and value["step"] > 0 and value["stop"] >= value["start"]
+            and math.isfinite((value["stop"] - value["start"]) / value["step"]))
 
 
 class Kind(NamedTuple):
@@ -128,19 +126,20 @@ def choice(*options) -> Kind:
                 {"type": type(options[0]), "choices": options})
 
 
-ANGLE = Kind("an angle in radians", _real, {"type": parse_angle, "metavar": "ANGLE"})
-ANGLES = Kind("a list of angles in radians", lambda v: type(v) is list and all(map(_real, v)),
+ANGLE = Kind("an angle in radians", is_real, {"type": parse_angle, "metavar": "ANGLE"})
+ANGLES = Kind("a list of angles in radians", lambda v: type(v) is list and all(map(is_real, v)),
               {"type": parse_angle, "metavar": "ANGLE", "action": "append"})
 FOUR_ANGLES = Kind("a list of four angles in radians",
-                   lambda v: type(v) is list and len(v) == 4 and all(map(_real, v)),
+                   lambda v: type(v) is list and len(v) == 4 and all(map(is_real, v)),
                    {"type": lambda t: [parse_angle(a) for a in t.split(",")],
                     "metavar": "A,A',B,B'"})
-SWEEP = Kind("an object {start, stop, step} in radians with step > 0 and stop >= start",
+SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start "
+             "and a finite point count",
              _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
 COUNT = Kind("a positive integer", lambda v: type(v) is int and v >= 1, {"type": int})
 SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
-PROBABILITY = Kind("a probability in [0, 1]", _real, {"type": float, "metavar": "P"})
-TOLERANCE = Kind("a nonnegative number", _real, {"type": float})
+PROBABILITY = Kind("a probability in [0, 1]", is_real, {"type": float, "metavar": "P"})
+TOLERANCE = Kind("a nonnegative number", is_real, {"type": float})
 SWITCH = Kind("true or false", lambda v: type(v) is bool,
               {"action": "store_true", "default": None})
 PATH = Kind("a file name", lambda v: type(v) is str, {"metavar": "FILE"})

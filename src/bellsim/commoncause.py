@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import ballprotocol, spinmodel
-from .errors import ConditioningUndefinedError, ValidationError
+from .errors import ConditioningUndefinedError, ValidationError, is_real
 
 ANALYTIC_TOLERANCE = 1e-9
 
@@ -38,15 +38,16 @@ Table = tuple[tuple[float, float], tuple[float, float]]
 
 
 def _validate_table(table, name: str) -> Table:
-    try:
-        rows = tuple(tuple(float(v) for v in row) for row in table)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a 2x2 table of numbers") from exc
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(map(is_real, row)) for row in table
+    ):
+        raise ValidationError(f"{name} must be a 2x2 table of numbers")
+    rows = tuple(tuple(float(v) for v in row) for row in table)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValidationError(f"{name} must be a 2x2 table, got shape {[len(r) for r in rows]}")
     for row in rows:
         for v in row:
-            if not math.isfinite(v) or v < -ANALYTIC_TOLERANCE or v > 1.0 + ANALYTIC_TOLERANCE:
+            if v < -ANALYTIC_TOLERANCE or v > 1.0 + ANALYTIC_TOLERANCE:
                 raise ValidationError(f"{name} entries must be probabilities in [0, 1], got {v}")
     total = sum(v for row in rows for v in row)
     if abs(total - 1.0) > ANALYTIC_TOLERANCE:
@@ -71,10 +72,9 @@ class BinaryEventModel:
     sample_size: int | None = None
 
     def __post_init__(self) -> None:
-        p = float(self.p_z)
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        if not is_real(self.p_z) or not 0.0 <= self.p_z <= 1.0:
             raise ValidationError(f"p_z must be a probability in [0, 1], got {self.p_z!r}")
-        object.__setattr__(self, "p_z", p)
+        object.__setattr__(self, "p_z", float(self.p_z))
         object.__setattr__(self, "joint_given_z", _validate_table(self.joint_given_z,
                                                                   "joint_given_z"))
         object.__setattr__(
@@ -82,7 +82,8 @@ class BinaryEventModel:
                                                        "joint_given_not_z")
         )
         if self.sample_size is not None and (
-            not isinstance(self.sample_size, int) or self.sample_size < 1
+            not isinstance(self.sample_size, int) or isinstance(self.sample_size, bool)
+            or self.sample_size < 1
         ):
             raise ValidationError(f"sample_size must be a positive integer, got {self.sample_size!r}")
 
@@ -422,21 +423,4 @@ def _event_model_from_report(
         joint_given_z=table(first),
         joint_given_not_z=table(second),
         sample_size=sample_size,
-    )
-
-
-def mixed_joint_cells(model: BinaryEventModel) -> Table:
-    """Unconditional 2x2 joint table by mixing the two conditional tables.
-
-    Marginalizing these cells must reproduce ``p_x``/``p_y``/``p_xy``,
-    which mix the conditional marginals directly; the two computations
-    take different paths through the law of total probability.
-    """
-    return tuple(
-        tuple(
-            model.p_z * model.joint_given_z[i][j]
-            + (1.0 - model.p_z) * model.joint_given_not_z[i][j]
-            for j in range(2)
-        )
-        for i in range(2)
     )

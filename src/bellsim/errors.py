@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the number check shared across the package."""
+
+import sys
 
 
 class BellsimError(Exception):
@@ -24,3 +26,9 @@ class ConditioningUndefinedError(BellsimError):
 
 class EmptyReportError(BellsimError):
     """No jointly registered trials, so frequencies are undefined."""
+
+
+def is_real(value) -> bool:
+    """A number, not a boolean or a string, that converts to a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max

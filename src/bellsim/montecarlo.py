@@ -17,16 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .rng import Coin, RngStream, count_worlds, threshold, write_trials
 from .spinmodel import (
     Description,
     Direction,
-    HiddenVariable,
     angle_between,
-    conditional_outcome_prob,
     quantum_correlation,
 )
 
@@ -63,15 +59,6 @@ class ExperimentConfig:
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stream_id)
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One simulated run: the sampled hidden-variable sign and both outcomes."""
-
-    lambda_sign: int
-    outcome1: int
-    outcome2: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,33 +115,6 @@ class EmpiricalStats:
         }
 
 
-def sample_hidden_variable(axis: Direction, rng: np.random.Generator) -> HiddenVariable:
-    """Draw the hidden variable on ``axis``: both signs with probability 1/2."""
-    sign = 1 if rng.random() < 0.5 else -1
-    return HiddenVariable(axis, sign)
-
-
-def simulate_trial(config: ExperimentConfig, rng: np.random.Generator) -> TrialRecord:
-    """Run one trial, consuming two draws from ``rng``.
-
-    The hidden variable is sampled on the anchored observer's axis;
-    that observer's outcome is read off with certainty, the other
-    outcome is drawn by comparing one uniform against its conditional
-    probability.
-    """
-    if config.description is Description.ALICE:
-        lam = sample_hidden_variable(config.axis1, rng)
-        outcome1 = lam.first_particle
-        p_plus = conditional_outcome_prob(lam, 2, config.axis2, 1)
-        outcome2 = 1 if rng.random() < p_plus else -1
-    else:
-        lam = sample_hidden_variable(config.axis2, rng)
-        outcome2 = lam.second_particle
-        p_plus = conditional_outcome_prob(lam, 1, config.axis1, 1)
-        outcome1 = 1 if rng.random() < p_plus else -1
-    return TrialRecord(lam.first_particle, outcome1, outcome2)
-
-
 def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[tuple[int, str]]]:
     """The trial's coins and, per world code, its histogram cell and CSV row text.
 
@@ -162,8 +122,7 @@ def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[tuple
     Coins 1 and 2 compare the outcome draw against the non-anchored
     observer's probability of +1 given lambda = +1 and lambda = -1; a
     world reads the one that matches its sign.  The row text follows the
-    trial number: ``,lambda_sign,outcome1,outcome2``.  Draw for draw this
-    is :func:`simulate_trial`.
+    trial number: ``,lambda_sign,outcome1,outcome2``.
     """
     alice = config.description is Description.ALICE
     cos_phi = math.cos(angle_between(config.axis1, config.axis2))

@@ -1,0 +1,132 @@
+"""Per-trial actor paths: the reference the vectorised simulations must match.
+
+Each function plays one trial the way the model describes it, one draw
+at a time from the trial's own generator: the Monte Carlo source samples
+the hidden variable and the observers read their outcomes; the ball
+source emits four signed balls and each observer's detector scans the
+two balls addressed to them.
+"""
+
+from dataclasses import dataclass
+
+from bellsim import ballprotocol as bp
+from bellsim.errors import ValidationError
+from bellsim.spinmodel import Description, HiddenVariable, conditional_outcome_prob
+
+ALICE, BOB = "A", "B"
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One simulated run: the sampled hidden-variable sign and both outcomes."""
+
+    lambda_sign: int
+    outcome1: int
+    outcome2: int
+
+
+def sample_hidden_variable(axis, rng) -> HiddenVariable:
+    """Draw the hidden variable on ``axis``: both signs with probability 1/2."""
+    return HiddenVariable(axis, 1 if rng.random() < 0.5 else -1)
+
+
+def simulate_trial(config, rng) -> TrialRecord:
+    """One Monte Carlo trial, consuming two draws from ``rng``.
+
+    The hidden variable is sampled on the anchored observer's axis; that
+    observer's outcome is read off with certainty, the other is drawn by
+    comparing one uniform against its conditional probability.
+    """
+    if config.description is Description.ALICE:
+        lam = sample_hidden_variable(config.axis1, rng)
+        outcome1 = lam.first_particle
+        outcome2 = 1 if rng.random() < conditional_outcome_prob(lam, 2, config.axis2, 1) else -1
+    else:
+        lam = sample_hidden_variable(config.axis2, rng)
+        outcome2 = lam.second_particle
+        outcome1 = 1 if rng.random() < conditional_outcome_prob(lam, 1, config.axis1, 1) else -1
+    return TrialRecord(lam.first_particle, outcome1, outcome2)
+
+
+@dataclass(frozen=True)
+class SignedBall:
+    color: bp.Color
+    sign: int
+    addressee: str  # ALICE or BOB
+
+    def label(self) -> str:
+        return f"{self.color.value}_{self.addressee}{'+' if self.sign > 0 else '-'}"
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One executive algorithm: the fixed color's signs are forced, Alice's
+    to ``fixed_alice_sign``; Bob's variable-color ball carries the same
+    sign with probability ``correlated_prob``, else the opposite."""
+
+    algorithm_id: str
+    fixed_color: bp.Color
+    variable_color: bp.Color
+    fixed_alice_sign: int
+    correlated_prob: float
+
+    def quadruple(self, correlated: bool) -> tuple[SignedBall, ...]:
+        """The four balls of one emission: (fixed_A, variable_A; variable_B, fixed_B)."""
+        s = self.fixed_alice_sign
+        v = s if correlated else -s
+        return (SignedBall(self.fixed_color, s, ALICE), SignedBall(self.variable_color, -v, ALICE),
+                SignedBall(self.variable_color, v, BOB), SignedBall(self.fixed_color, -s, BOB))
+
+    def emission_table(self) -> dict[tuple[SignedBall, ...], float]:
+        """The two possible quadruples with their probabilities."""
+        return {self.quadruple(True): self.correlated_prob,
+                self.quadruple(False): 1.0 - self.correlated_prob}
+
+
+def stage_algorithms(stage: int, correlated_prob: float) -> tuple[Algorithm, Algorithm]:
+    """The stage's complementary pair: the mirror flips every sign."""
+    fixed, variable = bp.STAGE_COLORS[stage]
+    return tuple(Algorithm(algorithm_id, fixed, variable, s, correlated_prob)
+                 for algorithm_id, s in zip(bp.ALGORITHM_IDS[stage], (1, -1)))
+
+
+def sam_emit(config, rng) -> tuple[str, tuple[SignedBall, ...]]:
+    """Pick the algorithm by a fair coin, then emit its four balls: two draws."""
+    first, second = stage_algorithms(config.stage, config.correlated_prob)
+    algorithm = first if rng.random() < 0.5 else second
+    return algorithm.algorithm_id, algorithm.quadruple(rng.random() < algorithm.correlated_prob)
+
+
+@dataclass(frozen=True)
+class DetectionRecord:
+    """What one observer's device did with one trial's pair of balls."""
+
+    registered: bool
+    color: bp.Color | None
+    sign: int | None
+    passages: int
+
+
+def observer_detect(balls, filter_color) -> DetectionRecord:
+    """Scan one observer's two balls; record (color, sign) of the one matching the filter.
+
+    The device counts both passing balls whatever their color.
+    """
+    if len(balls) != 2 or balls[0].addressee != balls[1].addressee:
+        raise ValidationError("an observer receives exactly two balls, both addressed to them")
+    for ball in balls:
+        if ball.color is bp.Color(filter_color):
+            return DetectionRecord(True, ball.color, ball.sign, passages=2)
+    return DetectionRecord(False, None, None, passages=2)
+
+
+def mixed_joint_cells(model):
+    """Unconditional 2x2 joint table by mixing the two conditional tables.
+
+    Marginalizing these cells must reproduce ``p_x``/``p_y``/``p_xy``,
+    which mix the conditional marginals directly; the two computations
+    take different paths through the law of total probability.
+    """
+    return tuple(tuple(model.p_z * model.joint_given_z[i][j]
+                       + (1.0 - model.p_z) * model.joint_given_not_z[i][j] for j in range(2))
+                 for i in range(2))

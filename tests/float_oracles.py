@@ -10,6 +10,7 @@ exactly.
 import math
 
 import numpy as np
+from actor_oracles import stage_algorithms
 
 from bellsim import ballprotocol as bp
 from bellsim.rng import BLOCK_DRAWS
@@ -40,14 +41,9 @@ def mc_counts(config) -> tuple[int, int, int, int]:
     return tuple(int(c) for c in np.bincount(idx, minlength=4))
 
 
-def _signs_for_filter(config, observer, s, v, filter_colors):
+def _signs_for_filter(per_color, filter_colors):
     """Registered sign per trial for one observer (0 = not registered)."""
-    fixed, variable = bp.STAGE_COLORS[config.stage]
-    if observer is bp.Addressee.ALICE:
-        per_color = {fixed: s, variable: -v}
-    else:
-        per_color = {variable: v, fixed: -s}
-    out = np.zeros(len(s), dtype=np.int8)
+    out = np.zeros(len(filter_colors), dtype=np.int8)
     for color, signs in per_color.items():
         out = np.where(filter_colors == ord(color.value), signs.astype(np.int8), out)
     return out
@@ -57,7 +53,7 @@ def stage_counts(config) -> np.ndarray:
     """8-cell histogram, algorithm (2) x registered sign pair (4), of a stage run."""
     n = config.trials
     u = _doubles(config.stream(), n)
-    first, second = config.algorithms()
+    first, second = stage_algorithms(config.stage, config.correlated_prob)
     alg_index = np.where(u[:, 0] < 0.5, 0, 1).astype(np.int8)
     s = np.where(alg_index == 0, first.fixed_alice_sign, second.fixed_alice_sign)
     correlated = u[:, 1] < first.correlated_prob
@@ -74,8 +70,9 @@ def stage_counts(config) -> np.ndarray:
         alice_filter = np.where(u[:, 2] < m, ord(alice_alt.value), alice_filter).astype(np.uint8)
         bob_filter = np.where(u[:, 3] < m, ord(bob_alt.value), bob_filter).astype(np.uint8)
 
-    a = _signs_for_filter(config, bp.Addressee.ALICE, s, v, alice_filter).astype(np.int64)
-    b = _signs_for_filter(config, bp.Addressee.BOB, s, v, bob_filter).astype(np.int64)
+    fixed, variable = bp.STAGE_COLORS[config.stage]
+    a = _signs_for_filter({fixed: s, variable: -v}, alice_filter).astype(np.int64)
+    b = _signs_for_filter({variable: v, fixed: -s}, bob_filter).astype(np.int64)
     mask = (a != 0) & (b != 0)
     idx = alg_index[mask].astype(np.int64) * 4 + (1 - a[mask]) + (1 - b[mask]) // 2
     return np.bincount(idx, minlength=8)

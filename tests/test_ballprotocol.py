@@ -3,9 +3,18 @@
 import math
 
 import pytest
+from actor_oracles import (
+    ALICE,
+    BOB,
+    DetectionRecord,
+    SignedBall,
+    observer_detect,
+    sam_emit,
+    stage_algorithms,
+)
+from float_oracles import stage_counts
 from hypothesis import given
 from hypothesis import strategies as st
-from float_oracles import stage_counts
 from records import read_stage_csv
 
 from bellsim import ballprotocol as bp
@@ -21,19 +30,19 @@ def labels(quadruple):
 
 class TestAlgorithmTables:
     def test_stage1_first_algorithm_rows(self):
-        a1, _ = bp.stage_algorithms(1, 0.15)
+        a1, _ = stage_algorithms(1, 0.15)
         table = {labels(q): p for q, p in a1.emission_table().items()}
         assert table[("a_A+", "b_A-", "b_B+", "a_B-")] == 0.15
         assert table[("a_A+", "b_A+", "b_B-", "a_B-")] == 0.85
 
     def test_stage1_mirror_rows(self):
-        _, a2 = bp.stage_algorithms(1, 0.15)
+        _, a2 = stage_algorithms(1, 0.15)
         table = {labels(q): p for q, p in a2.emission_table().items()}
         assert table[("a_A-", "b_A-", "b_B+", "a_B+")] == 0.85
         assert table[("a_A-", "b_A+", "b_B-", "a_B+")] == 0.15
 
     def test_stage2_rows(self):
-        a1p, a2p = bp.stage_algorithms(2, 0.04)
+        a1p, a2p = stage_algorithms(2, 0.04)
         assert a1p.algorithm_id == "A1'"
         table = {labels(q): p for q, p in a1p.emission_table().items()}
         assert table[("a_A+", "c_A-", "c_B+", "a_B-")] == 0.04
@@ -41,23 +50,23 @@ class TestAlgorithmTables:
         assert a2p.fixed_alice_sign == -1
 
     def test_stage3_rows(self):
-        a1pp, _ = bp.stage_algorithms(3, 0.04)
+        a1pp, _ = stage_algorithms(3, 0.04)
         table = {labels(q): p for q, p in a1pp.emission_table().items()}
         assert table[("c_A+", "b_A-", "b_B+", "c_B-")] == 0.04
         assert table[("c_A+", "b_A+", "b_B-", "c_B-")] == pytest.approx(0.96)
 
     def test_mirror_is_full_sign_flip(self):
-        first, second = bp.stage_algorithms(1, 0.3)
+        first, second = stage_algorithms(1, 0.3)
         for correlated in (True, False):
             flipped = tuple(
-                bp.SignedBall(b.color, -b.sign, b.addressee)
+                SignedBall(b.color, -b.sign, b.addressee)
                 for b in first.quadruple(correlated)
             )
             assert second.quadruple(correlated) == flipped
 
     @given(st.sampled_from([1, 2, 3]), probs, st.booleans())
     def test_anticorrelation_rule_always_holds(self, stage, p, correlated):
-        for algorithm in bp.stage_algorithms(stage, p):
+        for algorithm in stage_algorithms(stage, p):
             quadruple = algorithm.quadruple(correlated)
             by_color = {}
             for ball in quadruple:
@@ -72,51 +81,51 @@ class TestSamEmit:
     def test_roughly_fair_algorithm_choice(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
         stream = cfg.stream()
-        picks = [bp.sam_emit(cfg, stream.generator(i))[0] for i in range(4000)]
+        picks = [sam_emit(cfg, stream.generator(i))[0] for i in range(4000)]
         frac = picks.count("A1") / len(picks)
         assert 0.45 < frac < 0.55
 
     def test_deterministic(self):
         cfg = bp.StageConfig(stage=2, trials=1, seed=12)
-        first = [bp.sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
-        second = [bp.sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
+        first = [sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
+        second = [sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
         assert first == second
 
 
 class TestObserverDetect:
     def test_records_matching_color(self):
         balls = (
-            bp.SignedBall(bp.Color.AMBER, 1, bp.Addressee.ALICE),
-            bp.SignedBall(bp.Color.BLUE, -1, bp.Addressee.ALICE),
+            SignedBall(bp.Color.AMBER, 1, ALICE),
+            SignedBall(bp.Color.BLUE, -1, ALICE),
         )
-        rec = bp.observer_detect(balls, bp.Color.AMBER)
+        rec = observer_detect(balls, bp.Color.AMBER)
         assert rec.registered and rec.color is bp.Color.AMBER and rec.sign == 1
         assert rec.passages == 2
 
     def test_no_matching_color_counts_passages_only(self):
         balls = (
-            bp.SignedBall(bp.Color.AMBER, 1, bp.Addressee.BOB),
-            bp.SignedBall(bp.Color.BLUE, -1, bp.Addressee.BOB),
+            SignedBall(bp.Color.AMBER, 1, BOB),
+            SignedBall(bp.Color.BLUE, -1, BOB),
         )
-        rec = bp.observer_detect(balls, bp.Color.CHERRY)
+        rec = observer_detect(balls, bp.Color.CHERRY)
         assert not rec.registered and rec.color is None and rec.sign is None
         assert rec.passages == 2
 
     def test_negative_sign_recorded(self):
         balls = (
-            bp.SignedBall(bp.Color.AMBER, -1, bp.Addressee.ALICE),
-            bp.SignedBall(bp.Color.CHERRY, 1, bp.Addressee.ALICE),
+            SignedBall(bp.Color.AMBER, -1, ALICE),
+            SignedBall(bp.Color.CHERRY, 1, ALICE),
         )
-        rec = bp.observer_detect(balls, bp.Color.AMBER)
+        rec = observer_detect(balls, bp.Color.AMBER)
         assert rec.registered and rec.sign == -1
 
     def test_rejects_mixed_addressees(self):
         balls = (
-            bp.SignedBall(bp.Color.AMBER, 1, bp.Addressee.ALICE),
-            bp.SignedBall(bp.Color.BLUE, -1, bp.Addressee.BOB),
+            SignedBall(bp.Color.AMBER, 1, ALICE),
+            SignedBall(bp.Color.BLUE, -1, BOB),
         )
         with pytest.raises(ValidationError):
-            bp.observer_detect(balls, bp.Color.AMBER)
+            observer_detect(balls, bp.Color.AMBER)
 
 
 def _other(filters, chosen):
@@ -133,14 +142,14 @@ class TestActorPathEquivalence:
         m = cfg.filter_mismatch_prob
         for i in range(cfg.trials):
             rng = stream.generator(i)
-            algorithm_id, quadruple = bp.sam_emit(cfg, rng)
+            algorithm_id, quadruple = sam_emit(cfg, rng)
             # Draws 3 and 4 of the trial decide each observer's filter mismatch.
             alice_filter = _other(bp.ALICE_FILTERS, cfg.alice_filter) \
                 if rng.random() < m else cfg.alice_filter
             bob_filter = _other(bp.BOB_FILTERS, cfg.bob_filter) \
                 if rng.random() < m else cfg.bob_filter
-            alice = bp.observer_detect(quadruple[:2], alice_filter)
-            bob = bp.observer_detect(quadruple[2:], bob_filter)
+            alice = observer_detect(quadruple[:2], alice_filter)
+            bob = observer_detect(quadruple[2:], bob_filter)
             # A color and sign are written only for an observer who registered.
             assert rows[i] == {
                 "trial": str(i),
@@ -161,7 +170,9 @@ class TestActorPathEquivalence:
     @pytest.mark.parametrize(
         "stage,filters,mismatch",
         [(1, (None, None), 0.1), (2, (None, None), 0.1), (3, (None, None), 0.1),
-         (2, (None, "b"), 1.0), (1, ("c", None), 0.1), (1, ("c", None), 0.5)],
+         (2, (None, "b"), 1.0), (1, ("c", None), 0.1), (1, ("c", None), 0.5)]
+        # Every stage and admissible filter pair: each meets all 16 worlds.
+        + [(stage, (a, b), 0.5) for stage in (1, 2, 3) for a in "ac" for b in "bc"],
     )
     def test_filter_mismatch_matches_per_trial_loop(self, stage, filters, mismatch, tmp_path):
         cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],
@@ -397,20 +408,33 @@ class TestFilterMismatchStages:
 
 
 class TestStructuralLocality:
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_each_observer_reads_only_their_own_filter(self, stage):
+        # What an observer writes depends on the source's coins and their
+        # own device, never on the other observer's device.  The 16 worlds
+        # hold both admissible filters of each observer.
+        cfg = bp.StageConfig(stage=stage, trials=1, filter_mismatch_prob=0.5)
+        alice, bob = {}, {}
+        for world in bp._world_table(cfg)[1]:
+            fields = world.row.split(",")
+            alice.setdefault(world.code & 0b0111, set()).add(tuple(fields[2:4]))
+            bob.setdefault(world.code & 0b1011, set()).add(tuple(fields[4:6]))
+        assert all(len(seen) == 1 for seen in (*alice.values(), *bob.values()))
+
     def test_detection_takes_one_observers_balls_only(self):
         # The observer interface never sees the other wing: detection takes
         # one addressee's pair plus that observer's own filter, nothing else,
         # and rejects a pair spanning both observers.
         import inspect
 
-        params = list(inspect.signature(bp.observer_detect).parameters)
+        params = list(inspect.signature(observer_detect).parameters)
         assert params == ["balls", "filter_color"]
 
     def test_detection_record_carries_no_source_state(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
-        _, quadruple = bp.sam_emit(cfg, cfg.stream().generator(0))
-        record = bp.observer_detect(quadruple[:2], cfg.alice_filter)
-        fields = set(bp.DetectionRecord.__dataclass_fields__)
+        _, quadruple = sam_emit(cfg, cfg.stream().generator(0))
+        record = observer_detect(quadruple[:2], cfg.alice_filter)
+        fields = set(DetectionRecord.__dataclass_fields__)
         assert fields == {"registered", "color", "sign", "passages"}
         assert record.passages == 2
 

@@ -50,6 +50,8 @@ class TestAngleParsing:
             parse_sweep("0:180:5")
         with pytest.raises(UsageError):
             parse_sweep("10:0:5deg")
+        with pytest.raises(UsageError, match="^sweep must be "):
+            parse_sweep("0:1e300:1e-300rad")
 
 
 class TestSpinCorrelation:
@@ -414,6 +416,7 @@ MALFORMED = [
     ("spin-correlation", "phi", {"phi": [True]}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1}}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1, "step": 0}}),
+    ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1e300, "step": 1e-300}}),
 ]
 
 
@@ -424,6 +427,28 @@ def test_malformed_config_value_is_a_usage_error(capsys, tmp_path, subcommand, k
     assert code == 2 and out == ""
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+MODEL = {
+    "p_z": 0.5,
+    "joint_given_z": [[0.15, 0.85], [0.0, 0.0]],
+    "joint_given_not_z": [[0.0, 0.0], [0.85, 0.15]],
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p_z", "x"),
+    ("p_z", None),
+    ("p_z", "0.5"),
+    ("joint_given_z", [["0.15", 0.85], [0.0, 0.0]]),
+    ("sample_size", True),
+], ids=lambda v: json.dumps(v))
+def test_malformed_model_value_is_a_usage_error(capsys, tmp_path, key, value):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**MODEL, key: value}))
+    code, out, err = run_cli(capsys, "common-cause", "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
 
 
 #: Any JSON value.  Integers stay at or below 300, so a drawn ``trials``
@@ -479,11 +504,7 @@ def config_documents(draw, schema, model_files):
 
 @pytest.mark.parametrize("subcommand", sorted(SCHEMAS))
 def test_any_config_document_keeps_the_exit_code_contract(tmp_path, subcommand):
-    (tmp_path / "model.json").write_text(json.dumps({
-        "p_z": 0.5,
-        "joint_given_z": [[0.15, 0.85], [0.0, 0.0]],
-        "joint_given_not_z": [[0.0, 0.0], [0.85, 0.15]],
-    }))
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
     (tmp_path / "list.json").write_text("[0.5]")
     (tmp_path / "broken.json").write_text("{")
     model_files = [str(tmp_path / name)

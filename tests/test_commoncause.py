@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from actor_oracles import mixed_joint_cells
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -61,7 +62,7 @@ class TestBinaryEventModel:
 
     @given(models())
     def test_law_of_total_probability(self, model):
-        cells = cc.mixed_joint_cells(model)
+        cells = mixed_joint_cells(model)
         assert model.p_xy() == pytest.approx(cells[0][0], abs=1e-9)
         assert model.p_x() == pytest.approx(cells[0][0] + cells[0][1], abs=1e-9)
         assert model.p_y() == pytest.approx(cells[0][0] + cells[1][0], abs=1e-9)

