@@ -125,6 +125,8 @@ class StageConfig:
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stage)
+
+
 @dataclass(frozen=True, slots=True)
 class AlgorithmStats:
     """Registered-outcome statistics conditional on one algorithm."""
@@ -207,7 +209,6 @@ def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, f
     bob = sum(b * f for (_, b), f in freq.items())
     pair = sum(a * b * f for (a, b), f in freq.items())
     return alice, bob, pair, pair - alice * bob
-
 
 
 @dataclass(frozen=True, slots=True)

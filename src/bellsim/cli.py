@@ -81,7 +81,7 @@ def parse_sweep(text: str) -> dict:
 
 def sweep_values(sweep: dict) -> list[float]:
     start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = int(math.floor((float(stop) - float(start)) / float(step) + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -103,7 +103,8 @@ def _sweep(value: Any) -> bool:
     return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
             and all(map(is_real, value.values()))
             and value["step"] > 0 and value["stop"] >= value["start"]
-            and math.isfinite((value["stop"] - value["start"]) / value["step"]))
+            and math.isfinite((float(value["stop"]) - float(value["start"]))
+                              / float(value["step"])))
 
 
 class Kind(NamedTuple):

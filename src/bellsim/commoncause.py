@@ -38,11 +38,13 @@ Table = tuple[tuple[float, float], tuple[float, float]]
 
 
 def _validate_table(table, name: str) -> Table:
-    if not isinstance(table, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and all(map(is_real, row)) for row in table
-    ):
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError as exc:
+        raise ValidationError(f"{name} must be a 2x2 table of numbers") from exc
+    if not all(is_real(v) for row in rows for v in row):
         raise ValidationError(f"{name} must be a 2x2 table of numbers")
-    rows = tuple(tuple(float(v) for v in row) for row in table)
+    rows = tuple(tuple(float(v) for v in row) for row in rows)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValidationError(f"{name} must be a 2x2 table, got shape {[len(r) for r in rows]}")
     for row in rows:

@@ -1,6 +1,7 @@
 """Exception hierarchy and the number check shared across the package."""
 
-import sys
+import math
+import numbers
 
 
 class BellsimError(Exception):
@@ -30,5 +31,9 @@ class EmptyReportError(BellsimError):
 
 def is_real(value) -> bool:
     """A number, not a boolean or a string, that converts to a finite float."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and abs(value) <= sys.float_info.max
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False

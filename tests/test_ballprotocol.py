@@ -172,7 +172,9 @@ class TestActorPathEquivalence:
         [(1, (None, None), 0.1), (2, (None, None), 0.1), (3, (None, None), 0.1),
          (2, (None, "b"), 1.0), (1, ("c", None), 0.1), (1, ("c", None), 0.5)]
         # Every stage and admissible filter pair: each meets all 16 worlds.
-        + [(stage, (a, b), 0.5) for stage in (1, 2, 3) for a in "ac" for b in "bc"],
+        # Stage 1's (c, b) is the (c, None) case above.
+        + [(stage, (a, b), 0.5) for stage in (1, 2, 3) for a in "ac" for b in "bc"
+           if (stage, a, b) != (1, "c", "b")],
     )
     def test_filter_mismatch_matches_per_trial_loop(self, stage, filters, mismatch, tmp_path):
         cfg = bp.StageConfig(stage=stage, alice_filter=filters[0], bob_filter=filters[1],

@@ -417,6 +417,7 @@ MALFORMED = [
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1}}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1, "step": 0}}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1e300, "step": 1e-300}}),
+    ("spin-correlation", "sweep", {"sweep": {"start": -10**308, "stop": 10**308, "step": 1}}),
 ]
 
 

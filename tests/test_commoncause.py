@@ -42,6 +42,11 @@ class TestBinaryEventModel:
         with pytest.raises(ValidationError):
             cc.BinaryEventModel(1.5, table, table)
 
+    def test_accepts_numpy_numbers(self):
+        table = np.array([[1, 0], [0, 0]], dtype=np.int64)
+        model = cc.BinaryEventModel(np.float32(0.5), table, table)
+        assert model.p_z == 0.5 and model.joint_given_z == ((1.0, 0.0), (0.0, 0.0))
+
     def test_json_round_trip(self):
         model = cc.spin_event_model(Direction(0.0), Direction(1.0))
         again = cc.binary_event_model_from_json_dict(model.to_json_dict())
