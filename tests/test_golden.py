@@ -7,6 +7,8 @@ with ``--seed 1 --no-timestamp`` and at most 20,000 trials; its stdout in
 ``--config`` must reproduce the golden JSON.  Per-trial CSV
 exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
 boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``.
+Long ``--sweep-out`` files must keep the SHA-256 in
+``tests/golden/sweep_sha256.json``.
 
 Regenerate the files only when a report is meant to change:
 
@@ -67,6 +69,14 @@ CSV_RUNS = {
     "ball-stage2-cherry-mismatch": "ball-protocol --stage 2 --alice-filter c --mismatch-prob 0.1",
 }
 
+#: Sweep files pinned by digest: a fine degree sweep over [0, pi], and a
+#: radian sweep past pi, where Direction wraps angles and angle_between
+#: clamps its cosine.
+SWEEP_RUNS = {
+    "deg-0-180-0.001": "spin-correlation --sweep 0:180:0.001deg",
+    "rad-0-7-0.0001": "spin-correlation --sweep 0:7:0.0001rad",
+}
+
 
 def run(command: str, fmt: str = "json") -> tuple[int, str]:
     """Exit code and stdout of one CLI command, run in the current directory."""
@@ -80,6 +90,12 @@ def csv_digest(command: str) -> str:
     code, _ = run(f"{command} --trials {CSV_TRIALS} --csv-out trials.csv")
     assert code in (0, 1)
     return hashlib.sha256(Path("trials.csv").read_bytes()).hexdigest()
+
+
+def sweep_digest(command: str) -> str:
+    code, _ = run(f"{command} --sweep-out sweep.dat", "text")
+    assert code == 0
+    return hashlib.sha256(Path("sweep.dat").read_bytes()).hexdigest()
 
 
 def write_model(directory: Path) -> None:
@@ -126,6 +142,12 @@ def test_csv_export_is_byte_identical(workdir, name):
     assert csv_digest(CSV_RUNS[name]) == pins[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
+def test_sweep_file_is_byte_identical(workdir, name):
+    pins = json.loads((GOLDEN / "sweep_sha256.json").read_text(encoding="utf-8"))
+    assert sweep_digest(SWEEP_RUNS[name]) == pins[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +156,9 @@ if __name__ == "__main__":
         for name, command in REPORTS.items():
             (GOLDEN / f"{name}.json").write_text(run(command)[1], encoding="utf-8")
             (GOLDEN / f"{name}.txt").write_text(run(command, "text")[1], encoding="utf-8")
-        pins = {name: csv_digest(command) for name, command in CSV_RUNS.items()}
-    (GOLDEN / "csv_sha256.json").write_text(
-        json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        pins = {"csv": {name: csv_digest(command) for name, command in CSV_RUNS.items()},
+                "sweep": {name: sweep_digest(command) for name, command in SWEEP_RUNS.items()}}
+    for kind, digests in pins.items():
+        (GOLDEN / f"{kind}_sha256.json").write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
