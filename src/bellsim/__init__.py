@@ -13,22 +13,7 @@ from .errors import (
     EmptyReportError,
     ValidationError,
 )
-from .spinmodel import (
-    Description,
-    Direction,
-    HiddenVariable,
-    SpinVector,
-    angle_between,
-    conditional_outcome_prob,
-    joint_outcome_prob,
-    marginal_expectation,
-    mean_value,
-    pair_expectation,
-    quantum_correlation,
-    quantum_pair_expectation,
-    spin_vector,
-    subquantum_correlation,
-)
+from .spinmodel import Direction, quantum_correlation
 
 __version__ = "0.1.0"
 
@@ -36,21 +21,9 @@ __all__ = [
     "BellsimError",
     "ConditioningUndefinedError",
     "ContextMismatchError",
-    "Description",
     "Direction",
     "EmptyReportError",
-    "HiddenVariable",
-    "SpinVector",
     "ValidationError",
     "__version__",
-    "angle_between",
-    "conditional_outcome_prob",
-    "joint_outcome_prob",
-    "marginal_expectation",
-    "mean_value",
-    "pair_expectation",
     "quantum_correlation",
-    "quantum_pair_expectation",
-    "spin_vector",
-    "subquantum_correlation",
 ]

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
@@ -37,6 +39,8 @@ from .spinmodel import (
     Direction,
     HiddenVariable,
     angle_between,
+    axis_cosine,
+    correlation_from_cosines,
     quantum_correlation,
     subquantum_correlation,
 )
@@ -44,6 +48,12 @@ from .spinmodel import (
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
+
+
+#: Most points a sweep may have: the report holds every row (about 130 MB at the cap).
+MAX_SWEEP_POINTS = 200_001
+#: Rows per write of a --sweep-out file.
+SWEEP_CHUNK_ROWS = 1 << 14
 
 
 def parse_angle(text: str) -> float:
@@ -79,10 +89,14 @@ def parse_sweep(text: str) -> dict:
     return sweep
 
 
+def _sweep_steps(sweep: dict) -> float:
+    """Steps from start to stop, nudged up so rounding cannot drop the last point."""
+    return (float(sweep["stop"]) - float(sweep["start"])) / float(sweep["step"]) + 1e-9
+
+
 def sweep_values(sweep: dict) -> list[float]:
-    start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
-    count = int(math.floor((float(stop) - float(start)) / float(step) + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    start, step = sweep["start"], sweep["step"]
+    return [start + i * step for i in range(math.floor(_sweep_steps(sweep)) + 1)]
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -103,8 +117,8 @@ def _sweep(value: Any) -> bool:
     return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
             and all(map(is_real, value.values()))
             and value["step"] > 0 and value["stop"] >= value["start"]
-            and math.isfinite((float(value["stop"]) - float(value["start"]))
-                              / float(value["step"])))
+            # floor(steps) + 1 points; false for an infinite step count too
+            and _sweep_steps(value) < MAX_SWEEP_POINTS)
 
 
 class Kind(NamedTuple):
@@ -135,7 +149,7 @@ FOUR_ANGLES = Kind("a list of four angles in radians",
                    {"type": lambda t: [parse_angle(a) for a in t.split(",")],
                     "metavar": "A,A',B,B'"})
 SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start "
-             "and a finite point count",
+             f"and at most {MAX_SWEEP_POINTS:,} points",
              _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
 COUNT = Kind("a positive integer", lambda v: type(v) is int and v >= 1, {"type": int})
 SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
@@ -241,15 +255,18 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> int:
         results["angles"] = [evaluate(float(p)) for p in cfg["phi"]]
     if cfg["sweep"] is not None:
         values = sweep_values(cfg["sweep"])
-        rows = [(phi, quantum_correlation(Direction(0.0), Direction(phi))) for phi in values]
-        results["sweep"] = {
-            "rows": [[phi, corr] for phi, corr in rows],
-            "row_count": len(rows),
-        }
+        # quantum_correlation(Direction(0.0), Direction(phi)) for every phi at
+        # once: the cosines in Python (math.cos, not np.cos), the law in numpy.
+        anchor = Direction(0.0)
+        cosines = np.array([axis_cosine(anchor, Direction(phi)) for phi in values])
+        corrs = correlation_from_cosines(axis_cosine(anchor, anchor), cosines).tolist()
+        rows = [[phi, corr] for phi, corr in zip(values, corrs)]
+        results["sweep"] = {"rows": rows, "row_count": len(rows)}
         if ns.sweep_out:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
-                for phi, corr in rows:
-                    fh.write(f"{phi!r} {corr!r}\n")
+                for i in range(0, len(rows), SWEEP_CHUNK_ROWS):
+                    fh.write("".join(f"{phi!r} {corr!r}\n"
+                                     for phi, corr in rows[i:i + SWEEP_CHUNK_ROWS]))
             outputs["sweep_data"] = ns.sweep_out
 
     report = build_report(

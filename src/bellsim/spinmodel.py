@@ -18,6 +18,14 @@ or "Bob" description).  The anchor is always an explicit argument, and
 neither measurement axis, so quantities that would mix hidden-variable
 sets from different contexts cannot be formed here.
 
+Every statistic is a function of cosines between axes, and that
+arithmetic is written once (:func:`correlation_from_cosines` and the
+helpers above it).  The public functions compute each cosine with
+:func:`axis_cosine` and pass floats; ``spin-correlation --sweep`` passes
+one float64 array for all its points.  Each step is elementwise in the same
+order for both, so every array element equals the float the scalar call
+gives, bit for bit.
+
 Everything in this module is a pure function of its arguments and is
 safe to call concurrently.
 """
@@ -74,13 +82,6 @@ class Direction:
             t -= TWO_PI
         object.__setattr__(self, "theta", t)
 
-    @classmethod
-    def from_degrees(cls, degrees: float) -> "Direction":
-        return cls(math.radians(degrees))
-
-    def unit_vector(self) -> tuple[float, float, float]:
-        return (0.0, math.sin(self.theta), math.cos(self.theta))
-
 
 class Description(enum.Enum):
     """Which observer's measurement axis anchors the hidden-variable set."""
@@ -104,31 +105,9 @@ class HiddenVariable:
     def __post_init__(self) -> None:
         require_spin(self.first_particle, "first_particle")
 
-    @property
-    def second_particle(self) -> SpinValue:
-        return -self.first_particle
-
     def predetermined(self, particle: int) -> SpinValue:
         """The outcome fixed for ``particle`` along this hidden variable's axis."""
         return self.first_particle if _require_particle(particle) == 1 else -self.first_particle
-
-
-@dataclass(frozen=True, slots=True)
-class SpinVector:
-    """A unit 3-vector carrying one particle's spin orientation."""
-
-    components: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(sum(c * c for c in self.components))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"spin vector must have unit norm, got |v| = {norm!r}")
-
-    def project(self, axis: Direction) -> float:
-        """Dot product with the axis unit vector."""
-        ax, ay, az = axis.unit_vector()
-        x, y, z = self.components
-        return x * ax + y * ay + z * az
 
 
 def angle_between(n: Direction, m: Direction) -> float:
@@ -145,11 +124,47 @@ def angle_between(n: Direction, m: Direction) -> float:
     return math.acos(c)
 
 
-def spin_vector(lam: HiddenVariable, particle: int) -> SpinVector:
-    """The unit spin vector of one particle: its predetermined sign times the axis."""
-    sign = lam.predetermined(particle)
-    _, uy, uz = lam.axis.unit_vector()
-    return SpinVector((0.0, sign * uy, sign * uz))
+def axis_cosine(n: Direction, m: Direction) -> float:
+    """cos of :func:`angle_between`: the cosine every statistic below reads."""
+    return math.cos(angle_between(n, m))
+
+
+# The law, written once over ``c``, the cosine between the hidden variable's
+# axis and a measurement axis: a float, or a float64 array of many axes.  Each
+# step is elementwise, so an array element equals the float the scalar gives.
+
+
+def _mean(sign: int, c):
+    return sign * c
+
+
+def _outcome_prob(sign: int, c, outcome: int):
+    return 0.5 * (1.0 + outcome * _mean(sign, c))
+
+
+def _pair(first: int, c1, c2):
+    total = 0.0
+    for k in (1, -1):
+        for l in (1, -1):
+            total += k * l * (_outcome_prob(first, c1, k) * _outcome_prob(-first, c2, l))
+    return total
+
+
+def _marginal(sign: int, c):
+    return 0.5 * _mean(sign, c) + 0.5 * _mean(-sign, c)
+
+
+def _quantum_pair(c1, c2):
+    return 0.5 * _pair(1, c1, c2) + 0.5 * _pair(-1, c1, c2)
+
+
+def correlation_from_cosines(c1, c2):
+    """Observable correlation, from the cosines between the anchor axis and each axis.
+
+    ``c1`` and ``c2`` are floats or float64 arrays (see
+    :func:`axis_cosine`); the result has their broadcast shape.
+    """
+    return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
 
 
 def mean_value(lam: HiddenVariable, particle: int, axis: Direction) -> float:
@@ -161,8 +176,7 @@ def mean_value(lam: HiddenVariable, particle: int, axis: Direction) -> float:
     the two axes coincide it degenerates to the predetermined outcome
     itself (exactly +1 or -1).
     """
-    sign = lam.predetermined(particle)
-    return sign * math.cos(angle_between(lam.axis, axis))
+    return _mean(lam.predetermined(particle), axis_cosine(lam.axis, axis))
 
 
 def conditional_outcome_prob(
@@ -175,7 +189,7 @@ def conditional_outcome_prob(
     the hidden variable's own axis gives exactly 1 or 0.
     """
     require_spin(outcome, "outcome")
-    return 0.5 * (1.0 + outcome * mean_value(lam, particle, axis))
+    return _outcome_prob(lam.predetermined(particle), axis_cosine(lam.axis, axis), outcome)
 
 
 def joint_outcome_prob(
@@ -202,11 +216,7 @@ def pair_expectation(lam: HiddenVariable, axis1: Direction, axis2: Direction) ->
     is the hidden variable's own axis this equals -cos(phi12) for
     either sign of the hidden variable.
     """
-    total = 0.0
-    for k in (1, -1):
-        for l in (1, -1):
-            total += k * l * joint_outcome_prob(lam, axis1, axis2, k, l)
-    return total
+    return _pair(lam.first_particle, axis_cosine(lam.axis, axis1), axis_cosine(lam.axis, axis2))
 
 
 def subquantum_correlation(lam: HiddenVariable, axis1: Direction, axis2: Direction) -> float:
@@ -235,17 +245,15 @@ def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Di
     With both signs equally likely the two conditional means cancel
     exactly, so the result is 0 for every pair of axes.
     """
-    plus = mean_value(HiddenVariable(source_axis, 1), particle, measure_axis)
-    minus = mean_value(HiddenVariable(source_axis, -1), particle, measure_axis)
-    return 0.5 * plus + 0.5 * minus
+    sign = HiddenVariable(source_axis, 1).predetermined(particle)
+    return _marginal(sign, axis_cosine(source_axis, measure_axis))
 
 
-def _anchor_axis(axis1: Direction, axis2: Direction, description: Description) -> Direction:
-    if description is Description.ALICE:
-        return axis1
-    if description is Description.BOB:
-        return axis2
-    raise ValidationError(f"description must be a Description member, got {description!r}")
+def _anchor_cosines(axis1: Direction, axis2: Direction, description: Description):
+    if description is not Description.ALICE and description is not Description.BOB:
+        raise ValidationError(f"description must be a Description member, got {description!r}")
+    anchor = axis1 if description is Description.ALICE else axis2
+    return axis_cosine(anchor, axis1), axis_cosine(anchor, axis2)
 
 
 def quantum_pair_expectation(
@@ -257,10 +265,7 @@ def quantum_pair_expectation(
     likely hidden-variable signs anchored to the chosen observer's
     axis.  Both descriptions give the same value.
     """
-    anchor = _anchor_axis(axis1, axis2, description)
-    plus = pair_expectation(HiddenVariable(anchor, 1), axis1, axis2)
-    minus = pair_expectation(HiddenVariable(anchor, -1), axis1, axis2)
-    return 0.5 * plus + 0.5 * minus
+    return _quantum_pair(*_anchor_cosines(axis1, axis2, description))
 
 
 def quantum_correlation(
@@ -272,7 +277,4 @@ def quantum_correlation(
     marginals vanish it numerically equals the raw pair expectation,
     -cos(phi12), under either description.
     """
-    anchor = _anchor_axis(axis1, axis2, description)
-    mean1 = marginal_expectation(anchor, 1, axis1)
-    mean2 = marginal_expectation(anchor, 2, axis2)
-    return quantum_pair_expectation(axis1, axis2, description) - mean1 * mean2
+    return correlation_from_cosines(*_anchor_cosines(axis1, axis2, description))

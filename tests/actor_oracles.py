@@ -1,17 +1,22 @@
-"""Per-trial actor paths: the reference the vectorised simulations must match.
+"""Reference paths, written the way the model describes them, that the
+library's vectorised code must match.
 
-Each function plays one trial the way the model describes it, one draw
-at a time from the trial's own generator: the Monte Carlo source samples
-the hidden variable and the observers read their outcomes; the ball
-source emits four signed balls and each observer's detector scans the
-two balls addressed to them.
+The spin-vector picture: a particle's spin vector is its predetermined sign
+times the hidden variable's axis, and its projection onto a measurement axis
+is the mean outcome that ``spinmodel.mean_value`` computes from a cosine.
+
+The per-trial actor paths play one trial one draw at a time from the
+trial's own generator: the Monte Carlo source samples the hidden variable
+and the observers read their outcomes; the ball source emits four signed
+balls and each observer's detector scans the two balls addressed to them.
 """
 
+import math
 from dataclasses import dataclass
 
 from bellsim import ballprotocol as bp
 from bellsim.errors import ValidationError
-from bellsim.spinmodel import Description, HiddenVariable, conditional_outcome_prob
+from bellsim.spinmodel import Description, Direction, HiddenVariable, conditional_outcome_prob
 
 ALICE, BOB = "A", "B"
 
@@ -23,6 +28,41 @@ class TrialRecord:
     lambda_sign: int
     outcome1: int
     outcome2: int
+
+
+def unit_vector(axis: Direction) -> tuple[float, float, float]:
+    """The axis as the unit vector (0, sin theta, cos theta) in the y-z plane."""
+    return (0.0, math.sin(axis.theta), math.cos(axis.theta))
+
+
+@dataclass(frozen=True)
+class SpinVector:
+    """A unit 3-vector carrying one particle's spin orientation."""
+
+    components: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        norm = math.sqrt(sum(c * c for c in self.components))
+        if abs(norm - 1.0) > 1e-12:
+            raise ValidationError(f"spin vector must have unit norm, got |v| = {norm!r}")
+
+    def project(self, axis: Direction) -> float:
+        """Dot product with the axis unit vector: the mean outcome along ``axis``."""
+        ax, ay, az = unit_vector(axis)
+        x, y, z = self.components
+        return x * ax + y * ay + z * az
+
+
+def spin_vector(lam: HiddenVariable, particle: int) -> SpinVector:
+    """The unit spin vector of one particle: its predetermined sign times the axis."""
+    sign = lam.predetermined(particle)
+    _, uy, uz = unit_vector(lam.axis)
+    return SpinVector((0.0, sign * uy, sign * uz))
+
+
+def second_particle(lam: HiddenVariable) -> int:
+    """Particle 2's predetermined outcome along the hidden variable's axis."""
+    return -lam.first_particle
 
 
 def sample_hidden_variable(axis, rng) -> HiddenVariable:
@@ -43,7 +83,7 @@ def simulate_trial(config, rng) -> TrialRecord:
         outcome2 = 1 if rng.random() < conditional_outcome_prob(lam, 2, config.axis2, 1) else -1
     else:
         lam = sample_hidden_variable(config.axis2, rng)
-        outcome2 = lam.second_particle
+        outcome2 = second_particle(lam)
         outcome1 = 1 if rng.random() < conditional_outcome_prob(lam, 1, config.axis1, 1) else -1
     return TrialRecord(lam.first_particle, outcome1, outcome2)
 

@@ -52,6 +52,9 @@ class TestAngleParsing:
             parse_sweep("10:0:5deg")
         with pytest.raises(UsageError, match="^sweep must be "):
             parse_sweep("0:1e300:1e-300rad")
+        assert len(sweep_values(parse_sweep("0:200000:1rad"))) == 200_001
+        with pytest.raises(UsageError, match="^sweep must be .* at most 200,001 points"):
+            parse_sweep("0:200001:1rad")
 
 
 class TestSpinCorrelation:
@@ -81,6 +84,23 @@ class TestSpinCorrelation:
         assert float(rows[0][1]) == pytest.approx(-1.0, abs=1e-12)
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
         assert report["results"]["sweep"]["row_count"] == 37
+
+    def test_sweep_rows_are_python_floats(self, capsys, tmp_path):
+        # repr of a numpy float is np.float64(...), which would corrupt both outputs.
+        out = tmp_path / "sweep.dat"
+        code, text, _ = run_cli(capsys, "spin-correlation", "--sweep", "0:360:7deg",
+                                "--sweep-out", str(out), "--no-timestamp")
+        assert code == 0
+        assert "np.float64(" not in text and "np.float64(" not in out.read_text()
+        _, report, _ = run_json(capsys, "spin-correlation", "--sweep", "0:360:7deg")
+        rows = report["results"]["sweep"]["rows"]
+        assert [(phi, corr) for phi, corr in rows] == [
+            tuple(map(float, line.split())) for line in out.read_text().splitlines()]
+
+    def test_sweep_over_the_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spin-correlation", "--sweep", "0:200001:1rad")
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep must be ") and "Traceback" not in err
 
     def test_requires_phi_or_sweep(self, capsys):
         code, _, err = run_cli(capsys, "spin-correlation")
@@ -418,6 +438,7 @@ MALFORMED = [
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1, "step": 0}}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1e300, "step": 1e-300}}),
     ("spin-correlation", "sweep", {"sweep": {"start": -10**308, "stop": 10**308, "step": 1}}),
+    ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 200_001, "step": 1}}),
 ]
 
 

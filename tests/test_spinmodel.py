@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from actor_oracles import SpinVector, second_particle, spin_vector, unit_vector
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,16 +13,16 @@ from bellsim.spinmodel import (
     Description,
     Direction,
     HiddenVariable,
-    SpinVector,
     angle_between,
+    axis_cosine,
     conditional_outcome_prob,
+    correlation_from_cosines,
     joint_outcome_prob,
     marginal_expectation,
     mean_value,
     pair_expectation,
     quantum_correlation,
     quantum_pair_expectation,
-    spin_vector,
     subquantum_correlation,
 )
 
@@ -35,7 +37,7 @@ class TestDirection:
     def test_canonical_range_and_unit_norm(self, theta):
         d = Direction(theta)
         assert 0.0 <= d.theta < 2.0 * math.pi
-        x, y, z = d.unit_vector()
+        x, y, z = unit_vector(d)
         assert x == 0.0
         assert abs(math.hypot(y, z) - 1.0) <= TOL
 
@@ -44,7 +46,7 @@ class TestDirection:
         assert Direction(-math.pi / 2) == Direction(3.0 * math.pi / 2)
 
     def test_from_degrees(self):
-        assert Direction.from_degrees(180.0) == Direction(math.pi)
+        assert Direction(math.radians(180.0)) == Direction(math.pi)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite(self, bad):
@@ -78,7 +80,7 @@ class TestAngleBetween:
         # arccos is ill-conditioned at +/-1, so the angle itself is only
         # comparable to sqrt(eps) there; its cosine is comparable at 1e-12.
         a, b = Direction(t1), Direction(t2)
-        dot = sum(p * q for p, q in zip(a.unit_vector(), b.unit_vector()))
+        dot = sum(p * q for p, q in zip(unit_vector(a), unit_vector(b)))
         dot = max(-1.0, min(1.0, dot))
         phi = angle_between(a, b)
         assert phi == pytest.approx(math.acos(dot), abs=1e-7)
@@ -89,7 +91,8 @@ class TestHiddenVariable:
     def test_predetermined_outcomes_sum_to_zero(self):
         lam = HiddenVariable(Direction(0.3), 1)
         assert lam.predetermined(1) + lam.predetermined(2) == 0
-        assert lam.second_particle == -1
+        assert second_particle(lam) == lam.predetermined(2) == -1
+        assert second_particle(HiddenVariable(Direction(0.3), -1)) == 1
 
     @pytest.mark.parametrize("bad", [0, 2, -2, True])
     def test_rejects_non_spin_values(self, bad):
@@ -284,8 +287,6 @@ class TestQuantumCorrelation:
         assert abs(c) <= TOL
 
     def test_minus_cosine_identity_1000_random_pairs(self):
-        import numpy as np
-
         rng = np.random.default_rng(99)
         for _ in range(1000):
             t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -308,3 +309,36 @@ class TestQuantumCorrelation:
         assert quantum_correlation(a, b) == pytest.approx(
             quantum_pair_expectation(a, b), abs=TOL
         )
+
+
+def correlations_at_once(phis, description):
+    """quantum_correlation(Direction(0.0), Direction(phi), description) for
+    every phi, through the cosine core with one array per measurement axis."""
+    axes = [(Direction(0.0), Direction(phi)) for phi in phis]
+    anchor = 0 if description is Description.ALICE else 1
+    c1, c2 = (np.array([axis_cosine(pair[anchor], pair[i]) for pair in axes]) for i in (0, 1))
+    return correlation_from_cosines(c1, c2).tolist()
+
+
+class TestCosineCore:
+    @pytest.mark.parametrize("description", list(Description))
+    def test_array_equals_scalar_over_a_full_turn(self, description):
+        phis = [math.radians(i * 0.01) for i in range(36_001)]
+        expected = [quantum_correlation(Direction(0.0), Direction(phi), description)
+                    for phi in phis]
+        assert correlations_at_once(phis, description) == expected
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+           st.sampled_from(list(Description)))
+    def test_array_equals_scalar_for_any_finite_angles(self, phis, description):
+        got = correlations_at_once(phis, description)
+        assert all(type(c) is float for c in got)
+        assert got == [quantum_correlation(Direction(0.0), Direction(phi), description)
+                       for phi in phis]
+
+    def test_scalar_cosines_give_a_float(self):
+        a, b = Direction(0.0), Direction(math.pi / 3)
+        c = correlation_from_cosines(axis_cosine(a, a), axis_cosine(a, b))
+        assert type(c) is float
+        assert c == quantum_correlation(a, b)
+        assert c == pytest.approx(-0.5, abs=TOL)
