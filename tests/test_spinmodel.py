@@ -323,7 +323,7 @@ def correlations_at_once(phis, description):
 class TestCosineCore:
     @pytest.mark.parametrize("description", list(Description))
     def test_array_equals_scalar_over_a_full_turn(self, description):
-        phis = [math.radians(i * 0.01) for i in range(36_001)]
+        phis = [i * math.radians(0.01) for i in range(36_001)]  # --sweep 0:360:0.01deg
         expected = [quantum_correlation(Direction(0.0), Direction(phi), description)
                     for phi in phis]
         assert correlations_at_once(phis, description) == expected
