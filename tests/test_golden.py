@@ -6,9 +6,12 @@ with ``--seed 1 --no-timestamp`` and at most 20,000 trials; its stdout in
 ``tests/golden/``, and feeding the golden manifest's ``config`` back via
 ``--config`` must reproduce the golden JSON.  Per-trial CSV
 exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
-boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``.
+boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``;
+runs at the trial counts where a row's index gains a digit or a chunk
+ends keep the SHA-256 in ``tests/golden/csv_boundary_sha256.json``.
 Long ``--sweep-out`` files must keep the SHA-256 in
-``tests/golden/sweep_sha256.json``.
+``tests/golden/sweep_sha256.json``, and long sweeps' JSON reports the
+SHA-256 in ``tests/golden/sweep_report_sha256.json``.
 
 Regenerate the files only when a report is meant to change:
 
@@ -77,6 +80,21 @@ SWEEP_RUNS = {
     "rad-0-7-0.0001": "spin-correlation --sweep 0:7:0.0001rad",
 }
 
+#: Sweep reports pinned by digest: the sweeps above, and one from a
+#: negative start, where Direction adds 2*pi to a negative remainder.
+SWEEP_REPORT_RUNS = {
+    **SWEEP_RUNS,
+    "deg-neg400-400-0.01": "spin-correlation --sweep=-400:400:0.01deg",
+}
+
+#: CSV exports pinned by digest at the trial counts around the first
+#: three-digit index and past the first chunk.
+CSV_BOUNDARY_RUNS = {
+    f"{name}-{trials}": (CSV_RUNS[name], trials)
+    for name in ("mc-run-alice", "ball-stage1")
+    for trials in (1, 99, 100, 101, CHUNK_TRIALS + 1)
+}
+
 
 def run(command: str, fmt: str = "json") -> tuple[int, str]:
     """Exit code and stdout of one CLI command, run in the current directory."""
@@ -86,8 +104,8 @@ def run(command: str, fmt: str = "json") -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def csv_digest(command: str) -> str:
-    code, _ = run(f"{command} --trials {CSV_TRIALS} --csv-out trials.csv")
+def csv_digest(command: str, trials: int = CSV_TRIALS) -> str:
+    code, _ = run(f"{command} --trials {trials} --csv-out trials.csv")
     assert code in (0, 1)
     return hashlib.sha256(Path("trials.csv").read_bytes()).hexdigest()
 
@@ -96,6 +114,12 @@ def sweep_digest(command: str) -> str:
     code, _ = run(f"{command} --sweep-out sweep.dat", "text")
     assert code == 0
     return hashlib.sha256(Path("sweep.dat").read_bytes()).hexdigest()
+
+
+def sweep_report_digest(command: str) -> str:
+    code, text = run(command)
+    assert code == 0
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_model(directory: Path) -> None:
@@ -148,6 +172,18 @@ def test_sweep_file_is_byte_identical(workdir, name):
     assert sweep_digest(SWEEP_RUNS[name]) == pins[name]
 
 
+@pytest.mark.parametrize("name", sorted(CSV_BOUNDARY_RUNS))
+def test_csv_export_at_boundary_is_byte_identical(workdir, name):
+    pins = json.loads((GOLDEN / "csv_boundary_sha256.json").read_text(encoding="utf-8"))
+    assert csv_digest(*CSV_BOUNDARY_RUNS[name]) == pins[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_REPORT_RUNS))
+def test_sweep_report_is_byte_identical(workdir, name):
+    pins = json.loads((GOLDEN / "sweep_report_sha256.json").read_text(encoding="utf-8"))
+    assert sweep_report_digest(SWEEP_REPORT_RUNS[name]) == pins[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,7 +193,10 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.json").write_text(run(command)[1], encoding="utf-8")
             (GOLDEN / f"{name}.txt").write_text(run(command, "text")[1], encoding="utf-8")
         pins = {"csv": {name: csv_digest(command) for name, command in CSV_RUNS.items()},
-                "sweep": {name: sweep_digest(command) for name, command in SWEEP_RUNS.items()}}
+                "csv_boundary": {name: csv_digest(*args) for name, args in CSV_BOUNDARY_RUNS.items()},
+                "sweep": {name: sweep_digest(command) for name, command in SWEEP_RUNS.items()},
+                "sweep_report": {name: sweep_report_digest(command)
+                                 for name, command in SWEEP_REPORT_RUNS.items()}}
     for kind, digests in pins.items():
         (GOLDEN / f"{kind}_sha256.json").write_text(
             json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
