@@ -16,6 +16,7 @@ for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -43,6 +44,7 @@ from .spinmodel import (
     correlation_from_cosines,
     quantum_correlation,
     subquantum_correlation,
+    zero_axis_cosines,
 )
 
 
@@ -50,7 +52,8 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-#: Most points a sweep may have: the report holds every row (about 130 MB at the cap).
+#: Most points a sweep may have: the report holds every row (at the cap, about
+#: 94 MB peak with --format json and 119 MB with the text format).
 MAX_SWEEP_POINTS = 200_001
 #: Rows per write of a --sweep-out file.
 SWEEP_CHUNK_ROWS = 1 << 14
@@ -94,9 +97,10 @@ def _sweep_steps(sweep: dict) -> float:
     return (float(sweep["stop"]) - float(sweep["start"])) / float(sweep["step"]) + 1e-9
 
 
-def sweep_values(sweep: dict) -> list[float]:
-    start, step = sweep["start"], sweep["step"]
-    return [start + i * step for i in range(math.floor(_sweep_steps(sweep)) + 1)]
+def sweep_values(sweep: dict) -> np.ndarray:
+    """The sweep's angles ``start + i * step`` as float64, for integer bounds too."""
+    start, step = float(sweep["start"]), float(sweep["step"])
+    return start + np.arange(math.floor(_sweep_steps(sweep)) + 1) * step
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -255,18 +259,16 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> int:
         results["angles"] = [evaluate(float(p)) for p in cfg["phi"]]
     if cfg["sweep"] is not None:
         values = sweep_values(cfg["sweep"])
-        # quantum_correlation(Direction(0.0), Direction(phi)) for every phi at
-        # once: the cosines in Python (math.cos, not np.cos), the law in numpy.
+        # quantum_correlation(Direction(0.0), Direction(phi)) for every phi at once.
         anchor = Direction(0.0)
-        cosines = np.array([axis_cosine(anchor, Direction(phi)) for phi in values])
-        corrs = correlation_from_cosines(axis_cosine(anchor, anchor), cosines).tolist()
-        rows = [[phi, corr] for phi, corr in zip(values, corrs)]
+        corrs = correlation_from_cosines(axis_cosine(anchor, anchor), zero_axis_cosines(values))
+        rows = np.column_stack((values, corrs)).tolist()
         results["sweep"] = {"rows": rows, "row_count": len(rows)}
         if ns.sweep_out:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
                 for i in range(0, len(rows), SWEEP_CHUNK_ROWS):
-                    fh.write("".join(f"{phi!r} {corr!r}\n"
-                                     for phi, corr in rows[i:i + SWEEP_CHUNK_ROWS]))
+                    chunk = rows[i:i + SWEEP_CHUNK_ROWS]
+                    fh.write("%r %r\n" * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
             outputs["sweep_data"] = ns.sweep_out
 
     report = build_report(

@@ -6,11 +6,21 @@ the report alone.  Machine-readable output is canonical JSON (sorted
 keys, fixed indentation); rendering the same report twice yields
 byte-identical text.  Timestamps live only in the manifest and can be
 omitted entirely.
+
+:func:`render_json` writes exactly what ``json.dumps(report, indent=2,
+sort_keys=True, allow_nan=False)`` writes, but collects the pieces in one
+list and joins them once, and renders a table of finite floats (such as
+a sweep's rows) with one ``%r`` template; the standard library's encoder
+runs in pure Python whenever it indents.  Anything else it is given
+(non-string keys, unknown types, NaN or infinity, a cycle) is handed to
+``json.dumps``, which renders it or raises exactly as before.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any
@@ -67,8 +77,101 @@ def build_report(
     }
 
 
+class _Unhandled(Exception):
+    """A value the fast renderer leaves to ``json.dumps``."""
+
+
+_INDENT = "  "
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``."""
+    pieces: list[str] = []
+    try:
+        _encode(report, "\n", pieces)
+    except (_Unhandled, RecursionError):
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _encode(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``value``; ``newline`` starts a line at its indentation.
+
+    The type checks run in the order ``json``'s encoder runs them, so
+    subclasses of str, int and float render as their base type does.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Unhandled
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _encode_list(value, newline, out)
+    elif isinstance(value, dict):
+        _encode_dict(value, newline, out)
+    else:
+        raise _Unhandled
+
+
+def _encode_list(items: list | tuple, newline: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = newline + _INDENT
+    out.append("[" + inner)
+    table = _float_table(items, inner)
+    if table is not None:
+        out.append(table)
+    else:
+        for i, item in enumerate(items):
+            if i:
+                out.append("," + inner)
+            _encode(item, inner, out)
+    out.append(newline + "]")
+
+
+def _float_table(rows: list | tuple, inner: str) -> str | None:
+    """The rendered rows, if ``rows`` are equal-length lists of finite floats.
+
+    For a finite float ``json`` writes ``float.__repr__``, which is ``%r``,
+    so one row template, repeated and filled in one call, renders them all.
+    """
+    if type(rows[0]) is not list or not rows[0]:
+        return None
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])}:
+        return None
+    cells = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
+        return None
+    cell = inner + _INDENT
+    row = "[" + cell + ("," + cell).join(["%r"] * len(rows[0])) + inner + "]"
+    return ("," + inner).join([row] * len(rows)) % cells
+
+
+def _encode_dict(mapping: dict, newline: str, out: list[str]) -> None:
+    if not mapping:
+        out.append("{}")
+        return
+    if not all(type(key) is str for key in mapping):
+        raise _Unhandled
+    inner = newline + _INDENT
+    separator = "{" + inner
+    for key in sorted(mapping):
+        out.append(separator + _encode_str(key) + ": ")
+        _encode(mapping[key], inner, out)
+        separator = "," + inner
+    out.append(newline + "}")
 
 
 def _scalar(value: Any) -> str:

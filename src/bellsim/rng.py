@@ -134,14 +134,32 @@ def write_trials(
     """Write a CSV of trials [0, trials) and return :func:`count_worlds`' histogram.
 
     The file is opened before anything is simulated.  Trial i's line is
-    ``f"{i}{row_text[code]}"`` for its world code; rows are written one
-    chunk at a time, so memory does not grow with ``trials``.
+    ``f"{i}{row_text[code]}"`` for its world code, built as a head,
+    ``str(i // 100)`` (empty below 100), and a tail looked up by
+    ``(i % 100, code)`` in a table of 100 * len(row_text) lines made once
+    per file.  Each chunk's heads and tails are gathered with numpy and
+    joined in one call; rows are written one chunk at a time, so memory
+    does not grow with ``trials``.
     """
     worlds = np.zeros(1 << len(coins), dtype=np.int64)
+    n_codes = len(row_text)
+    # Tails: "00".."99" from 100 on, "0".."99" below it.
+    padded = np.array([f"{r:02d}{t}" for r in range(100) for t in row_text], dtype=object)
+    short = np.array([f"{r}{t}" for r in range(100) for t in row_text], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, trials, CHUNK_TRIALS):
             codes = _chunk_codes(stream, lo, trials, coins)
             worlds += np.bincount(codes, minlength=len(worlds))
-            fh.write("".join([f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist(), lo)]))
+            index = np.arange(lo, lo + len(codes))
+            first = lo // 100
+            heads = np.array([str(h) if h else "" for h in range(first, index[-1] // 100 + 1)],
+                             dtype=object)
+            tail = index % 100 * n_codes + codes
+            pieces = np.empty((len(codes), 2), dtype=object)
+            pieces[:, 0] = heads[index // 100 - first]
+            pieces[:, 1] = padded[tail]
+            if lo < 100:
+                pieces[:100, 1] = short[tail[:100]]
+            fh.write("".join(pieces.ravel().tolist()))
     return worlds

@@ -22,9 +22,9 @@ Every statistic is a function of cosines between axes, and that
 arithmetic is written once (:func:`correlation_from_cosines` and the
 helpers above it).  The public functions compute each cosine with
 :func:`axis_cosine` and pass floats; ``spin-correlation --sweep`` passes
-one float64 array for all its points.  Each step is elementwise in the same
-order for both, so every array element equals the float the scalar call
-gives, bit for bit.
+one float64 array for all its points, from :func:`zero_axis_cosines`.
+Each step is elementwise in the same order for both, so every array
+element equals the float the scalar call gives, bit for bit.
 
 Everything in this module is a pure function of its arguments and is
 safe to call concurrently.
@@ -35,6 +35,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContextMismatchError, ValidationError
 
@@ -127,6 +129,25 @@ def angle_between(n: Direction, m: Direction) -> float:
 def axis_cosine(n: Direction, m: Direction) -> float:
     """cos of :func:`angle_between`: the cosine every statistic below reads."""
     return math.cos(angle_between(n, m))
+
+
+def zero_axis_cosines(angles) -> np.ndarray:
+    """``axis_cosine(Direction(0.0), Direction(a))`` for every angle, as a float64 array.
+
+    The angles are canonicalised as :class:`Direction` does it, as one
+    array (``np.fmod`` is exact, like ``math.fmod``).  The cosines stay
+    ``math.cos`` and ``math.acos`` per angle, because numpy's ``cos``
+    differs from ``math.cos`` in the last bit at some angles.
+    """
+    t = np.asarray(angles, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValidationError("every angle must be finite")
+    t = np.fmod(t, TWO_PI)
+    t[t < 0.0] += TWO_PI
+    t[t >= TWO_PI] -= TWO_PI
+    # angle_between(Direction(0.0), axis) clamps cos(0.0 - theta) into [-1, 1].
+    c = np.clip(list(map(math.cos, (0.0 - t).tolist())), -1.0, 1.0)
+    return np.array(list(map(math.cos, map(math.acos, c.tolist()))), dtype=np.float64)
 
 
 # The law, written once over ``c``, the cosine between the hidden variable's

@@ -97,6 +97,20 @@ class TestSpinCorrelation:
         assert [(phi, corr) for phi, corr in rows] == [
             tuple(map(float, line.split())) for line in out.read_text().splitlines()]
 
+    def test_integer_sweep_in_a_config_file_writes_float_angles(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"start": 0, "stop": 2, "step": 1}}))
+        outputs = {}
+        for name, source in (("flag", ["--sweep", "0:2:1rad"]), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.dat"
+            code, report, _ = run_json(capsys, "spin-correlation", *source,
+                                       "--sweep-out", str(out))
+            assert code == 0
+            outputs[name] = report["results"]["sweep"]["rows"], out.read_bytes()
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["flag"][1].startswith(b"0.0 -1.0\n1.0 ")
+        assert report["manifest"]["config"]["sweep"] == {"start": 0, "stop": 2, "step": 1}
+
     def test_sweep_over_the_cap_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "spin-correlation", "--sweep", "0:200001:1rad")
         assert code == 2 and out == ""

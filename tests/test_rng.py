@@ -171,3 +171,18 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
     mc.write_trials_csv(tmp_path / "trials.csv", mc_config)
     bp.write_stage_csv(tmp_path / "stage.csv", stage_config)
     assert sorted(blocks) == [1] * 4 + [CHUNK_TRIALS] * 12
+
+
+@pytest.mark.parametrize("trials", [1, 99, 100, 101, 250, CHUNK_TRIALS + 101])
+def test_write_trials_writes_index_then_row_text(tmp_path, trials):
+    """Each line is f"{i}{row_text[code]}", the plain form of the table-built rows."""
+    stream = RngStream(11, 2)
+    coins = ((0, threshold(0.5)), (1, threshold(0.25)), (2, threshold(0.9)))
+    row_text = [f",row{code}\n" for code in range(8)]
+    path = tmp_path / "trials.csv"
+    worlds = rng.write_trials(path, "trial,row", stream, trials, coins, row_text)
+    codes = np.concatenate([rng._chunk_codes(stream, lo, trials, coins)
+                            for lo in range(0, trials, CHUNK_TRIALS)])
+    expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
+    assert path.read_text(encoding="utf-8") == expected
+    assert worlds.tolist() == np.bincount(codes, minlength=8).tolist()

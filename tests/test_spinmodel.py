@@ -24,6 +24,7 @@ from bellsim.spinmodel import (
     quantum_correlation,
     quantum_pair_expectation,
     subquantum_correlation,
+    zero_axis_cosines,
 )
 
 TOL = 1e-12
@@ -342,3 +343,28 @@ class TestCosineCore:
         assert type(c) is float
         assert c == quantum_correlation(a, b)
         assert c == pytest.approx(-0.5, abs=TOL)
+
+
+def bits(values) -> list[int]:
+    """Each float's bit pattern, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestZeroAxisCosines:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_equals_axis_cosine_for_any_finite_angle(self, phis):
+        expected = [axis_cosine(Direction(0.0), Direction(phi)) for phi in phis]
+        assert bits(zero_axis_cosines(phis)) == bits(expected)
+
+    def test_equals_axis_cosine_at_the_edges(self):
+        two_pi = 2.0 * math.pi
+        phis = [0.0, -0.0, 5e-324, -5e-324, -1e-17, 1e300, -1e300, math.pi, -math.pi,
+                two_pi, -two_pi, math.nextafter(two_pi, 0.0), -math.nextafter(two_pi, 0.0),
+                math.nextafter(two_pi, 7.0), *np.linspace(-1e3, 1e3, 20_001).tolist()]
+        expected = [axis_cosine(Direction(0.0), Direction(phi)) for phi in phis]
+        assert bits(zero_axis_cosines(phis)) == bits(expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValidationError):
+            zero_axis_cosines([0.0, bad])
