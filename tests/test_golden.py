@@ -10,8 +10,9 @@ boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``;
 runs at the trial counts where a row's index gains a digit or a chunk
 ends keep the SHA-256 in ``tests/golden/csv_boundary_sha256.json``.
 Long ``--sweep-out`` files must keep the SHA-256 in
-``tests/golden/sweep_sha256.json``, and long sweeps' JSON reports the
-SHA-256 in ``tests/golden/sweep_report_sha256.json``.
+``tests/golden/sweep_sha256.json``, long sweeps' JSON reports the
+SHA-256 in ``tests/golden/sweep_report_sha256.json``, and their text
+reports the SHA-256 in ``tests/golden/sweep_text_report_sha256.json``.
 
 Regenerate the files only when a report is meant to change:
 
@@ -116,8 +117,8 @@ def sweep_digest(command: str) -> str:
     return hashlib.sha256(Path("sweep.dat").read_bytes()).hexdigest()
 
 
-def sweep_report_digest(command: str) -> str:
-    code, text = run(command)
+def sweep_report_digest(command: str, fmt: str = "json") -> str:
+    code, text = run(command, fmt)
     assert code == 0
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -184,6 +185,12 @@ def test_sweep_report_is_byte_identical(workdir, name):
     assert sweep_report_digest(SWEEP_REPORT_RUNS[name]) == pins[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_REPORT_RUNS))
+def test_sweep_text_report_is_byte_identical(workdir, name):
+    pins = json.loads((GOLDEN / "sweep_text_report_sha256.json").read_text(encoding="utf-8"))
+    assert sweep_report_digest(SWEEP_REPORT_RUNS[name], "text") == pins[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -196,7 +203,9 @@ if __name__ == "__main__":
                 "csv_boundary": {name: csv_digest(*args) for name, args in CSV_BOUNDARY_RUNS.items()},
                 "sweep": {name: sweep_digest(command) for name, command in SWEEP_RUNS.items()},
                 "sweep_report": {name: sweep_report_digest(command)
-                                 for name, command in SWEEP_REPORT_RUNS.items()}}
+                                 for name, command in SWEEP_REPORT_RUNS.items()},
+                "sweep_text_report": {name: sweep_report_digest(command, "text")
+                                      for name, command in SWEEP_REPORT_RUNS.items()}}
     for kind, digests in pins.items():
         (GOLDEN / f"{kind}_sha256.json").write_text(
             json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
