@@ -7,23 +7,25 @@ keys, fixed indentation); rendering the same report twice yields
 byte-identical text.  Timestamps live only in the manifest and can be
 omitted entirely.
 
+A sweep's rows go into a report as a :class:`FloatTable`, whose cells are
+checked and formatted once; both renderers lay it out as its list of rows.
 :func:`render_json` writes exactly what ``json.dumps(report, indent=2,
 sort_keys=True, allow_nan=False)`` writes, but collects the pieces in one
-list and joins them once, and renders a table of finite floats (such as
-a sweep's rows) with one ``%r`` template; the standard library's encoder
-runs in pure Python whenever it indents.  Anything else it is given
-(non-string keys, unknown types, NaN or infinity, a cycle) is handed to
-``json.dumps``, which renders it or raises exactly as before.
+list and joins them once; the standard library's encoder runs in pure
+Python whenever it indents.  Anything else it is given (non-string keys,
+unknown types, NaN or infinity, a cycle) is handed to ``json.dumps``,
+which renders it, tables as their rows, or raises exactly as before.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any
+
+import numpy as np
 
 from . import __version__
 
@@ -40,14 +42,25 @@ class Check:
     target: float | None = None
     tolerance: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "target": self.target,
-            "tolerance": self.tolerance,
-        }
+
+class FloatTable:
+    """Rows of finite floats, formatted once: ``text`` holds a line per row, its
+    cells' ``%r`` separated by spaces (the layout of a ``--sweep-out`` file)."""
+
+    __slots__ = ("array", "text")
+
+    def __init__(self, array: np.ndarray) -> None:
+        if array.ndim != 2 or 0 in array.shape or not np.isfinite(array).all():
+            raise ValueError("a float table needs at least one row and column of finite floats")
+        self.array = array
+        row = " ".join(["%r"] * array.shape[1]) + "\n"
+        self.text = row * len(array) % tuple(array.ravel().tolist())
+
+    def join(self, cell_separator: str, row_separator: str) -> str:
+        """The cells joined in each row, then the rows; the separators may hold
+        spaces and newlines, so a NUL (in no ``%r``) marks cells meanwhile."""
+        rows = self.text[:-1].replace(" ", "\0").replace("\n", row_separator)
+        return rows.replace("\0", cell_separator)
 
 
 def build_report(
@@ -72,13 +85,20 @@ def build_report(
     return {
         "manifest": manifest,
         "results": results,
-        "checks": [c.to_json_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
 
 
 class _Unhandled(Exception):
     """A value the fast renderer leaves to ``json.dumps``."""
+
+
+class _Encoder(json.JSONEncoder):
+    """The standard encoder, which writes a :class:`FloatTable` as its rows."""
+
+    def default(self, o: Any) -> Any:
+        return o.array.tolist() if isinstance(o, FloatTable) else super().default(o)
 
 
 _INDENT = "  "
@@ -91,7 +111,7 @@ def render_json(report: dict) -> str:
     try:
         _encode(report, "\n", pieces)
     except (_Unhandled, RecursionError):
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, cls=_Encoder) + "\n"
     pieces.append("\n")
     return "".join(pieces)
 
@@ -120,6 +140,11 @@ def _encode(value: Any, newline: str, out: list[str]) -> None:
         _encode_list(value, newline, out)
     elif isinstance(value, dict):
         _encode_dict(value, newline, out)
+    elif isinstance(value, FloatTable):
+        inner = newline + _INDENT
+        cell = inner + _INDENT
+        out += ("[" + inner + "[" + cell, value.join("," + cell, inner + "]," + inner + "[" + cell),
+                inner + "]" + newline + "]")
     else:
         raise _Unhandled
 
@@ -130,33 +155,11 @@ def _encode_list(items: list | tuple, newline: str, out: list[str]) -> None:
         return
     inner = newline + _INDENT
     out.append("[" + inner)
-    table = _float_table(items, inner)
-    if table is not None:
-        out.append(table)
-    else:
-        for i, item in enumerate(items):
-            if i:
-                out.append("," + inner)
-            _encode(item, inner, out)
+    for i, item in enumerate(items):
+        if i:
+            out.append("," + inner)
+        _encode(item, inner, out)
     out.append(newline + "]")
-
-
-def _float_table(rows: list | tuple, inner: str) -> str | None:
-    """The rendered rows, if ``rows`` are equal-length lists of finite floats.
-
-    For a finite float ``json`` writes ``float.__repr__``, which is ``%r``,
-    so one row template, repeated and filled in one call, renders them all.
-    """
-    if type(rows[0]) is not list or not rows[0]:
-        return None
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])}:
-        return None
-    cells = tuple(itertools.chain.from_iterable(rows))
-    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
-        return None
-    cell = inner + _INDENT
-    row = "[" + cell + ("," + cell).join(["%r"] * len(rows[0])) + inner + "]"
-    return ("," + inner).join([row] * len(rows)) % cells
 
 
 def _encode_dict(mapping: dict, newline: str, out: list[str]) -> None:
@@ -189,15 +192,17 @@ def _lines(value: Any, indent: int) -> list[str]:
     out: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
+            if isinstance(item, (dict, list, FloatTable)) and item:
                 out.append(f"{pad}{key}:")
                 out.extend(_lines(item, indent + 1))
             else:
                 item_text = "[]" if isinstance(item, list) else _scalar(item)
                 item_text = "{}" if isinstance(item, dict) else item_text
                 out.append(f"{pad}{key}: {item_text}")
+    elif isinstance(value, FloatTable):
+        out.append(f"{pad}-\n{pad}  [" + value.join(", ", f"]\n{pad}-\n{pad}  [") + "]")
     elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
+        if all(not isinstance(v, (dict, list, FloatTable)) for v in value):
             out.append(f"{pad}[{', '.join(_scalar(v) for v in value)}]")
         else:
             for v in value:

@@ -1,14 +1,18 @@
-"""render_json writes what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes."""
+"""render_json writes what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes.
+
+A FloatTable renders, in JSON and in text, exactly as the list of its rows.
+"""
 
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bellsim.report import render_json
+from bellsim.report import FloatTable, _lines, render_json
 
 
 def stdlib(value) -> str:
@@ -16,7 +20,8 @@ def stdlib(value) -> str:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, 1e22])
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, 1e22,
+                          1e300, -1e300])
 floats = finite | special
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
 #: Rows of floats, or rows a single int or bool keeps off the float-table path.
@@ -81,3 +86,42 @@ def test_subclasses_render_as_their_base_type():
 
     value = {"level": Level.HIGH, "ratio": Ratio(0.5), "rows": [[Ratio(1.0), 2.0]], "pair": (1, 2)}
     assert render_json(value) == stdlib(value)
+
+
+def nest(value, wrappers):
+    """``value`` inside a dict (True) or a list (False) for each wrapper, innermost first."""
+    for in_dict in wrappers:
+        value = {"rows": value, "row_count": 1} if in_dict else [value, 1]
+    return value
+
+
+@given(float_tables, st.lists(st.booleans(), max_size=3), st.integers(0, 3))
+@example([[0.0, -1.0], [-0.0, 5e-324], [1e16, 1e-5], [1e300, -1e300]], [True, True], 1)
+@example([[1.0]], [], 0)
+def test_float_table_renders_as_its_rows(rows, wrappers, indent):
+    table = FloatTable(np.array(rows, dtype=np.float64))
+    assert table.text == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+    assert render_json(nest(table, wrappers)) == stdlib(nest(rows, wrappers))
+    text, expected = ("\n".join(_lines(nest(value, wrappers), indent)) for value in (table, rows))
+    assert text == expected
+
+
+@given(float_tables)
+@example([[0.0, -1.0], [-0.0, 5e-324]])
+def test_a_report_the_fast_renderer_refuses_renders_a_table_as_its_rows(rows):
+    table = FloatTable(np.array(rows, dtype=np.float64))
+    assert render_json({"rows": table, "counts": {1: 2}}) == stdlib({"rows": rows, "counts": {1: 2}})
+    with pytest.raises(ValueError) as expected:
+        stdlib({"rows": rows, "x": math.nan})
+    with pytest.raises(ValueError) as got:
+        render_json({"rows": table, "x": math.nan})
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[0.0, math.nan]]), np.array([[math.inf]]), np.array([[-math.inf, 1.0]]),
+    np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(2),
+])
+def test_float_table_takes_only_finite_rows_and_columns(array):
+    with pytest.raises(ValueError):
+        FloatTable(array)
