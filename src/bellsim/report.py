@@ -44,8 +44,7 @@ class Check:
 
 
 class FloatTable:
-    """Rows of finite floats, formatted once: ``text`` holds a line per row, its
-    cells' ``%r`` separated by spaces (the layout of a ``--sweep-out`` file)."""
+    """Rows of finite floats; ``text`` has each cell's ``%r`` once, spaced, a row per line."""
 
     __slots__ = ("array", "text")
 
@@ -57,8 +56,8 @@ class FloatTable:
         self.text = row * len(array) % tuple(array.ravel().tolist())
 
     def join(self, cell_separator: str, row_separator: str) -> str:
-        """The cells joined in each row, then the rows; the separators may hold
-        spaces and newlines, so a NUL (in no ``%r``) marks cells meanwhile."""
+        """The cells joined in each row, then the rows."""
+        # A NUL, which no %r holds, marks cells while separators with spaces and newlines go in.
         rows = self.text[:-1].replace(" ", "\0").replace("\n", row_separator)
         return rows.replace("\0", cell_separator)
 
@@ -111,7 +110,8 @@ def render_json(report: dict) -> str:
     try:
         _encode(report, "\n", pieces)
     except (_Unhandled, RecursionError):
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, cls=_Encoder) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                          cls=_Encoder) + "\n"
     pieces.append("\n")
     return "".join(pieces)
 
@@ -143,8 +143,8 @@ def _encode(value: Any, newline: str, out: list[str]) -> None:
     elif isinstance(value, FloatTable):
         inner = newline + _INDENT
         cell = inner + _INDENT
-        out += ("[" + inner + "[" + cell, value.join("," + cell, inner + "]," + inner + "[" + cell),
-                inner + "]" + newline + "]")
+        rows = value.join("," + cell, inner + "]," + inner + "[" + cell)
+        out += ("[" + inner + "[" + cell, rows, inner + "]" + newline + "]")
     else:
         raise _Unhandled
 
@@ -239,5 +239,5 @@ def render_text(report: dict) -> str:
     lines.append("")
     n_pass = sum(1 for c in checks if c["passed"])
     verdict = "PASS" if report.get("passed", True) else "FAIL"
-    lines.append(f"RESULT: {verdict} ({n_pass}/{len(checks)} checks)")
-    return "\n".join(lines) + "\n"
+    lines += (f"RESULT: {verdict} ({n_pass}/{len(checks)} checks)", "")  # newline-ended, uncopied
+    return "\n".join(lines)
