@@ -52,7 +52,7 @@ class UsageError(Exception):
 
 
 #: Most points a sweep may have: the report holds every row (at the cap, about
-#: 70 MB peak in either format).
+#: 70 MB peak with --format json and 64 MB with the text format).
 MAX_SWEEP_POINTS = 200_001
 
 

@@ -24,7 +24,7 @@ special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 
                           1e300, -1e300])
 floats = finite | special
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
-#: Rows of floats, or rows a single int or bool keeps off the float-table path.
+#: Rows of floats, as FloatTable holds them, and rows that mix in ints and bools.
 float_tables = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.lists(floats, min_size=k, max_size=k), min_size=1, max_size=8))
 mixed_tables = st.integers(1, 4).flatmap(
