@@ -7,8 +7,9 @@ with ``--seed 1 --no-timestamp`` and at most 20,000 trials; its stdout in
 ``--config`` must reproduce the golden JSON.  Per-trial CSV
 exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
 boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``;
-runs at the trial counts where a row's index gains a digit or a chunk
-ends keep the SHA-256 in ``tests/golden/csv_boundary_sha256.json``.
+runs at the trial counts where a row's index gains a digit, a chunk
+ends, or the second chunk's first block of 100 indices ends keep the
+SHA-256 in ``tests/golden/csv_boundary_sha256.json``.
 Long ``--sweep-out`` files must keep the SHA-256 in
 ``tests/golden/sweep_sha256.json``, long sweeps' JSON reports the
 SHA-256 in ``tests/golden/sweep_report_sha256.json``, and their text
@@ -89,11 +90,13 @@ SWEEP_REPORT_RUNS = {
 }
 
 #: CSV exports pinned by digest at the trial counts around the first
-#: three-digit index and past the first chunk.
+#: three-digit index, past the first chunk, and around the end of the
+#: second chunk's first block of 100 indices (it starts at index 65,536,
+#: so that block holds 64 rows).
 CSV_BOUNDARY_RUNS = {
     f"{name}-{trials}": (CSV_RUNS[name], trials)
     for name in ("mc-run-alice", "ball-stage1")
-    for trials in (1, 99, 100, 101, CHUNK_TRIALS + 1)
+    for trials in (1, 99, 100, 101, CHUNK_TRIALS + 1, CHUNK_TRIALS + 64, CHUNK_TRIALS + 65)
 }
 
 
