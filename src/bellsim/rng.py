@@ -6,9 +6,9 @@ simulation trial owns one counter block of four 64-bit words, so trial
 i's randomness depends only on (seed, stream_id, i), on every platform.
 
 numpy draws a double as ``(w >> 11) * 2**-53``, so ``u < p`` holds
-exactly when ``(w >> 11) < threshold(p)``: simulations compare integer
-draws against integer thresholds and every trial keeps the outcome the
-float draw gives it.  A simulation declares its coins (draw, threshold);
+exactly when ``(w >> 11) < threshold(p)``, that is when the raw word
+``w <= (threshold(p) << 11) - 1``: simulations compare raw words against
+integer bounds and every trial keeps the outcome the float draw gives it.  A simulation declares its coins (draw, threshold);
 bit k of a trial's world code is set when coin k came up.
 
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
@@ -55,6 +55,8 @@ def _require_u64(value: int, name: str) -> int:
 
 def threshold(p: float) -> np.uint64:
     """``ceil(p * 2**53)``: ``(w >> 11) < threshold(p)`` exactly when numpy's ``u < p``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"probability must be in [0, 1], got {p}")
     return np.uint64(math.ceil(p * 9007199254740992.0))
 
 
@@ -99,11 +101,11 @@ class RngStream:
 def _chunk_codes(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...]) -> np.ndarray:
     """World code of each trial in the chunk at ``lo``: bit k is set when coin k came up."""
     draws = stream.trial_words(min(CHUNK_TRIALS, trials - lo), lo)
-    np.right_shift(draws, 11, out=draws)
     codes = np.zeros(len(draws), dtype=np.uint8)
     for bit, (draw, limit) in enumerate(coins):
-        if limit:  # a zero threshold never comes up
-            codes |= (draws[:, draw] < limit).view(np.uint8) << bit
+        if limit:  # a zero threshold never comes up; (w >> 11) < t is w <= (t << 11) - 1
+            bound = np.uint64((int(limit) << 11) - 1)
+            codes |= (draws[:, draw] <= bound).view(np.uint8) << np.uint8(bit)
     return codes
 
 
@@ -124,7 +126,7 @@ def count_worlds(
 
     threads = min(workers, len(starts), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        return sum(pool.map(count, starts))
+        return sum(pool.map(count, starts), np.zeros(1 << len(coins), dtype=np.int64))
 
 
 def write_trials(
@@ -137,29 +139,26 @@ def write_trials(
     ``f"{i}{row_text[code]}"`` for its world code, built as a head,
     ``str(i // 100)`` (empty below 100), and a tail looked up by
     ``(i % 100, code)`` in a table of 100 * len(row_text) lines made once
-    per file.  Each chunk's heads and tails are gathered with numpy and
-    joined in one call; rows are written one chunk at a time, so memory
-    does not grow with ``trials``.
+    per file.  A chunk's tails are gathered with numpy in one call, and
+    the rows of each block of trials [100h, 100h + 100) are written as
+    ``head + head.join(tails)``; rows are written one chunk at a time, so
+    memory does not grow with ``trials``.
     """
     worlds = np.zeros(1 << len(coins), dtype=np.int64)
-    n_codes = len(row_text)
-    # Tails: "00".."99" from 100 on, "0".."99" below it.
+    # Tails "00".."99": trials 0-9 drop the "0", since their head is empty.
     padded = np.array([f"{r:02d}{t}" for r in range(100) for t in row_text], dtype=object)
-    short = np.array([f"{r}{t}" for r in range(100) for t in row_text], dtype=object)
+    offsets = np.arange(CHUNK_TRIALS + 100) % 100 * len(row_text)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, trials, CHUNK_TRIALS):
             codes = _chunk_codes(stream, lo, trials, coins)
             worlds += np.bincount(codes, minlength=len(worlds))
-            index = np.arange(lo, lo + len(codes))
-            first = lo // 100
-            heads = np.array([str(h) if h else "" for h in range(first, index[-1] // 100 + 1)],
-                             dtype=object)
-            tail = index % 100 * n_codes + codes
-            pieces = np.empty((len(codes), 2), dtype=object)
-            pieces[:, 0] = heads[index // 100 - first]
-            pieces[:, 1] = padded[tail]
-            if lo < 100:
-                pieces[:100, 1] = short[tail[:100]]
-            fh.write("".join(pieces.ravel().tolist()))
+            n = len(codes)
+            tail = offsets[lo % 100:lo % 100 + n] + codes
+            tails = padded[tail].tolist()
+            if lo == 0:
+                tails[:10] = [t[1:] for t in tails[:10]]
+            cuts = [0, *range(-lo % 100 or 100, n, 100), n]
+            heads = [str(h) if h else "" for h in range(lo // 100, (lo + n - 1) // 100 + 1)]
+            fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
     return worlds

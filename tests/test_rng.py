@@ -93,6 +93,76 @@ def test_threshold_identity(word, p):
     assert bool(k < threshold(p)) == (float(k) * 2.0**-53 < p)
 
 
+@pytest.mark.parametrize(
+    "p", [math.nan, -0.1, -math.inf, math.nextafter(0.0, -1.0), 1.5, math.inf,
+          math.nextafter(1.0, 2.0)]
+)
+def test_threshold_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(ValidationError):
+        threshold(p)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), _edge_probabilities())
+@example(2**64 - 1, 1.0)
+@example(int(threshold(0.5)) << 11, 0.5)
+@example(int(threshold(2.0**-53)) << 11, 2.0**-53)
+@example(int(threshold(math.nextafter(1.0, 0.0))) << 11, math.nextafter(1.0, 0.0))
+def test_raw_word_bound_matches_shifted_compare(word, p):
+    """``w <= (t << 11) - 1`` is ``(w >> 11) < t``, and for t > 0 the bound is a uint64."""
+    limit = threshold(p)
+    bound = (int(limit) << 11) - 1
+    shifted = bool((np.uint64(word) >> np.uint64(11)) < limit)
+    assert (word <= bound) == shifted
+    if limit:
+        assert 0 <= bound <= 2**64 - 1
+        assert bool(np.uint64(word) <= np.uint64(bound)) == shifted
+
+
+def _shifted_codes(stream, trials, coins):
+    """Reference kernel: shift every word to its 53-bit integer, then compare with thresholds."""
+    words = stream.trial_words(trials) >> np.uint64(11)
+    codes = np.zeros(trials, dtype=np.uint8)
+    for bit, (draw, limit) in enumerate(coins):
+        codes |= (words[:, draw] < limit).astype(np.uint8) << np.uint8(bit)
+    return codes
+
+
+def test_chunk_codes_equal_shift_then_compare():
+    """Coins with p = 0 and p = 1, two coins on one draw, over several chunks."""
+    stream = RngStream(5, 1)
+    trials = 2 * CHUNK_TRIALS + 123
+    coins = ((0, threshold(0.5)), (1, threshold(0.3)), (1, threshold(0.7)),
+             (2, threshold(0.0)), (3, threshold(1.0)), (3, threshold(2.0**-53)))
+    codes = [rng._chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
+    assert all(chunk.dtype == np.uint8 for chunk in codes)
+    assert np.array_equal(np.concatenate(codes), _shifted_codes(stream, trials, coins))
+
+
+def test_chunk_codes_split_each_coin_at_its_bound(monkeypatch):
+    """The last word under each coin's bound comes up and the next word does not."""
+    coins = tuple((draw, threshold(p)) for draw, p in enumerate((2.0**-53, 0.3, 0.5, 1.0)))
+    edges = {0, 2**64 - 1}
+    for _, limit in coins:
+        edges |= {(int(limit) << 11) - 1, min(int(limit) << 11, 2**64 - 1)}
+    words = np.repeat(np.array(sorted(edges), dtype=np.uint64)[:, None], BLOCK_DRAWS, axis=1)
+    monkeypatch.setattr(RngStream, "trial_words",
+                        lambda self, n_trials, start=0: words[start:start + n_trials].copy())
+    stream = RngStream(0)
+    assert np.array_equal(rng._chunk_codes(stream, 0, len(words), coins),
+                          _shifted_codes(stream, len(words), coins))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
+    coins = ((0, threshold(0.5)), (1, threshold(0.25)))
+    worlds = rng.count_worlds(RngStream(0), 0, coins, workers)
+    assert worlds.dtype == np.int64 and worlds.tolist() == [0] * 4
+    path = tmp_path / "trials.csv"
+    written = rng.write_trials(path, "trial,row", RngStream(0), 0, coins, [",r\n"] * 4)
+    assert written.dtype == np.int64 and written.tolist() == [0] * 4
+    assert path.read_text(encoding="utf-8") == "trial,row\n"
+
+
 class _InlineExecutor:
     """Stands in for the thread pool: records its size, runs map inline."""
 
