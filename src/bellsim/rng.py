@@ -8,8 +8,9 @@ i's randomness depends only on (seed, stream_id, i), on every platform.
 numpy draws a double as ``(w >> 11) * 2**-53``, so ``u < p`` holds
 exactly when ``(w >> 11) < threshold(p)``, that is when the raw word
 ``w <= (threshold(p) << 11) - 1``: simulations compare raw words against
-integer bounds and every trial keeps the outcome the float draw gives it.  A simulation declares its coins (draw, threshold);
-bit k of a trial's world code is set when coin k came up.
+integer bounds and every trial keeps the outcome the float draw gives it.
+A simulation declares its coins (draw, threshold); bit k of a trial's
+world code is set when coin k came up.
 
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
 whatever the worker count, so memory does not grow with the trial count.
@@ -103,7 +104,7 @@ def _chunk_codes(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...
     draws = stream.trial_words(min(CHUNK_TRIALS, trials - lo), lo)
     codes = np.zeros(len(draws), dtype=np.uint8)
     for bit, (draw, limit) in enumerate(coins):
-        if limit:  # a zero threshold never comes up; (w >> 11) < t is w <= (t << 11) - 1
+        if limit:  # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound
             bound = np.uint64((int(limit) << 11) - 1)
             codes |= (draws[:, draw] <= bound).view(np.uint8) << np.uint8(bit)
     return codes

@@ -243,7 +243,9 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
     assert sorted(blocks) == [1] * 4 + [CHUNK_TRIALS] * 12
 
 
-@pytest.mark.parametrize("trials", [1, 99, 100, 101, 250, CHUNK_TRIALS + 64, CHUNK_TRIALS + 101, 2 * CHUNK_TRIALS + 250])
+@pytest.mark.parametrize(
+    "trials", [1, 99, 100, 101, 250, CHUNK_TRIALS + 64, CHUNK_TRIALS + 101, 2 * CHUNK_TRIALS + 250]
+)
 def test_write_trials_writes_index_then_row_text(tmp_path, trials):
     """Each line is f"{i}{row_text[code]}", the plain form of the table-built rows."""
     stream = RngStream(11, 2)
