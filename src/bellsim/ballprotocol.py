@@ -27,25 +27,22 @@ Trial randomness is counter-based (one block per trial), so chunked
 execution reproduces the sequential stream exactly.
 
 A trial's four coins (algorithm, correlated configuration, and each
-observer's filter mismatch) give 16 worlds, and one table says what each
-means: its probability, its registered cell and its CSV row.  The exact
-report and the simulated one are the same reduction of that table, over
-world probabilities and over world counts.
+observer's filter mismatch) give 16 worlds, and one table of
+:class:`~bellsim.rng.World` records says what each means: its
+probability, its algorithm (the common cause), its registered sign pair
+and its CSV row.  The exact report and the simulated one are the same
+reduction of :func:`~bellsim.rng.fold` over that table, over world
+probabilities and over world counts.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import EmptyReportError, ValidationError
-from .rng import Coin, RngStream, count_worlds, threshold, write_trials
+from .errors import EmptyReportError, ValidationError, is_real, require_count
+from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, glyph, simulate, threshold
 from .spinmodel import require_spin
-
-SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-_SIGN_GLYPH = {1: "+", -1: "-"}
 
 
 class Color(str, enum.Enum):
@@ -110,14 +107,12 @@ class StageConfig:
             raise ValidationError(f"bob_filter must be blue or cherry, got {bob.value!r}")
         object.__setattr__(self, "alice_filter", alice)
         object.__setattr__(self, "bob_filter", bob)
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
+        require_count(self.trials, "trials")
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{name} must be a probability in [0, 1], got {getattr(self, name)!r}"
-                )
+            value = getattr(self, name)
+            if not is_real(value) or not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be a probability in [0, 1], got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def correlated_prob(self) -> float:
@@ -145,9 +140,7 @@ class AlgorithmStats:
             "algorithm": self.algorithm_id,
             "weight": self.weight,
             "registered": self.registered,
-            "joint_freq": {
-                f"{_SIGN_GLYPH[a]}{_SIGN_GLYPH[b]}": f for (a, b), f in self.joint_freq.items()
-            },
+            "joint_freq": {glyph(*pair): f for pair, f in self.joint_freq.items()},
             "alice_mean": self.alice_mean,
             "bob_mean": self.bob_mean,
             "pair_mean": self.pair_mean,
@@ -193,9 +186,7 @@ class AggregateReport:
             "passages_per_observer": self.passages_per_observer,
             "registered_trials": self.registered_trials,
             "registered_fraction": self.registered_fraction,
-            "joint_freq": {
-                f"{_SIGN_GLYPH[a]}{_SIGN_GLYPH[b]}": f for (a, b), f in self.joint_freq.items()
-            },
+            "joint_freq": {glyph(*pair): f for pair, f in self.joint_freq.items()},
             "alice_mean": self.alice_mean,
             "bob_mean": self.bob_mean,
             "pair_mean": self.pair_mean,
@@ -211,26 +202,16 @@ def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, f
     return alice, bob, pair, pair - alice * bob
 
 
-@dataclass(frozen=True, slots=True)
-class _World:
-    """One outcome of a trial's four coins."""
-
-    code: int  # bit k is set when coin k came up
-    prob: float  # the product of its coin probabilities
-    algorithm: int  # 0 for the stage's first algorithm, 1 for its mirror
-    kept_filters: bool  # neither observer's device switched color
-    signs: tuple[int, int] | None  # registered (Alice, Bob) signs; None unless both register
-    row: str  # CSV row text after the trial number
-
-
-def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
+def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[World]]:
     """The trial's four coins and its 16 worlds, in the order reports add them up.
 
-    Coins, one per draw: the algorithm (below 1/2: the first), the
-    correlated configuration, then Alice's and Bob's filter mismatch.
-    Worlds run by algorithm, then correlated before not, then Alice's and
-    Bob's device kept before switched; every report sums masses in this
-    order, so its floats do not depend on how the worlds were counted.
+    Coins, one per draw: the algorithm (below 1/2: the first, cause 0;
+    its mirror is cause 1), the correlated configuration, then Alice's
+    and Bob's filter mismatch, so a world whose code is below 4 kept both
+    devices on their configured filters.  Worlds run by algorithm, then
+    correlated before not, then Alice's and Bob's device kept before
+    switched; every report sums masses in this order, so its floats do
+    not depend on how the worlds were counted.
 
     An emission is the color->sign table ``{fixed: (s, -s), variable:
     (-v, v)}`` of (Alice's sign, Bob's sign): the algorithm gives Alice
@@ -258,11 +239,10 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
                 for bf, pb, bob_flip in devices(config.bob_filter, BOB_FILTERS):
                     b = signs[bf][1] if bf in signs else None
                     both = a is not None and b is not None
-                    worlds.append(_World(
+                    worlds.append(World(
                         code=(1 - k) | correlated << 1 | alice_flip << 2 | bob_flip << 3,
                         prob=0.5 * p_corr * (pa * pb),
-                        algorithm=k,
-                        kept_filters=not (alice_flip or bob_flip),
+                        cause=k,
                         signs=(a, b) if both else None,
                         row=f",{algorithm_id},{af.value if a else ''},{a or ''},"
                             f"{bf.value if b else ''},{b or ''},{int(both)}\n",
@@ -270,22 +250,15 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[_World]]:
     return coins, worlds
 
 
-def _reduce(
-    config: StageConfig, worlds: list[_World], mass, trials: int | None
-) -> AggregateReport:
-    """The stage report from each world's mass, ``mass[world code]``.
+def _reduce(config: StageConfig, folded, trials: int | None) -> AggregateReport:
+    """The stage report from the world table's :func:`~bellsim.rng.fold`.
 
-    Masses are world probabilities for the analytic report (``trials``
-    None) and world counts for the empirical one.  Worlds in which
-    either observer registered nothing are dropped from the frequency
-    denominators but, empirically, still counted as passages.
+    Its masses are world probabilities for the analytic report
+    (``trials`` None) and world counts for the empirical one.  Worlds in
+    which either observer registered nothing are dropped from the
+    frequency denominators but, empirically, still counted as passages.
     """
-    cells = ({pair: 0 for pair in SIGN_PAIRS}, {pair: 0 for pair in SIGN_PAIRS})
-    registered = [0, 0]
-    for world in worlds:
-        if world.signs is not None:
-            cells[world.algorithm][world.signs] += mass[world.code]
-            registered[world.algorithm] += mass[world.code]
+    cells, registered = folded
     total = registered[0] + registered[1]
     if total <= 0:
         happened = "registers no joint trials" if trials is None else \
@@ -338,36 +311,26 @@ def _reduce(
 def analytic_stage_report(config: StageConfig) -> AggregateReport:
     """Exact registered-outcome distribution for a stage configuration."""
     _, worlds = _world_table(config)
-    return _reduce(config, worlds, {world.code: world.prob for world in worlds}, None)
+    return _reduce(config, fold(worlds), None)
 
 
-def run_stage(config: StageConfig, workers: int = 1) -> AggregateReport:
+def run_stage(config: StageConfig, workers: int = 1, csv_out=None) -> AggregateReport:
     """Simulate a stage and aggregate the registered results.
 
     Trials where either observer registered nothing are excluded from
     the frequency denominators but still counted as passages.  The
     histogram is a sum of per-chunk integer counts, so the report is
-    identical for every worker count.
+    identical for every worker count.  With ``csv_out`` the trials are
+    also written there, one row each, in order (columns: trial,
+    algorithm, alice_color, alice_sign, bob_color, bob_sign, registered;
+    an observer's color and sign are empty when they registered nothing).
     """
     coins, worlds = _world_table(config)
-    histogram = count_worlds(config.stream(), config.trials, coins, workers)
-    return _reduce(config, worlds, histogram.tolist(), config.trials)
-
-
-def write_stage_csv(path, config: StageConfig) -> AggregateReport:
-    """Simulate a stage once, writing per-trial CSV rows to ``path`` chunk by chunk.
-
-    Columns: trial, algorithm, alice_color, alice_sign, bob_color,
-    bob_sign, registered; an observer's color and sign are empty when
-    they registered nothing.  Returns what :func:`run_stage` returns.
-    """
-    coins, worlds = _world_table(config)
-    histogram = write_trials(
-        path, "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered",
-        config.stream(), config.trials, coins,
-        [world.row for world in sorted(worlds, key=lambda world: world.code)],
+    folded = simulate(
+        config.stream(), config.trials, coins, worlds, workers, csv_out,
+        "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered",
     )
-    return _reduce(config, worlds, histogram.tolist(), config.trials)
+    return _reduce(config, folded, config.trials)
 
 
 @dataclass(frozen=True, slots=True)
@@ -459,15 +422,7 @@ class DecompositionRecord:
         return abs(self.composed - self.direct)
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "event": self.event,
-            "conditionals": dict(self.conditionals),
-            "weights": dict(self.weights),
-            "composed": self.composed,
-            "direct": self.direct,
-            "difference": self.difference,
-        }
+        return {**asdict(self), "difference": self.difference}
 
 
 def contextual_decomposition(
@@ -482,21 +437,19 @@ def contextual_decomposition(
     require_spin(alice_sign, "alice_sign")
     require_spin(bob_sign, "bob_sign")
     # The event names the configured filter colors, so in mismatch worlds
-    # (device flipped to the other color) it does not occur.
+    # (device flipped to the other color, code 4 and up) it does not occur.
     ids = ALGORITHM_IDS[config.stage]
-    matched = {aid: 0.0 for aid in ids}
-    direct = 0.0
     _, worlds = _world_table(config)
-    for world in worlds:
-        if world.kept_filters and world.signs == (alice_sign, bob_sign):
-            matched[ids[world.algorithm]] += world.prob
-            direct += world.prob
-    conditionals = {aid: mass / 0.5 for aid, mass in matched.items()}
+    kept = [world for world in worlds if world.code < 4]
+    cells, _ = fold(kept)
+    pair = (alice_sign, bob_sign)
+    conditionals = {aid: cells[k][pair] / 0.5 for k, aid in enumerate(ids)}
     weights = {aid: 0.5 for aid in ids}
     composed = sum(weights[aid] * conditionals[aid] for aid in sorted(conditionals))
+    direct = sum((world.prob for world in kept if world.signs == pair), 0.0)
     event = (
-        f"{config.alice_filter.value}_A{_SIGN_GLYPH[alice_sign]}; "
-        f"{config.bob_filter.value}_B{_SIGN_GLYPH[bob_sign]}"
+        f"{config.alice_filter.value}_A{glyph(alice_sign)}; "
+        f"{config.bob_filter.value}_B{glyph(bob_sign)}"
     )
     return DecompositionRecord(
         stage=config.stage,

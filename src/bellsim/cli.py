@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -34,6 +35,7 @@ from .errors import (
     is_real,
 )
 from .report import Check, FloatTable, build_report, render_json, render_text
+from .rng import SIGN_PAIRS, glyph
 from .spinmodel import (
     Description,
     Direction,
@@ -100,15 +102,20 @@ def sweep_values(sweep: dict) -> np.ndarray:
     return start + np.arange(math.floor(_sweep_steps(sweep)) + 1) * step
 
 
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document in a file; an unreadable or malformed one is a usage error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
+        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # also bad UTF-8 and over-long integers
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must contain a JSON object")
     return data
@@ -293,28 +300,20 @@ def _mc_single(
         axis1, axis2, cfg["trials"], description, cfg["seed"],
         stream_id=0 if description is Description.ALICE else 1,
     )
-    if csv_out:
-        stats = mc.write_trials_csv(csv_out, config)
-    else:
-        stats = mc.run_experiment(config, workers=workers)
+    stats = mc.run_experiment(config, workers=workers, csv_out=csv_out)
     analytic = quantum_correlation(axis1, axis2, description)
     tol = mc.covariance_tolerance(analytic, cfg["trials"])
-    error = abs(stats.covariance - analytic)
     results = {
         "description": description.value,
         "phi": angle_between(axis1, axis2),
         "analytic": analytic,
         "stats": stats.to_json_dict(),
-        "error": error,
+        "error": abs(stats.covariance - analytic),
         "tolerance": tol,
     }
-    checks = [
-        Check(
-            f"{description.value}: empirical covariance matches analytic",
-            error <= tol, value=stats.covariance, target=analytic, tolerance=tol,
-        )
-    ]
-    return results, checks
+    check = Check.within(f"{description.value}: empirical covariance matches analytic",
+                         stats.covariance, analytic, tol)
+    return results, [check]
 
 
 def cmd_mc_run(ns: argparse.Namespace) -> int:
@@ -325,7 +324,6 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
         ns.theta1, ns.theta2 = 0.0, ns.phi
     cfg = _resolve(MC, ns)
 
-    outputs: dict = {}
     if cfg["description"] == "both":
         if ns.csv_out:
             raise UsageError("per-trial CSV output requires a single description")
@@ -334,30 +332,14 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
             cfg["trials"], cfg["seed"], workers=ns.workers,
         )
         results = {"equivalence": comparison.to_json_dict()}
-        checks = [
-            Check("alice covariance matches analytic",
-                  abs(comparison.alice.covariance - comparison.analytic)
-                  <= comparison.tolerance,
-                  value=comparison.alice.covariance, target=comparison.analytic,
-                  tolerance=comparison.tolerance),
-            Check("bob covariance matches analytic",
-                  abs(comparison.bob.covariance - comparison.analytic)
-                  <= comparison.tolerance,
-                  value=comparison.bob.covariance, target=comparison.analytic,
-                  tolerance=comparison.tolerance),
-            Check("descriptions agree with each other",
-                  comparison.discrepancy <= comparison.combined_tolerance,
-                  value=comparison.discrepancy, target=0.0,
-                  tolerance=comparison.combined_tolerance),
-        ]
+        checks = comparison.checks()
     else:
         results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
-        if ns.csv_out:
-            outputs["trials_csv"] = ns.csv_out
 
     report = build_report(
         "mc-run", cfg, results, checks, seed=cfg["seed"],
-        outputs=outputs, timestamp=not ns.no_timestamp,
+        outputs={"trials_csv": ns.csv_out} if ns.csv_out else None,
+        timestamp=not ns.no_timestamp,
     )
     return _emit(report, ns)
 
@@ -386,19 +368,11 @@ BALL = (
 def _stage_checks(report: bp.AggregateReport, config: bp.StageConfig) -> list[Check]:
     analytic = bp.analytic_stage_report(config)
     tol = 4.0 / math.sqrt(config.trials)
-    checks = []
-    for pair in bp.SIGN_PAIRS:
-        label = f"{'+' if pair[0] > 0 else '-'}{'+' if pair[1] > 0 else '-'}"
-        emp, ana = report.joint_freq[pair], analytic.joint_freq[pair]
-        checks.append(
-            Check(f"stage {config.stage} joint frequency {label} matches analytic",
-                  abs(emp - ana) <= tol, value=emp, target=ana, tolerance=tol)
-        )
-    checks.append(
-        Check(f"stage {config.stage} correlation matches analytic",
-              abs(report.correlation - analytic.correlation) <= tol,
-              value=report.correlation, target=analytic.correlation, tolerance=tol)
-    )
+    checks = [Check.within(f"stage {config.stage} joint frequency {glyph(*pair)} matches analytic",
+                           report.joint_freq[pair], analytic.joint_freq[pair], tol)
+              for pair in SIGN_PAIRS]
+    checks.append(Check.within(f"stage {config.stage} correlation matches analytic",
+                               report.correlation, analytic.correlation, tol))
     return checks
 
 
@@ -417,8 +391,8 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
     def stage_config(stage: int) -> bp.StageConfig:
         return bp.StageConfig(
             stage=stage,
-            alice_filter=cfg["alice_filter"] if not cfg["all_stages"] else None,
-            bob_filter=cfg["bob_filter"] if not cfg["all_stages"] else None,
+            alice_filter=cfg["alice_filter"],  # None with --all-stages, checked above
+            bob_filter=cfg["bob_filter"],
             trials=cfg["trials"],
             seed=cfg["seed"],
             p_stage1=cfg["p_stage1"],
@@ -429,22 +403,15 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
     if ns.csv_out and (len(stages) != 1 or cfg["mode"] != "empirical"):
         raise UsageError("per-trial CSV output requires a single empirical stage")
 
-    outputs: dict = {}
     checks: list[Check] = []
     stage_reports = []
     for stage in stages:
         config = stage_config(stage)
         if cfg["mode"] == "analytic":
             stage_reports.append(bp.analytic_stage_report(config))
-        elif ns.csv_out:
-            rep = bp.write_stage_csv(ns.csv_out, config)
-            outputs["trials_csv"] = ns.csv_out
-            stage_reports.append(rep)
-            checks.extend(_stage_checks(rep, config))
         else:
-            rep = bp.run_stage(config, workers=ns.workers)
-            stage_reports.append(rep)
-            checks.extend(_stage_checks(rep, config))
+            stage_reports.append(bp.run_stage(config, workers=ns.workers, csv_out=ns.csv_out))
+            checks.extend(_stage_checks(stage_reports[-1], config))
 
     results: dict = {"stages": [r.to_json_dict() for r in stage_reports]}
     if cfg["all_stages"]:
@@ -458,7 +425,8 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
 
     report = build_report(
         "ball-protocol", cfg, results, checks, seed=cfg["seed"],
-        outputs=outputs, timestamp=not ns.no_timestamp,
+        outputs={"trials_csv": ns.csv_out} if ns.csv_out else None,
+        timestamp=not ns.no_timestamp,
     )
     return _emit(report, ns)
 
@@ -489,13 +457,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
         raise UsageError("common-cause needs exactly one of --builtin or --model")
 
     if cfg["model_file"] is not None:
-        try:
-            data = json.loads(Path(cfg["model_file"]).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read model file: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(f"model file is not valid JSON: {exc}") from exc
-        model = cc.binary_event_model_from_json_dict(data)
+        model = cc.binary_event_model_from_json_dict(_read_json(cfg["model_file"], "model"))
         source = {"kind": "file", "path": cfg["model_file"]}
     elif cfg["builtin"] == "spin":
         model = cc.spin_event_model(
@@ -515,8 +477,8 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
     cause_report = cc.full_report(model, cfg["tolerance"])
     results = {
         "source": source,
-        "model": model.to_json_dict(),
-        "report": cause_report.to_json_dict(),
+        "model": asdict(model),
+        "report": asdict(cause_report),
     }
     checks = [
         Check(f"{c.name} holds", c.holds, value=c.lhs, target=c.rhs,
@@ -571,11 +533,8 @@ def cmd_chsh(ns: argparse.Namespace) -> int:
             mc.covariance_tolerance(ctx.expectation, cfg["trials"])
             for ctx in analytic.contexts
         )
-        error = abs(result.value - analytic.value)
-        checks.append(
-            Check("empirical S matches analytic combination", error <= tol,
-                  value=result.value, target=analytic.value, tolerance=tol)
-        )
+        checks.append(Check.within("empirical S matches analytic combination",
+                                   result.value, analytic.value, tol))
         results = {"chsh": result.to_json_dict(), "analytic": analytic.to_json_dict()}
 
     report = build_report(

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import ballprotocol, spinmodel
-from .errors import ConditioningUndefinedError, ValidationError, is_real
+from .errors import (ConditioningUndefinedError, EmptyReportError, ValidationError, is_real,
+                     require_count)
 
 ANALYTIC_TOLERANCE = 1e-9
 
@@ -83,11 +84,8 @@ class BinaryEventModel:
             self, "joint_given_not_z", _validate_table(self.joint_given_not_z,
                                                        "joint_given_not_z")
         )
-        if self.sample_size is not None and (
-            not isinstance(self.sample_size, int) or isinstance(self.sample_size, bool)
-            or self.sample_size < 1
-        ):
-            raise ValidationError(f"sample_size must be a positive integer, got {self.sample_size!r}")
+        if self.sample_size is not None:
+            require_count(self.sample_size, "sample_size")
 
     def default_tolerance(self) -> float:
         if self.sample_size is None:
@@ -141,14 +139,6 @@ class BinaryEventModel:
             joint_given_not_z=flip(self.joint_given_not_z),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_z": self.p_z,
-            "joint_given_z": [list(r) for r in self.joint_given_z],
-            "joint_given_not_z": [list(r) for r in self.joint_given_not_z],
-            "sample_size": self.sample_size,
-        }
-
 
 def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:
     if not isinstance(data, dict):
@@ -187,16 +177,6 @@ class ConditionResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "vacuous": self.vacuous,
-        }
 
 
 def _resolve_tol(model: BinaryEventModel, tol: float | None) -> float:
@@ -300,19 +280,6 @@ class CommonCauseReport:
                 return c
         raise ValidationError(f"no condition named {name!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conditions": [c.to_json_dict() for c in self.conditions],
-            "unconditional_joint": self.unconditional_joint,
-            "product_of_marginals": self.product_of_marginals,
-            "covariance": self.covariance,
-            "certified": self.certified,
-            "tolerance": self.tolerance,
-            "relevance_by_orientation": {
-                k: list(v) for k, v in self.relevance_by_orientation.items()
-            },
-        }
-
 
 def full_report(model: BinaryEventModel, tol: float | None = None) -> CommonCauseReport:
     """Evaluate all six conditions and certify or decline the model.
@@ -400,10 +367,17 @@ def empirical_ball_event_model(
     """Binary event model estimated from a simulated stage report.
 
     Carries the registered-trial count as ``sample_size`` so checks use
-    the statistical tolerance 4/sqrt(N).
+    the statistical tolerance 4/sqrt(N).  An algorithm that registered
+    nothing leaves its conditional table undefined: :class:`EmptyReportError`.
     """
     if report.mode != "empirical" or report.registered_trials is None:
         raise ValidationError("expected an empirical stage report")
+    for alg in report.algorithms:
+        if not alg.registered:
+            raise EmptyReportError(
+                f"stage {report.stage}: algorithm {alg.algorithm_id} registered no joint "
+                f"trials in {report.trials} emissions"
+            )
     return _event_model_from_report(report, x_sign, y_sign, sample_size=report.registered_trials)
 
 

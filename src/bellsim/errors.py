@@ -1,4 +1,4 @@
-"""Exception hierarchy and the number check shared across the package."""
+"""Exception hierarchy and the number checks shared across the package."""
 
 import math
 import numbers
@@ -37,3 +37,9 @@ def is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def require_count(value, name: str) -> None:
+    """A count (of trials, or of samples) is a positive integer, not a boolean."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")

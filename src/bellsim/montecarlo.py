@@ -8,8 +8,10 @@ given the hidden variable and consumes no randomness.  Trials can be
 split into contiguous chunks and processed by any number of workers;
 aggregation keeps exact integer histograms and derives all summary
 statistics once from the final counts, so results are bit-identical to
-sequential execution.  The per-trial CSV export streams from the same
-chunks and returns the same statistics.
+sequential execution.  The per-trial CSV export (``csv_out``) streams
+from the same chunks and returns the same statistics.  The worlds are
+:class:`~bellsim.rng.World` records whose common cause is the hidden
+sign; a world's probability is the product of its three coins'.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .rng import Coin, RngStream, count_worlds, threshold, write_trials
+from .errors import ValidationError, require_count
+from .report import Check
+from .rng import SIGN_PAIRS, Coin, RngStream, World, glyph, simulate, threshold
 from .spinmodel import (
     Description,
     Direction,
     angle_between,
     quantum_correlation,
 )
-
-#: Outcome-pair histogram order: (+,+), (+,-), (-,+), (-,-).
-HISTOGRAM_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 CHSH_LOCAL_BOUND = 2.0
 CHSH_SINGLET_BOUND = 2.0 * math.sqrt(2.0)
@@ -52,8 +52,7 @@ class ExperimentConfig:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
+        require_count(self.trials, "trials")
         if not isinstance(self.description, Description):
             raise ValidationError(f"description must be a Description, got {self.description!r}")
 
@@ -100,13 +99,9 @@ class EmpiricalStats:
         return math.sqrt(max(0.0, 1.0 - self.pair_mean**2) / self.trials)
 
     def to_json_dict(self) -> dict:
-        glyph = {1: "+", -1: "-"}
         return {
             "trials": self.trials,
-            "counts": {
-                f"{glyph[a]}{glyph[b]}": n
-                for (a, b), n in zip(HISTOGRAM_CELLS, self.counts)
-            },
+            "counts": {glyph(*pair): n for pair, n in zip(SIGN_PAIRS, self.counts)},
             "mean1": self.mean1,
             "mean2": self.mean2,
             "pair_mean": self.pair_mean,
@@ -115,60 +110,47 @@ class EmpiricalStats:
         }
 
 
-def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[tuple[int, str]]]:
-    """The trial's coins and, per world code, its histogram cell and CSV row text.
+def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World]]:
+    """The trial's coins and its 8 worlds, in world-code order.
 
-    Coin 0 is the sign draw (below 1/2: the hidden variable is +1).
-    Coins 1 and 2 compare the outcome draw against the non-anchored
+    Coin 0 is the sign draw (below 1/2: the hidden variable is +1, cause
+    0).  Coins 1 and 2 compare the outcome draw against the non-anchored
     observer's probability of +1 given lambda = +1 and lambda = -1; a
-    world reads the one that matches its sign.  The row text follows the
-    trial number: ``,lambda_sign,outcome1,outcome2``.
+    world reads the one that matches its sign, but its probability is the
+    product of all three coins'.  The row text follows the trial number:
+    ``,lambda_sign,outcome1,outcome2``.
     """
     alice = config.description is Description.ALICE
     cos_phi = math.cos(angle_between(config.axis1, config.axis2))
     # The outcome mean of particle 2 is -lambda*cos(phi), that of particle 1 +lambda*cos(phi).
-    p_plus = {s: 0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0)}
-    coins = ((0, threshold(0.5)), (1, threshold(p_plus[1.0])), (1, threshold(p_plus[-1.0])))
+    p_up = tuple(0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0))
+    coins = ((0, threshold(0.5)), (1, threshold(p_up[0])), (1, threshold(p_up[1])))
     worlds = []
-    for world in range(1 << len(coins)):
-        sign = 1 if world & 1 else -1
-        drawn = 1 if (world >> (1 if sign == 1 else 2)) & 1 else -1
+    for code in range(1 << len(coins)):
+        cause = 0 if code & 1 else 1  # lambda = +1 or -1
+        sign = 1 - 2 * cause
+        up = (code >> 1 & 1, code >> 2 & 1)
+        drawn = 1 if up[cause] else -1
         o1, o2 = (sign, drawn) if alice else (drawn, -sign)
-        worlds.append(((1 - o1) + (1 - o2) // 2, f",{sign},{o1},{o2}\n"))
+        prob = 0.5 * (p_up[0] if up[0] else 1.0 - p_up[0]) * (p_up[1] if up[1] else 1.0 - p_up[1])
+        worlds.append(World(code, prob, cause, (o1, o2), f",{sign},{o1},{o2}\n"))
     return coins, worlds
 
 
-def _stats(config: ExperimentConfig, worlds: list[tuple[int, str]], histogram) -> EmpiricalStats:
-    """Fold the world-code histogram into the outcome-pair cells."""
-    counts = [0] * len(HISTOGRAM_CELLS)
-    for (cell, _), n in zip(worlds, histogram.tolist()):
-        counts[cell] += n
-    return EmpiricalStats.from_counts(counts, config.trials)
-
-
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> EmpiricalStats:
+def run_experiment(config: ExperimentConfig, workers: int = 1, csv_out=None) -> EmpiricalStats:
     """Run all trials and summarize them.
 
     ``workers`` only controls how many threads run the trial chunks;
     the histogram is a sum of per-chunk integer counts, so the result
-    is identical for every worker count and for repeated runs.
+    is identical for every worker count and for repeated runs.  With
+    ``csv_out`` the trials are also written there, one row each, in
+    order (columns: trial, lambda_sign, outcome1, outcome2).
     """
     coins, worlds = _world_table(config)
-    return _stats(config, worlds, count_worlds(config.stream(), config.trials, coins, workers))
-
-
-def write_trials_csv(path, config: ExperimentConfig) -> EmpiricalStats:
-    """Run all trials once, writing per-trial CSV rows to ``path`` chunk by chunk.
-
-    Columns: trial, lambda_sign, outcome1, outcome2.  Returns what
-    :func:`run_experiment` returns for ``config``.
-    """
-    coins, worlds = _world_table(config)
-    histogram = write_trials(
-        path, "trial,lambda_sign,outcome1,outcome2", config.stream(), config.trials, coins,
-        [row for _, row in worlds],
-    )
-    return _stats(config, worlds, histogram)
+    cells, _ = simulate(config.stream(), config.trials, coins, worlds, workers, csv_out,
+                        "trial,lambda_sign,outcome1,outcome2")
+    counts = [cells[0][pair] + cells[1][pair] for pair in SIGN_PAIRS]
+    return EmpiricalStats.from_counts(counts, config.trials)
 
 
 def covariance_tolerance(analytic: float, trials: int, sigmas: float = 3.0) -> float:
@@ -200,13 +182,20 @@ class DescriptionComparison:
     def discrepancy(self) -> float:
         return abs(self.alice.covariance - self.bob.covariance)
 
+    def checks(self) -> list[Check]:
+        """Each description against the analytic value, and the two against each other."""
+        return [
+            Check.within("alice covariance matches analytic", self.alice.covariance,
+                         self.analytic, self.tolerance),
+            Check.within("bob covariance matches analytic", self.bob.covariance,
+                         self.analytic, self.tolerance),
+            Check.within("descriptions agree with each other", self.discrepancy, 0.0,
+                         self.combined_tolerance),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            abs(self.alice.covariance - self.analytic) <= self.tolerance
-            and abs(self.bob.covariance - self.analytic) <= self.tolerance
-            and self.discrepancy <= self.combined_tolerance
-        )
+        return all(check.passed for check in self.checks())
 
     def to_json_dict(self) -> dict:
         return {

@@ -42,6 +42,11 @@ class Check:
     target: float | None = None
     tolerance: float | None = None
 
+    @classmethod
+    def within(cls, name: str, value: float, target: float, tolerance: float) -> "Check":
+        """Passes when ``value`` lies within ``tolerance`` of ``target``."""
+        return cls(name, abs(value - target) <= tolerance, value, target, tolerance)
+
 
 class FloatTable:
     """Rows of finite floats; ``text`` has each cell's ``%r`` once, spaced, a row per line."""
@@ -192,17 +197,17 @@ def _lines(value: Any, indent: int) -> list[str]:
     out: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list, FloatTable)) and item:
+            if isinstance(item, (dict, list, tuple, FloatTable)) and item:
                 out.append(f"{pad}{key}:")
                 out.extend(_lines(item, indent + 1))
             else:
-                item_text = "[]" if isinstance(item, list) else _scalar(item)
+                item_text = "[]" if isinstance(item, (list, tuple)) else _scalar(item)
                 item_text = "{}" if isinstance(item, dict) else item_text
                 out.append(f"{pad}{key}: {item_text}")
     elif isinstance(value, FloatTable):
         out.append(f"{pad}-\n{pad}  [" + value.join(", ", f"]\n{pad}-\n{pad}  [") + "]")
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list, FloatTable)) for v in value):
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple, FloatTable)) for v in value):
             out.append(f"{pad}[{', '.join(_scalar(v) for v in value)}]")
         else:
             for v in value:

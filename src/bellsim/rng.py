@@ -10,15 +10,20 @@ exactly when ``(w >> 11) < threshold(p)``, that is when the raw word
 ``w <= (threshold(p) << 11) - 1``: simulations compare raw words against
 integer bounds and every trial keeps the outcome the float draw gives it.
 A simulation declares its coins (draw, threshold); bit k of a trial's
-world code is set when coin k came up.
+world code is set when coin k came up.  In both simulations a common
+cause (the hidden sign, or the source's executive algorithm) fixes a
+registered sign pair, and each lists what its world codes mean as
+:class:`World` records.  :func:`fold` adds each world's mass, its
+probability or its count, into per-cause sign-pair cells in table order,
+so the exact report and the simulated one are the same sum.
 
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
 whatever the worker count, so memory does not grow with the trial count.
+:func:`simulate`, each simulation's one call, folds its world counts:
 :func:`count_worlds` runs the chunks on at most ``os.cpu_count()``
-threads and sums their exact world-code histograms, so the result is the
-same for every worker count.  :func:`write_trials` runs them in order on
-one thread, writing each chunk's CSV rows before drawing the next, and
-returns the same histogram; the caller folds it into its own cells.
+threads and sums their exact histograms, so the result is the same for
+every worker count; given a CSV path, :func:`write_trials` runs them in
+order on one thread, writing each chunk's rows before drawing the next.
 """
 
 from __future__ import annotations
@@ -43,6 +48,41 @@ CHUNK_TRIALS = 1 << 16
 #: (draw index within the trial's block, threshold): the coin comes up
 #: when that draw's 53-bit integer is below the threshold.
 Coin = tuple[int, np.uint64]
+
+#: Registered sign pairs, in the order cells and reports list them.
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def glyph(*signs: int) -> str:
+    """The signs as text: ``glyph(1, -1)`` is ``"+-"``."""
+    return "".join("+" if s > 0 else "-" for s in signs)
+
+
+@dataclass(frozen=True, slots=True)
+class World:
+    """One outcome of a trial's coins."""
+
+    code: int  # bit k is set when coin k came up
+    prob: float  # the product of its coin probabilities
+    cause: int  # 0 or 1: the value the trial's common cause took
+    signs: tuple[int, int] | None  # the registered sign pair; None unless both register
+    row: str  # CSV row text after the trial number
+
+
+def fold(worlds: list[World], mass=None) -> tuple[tuple[dict, dict], list]:
+    """Per-cause sign-pair cells and registered totals, adding masses in table order.
+
+    A world's mass is ``mass[world.code]``, or its probability when
+    ``mass`` is None; unregistered worlds add nothing.
+    """
+    cells = ({pair: 0 for pair in SIGN_PAIRS}, {pair: 0 for pair in SIGN_PAIRS})
+    registered = [0, 0]
+    for world in worlds:
+        if world.signs is not None:
+            m = world.prob if mass is None else mass[world.code]
+            cells[world.cause][world.signs] += m
+            registered[world.cause] += m
+    return cells, registered
 
 
 def _require_u64(value: int, name: str) -> int:
@@ -163,3 +203,18 @@ def write_trials(
             heads = [str(h) if h else "" for h in range(lo // 100, (lo + n - 1) // 100 + 1)]
             fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
     return worlds
+
+
+def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: list[World],
+             workers: int = 1, csv_out=None, header: str = "") -> tuple[tuple[dict, dict], list]:
+    """:func:`fold` of the world counts of trials [0, trials), written to ``csv_out`` if given.
+
+    Counting runs on up to ``workers`` threads; writing, under ``header``,
+    runs on one, so the file's bytes do not depend on ``workers``.
+    """
+    if csv_out is None:
+        histogram = count_worlds(stream, trials, coins, workers)
+    else:
+        rows = [world.row for world in sorted(worlds, key=lambda world: world.code)]
+        histogram = write_trials(csv_out, header, stream, trials, coins, rows)
+    return fold(worlds, histogram.tolist())

@@ -93,7 +93,7 @@ def test_c03_certainty_and_anticorrelation(tmp_path):
             cfg = mc.ExperimentConfig(
                 Direction(0.7), Direction(0.7), 100_000, description, seed
             )
-            stats = mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+            stats = mc.run_experiment(cfg, csv_out=tmp_path / "trials.csv")
             arrays = read_mc_csv(tmp_path / "trials.csv")
             assert np.all(arrays.outcome2 == -arrays.outcome1)
             assert stats.counts[0] == 0 and stats.counts[3] == 0

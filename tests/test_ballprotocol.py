@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from actor_oracles import (
     ALICE,
@@ -135,7 +136,7 @@ def _other(filters, chosen):
 class TestActorPathEquivalence:
     @staticmethod
     def check_against_actor_path(cfg, path):
-        assert bp.write_stage_csv(path, cfg) == bp.run_stage(cfg)
+        assert bp.run_stage(cfg, csv_out=path) == bp.run_stage(cfg)
         rows = read_stage_csv(path)
         assert len(rows) == cfg.trials
         stream = cfg.stream()
@@ -448,6 +449,20 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             bp.StageConfig(stage=1, bob_filter=bp.Color.AMBER, trials=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("trials", 2.0), ("p_stage1", "0.5"), ("p_stage1", True),
+        ("p_stage23", float("nan")), ("filter_mismatch_prob", None),
+    ])
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            bp.StageConfig(stage=1, **{field: value})
+
+    def test_probabilities_stored_as_floats(self):
+        cfg = bp.StageConfig(stage=1, trials=1, p_stage1=1, p_stage23=0,
+                             filter_mismatch_prob=np.float32(0.5))
+        assert [type(p) for p in (cfg.p_stage1, cfg.p_stage23, cfg.filter_mismatch_prob)] \
+            == [float] * 3
+
     def test_report_json_is_serializable(self):
         import json
 
@@ -459,7 +474,7 @@ class TestSerialization:
     def test_write_stage_csv(self, tmp_path):
         cfg = bp.StageConfig(stage=1, trials=50, seed=2)
         path = tmp_path / "stage.csv"
-        assert bp.write_stage_csv(path, cfg) == bp.run_stage(cfg)
+        assert bp.run_stage(cfg, csv_out=path) == bp.run_stage(cfg)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered"
         assert len(lines) == 51

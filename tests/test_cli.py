@@ -293,6 +293,15 @@ class TestCommonCause:
         assert code == 1
         assert report["passed"] is False
 
+    def test_empirical_algorithm_that_registers_nothing_exits_1(self, capsys):
+        # One trial runs one of the two algorithms, so the other's conditional
+        # table is undefined: a data-level failure, not a configuration error.
+        code, out, err = run_cli(
+            capsys, "common-cause", "--builtin", "ball", "--empirical", "--trials", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: stage 1: algorithm A1 registered no joint trials in 1 emissions\n"
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "common-cause")
         assert code == 2
@@ -485,6 +494,19 @@ def test_malformed_model_value_is_a_usage_error(capsys, tmp_path, key, value):
     code, out, err = run_cli(capsys, "common-cause", "--model", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model"])
+@pytest.mark.parametrize("content", [None, "{", b"\xff"], ids=["missing", "malformed", "bad-utf8"])
+def test_unreadable_json_file_is_a_usage_error_naming_it(capsys, tmp_path, flag, content):
+    path = tmp_path / "doc.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "common-cause", flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
 
 #: Any JSON value.  Integers stay at or below 300, so a drawn ``trials``

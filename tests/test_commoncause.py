@@ -1,6 +1,7 @@
 """Common-cause conditions: relevance, screening off, factorization, certification."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bellsim import ballprotocol as bp
 from bellsim import commoncause as cc
-from bellsim.errors import ConditioningUndefinedError, ValidationError
+from bellsim.errors import ConditioningUndefinedError, EmptyReportError, ValidationError
 from bellsim.spinmodel import Direction
 
 
@@ -49,7 +50,7 @@ class TestBinaryEventModel:
 
     def test_json_round_trip(self):
         model = cc.spin_event_model(Direction(0.0), Direction(1.0))
-        again = cc.binary_event_model_from_json_dict(model.to_json_dict())
+        again = cc.binary_event_model_from_json_dict(asdict(model))
         assert again == model
 
     def test_json_error_names_offending_table(self):
@@ -213,7 +214,7 @@ class TestFullReport:
         import json
 
         report = cc.full_report(cc.ball_event_model(bp.StageConfig(stage=2, trials=1)))
-        payload = json.loads(json.dumps(report.to_json_dict()))
+        payload = json.loads(json.dumps(asdict(report)))
         assert payload["certified"] is True
         assert len(payload["conditions"]) == 6
 
@@ -233,3 +234,11 @@ class TestEmpiricalModel:
         analytic = bp.analytic_stage_report(bp.StageConfig(stage=1, trials=1))
         with pytest.raises(ValidationError):
             cc.empirical_ball_event_model(analytic)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_algorithm_that_registered_nothing_is_an_empty_report(self, stage):
+        report = bp.run_stage(bp.StageConfig(stage=stage, trials=1))
+        (empty,) = [alg.algorithm_id for alg in report.algorithms if not alg.registered]
+        with pytest.raises(EmptyReportError,
+                           match=f"stage {stage}: algorithm {empty} registered no joint"):
+            cc.empirical_ball_event_model(report)

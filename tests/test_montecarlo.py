@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from actor_oracles import TrialRecord, sample_hidden_variable, simulate_trial
 from float_oracles import mc_counts
+from hypothesis import given
+from hypothesis import strategies as st
 from records import read_mc_csv
 
 from bellsim import montecarlo as mc
 from bellsim.errors import ValidationError
-from bellsim.rng import CHUNK_TRIALS, RngStream, threshold
-from bellsim.spinmodel import Description, Direction
+from bellsim.rng import CHUNK_TRIALS, SIGN_PAIRS, RngStream, fold, threshold
+from bellsim.spinmodel import Description, Direction, quantum_correlation
 
 A0 = Direction(0.0)
 
@@ -55,7 +57,7 @@ class TestSimulateTrial:
     @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
     def test_matches_vectorized_engine(self, description, tmp_path):
         cfg = config(1.1, 4096, description=description, seed=31)
-        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        mc.run_experiment(cfg, csv_out=tmp_path / "trials.csv")
         rows = read_mc_csv(tmp_path / "trials.csv")
         assert rows.trial.tolist() == list(range(cfg.trials))
         for i, row in enumerate(rows):
@@ -120,7 +122,7 @@ class TestRunExperiment:
 
     def test_conditional_frequency_at_right_angle(self, tmp_path):
         cfg = config(math.pi / 2, 1_000_000, seed=0)
-        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        mc.run_experiment(cfg, csv_out=tmp_path / "trials.csv")
         arrays = read_mc_csv(tmp_path / "trials.csv")
         sel = arrays.outcome1 == 1
         freq = float(np.mean(arrays.outcome2[sel] == 1))
@@ -129,7 +131,7 @@ class TestRunExperiment:
     def test_per_lambda_conditional_matches_model(self, tmp_path):
         phi = 1.05
         cfg = config(phi, 400_000, seed=21)
-        mc.write_trials_csv(tmp_path / "trials.csv", cfg)
+        mc.run_experiment(cfg, csv_out=tmp_path / "trials.csv")
         arrays = read_mc_csv(tmp_path / "trials.csv")
         for sign in (1, -1):
             sel = arrays.lambda_sign == sign
@@ -141,6 +143,26 @@ class TestRunExperiment:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValidationError):
             mc.ExperimentConfig(A0, A0, 0)
+
+    @pytest.mark.parametrize("trials", [True, 2.0, "10", None])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValidationError):
+            mc.ExperimentConfig(A0, A0, trials)
+
+
+class TestWorldTable:
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.sampled_from(list(Description)))
+    def test_world_probabilities_fold_to_the_singlet_correlation(
+        self, theta1, theta2, description
+    ):
+        cfg = mc.ExperimentConfig(Direction(theta1), Direction(theta2), 1, description)
+        _, worlds = mc._world_table(cfg)
+        assert [world.code for world in worlds] == list(range(8))
+        assert abs(sum(world.prob for world in worlds) - 1.0) <= 1e-15
+        cells, _ = fold(worlds)
+        pair_mean = sum(a * b * (cells[0][(a, b)] + cells[1][(a, b)]) for a, b in SIGN_PAIRS)
+        analytic = quantum_correlation(cfg.axis1, cfg.axis2, description)
+        assert abs(pair_mean - analytic) <= 1e-12
 
 
 class TestDescriptionEquivalence:
@@ -235,7 +257,7 @@ class TestEmpiricalStats:
 def test_write_trials_csv(tmp_path):
     cfg = config(0.8, 200, seed=3)
     path = tmp_path / "trials.csv"
-    assert mc.write_trials_csv(path, cfg) == mc.run_experiment(cfg)
+    assert mc.run_experiment(cfg, csv_out=path) == mc.run_experiment(cfg)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,lambda_sign,outcome1,outcome2"
     assert len(lines) == 201

@@ -238,8 +238,8 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
     stage_config = bp.StageConfig(stage=2, trials=trials, filter_mismatch_prob=0.1)
     mc.run_experiment(mc_config, workers)
     bp.run_stage(stage_config, workers)
-    mc.write_trials_csv(tmp_path / "trials.csv", mc_config)
-    bp.write_stage_csv(tmp_path / "stage.csv", stage_config)
+    mc.run_experiment(mc_config, csv_out=tmp_path / "trials.csv")
+    bp.run_stage(stage_config, csv_out=tmp_path / "stage.csv")
     assert sorted(blocks) == [1] * 4 + [CHUNK_TRIALS] * 12
 
 
