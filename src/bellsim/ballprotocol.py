@@ -94,7 +94,7 @@ class StageConfig:
     filter_mismatch_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stage not in STAGE_COLORS:
+        if isinstance(self.stage, bool) or self.stage not in STAGE_COLORS:
             raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage!r}")
         fixed, variable = STAGE_COLORS[self.stage]
         alice = self.alice_filter if self.alice_filter is not None else fixed

@@ -450,12 +450,12 @@ class TestSerialization:
             bp.StageConfig(stage=1, bob_filter=bp.Color.AMBER, trials=1)
 
     @pytest.mark.parametrize("field, value", [
-        ("trials", True), ("trials", 2.0), ("p_stage1", "0.5"), ("p_stage1", True),
+        ("stage", True), ("trials", True), ("trials", 2.0), ("p_stage1", "0.5"), ("p_stage1", True),
         ("p_stage23", float("nan")), ("filter_mismatch_prob", None),
     ])
     def test_non_numbers_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
-            bp.StageConfig(stage=1, **{field: value})
+            bp.StageConfig(**{"stage": 1, field: value})
 
     def test_probabilities_stored_as_floats(self):
         cfg = bp.StageConfig(stage=1, trials=1, p_stage1=1, p_stage23=0,
