@@ -16,6 +16,7 @@ for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -548,7 +549,15 @@ def cmd_chsh(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Every later call returns the same parser, so in-process callers of
+    :func:`main` share it.  Parsing keeps no state on the parser: each
+    ``parse_args`` returns a new namespace, and ``append`` flags copy
+    their list.
+    """
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Singlet correlations from axis-anchored hidden variables: "

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_real, require_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,8 +96,8 @@ def _require_u64(value: int, name: str) -> int:
 
 def threshold(p: float) -> np.uint64:
     """``ceil(p * 2**53)``: ``(w >> 11) < threshold(p)`` exactly when numpy's ``u < p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"probability must be in [0, 1], got {p}")
+    if not (is_real(p) and 0.0 <= p <= 1.0):
+        raise ValidationError(f"probability must be a number in [0, 1], got {p!r}")
     return np.uint64(math.ceil(p * 9007199254740992.0))
 
 
@@ -158,8 +158,7 @@ def count_worlds(
     ``workers`` only sets how many threads pick up chunks, capped at the
     chunk count and the CPU count; the histogram is the same for any value.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    require_count(workers, "workers")
     starts = range(0, trials, CHUNK_TRIALS)
 
     def count(lo: int) -> np.ndarray:
@@ -210,8 +209,10 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
     """:func:`fold` of the world counts of trials [0, trials), written to ``csv_out`` if given.
 
     Counting runs on up to ``workers`` threads; writing, under ``header``,
-    runs on one, so the file's bytes do not depend on ``workers``.
+    runs on one, so the file's bytes do not depend on ``workers``.  Both
+    paths take only a positive integer ``workers``.
     """
+    require_count(workers, "workers")
     if csv_out is None:
         histogram = count_worlds(stream, trials, coins, workers)
     else:

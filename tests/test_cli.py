@@ -14,7 +14,11 @@ from bellsim.cli import main, parse_angle, parse_sweep, sweep_values
 
 
 def run_cli(capsys, *args):
-    code = main(list(args))
+    """main(args) as (exit code, stdout, stderr); argparse's own exits give their code."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -394,6 +398,67 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "spin-correlation", "--phi", "60deg",
                                "--format", "json", "--no-timestamp")
         assert "timestamp" not in json.loads(out)["manifest"]
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: every in-process call shares build_parser()'s
+# parser, so no call may leave anything on it that a later call would see.
+
+
+def shared_then_fresh(capsys, *calls):
+    """Each call's outcome, run in turn on one shared parser.
+
+    Each outcome must equal, byte for byte, the same call run alone on a
+    newly built parser.
+    """
+    cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, *args) for args in calls]
+    for args, outcome in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, *args) == outcome, args
+    return shared
+
+
+JSON_FLAGS = ("--format", "json", "--no-timestamp")
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_errors_then_a_valid_call(self, capsys):
+        unknown, unitless, valid = shared_then_fresh(
+            capsys,
+            ("mc-run", "--phi", "60deg", "--bogus"),  # argparse exits
+            ("spin-correlation", "--phi", "60"),  # parse_angle raises mid-parse
+            ("spin-correlation", "--phi", "60deg", *JSON_FLAGS),
+        )
+        assert unknown[0] == unitless[0] == 2 and valid[0] == 0
+
+    def test_repeated_flag_leaves_no_list_behind(self, capsys):
+        _, (code, out, _) = shared_then_fresh(
+            capsys,
+            ("spin-correlation", "--phi", "10deg", "--phi", "20deg", *JSON_FLAGS),
+            ("spin-correlation", "--phi", "30deg", *JSON_FLAGS),
+        )
+        angles = json.loads(out)["results"]["angles"]
+        assert code == 0 and [a["phi_degrees"] for a in angles] == pytest.approx([30.0])
+
+    def test_phi_shorthand_leaves_no_axes_behind(self, capsys):
+        # --phi assigns ns.theta1 and ns.theta2 after parsing.
+        _, (_, out, _) = shared_then_fresh(
+            capsys,
+            ("mc-run", "--phi", "60deg", "--trials", "1000", *JSON_FLAGS),
+            ("mc-run", "--theta2", "30deg", "--trials", "1000", *JSON_FLAGS),
+        )
+        config = json.loads(out)["manifest"]["config"]
+        assert config["theta1"] == 0.0 and config["theta2"] == pytest.approx(math.pi / 6)
+
+    def test_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+        top, sub = shared_then_fresh(capsys, ("--help",), ("mc-run", "--help"))
+        assert top[0] == sub[0] == 0
+        assert "mc-run" in top[1] and "--csv-out" in sub[1]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,7 +1,9 @@
 """Counter-based stream: determinism, chunking, stream separation, the driver."""
 
+import errno
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ def test_threshold_rejects_probabilities_outside_the_unit_interval(p):
         threshold(p)
 
 
+@pytest.mark.parametrize("p", ["0.5", b"0.5", None, True, [0.5], 10**400])
+def test_threshold_rejects_values_that_are_not_numbers(p):
+    with pytest.raises(ValidationError, match="probability"):
+        threshold(p)
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1), _edge_probabilities())
 @example(2**64 - 1, 1.0)
 @example(int(threshold(0.5)) << 11, 0.5)
@@ -181,7 +189,7 @@ class _InlineExecutor:
         return map(fn, items)
 
 
-def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys):
+def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_path):
     from bellsim import cli
 
     monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
@@ -196,6 +204,12 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys):
     assert _InlineExecutor.sizes and all(
         1 <= size <= min(3, os.cpu_count() or 1) for size in _InlineExecutor.sizes
     )
+    # The writer draws on the calling thread: it asks for no pool at any worker count.
+    _InlineExecutor.sizes.clear()
+    csv = ["--csv-out", str(tmp_path / "trials.csv")]
+    assert cli.main([*argv, *csv, "--workers", str(10**9)]) == 0
+    capsys.readouterr()
+    assert _InlineExecutor.sizes == []
 
 
 def test_common_cause_honours_workers(monkeypatch, capsys):
@@ -217,6 +231,22 @@ def test_common_cause_honours_workers(monkeypatch, capsys):
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
         rng.count_worlds(RngStream(0), 10, (), workers=0)
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["count", "csv"])
+@pytest.mark.parametrize("workers", [0, -1, "2", 2.0, True, None, np.int64(2)])
+def test_both_paths_check_workers_before_running(tmp_path, csv, workers):
+    from bellsim import ballprotocol as bp
+    from bellsim import montecarlo as mc
+    from bellsim.spinmodel import Direction
+
+    csv_out = tmp_path / "trials.csv" if csv else None
+    with pytest.raises(ValidationError, match="workers"):
+        mc.run_experiment(mc.ExperimentConfig(Direction(0.0), Direction(1.0), 10),
+                          workers=workers, csv_out=csv_out)
+    with pytest.raises(ValidationError, match="workers"):
+        bp.run_stage(bp.StageConfig(stage=1, trials=10), workers=workers, csv_out=csv_out)
+    assert not (tmp_path / "trials.csv").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -258,3 +288,64 @@ def test_write_trials_writes_index_then_row_text(tmp_path, trials):
     expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
     assert path.read_text(encoding="utf-8") == expected
     assert worlds.tolist() == np.bincount(codes, minlength=8).tolist()
+
+
+class _Boom(Exception):
+    """Raised by a stubbed draw."""
+
+
+@pytest.mark.parametrize("path", ["count", "csv"])
+def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_path, path):
+    draw = RngStream.trial_words
+
+    def failing(self, n_trials, start=0):
+        if start == CHUNK_TRIALS:
+            raise _Boom(start)
+        return draw(self, n_trials, start)
+
+    monkeypatch.setattr(RngStream, "trial_words", failing)
+    coins = ((0, threshold(0.5)),)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        if path == "count":  # the draws run on pool threads
+            rng.count_worlds(RngStream(3), 3 * CHUNK_TRIALS, coins, workers=2)
+        else:
+            rng.write_trials(tmp_path / "t.csv", "trial,c", RngStream(3), 3 * CHUNK_TRIALS,
+                             coins, [",0\n", ",1\n"])
+    assert threading.active_count() == before
+
+
+def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    from bellsim import cli
+
+    class FullDisk:
+        """The real file, whose third write (the second chunk's rows) fails with ENOSPC."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(rng, "open", FullDisk, raising=False)
+    out = tmp_path / "trials.csv"
+    before = threading.active_count()
+    code = cli.main(["mc-run", "--phi", "60deg", "--trials", str(2 * CHUNK_TRIALS),
+                     "--csv-out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert threading.active_count() == before
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + CHUNK_TRIALS
+
