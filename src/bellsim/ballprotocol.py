@@ -38,7 +38,7 @@ probabilities and over world counts.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyReportError, ValidationError, is_real, require_count
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, glyph, simulate, threshold
@@ -94,17 +94,16 @@ class StageConfig:
     filter_mismatch_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.stage, bool) or self.stage not in STAGE_COLORS:
+        if type(self.stage) is not int or self.stage not in STAGE_COLORS:
             raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage!r}")
         fixed, variable = STAGE_COLORS[self.stage]
         alice = self.alice_filter if self.alice_filter is not None else fixed
         bob = self.bob_filter if self.bob_filter is not None else variable
-        alice = Color(alice)
-        bob = Color(bob)
         if alice not in ALICE_FILTERS:
-            raise ValidationError(f"alice_filter must be amber or cherry, got {alice.value!r}")
+            raise ValidationError(f"alice_filter must be 'a' or 'c', got {alice!r}")
         if bob not in BOB_FILTERS:
-            raise ValidationError(f"bob_filter must be blue or cherry, got {bob.value!r}")
+            raise ValidationError(f"bob_filter must be 'b' or 'c', got {bob!r}")
+        alice, bob = Color(alice), Color(bob)
         object.__setattr__(self, "alice_filter", alice)
         object.__setattr__(self, "bob_filter", bob)
         require_count(self.trials, "trials")
@@ -126,7 +125,7 @@ class StageConfig:
 class AlgorithmStats:
     """Registered-outcome statistics conditional on one algorithm."""
 
-    algorithm_id: str
+    algorithm: str
     weight: float
     registered: int | None
     joint_freq: dict[tuple[int, int], float]
@@ -134,18 +133,6 @@ class AlgorithmStats:
     bob_mean: float
     pair_mean: float
     correlation: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm_id,
-            "weight": self.weight,
-            "registered": self.registered,
-            "joint_freq": {glyph(*pair): f for pair, f in self.joint_freq.items()},
-            "alice_mean": self.alice_mean,
-            "bob_mean": self.bob_mean,
-            "pair_mean": self.pair_mean,
-            "correlation": self.correlation,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,33 +153,6 @@ class AggregateReport:
     pair_mean: float
     correlation: float
     algorithms: tuple[AlgorithmStats, ...]
-
-    def algorithm(self, algorithm_id: str) -> AlgorithmStats:
-        for alg in self.algorithms:
-            if alg.algorithm_id == algorithm_id:
-                return alg
-        known = [a.algorithm_id for a in self.algorithms]
-        raise ValidationError(
-            f"algorithm {algorithm_id!r} does not belong to this stage report (has {known})"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "alice_filter": self.alice_filter.value,
-            "bob_filter": self.bob_filter.value,
-            "mode": self.mode,
-            "trials": self.trials,
-            "passages_per_observer": self.passages_per_observer,
-            "registered_trials": self.registered_trials,
-            "registered_fraction": self.registered_fraction,
-            "joint_freq": {glyph(*pair): f for pair, f in self.joint_freq.items()},
-            "alice_mean": self.alice_mean,
-            "bob_mean": self.bob_mean,
-            "pair_mean": self.pair_mean,
-            "correlation": self.correlation,
-            "algorithms": [alg.to_json_dict() for alg in self.algorithms],
-        }
 
 
 def _moments(freq: dict[tuple[int, int], float]) -> tuple[float, float, float, float]:
@@ -271,23 +231,9 @@ def _reduce(config: StageConfig, folded, trials: int | None) -> AggregateReport:
     alg_stats = []
     for k, algorithm_id in enumerate(ALGORITHM_IDS[config.stage]):
         n_alg = registered[k]
-        if n_alg > 0:
-            freq = {pair: cells[k][pair] / n_alg for pair in SIGN_PAIRS}
-        else:
-            freq = {pair: 0.0 for pair in SIGN_PAIRS}
-        am, bm, pm, corr = _moments(freq)
-        alg_stats.append(
-            AlgorithmStats(
-                algorithm_id=algorithm_id,
-                weight=n_alg / total,
-                registered=n_alg if empirical else None,
-                joint_freq=freq,
-                alice_mean=am,
-                bob_mean=bm,
-                pair_mean=pm,
-                correlation=corr,
-            )
-        )
+        freq = {pair: cells[k][pair] / n_alg if n_alg > 0 else 0.0 for pair in SIGN_PAIRS}
+        alg_stats.append(AlgorithmStats(algorithm_id, n_alg / total, n_alg if empirical else None,
+                                        freq, *_moments(freq)))
     joint = {pair: (cells[0][pair] + cells[1][pair]) / total for pair in SIGN_PAIRS}
     am, bm, pm, corr = _moments(joint)
     return AggregateReport(
@@ -346,23 +292,13 @@ class InequalityReport:
 
     lhs: float
     rhs: float
+    margin: float = field(init=False)
     violated: bool
     mode: str
     terms: dict[str, float]
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "violated": self.violated,
-            "mode": self.mode,
-            "terms": dict(self.terms),
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "margin", self.lhs - self.rhs)
 
 
 def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityReport:
@@ -416,13 +352,10 @@ class DecompositionRecord:
     weights: dict[str, float]
     composed: float
     direct: float
+    difference: float = field(init=False)
 
-    @property
-    def difference(self) -> float:
-        return abs(self.composed - self.direct)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "difference": self.difference}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "difference", abs(self.composed - self.direct))
 
 
 def contextual_decomposition(

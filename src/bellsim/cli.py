@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -245,6 +244,8 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> int:
     cfg = _resolve(SPIN, ns)
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
+    if ns.sweep_out and cfg["sweep"] is None:
+        raise UsageError("--sweep-out needs --sweep")
 
     def evaluate(phi: float) -> dict:
         axis1, axis2 = Direction(0.0), Direction(phi)
@@ -308,7 +309,7 @@ def _mc_single(
         "description": description.value,
         "phi": angle_between(axis1, axis2),
         "analytic": analytic,
-        "stats": stats.to_json_dict(),
+        "stats": stats,
         "error": abs(stats.covariance - analytic),
         "tolerance": tol,
     }
@@ -332,7 +333,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
             Direction(cfg["theta1"]), Direction(cfg["theta2"]),
             cfg["trials"], cfg["seed"], workers=ns.workers,
         )
-        results = {"equivalence": comparison.to_json_dict()}
+        results = {"equivalence": comparison}
         checks = comparison.checks()
     else:
         results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
@@ -414,15 +415,11 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
             stage_reports.append(bp.run_stage(config, workers=ns.workers, csv_out=ns.csv_out))
             checks.extend(_stage_checks(stage_reports[-1], config))
 
-    results: dict = {"stages": [r.to_json_dict() for r in stage_reports]}
+    results: dict = {"stages": stage_reports}
     if cfg["all_stages"]:
-        inequality = bp.bell_inequality_check(tuple(stage_reports))
-        decompositions = [
-            bp.contextual_decomposition(stage_config(stage), 1, 1).to_json_dict()
-            for stage in stages
-        ]
-        results["inequality"] = inequality.to_json_dict()
-        results["decomposition"] = decompositions
+        results["inequality"] = bp.bell_inequality_check(tuple(stage_reports))
+        results["decomposition"] = [bp.contextual_decomposition(stage_config(stage), 1, 1)
+                                    for stage in stages]
 
     report = build_report(
         "ball-protocol", cfg, results, checks, seed=cfg["seed"],
@@ -456,6 +453,8 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
     cfg = _resolve(CAUSE, ns)
     if (cfg["builtin"] is None) == (cfg["model_file"] is None):
         raise UsageError("common-cause needs exactly one of --builtin or --model")
+    if cfg["empirical"] and cfg["builtin"] != "ball":
+        raise UsageError("--empirical needs --builtin ball")
 
     if cfg["model_file"] is not None:
         model = cc.binary_event_model_from_json_dict(_read_json(cfg["model_file"], "model"))
@@ -476,11 +475,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
         source = {"kind": "builtin-ball", "stage": cfg["stage"], "empirical": cfg["empirical"]}
 
     cause_report = cc.full_report(model, cfg["tolerance"])
-    results = {
-        "source": source,
-        "model": asdict(model),
-        "report": asdict(cause_report),
-    }
+    results = {"source": source, "model": model, "report": cause_report}
     checks = [
         Check(f"{c.name} holds", c.holds, value=c.lhs, target=c.rhs,
               tolerance=cause_report.tolerance)
@@ -524,10 +519,10 @@ def cmd_chsh(ns: argparse.Namespace) -> int:
     if cfg["mode"] == "analytic":
         checks.append(
             Check("|S| within the singlet bound",
-                  abs(result.value) <= mc.CHSH_SINGLET_BOUND + 1e-12,
-                  value=abs(result.value), target=mc.CHSH_SINGLET_BOUND, tolerance=1e-12)
+                  result.abs_value <= mc.CHSH_SINGLET_BOUND + 1e-12,
+                  value=result.abs_value, target=mc.CHSH_SINGLET_BOUND, tolerance=1e-12)
         )
-        results = {"chsh": result.to_json_dict()}
+        results = {"chsh": result}
     else:
         analytic = mc.chsh_details(*axes, mode="analytic")
         tol = sum(
@@ -536,7 +531,7 @@ def cmd_chsh(ns: argparse.Namespace) -> int:
         )
         checks.append(Check.within("empirical S matches analytic combination",
                                    result.value, analytic.value, tol))
-        results = {"chsh": result.to_json_dict(), "analytic": analytic.to_json_dict()}
+        results = {"chsh": result, "analytic": analytic}
 
     report = build_report(
         "chsh", cfg, results, checks,

@@ -78,12 +78,8 @@ class BinaryEventModel:
         if not is_real(self.p_z) or not 0.0 <= self.p_z <= 1.0:
             raise ValidationError(f"p_z must be a probability in [0, 1], got {self.p_z!r}")
         object.__setattr__(self, "p_z", float(self.p_z))
-        object.__setattr__(self, "joint_given_z", _validate_table(self.joint_given_z,
-                                                                  "joint_given_z"))
-        object.__setattr__(
-            self, "joint_given_not_z", _validate_table(self.joint_given_not_z,
-                                                       "joint_given_not_z")
-        )
+        for name in ("joint_given_z", "joint_given_not_z"):
+            object.__setattr__(self, name, _validate_table(getattr(self, name), name))
         if self.sample_size is not None:
             require_count(self.sample_size, "sample_size")
 
@@ -150,12 +146,7 @@ def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:
     unknown = set(data) - required - {"sample_size"}
     if unknown:
         raise ValidationError(f"unknown model fields: {sorted(unknown)}")
-    return BinaryEventModel(
-        p_z=data["p_z"],
-        joint_given_z=data["joint_given_z"],
-        joint_given_not_z=data["joint_given_not_z"],
-        sample_size=data.get("sample_size"),
-    )
+    return BinaryEventModel(**data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +173,7 @@ class ConditionResult:
 def _resolve_tol(model: BinaryEventModel, tol: float | None) -> float:
     if tol is None:
         return model.default_tolerance()
-    if not math.isfinite(tol) or tol < 0.0:
+    if not is_real(tol) or tol < 0.0:
         raise ValidationError(f"tolerance must be a nonnegative number, got {tol!r}")
     return float(tol)
 
@@ -273,12 +264,6 @@ class CommonCauseReport:
     certified: bool
     tolerance: float
     relevance_by_orientation: dict[str, tuple[bool, bool]]
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise ValidationError(f"no condition named {name!r}")
 
 
 def full_report(model: BinaryEventModel, tol: float | None = None) -> CommonCauseReport:
@@ -375,7 +360,7 @@ def empirical_ball_event_model(
     for alg in report.algorithms:
         if not alg.registered:
             raise EmptyReportError(
-                f"stage {report.stage}: algorithm {alg.algorithm_id} registered no joint "
+                f"stage {report.stage}: algorithm {alg.algorithm} registered no joint "
                 f"trials in {report.trials} emissions"
             )
     return _event_model_from_report(report, x_sign, y_sign, sample_size=report.registered_trials)

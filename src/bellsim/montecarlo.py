@@ -17,11 +17,11 @@ sign; a world's probability is the product of its three coins'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError, require_count
 from .report import Check
-from .rng import SIGN_PAIRS, Coin, RngStream, World, glyph, simulate, threshold
+from .rng import SIGN_PAIRS, Coin, RngStream, World, simulate, threshold
 from .spinmodel import (
     Description,
     Direction,
@@ -62,14 +62,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, slots=True)
 class EmpiricalStats:
-    """Summary statistics derived from the exact outcome histogram."""
+    """Summary statistics derived from the exact outcome histogram.
+
+    ``standard_error`` is the standard error of the pair mean of +/-1 products.
+    """
 
     trials: int
-    counts: tuple[int, int, int, int]
+    counts: dict[tuple[int, int], int]
     mean1: float
     mean2: float
     pair_mean: float
     covariance: float
+    standard_error: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "standard_error",
+                           math.sqrt(max(0.0, 1.0 - self.pair_mean**2) / self.trials))
 
     @classmethod
     def from_counts(cls, counts, trials: int) -> "EmpiricalStats":
@@ -87,27 +95,12 @@ class EmpiricalStats:
             raise ValidationError("pair mean and covariance must lie in [-1, 1]")
         return cls(
             trials=trials,
-            counts=(npp, npm, nmp, nmm),
+            counts=dict(zip(SIGN_PAIRS, (npp, npm, nmp, nmm))),
             mean1=mean1,
             mean2=mean2,
             pair_mean=pair_mean,
             covariance=covariance,
         )
-
-    def standard_error(self) -> float:
-        """Standard error of the pair mean of +/-1 products."""
-        return math.sqrt(max(0.0, 1.0 - self.pair_mean**2) / self.trials)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "counts": {glyph(*pair): n for pair, n in zip(SIGN_PAIRS, self.counts)},
-            "mean1": self.mean1,
-            "mean2": self.mean2,
-            "pair_mean": self.pair_mean,
-            "covariance": self.covariance,
-            "standard_error": self.standard_error(),
-        }
 
 
 def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World]]:
@@ -161,26 +154,29 @@ def covariance_tolerance(analytic: float, trials: int, sigmas: float = 3.0) -> f
     product mean is exact and the entire deviation is mean1*mean2,
     which stays within 9/N at three standard errors.
     """
+    require_count(trials, "trials")
     return sigmas * math.sqrt(max(0.0, 1.0 - analytic * analytic) / trials) + 9.0 / trials
 
 
 @dataclass(frozen=True, slots=True)
 class DescriptionComparison:
-    """Alice-anchored vs Bob-anchored runs of the same measurement setup."""
+    """Alice-anchored vs Bob-anchored runs on the axes at angles ``theta1`` and ``theta2``."""
 
-    axis1: Direction
-    axis2: Direction
+    theta1: float
+    theta2: float
     trials: int
     seed: int
     analytic: float
     alice: EmpiricalStats
     bob: EmpiricalStats
+    discrepancy: float = field(init=False)
     tolerance: float
     combined_tolerance: float
+    passed: bool = field(init=False)
 
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.alice.covariance - self.bob.covariance)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "discrepancy", abs(self.alice.covariance - self.bob.covariance))
+        object.__setattr__(self, "passed", all(check.passed for check in self.checks()))
 
     def checks(self) -> list[Check]:
         """Each description against the analytic value, and the two against each other."""
@@ -192,25 +188,6 @@ class DescriptionComparison:
             Check.within("descriptions agree with each other", self.discrepancy, 0.0,
                          self.combined_tolerance),
         ]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta1": self.axis1.theta,
-            "theta2": self.axis2.theta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "analytic": self.analytic,
-            "alice": self.alice.to_json_dict(),
-            "bob": self.bob.to_json_dict(),
-            "discrepancy": self.discrepancy,
-            "tolerance": self.tolerance,
-            "combined_tolerance": self.combined_tolerance,
-            "passed": self.passed,
-        }
 
 
 def description_equivalence(
@@ -235,8 +212,8 @@ def description_equivalence(
     )
     tol = covariance_tolerance(analytic, trials)
     return DescriptionComparison(
-        axis1=axis1,
-        axis2=axis2,
+        theta1=axis1.theta,
+        theta2=axis2.theta,
         trials=trials,
         seed=seed,
         analytic=analytic,
@@ -249,26 +226,20 @@ def description_equivalence(
 
 @dataclass(frozen=True, slots=True)
 class ChshContext:
-    """One of the four CHSH measurement contexts."""
+    """One of the four CHSH terms: its label, its axes' angles, its sign and its value."""
 
     label: str
-    axis1: Direction
-    axis2: Direction
+    theta1: float
+    theta2: float
     sign: int
     expectation: float
-    stats: EmpiricalStats | None = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "theta1": self.axis1.theta,
-            "theta2": self.axis2.theta,
-            "sign": self.sign,
-            "expectation": self.expectation,
-        }
-        if self.stats is not None:
-            d["stats"] = self.stats.to_json_dict()
-        return d
+
+@dataclass(frozen=True, slots=True)
+class EmpiricalContext(ChshContext):
+    """A CHSH context whose expectation is the covariance of a run."""
+
+    stats: EmpiricalStats
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,25 +248,16 @@ class ChshResult:
 
     mode: str
     value: float
+    abs_value: float = field(init=False)
     contexts: tuple[ChshContext, ...]
     trials: int | None
     seed: int | None
-    note: str = CHSH_NOTE
     local_bound: float = CHSH_LOCAL_BOUND
     singlet_bound: float = CHSH_SINGLET_BOUND
+    note: str = CHSH_NOTE
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "value": self.value,
-            "abs_value": abs(self.value),
-            "contexts": [c.to_json_dict() for c in self.contexts],
-            "trials": self.trials,
-            "seed": self.seed,
-            "local_bound": self.local_bound,
-            "singlet_bound": self.singlet_bound,
-            "note": self.note,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "abs_value", abs(self.value))
 
 
 def chsh_details(
@@ -326,14 +288,14 @@ def chsh_details(
     for i, (label, ax1, ax2, sign) in enumerate(pairs):
         if mode == "analytic":
             e = quantum_correlation(ax1, ax2)
-            stats = None
+            contexts.append(ChshContext(label, ax1.theta, ax2.theta, sign, e))
         else:
             stats = run_experiment(
                 ExperimentConfig(ax1, ax2, trials, Description.ALICE, seed, stream_id=i),
                 workers,
             )
             e = stats.covariance
-        contexts.append(ChshContext(label, ax1, ax2, sign, e, stats))
+            contexts.append(EmpiricalContext(label, ax1.theta, ax2.theta, sign, e, stats))
         total += sign * e
     return ChshResult(
         mode=mode,

@@ -7,27 +7,30 @@ keys, fixed indentation); rendering the same report twice yields
 byte-identical text.  Timestamps live only in the manifest and can be
 omitted entirely.
 
-A sweep's rows go into a report as a :class:`FloatTable`, whose cells are
-checked and formatted once; both renderers lay it out as its list of rows.
-:func:`render_json` writes exactly what ``json.dumps(report, indent=2,
-sort_keys=True, allow_nan=False)`` writes, but collects the pieces in one
-list and joins them once; the standard library's encoder runs in pure
-Python whenever it indents.  Anything else it is given (non-string keys,
-unknown types, NaN or infinity, a cycle) is handed to ``json.dumps``,
-which renders it, tables as their rows, or raises exactly as before.
+Result records are dataclasses, and :func:`record` gives each its one
+JSON shape: its fields in field order, which is also the order the text
+format lists them in.  A sweep's rows go into a report as a
+:class:`FloatTable`, whose cells are checked and formatted once; both
+renderers lay it out as its list of rows.  :func:`render_json` is
+``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
+each table's rows spliced into that layout as one string, so the
+standard library's pure-Python indenting encoder never walks them.
+Anything ``json.dumps`` refuses (non-string keys, unknown types, NaN or
+infinity, a cycle) raises exactly what it raises.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from typing import Any
 
 import numpy as np
 
 from . import __version__
+from .rng import glyph
 
 TOOL_NAME = "bellsim"
 
@@ -67,6 +70,22 @@ class FloatTable:
         return rows.replace("\0", cell_separator)
 
 
+def record(value: Any) -> Any:
+    """The JSON shape of a result.
+
+    A dataclass becomes a dict of its fields in field order, a sign-pair
+    key its glyph (``(1, -1)`` is ``"+-"``), an enum its value and a
+    tuple a list; anything else is kept as it is.
+    """
+    if is_dataclass(value):
+        return {f.name: record(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {glyph(*k) if isinstance(k, tuple) else k: record(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [record(v) for v in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
+
 def build_report(
     subcommand: str,
     config: dict,
@@ -88,98 +107,49 @@ def build_report(
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     return {
         "manifest": manifest,
-        "results": results,
-        "checks": [asdict(c) for c in checks],
+        "results": record(results),
+        "checks": record(checks),
         "passed": all(c.passed for c in checks),
     }
 
 
-class _Unhandled(Exception):
-    """A value the fast renderer leaves to ``json.dumps``."""
-
-
-class _Encoder(json.JSONEncoder):
-    """The standard encoder, which writes a :class:`FloatTable` as its rows."""
-
-    def default(self, o: Any) -> Any:
-        return o.array.tolist() if isinstance(o, FloatTable) else super().default(o)
-
-
-_INDENT = "  "
-_encode_str = json.encoder.encode_basestring_ascii
+#: What ``json.dumps`` writes for a table, until its rows are spliced in.
+_MARKER = "\0FloatTable\0"
+_QUOTED_MARKER = json.dumps(_MARKER)
+_not_serializable = json.JSONEncoder().default
 
 
 def render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``."""
-    pieces: list[str] = []
-    try:
-        _encode(report, "\n", pieces)
-    except (_Unhandled, RecursionError):
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                          cls=_Encoder) + "\n"
-    pieces.append("\n")
-    return "".join(pieces)
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, tables as rows.
 
-
-def _encode(value: Any, newline: str, out: list[str]) -> None:
-    """Append the JSON of ``value``; ``newline`` starts a line at its indentation.
-
-    The type checks run in the order ``json``'s encoder runs them, so
-    subclasses of str, int and float render as their base type does.
+    Each table is written as a marker string, and its rows are spliced in
+    at the marker line's indentation.  A report whose own strings hold the
+    marker is written by ``json.dumps`` alone.
     """
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise _Unhandled
-        out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        _encode_list(value, newline, out)
-    elif isinstance(value, dict):
-        _encode_dict(value, newline, out)
-    elif isinstance(value, FloatTable):
-        inner = newline + _INDENT
-        cell = inner + _INDENT
-        rows = value.join("," + cell, inner + "]," + inner + "[" + cell)
-        out += ("[" + inner + "[" + cell, rows, inner + "]" + newline + "]")
-    else:
-        raise _Unhandled
+    tables: list[FloatTable] = []
 
+    def default(o: Any) -> Any:
+        if not isinstance(o, FloatTable):
+            return _not_serializable(o)
+        tables.append(o)
+        return _MARKER
 
-def _encode_list(items: list | tuple, newline: str, out: list[str]) -> None:
-    if not items:
-        out.append("[]")
-        return
-    inner = newline + _INDENT
-    out.append("[" + inner)
-    for i, item in enumerate(items):
-        if i:
-            out.append("," + inner)
-        _encode(item, inner, out)
-    out.append(newline + "]")
-
-
-def _encode_dict(mapping: dict, newline: str, out: list[str]) -> None:
-    if not mapping:
-        out.append("{}")
-        return
-    if not all(type(key) is str for key in mapping):
-        raise _Unhandled
-    inner = newline + _INDENT
-    separator = "{" + inner
-    for key in sorted(mapping):
-        out.append(separator + _encode_str(key) + ": ")
-        _encode(mapping[key], inner, out)
-        separator = "," + inner
-    out.append(newline + "}")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=default)
+    pieces = text.split(_QUOTED_MARKER)
+    if len(pieces) != len(tables) + 1:
+        # Only tables reach ``default`` here: the first pass raised for anything else.
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda table: table.array.tolist()) + "\n"
+    out = [pieces[0]]
+    for table, before, after in zip(tables, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        newline = "\n" + line[:len(line) - len(line.lstrip(" "))]
+        inner = newline + "  "
+        cell = inner + "  "
+        rows = table.join("," + cell, inner + "]," + inner + "[" + cell)
+        out += ("[" + inner + "[" + cell, rows, inner + "]" + newline + "]", after)
+    out.append("\n")
+    return "".join(out)
 
 
 def _scalar(value: Any) -> str:

@@ -119,14 +119,6 @@ class RngStream:
             bg.advance(block)
         return bg
 
-    def generator(self, block: int = 0) -> np.random.Generator:
-        """Sequential generator starting at the given counter block.
-
-        ``generator(i)`` is trial i's private block; drawing more than
-        :data:`BLOCK_DRAWS` doubles from it runs into trial i + 1's.
-        """
-        return np.random.Generator(self._bit_generator(block))
-
     def trial_words(self, n_trials: int, start: int = 0) -> np.ndarray:
         """Raw uint64 words of trials [start, start + n_trials), shape (n_trials, 4).
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContextMismatchError, ValidationError
+from .errors import ContextMismatchError, ValidationError, is_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,10 +73,9 @@ class Direction:
     theta: float
 
     def __post_init__(self) -> None:
-        t = float(self.theta)
-        if not math.isfinite(t):
-            raise ValidationError(f"theta must be finite, got {self.theta!r}")
-        t = math.fmod(t, TWO_PI)
+        if not is_real(self.theta):
+            raise ValidationError(f"theta must be a finite number, got {self.theta!r}")
+        t = math.fmod(float(self.theta), TWO_PI)
         if t < 0.0:
             t += TWO_PI
         if t >= TWO_PI:
@@ -260,33 +259,11 @@ def subquantum_correlation(lam: HiddenVariable, axis1: Direction, axis2: Directi
     )
 
 
-def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Direction) -> float:
-    """Single-particle mean after averaging the two hidden-variable signs.
-
-    With both signs equally likely the two conditional means cancel
-    exactly, so the result is 0 for every pair of axes.
-    """
-    sign = HiddenVariable(source_axis, 1).predetermined(particle)
-    return _marginal(sign, axis_cosine(source_axis, measure_axis))
-
-
 def _anchor_cosines(axis1: Direction, axis2: Direction, description: Description):
     if description is not Description.ALICE and description is not Description.BOB:
         raise ValidationError(f"description must be a Description member, got {description!r}")
     anchor = axis1 if description is Description.ALICE else axis2
     return axis_cosine(anchor, axis1), axis_cosine(anchor, axis2)
-
-
-def quantum_pair_expectation(
-    axis1: Direction, axis2: Direction, description: Description = Description.ALICE
-) -> float:
-    """Observable expectation of the outcome product: -cos of the axis angle.
-
-    Averages the conditional pair expectation over the two equally
-    likely hidden-variable signs anchored to the chosen observer's
-    axis.  Both descriptions give the same value.
-    """
-    return _quantum_pair(*_anchor_cosines(axis1, axis2, description))
 
 
 def quantum_correlation(

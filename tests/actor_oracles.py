@@ -9,14 +9,29 @@ The per-trial actor paths play one trial one draw at a time from the
 trial's own generator: the Monte Carlo source samples the hidden variable
 and the observers read their outcomes; the ball source emits four signed
 balls and each observer's detector scans the two balls addressed to them.
+
+The helpers at the end reach into the library for tests: a stream's
+sequential generator, a record looked up by name, and two averages of
+the cosine core.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from bellsim import ballprotocol as bp
 from bellsim.errors import ValidationError
-from bellsim.spinmodel import Description, Direction, HiddenVariable, conditional_outcome_prob
+from bellsim.spinmodel import (
+    Description,
+    Direction,
+    HiddenVariable,
+    _anchor_cosines,
+    _marginal,
+    _quantum_pair,
+    axis_cosine,
+    conditional_outcome_prob,
+)
 
 ALICE, BOB = "A", "B"
 
@@ -170,3 +185,28 @@ def mixed_joint_cells(model):
     return tuple(tuple(model.p_z * model.joint_given_z[i][j]
                        + (1.0 - model.p_z) * model.joint_given_not_z[i][j] for j in range(2))
                  for i in range(2))
+
+
+def generator(stream, block: int = 0) -> np.random.Generator:
+    """The stream's generator from counter block ``block``: trial ``block``'s draws, then on."""
+    return np.random.Generator(stream._bit_generator(block))
+
+
+def find(records, field: str, value):
+    """The record whose ``field`` is ``value``."""
+    for r in records:
+        if getattr(r, field) == value:
+            return r
+    raise ValidationError(f"no record with {field} {value!r}")
+
+
+def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Direction) -> float:
+    """Single-particle mean averaged over both hidden-variable signs: 0 for all axes."""
+    sign = HiddenVariable(source_axis, 1).predetermined(particle)
+    return _marginal(sign, axis_cosine(source_axis, measure_axis))
+
+
+def quantum_pair_expectation(axis1: Direction, axis2: Direction,
+                             description: Description = Description.ALICE) -> float:
+    """Outcome-product expectation averaged over both signs: -cos of the axis angle."""
+    return _quantum_pair(*_anchor_cosines(axis1, axis2, description))

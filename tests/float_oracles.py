@@ -10,7 +10,7 @@ exactly.
 import math
 
 import numpy as np
-from actor_oracles import stage_algorithms
+from actor_oracles import generator, stage_algorithms
 
 from bellsim import ballprotocol as bp
 from bellsim.rng import BLOCK_DRAWS
@@ -19,7 +19,7 @@ from bellsim.spinmodel import Description, angle_between
 
 def _doubles(stream, n: int) -> np.ndarray:
     """Uniform doubles of trials [0, n), shape (n, 4)."""
-    return stream.generator(0).random(n * BLOCK_DRAWS).reshape(n, BLOCK_DRAWS)
+    return generator(stream, 0).random(n * BLOCK_DRAWS).reshape(n, BLOCK_DRAWS)
 
 
 def mc_counts(config) -> tuple[int, int, int, int]:

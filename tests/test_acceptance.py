@@ -18,6 +18,7 @@ from records import read_mc_csv
 from bellsim import ballprotocol as bp
 from bellsim import commoncause as cc
 from bellsim import montecarlo as mc
+from bellsim.report import record
 from bellsim.spinmodel import (
     Description,
     Direction,
@@ -96,7 +97,7 @@ def test_c03_certainty_and_anticorrelation(tmp_path):
             stats = mc.run_experiment(cfg, csv_out=tmp_path / "trials.csv")
             arrays = read_mc_csv(tmp_path / "trials.csv")
             assert np.all(arrays.outcome2 == -arrays.outcome1)
-            assert stats.counts[0] == 0 and stats.counts[3] == 0
+            assert stats.counts[(1, 1)] == 0 and stats.counts[(-1, -1)] == 0
     announce(3, "equal axes: opposite outcomes in 100% of trials; same-sign probability 0")
 
 
@@ -188,7 +189,7 @@ def test_c09_chsh_extension():
 
     for details in (analytic, empirical):
         assert "derived demonstration" in details.note
-        assert "derived demonstration" in details.to_json_dict()["note"]
+        assert "derived demonstration" in record(details)["note"]
     announce(9, "CHSH |S| = 2*sqrt(2) analytic at 1e-12, empirical within 0.02, "
                 "labeled derived")
 

@@ -9,6 +9,8 @@ from actor_oracles import (
     BOB,
     DetectionRecord,
     SignedBall,
+    find,
+    generator,
     observer_detect,
     sam_emit,
     stage_algorithms,
@@ -20,6 +22,7 @@ from records import read_stage_csv
 
 from bellsim import ballprotocol as bp
 from bellsim.errors import EmptyReportError, ValidationError
+from bellsim.report import record
 from bellsim.rng import CHUNK_TRIALS
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -82,14 +85,14 @@ class TestSamEmit:
     def test_roughly_fair_algorithm_choice(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
         stream = cfg.stream()
-        picks = [sam_emit(cfg, stream.generator(i))[0] for i in range(4000)]
+        picks = [sam_emit(cfg, generator(stream, i))[0] for i in range(4000)]
         frac = picks.count("A1") / len(picks)
         assert 0.45 < frac < 0.55
 
     def test_deterministic(self):
         cfg = bp.StageConfig(stage=2, trials=1, seed=12)
-        first = [sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
-        second = [sam_emit(cfg, cfg.stream().generator(i)) for i in range(100)]
+        first = [sam_emit(cfg, generator(cfg.stream(), i)) for i in range(100)]
+        second = [sam_emit(cfg, generator(cfg.stream(), i)) for i in range(100)]
         assert first == second
 
 
@@ -142,7 +145,7 @@ class TestActorPathEquivalence:
         stream = cfg.stream()
         m = cfg.filter_mismatch_prob
         for i in range(cfg.trials):
-            rng = stream.generator(i)
+            rng = generator(stream, i)
             algorithm_id, quadruple = sam_emit(cfg, rng)
             # Draws 3 and 4 of the trial decide each observer's filter mismatch.
             alice_filter = _other(bp.ALICE_FILTERS, cfg.alice_filter) \
@@ -238,13 +241,13 @@ class TestRunStage:
         report = bp.run_stage(bp.StageConfig(stage=1, trials=200_000, seed=29))
         # Alice's sign is constant given the algorithm, so the sample
         # covariance cancels exactly, not just statistically.
-        assert report.algorithm("A1").correlation == 0.0
-        assert report.algorithm("A2").correlation == 0.0
+        assert find(report.algorithms, "algorithm", "A1").correlation == 0.0
+        assert find(report.algorithms, "algorithm", "A2").correlation == 0.0
 
     def test_algorithm_stage_mismatch_rejected(self):
         report = bp.run_stage(bp.StageConfig(stage=1, trials=1000, seed=1))
         with pytest.raises(ValidationError):
-            report.algorithm("A1'")
+            find(report.algorithms, "algorithm", "A1'")
 
     def test_empty_registered_set_is_an_error(self):
         cfg = bp.StageConfig(
@@ -294,12 +297,12 @@ class TestAnalyticStageReport:
 
     def test_per_algorithm_statistics(self):
         report = bp.analytic_stage_report(bp.StageConfig(stage=1, trials=1))
-        a1 = report.algorithm("A1")
+        a1 = find(report.algorithms, "algorithm", "A1")
         assert a1.alice_mean == pytest.approx(1.0, abs=1e-15)
         assert a1.bob_mean == pytest.approx(-0.7, abs=1e-12)
         assert a1.pair_mean == pytest.approx(-0.7, abs=1e-12)
         assert a1.correlation == pytest.approx(0.0, abs=1e-12)
-        a2 = report.algorithm("A2")
+        a2 = find(report.algorithms, "algorithm", "A2")
         assert a2.alice_mean == pytest.approx(-1.0, abs=1e-15)
         assert a2.correlation == pytest.approx(0.0, abs=1e-12)
 
@@ -435,7 +438,7 @@ class TestStructuralLocality:
 
     def test_detection_record_carries_no_source_state(self):
         cfg = bp.StageConfig(stage=1, trials=1, seed=0)
-        _, quadruple = sam_emit(cfg, cfg.stream().generator(0))
+        _, quadruple = sam_emit(cfg, generator(cfg.stream(), 0))
         record = observer_detect(quadruple[:2], cfg.alice_filter)
         fields = set(DetectionRecord.__dataclass_fields__)
         assert fields == {"registered", "color", "sign", "passages"}
@@ -451,7 +454,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("stage", True), ("trials", True), ("trials", 2.0), ("p_stage1", "0.5"), ("p_stage1", True),
-        ("p_stage23", float("nan")), ("filter_mismatch_prob", None),
+        ("p_stage23", float("nan")), ("filter_mismatch_prob", None), ("stage", 1.0),
+        ("alice_filter", "z"), ("bob_filter", 2),
     ])
     def test_non_numbers_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -467,7 +471,7 @@ class TestSerialization:
         import json
 
         report = bp.run_stage(bp.StageConfig(stage=1, trials=1000, seed=2))
-        payload = json.loads(json.dumps(report.to_json_dict()))
+        payload = json.loads(json.dumps(record(report)))
         assert payload["stage"] == 1
         assert set(payload["joint_freq"]) == {"++", "+-", "-+", "--"}
 

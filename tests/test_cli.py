@@ -482,6 +482,17 @@ def test_zero_workers_is_a_usage_error(capsys, name):
     assert err == "error: workers must be a positive integer, got 0\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (("spin-correlation", "--phi", "60deg", "--sweep-out", "{path}"), "--sweep-out needs --sweep"),
+    (("common-cause", "--builtin", "spin", "--empirical"), "--empirical needs --builtin ball"),
+])
+def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
+    path = tmp_path / "sweep.dat"
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in args))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # The config contract: a config document means what the flags mean, and a
 # value of the wrong type or shape exits 2 with one line naming its key.

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from actor_oracles import mixed_joint_cells
+from actor_oracles import find, mixed_joint_cells
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -192,7 +192,7 @@ class TestFullReport:
         report = cc.full_report(independent_model())
         assert not report.certified
         assert abs(report.covariance) <= 1e-12
-        assert all(report.condition(n).holds for n in (
+        assert all(find(report.conditions, "name", n).holds for n in (
             "screening_given_z", "screening_given_not_z",
             "factorization_given_z", "factorization_given_not_z",
         ))
@@ -205,10 +205,15 @@ class TestFullReport:
             "as_given", "x_flipped", "y_flipped", "both_flipped",
         }
 
+    @pytest.mark.parametrize("tol", ["x", True, -1.0, math.nan])
+    def test_tolerance_must_be_a_nonnegative_number(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            cc.full_report(independent_model(), tol)
+
     def test_unknown_condition_name_rejected(self):
         report = cc.full_report(independent_model())
         with pytest.raises(ValidationError):
-            report.condition("relevance_z")
+            find(report.conditions, "name", "relevance_z")
 
     def test_json_serializable(self):
         import json
@@ -238,7 +243,7 @@ class TestEmpiricalModel:
     @pytest.mark.parametrize("stage", [1, 2, 3])
     def test_algorithm_that_registered_nothing_is_an_empty_report(self, stage):
         report = bp.run_stage(bp.StageConfig(stage=stage, trials=1))
-        (empty,) = [alg.algorithm_id for alg in report.algorithms if not alg.registered]
+        (empty,) = [alg.algorithm for alg in report.algorithms if not alg.registered]
         with pytest.raises(EmptyReportError,
                            match=f"stage {stage}: algorithm {empty} registered no joint"):
             cc.empirical_ball_event_model(report)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from actor_oracles import TrialRecord, sample_hidden_variable, simulate_trial
+from actor_oracles import TrialRecord, generator, sample_hidden_variable, simulate_trial
 from float_oracles import mc_counts
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +12,7 @@ from records import read_mc_csv
 
 from bellsim import montecarlo as mc
 from bellsim.errors import ValidationError
+from bellsim.report import record
 from bellsim.rng import CHUNK_TRIALS, SIGN_PAIRS, RngStream, fold, threshold
 from bellsim.spinmodel import Description, Direction, quantum_correlation
 
@@ -31,18 +32,18 @@ class TestSampleHiddenVariable:
     def test_deterministic_repeat(self):
         axis = Direction(0.3)
         first = [
-            sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
+            sample_hidden_variable(axis, generator(RngStream(5, 1), i)).first_particle
             for i in range(50)
         ]
         second = [
-            sample_hidden_variable(axis, RngStream(5, 1).generator(i)).first_particle
+            sample_hidden_variable(axis, generator(RngStream(5, 1), i)).first_particle
             for i in range(50)
         ]
         assert first == second
 
     def test_anchored_to_requested_axis(self):
         axis = Direction(1.7)
-        lam = sample_hidden_variable(axis, RngStream(0).generator())
+        lam = sample_hidden_variable(axis, generator(RngStream(0)))
         assert lam.axis == axis
         assert lam.first_particle in (1, -1)
 
@@ -51,7 +52,7 @@ class TestSimulateTrial:
     def test_equal_axes_always_anticorrelated(self):
         cfg = config(0.0, 1)
         for i in range(500):
-            rec = simulate_trial(cfg, cfg.stream().generator(i))
+            rec = simulate_trial(cfg, generator(cfg.stream(), i))
             assert rec.outcome2 == -rec.outcome1
 
     @pytest.mark.parametrize("description", [Description.ALICE, Description.BOB])
@@ -61,12 +62,12 @@ class TestSimulateTrial:
         rows = read_mc_csv(tmp_path / "trials.csv")
         assert rows.trial.tolist() == list(range(cfg.trials))
         for i, row in enumerate(rows):
-            rec = simulate_trial(cfg, cfg.stream().generator(i))
+            rec = simulate_trial(cfg, generator(cfg.stream(), i))
             assert rec == TrialRecord(row.lambda_sign, row.outcome1, row.outcome2)
 
     def test_anchored_observer_reads_off_hidden_variable(self):
         cfg = config(0.9, 1, description=Description.BOB, seed=2)
-        rec = simulate_trial(cfg, cfg.stream().generator(0))
+        rec = simulate_trial(cfg, generator(cfg.stream(), 0))
         assert rec.outcome2 == -rec.lambda_sign
 
 
@@ -80,7 +81,7 @@ class TestRunExperiment:
     def test_equal_axes_exact_anticorrelation(self):
         for seed in (0, 1, 99):
             stats = mc.run_experiment(config(0.0, 100_000, seed=seed))
-            assert stats.counts[0] == 0 and stats.counts[3] == 0
+            assert stats.counts[(1, 1)] == 0 and stats.counts[(-1, -1)] == 0
             assert stats.pair_mean == -1.0
             assert abs(stats.covariance + 1.0) <= 9.0 / stats.trials
 
@@ -95,7 +96,7 @@ class TestRunExperiment:
 
     def test_histogram_sums_to_trials(self):
         stats = mc.run_experiment(config(0.77, 12345, seed=5))
-        assert sum(stats.counts) == stats.trials
+        assert sum(stats.counts.values()) == stats.trials
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_worker_count_invariance(self, workers):
@@ -107,7 +108,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("phi", [0.0, 1.1, math.pi])
     def test_matches_float_oracle(self, phi, description, workers):
         cfg = config(phi, 2 * CHUNK_TRIALS + 1, description, seed=41, stream_id=1)
-        assert mc.run_experiment(cfg, workers=workers).counts == mc_counts(cfg)
+        assert tuple(mc.run_experiment(cfg, workers=workers).counts.values()) == mc_counts(cfg)
 
     def test_repeat_runs_identical(self):
         cfg = config(0.6, 50_000, seed=13)
@@ -118,7 +119,7 @@ class TestRunExperiment:
         # those can produce (+,+), with probability (1 - cos(pi/3))/2.
         expected = 0.5 * 0.5 * (1.0 - math.cos(math.pi / 3))
         stats = mc.run_experiment(config(math.pi / 3, 1_000_000, seed=0))
-        assert stats.counts[0] / stats.trials == pytest.approx(expected, abs=0.002)
+        assert stats.counts[(1, 1)] / stats.trials == pytest.approx(expected, abs=0.002)
 
     def test_conditional_frequency_at_right_angle(self, tmp_path):
         cfg = config(math.pi / 2, 1_000_000, seed=0)
@@ -148,6 +149,12 @@ class TestRunExperiment:
     def test_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValidationError):
             mc.ExperimentConfig(A0, A0, trials)
+        with pytest.raises(ValidationError):
+            mc.covariance_tolerance(0.5, trials)
+
+    def test_tolerance_needs_trials(self):
+        with pytest.raises(ValidationError, match="trials"):
+            mc.covariance_tolerance(0.5, 0)
 
 
 class TestWorldTable:
@@ -220,14 +227,14 @@ class TestChsh:
 
     def test_contexts_use_distinct_streams(self):
         details = mc.chsh_details(*OPTIMAL, mode="empirical", trials=5_000, seed=1)
-        histograms = [ctx.stats.counts for ctx in details.contexts]
+        histograms = [tuple(ctx.stats.counts.values()) for ctx in details.contexts]
         assert len(set(histograms)) == len(histograms)
 
     def test_labeled_as_derived(self):
         for mode in ("analytic", "empirical"):
             details = mc.chsh_details(*OPTIMAL, mode=mode, trials=1_000, seed=1)
             assert "derived demonstration" in details.note
-            assert "derived demonstration" in details.to_json_dict()["note"]
+            assert "derived demonstration" in record(details)["note"]
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValidationError):
@@ -250,7 +257,7 @@ class TestEmpiricalStats:
         import json
 
         stats = mc.run_experiment(config(0.3, 1000, seed=1))
-        payload = json.dumps(stats.to_json_dict())
+        payload = json.dumps(record(stats))
         assert json.loads(payload)["trials"] == 1000
 
 

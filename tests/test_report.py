@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bellsim.report import FloatTable, _lines, render_json
+from bellsim.report import _MARKER, FloatTable, _lines, render_json
 
 
 def stdlib(value) -> str:
@@ -116,6 +116,14 @@ def test_a_report_the_fast_renderer_refuses_renders_a_table_as_its_rows(rows):
     with pytest.raises(ValueError) as got:
         render_json({"rows": table, "x": math.nan})
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("extra", [{"note": _MARKER}, {"note": '"' + _MARKER}, {_MARKER: 1},
+                                   {"note": f'"{_MARKER}"'}])
+def test_strings_holding_the_marker_leave_tables_rendered_as_rows(extra):
+    rows = [[0.0, -1.0], [1e16, 5e-324]]
+    table = FloatTable(np.array(rows))
+    assert render_json({"rows": table, **extra}) == stdlib({"rows": rows, **extra})
 
 
 @pytest.mark.parametrize("array", [

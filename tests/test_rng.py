@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from actor_oracles import generator
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -16,20 +17,20 @@ from bellsim.rng import BLOCK_DRAWS, CHUNK_TRIALS, RngStream, threshold
 
 
 def test_same_key_same_sequence():
-    a = RngStream(123, 5).generator().random(256)
-    b = RngStream(123, 5).generator().random(256)
+    a = generator(RngStream(123, 5)).random(256)
+    b = generator(RngStream(123, 5)).random(256)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ_within_100_draws():
-    a = RngStream(123, 0).generator().random(100)
-    b = RngStream(123, 1).generator().random(100)
+    a = generator(RngStream(123, 0)).random(100)
+    b = generator(RngStream(123, 1)).random(100)
     assert np.any(a != b)
 
 
 def test_distinct_seeds_differ():
-    a = RngStream(1, 0).generator().random(100)
-    b = RngStream(2, 0).generator().random(100)
+    a = generator(RngStream(1, 0)).random(100)
+    b = generator(RngStream(2, 0)).random(100)
     assert np.any(a != b)
 
 
@@ -37,9 +38,9 @@ def test_trial_words_match_sequential_stream():
     stream = RngStream(7, 3)
     words = stream.trial_words(40)
     assert words.shape == (40, BLOCK_DRAWS) and words.dtype == np.uint64
-    assert np.array_equal(words.ravel(), stream.generator().bit_generator.random_raw(160))
+    assert np.array_equal(words.ravel(), generator(stream).bit_generator.random_raw(160))
     # numpy's double is the top 53 bits of the word, scaled by 2**-53.
-    doubles = stream.generator().random(40 * BLOCK_DRAWS)
+    doubles = generator(stream).random(40 * BLOCK_DRAWS)
     assert np.array_equal((words.ravel() >> np.uint64(11)) * 2.0**-53, doubles)
 
 
@@ -56,7 +57,7 @@ def test_trial_generator_matches_trial_words_row():
     stream = RngStream(9, 2)
     rows = stream.trial_words(10) >> np.uint64(11)
     for i in range(10):
-        assert np.array_equal(stream.generator(i).random(BLOCK_DRAWS), rows[i] * 2.0**-53)
+        assert np.array_equal(generator(stream, i).random(BLOCK_DRAWS), rows[i] * 2.0**-53)
 
 
 @pytest.mark.parametrize(

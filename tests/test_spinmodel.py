@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from actor_oracles import SpinVector, second_particle, spin_vector, unit_vector
+from actor_oracles import (
+    SpinVector,
+    marginal_expectation,
+    quantum_pair_expectation,
+    second_particle,
+    spin_vector,
+    unit_vector,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,11 +25,9 @@ from bellsim.spinmodel import (
     conditional_outcome_prob,
     correlation_from_cosines,
     joint_outcome_prob,
-    marginal_expectation,
     mean_value,
     pair_expectation,
     quantum_correlation,
-    quantum_pair_expectation,
     subquantum_correlation,
     zero_axis_cosines,
 )
@@ -49,7 +54,7 @@ class TestDirection:
     def test_from_degrees(self):
         assert Direction(math.radians(180.0)) == Direction(math.pi)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "x", None, 10**400, True])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError):
             Direction(bad)
