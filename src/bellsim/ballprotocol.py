@@ -40,9 +40,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import EmptyReportError, ValidationError, is_real, require_count
+from .errors import (EmptyReportError, require, require_choice, require_probability,
+                     require_trials, require_type)
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, glyph, simulate, threshold
-from .spinmodel import require_spin
+from .spinmodel import SPINS
 
 
 class Color(str, enum.Enum):
@@ -94,24 +95,15 @@ class StageConfig:
     filter_mismatch_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if type(self.stage) is not int or self.stage not in STAGE_COLORS:
-            raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage!r}")
-        fixed, variable = STAGE_COLORS[self.stage]
-        alice = self.alice_filter if self.alice_filter is not None else fixed
-        bob = self.bob_filter if self.bob_filter is not None else variable
-        if alice not in ALICE_FILTERS:
-            raise ValidationError(f"alice_filter must be 'a' or 'c', got {alice!r}")
-        if bob not in BOB_FILTERS:
-            raise ValidationError(f"bob_filter must be 'b' or 'c', got {bob!r}")
-        alice, bob = Color(alice), Color(bob)
-        object.__setattr__(self, "alice_filter", alice)
-        object.__setattr__(self, "bob_filter", bob)
-        require_count(self.trials, "trials")
-        for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
+        canonical = STAGE_COLORS[require_choice(self.stage, "stage", tuple(STAGE_COLORS))]
+        for name, default, admissible in zip(("alice_filter", "bob_filter"), canonical,
+                                             (ALICE_FILTERS, BOB_FILTERS)):
             value = getattr(self, name)
-            if not is_real(value) or not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be a probability in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = default if value is None else require_choice(value, name, admissible)
+            object.__setattr__(self, name, Color(value))
+        require_trials(self.trials, "trials")
+        for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
+            object.__setattr__(self, name, require_probability(getattr(self, name), name))
 
     @property
     def correlated_prob(self) -> float:
@@ -180,7 +172,7 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[World]]:
     configuration and ``-s`` otherwise.  Each observer reads only their
     own filter's entry; a color the stage does not send registers nothing.
     """
-    m = config.filter_mismatch_prob
+    m = require_type(config, "config", StageConfig).filter_mismatch_prob
     p = config.correlated_prob
     coins = ((0, threshold(0.5)), (1, threshold(p)), (2, threshold(m)), (3, threshold(m)))
     fixed, variable = STAGE_COLORS[config.stage]
@@ -307,17 +299,10 @@ def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityRep
     Requires reports for stages 1, 2, 3 (in order) with the canonical
     filter pairs (a,b), (a,c), (c,b); anything else is rejected.
     """
-    if len(reports) != 3:
-        raise ValidationError("expected exactly three stage reports")
-    for report, stage in zip(reports, (1, 2, 3)):
-        if report.stage != stage:
-            raise ValidationError(f"expected stage {stage}, got stage {report.stage}")
-        expected = STAGE_COLORS[stage]
-        if (report.alice_filter, report.bob_filter) != expected:
-            raise ValidationError(
-                f"stage {stage} requires filters ({expected[0].value}, {expected[1].value}), "
-                f"got ({report.alice_filter.value}, {report.bob_filter.value})"
-            )
+    canonical = [(stage, a.value, b.value) for stage, (a, b) in STAGE_COLORS.items()]
+    got = [(r.stage, r.alice_filter.value, r.bob_filter.value) if isinstance(r, AggregateReport)
+           else r for r in reports] if isinstance(reports, (tuple, list)) else reports
+    require(got == canonical, "reports", f"(stage, alice filter, bob filter) {canonical}", got)
     # Registered-trial frequencies, as the remote computer tabulates them.
     both_plus = [r.joint_freq[(1, 1)] for r in reports]
     modes = {r.mode for r in reports}
@@ -367,12 +352,12 @@ def contextual_decomposition(
     and Bob registers ``bob_sign`` on his"; both the per-algorithm
     conditionals and the direct unconditional frequency are exact.
     """
-    require_spin(alice_sign, "alice_sign")
-    require_spin(bob_sign, "bob_sign")
+    require_choice(alice_sign, "alice_sign", SPINS)
+    require_choice(bob_sign, "bob_sign", SPINS)
+    _, worlds = _world_table(config)
     # The event names the configured filter colors, so in mismatch worlds
     # (device flipped to the other color, code 4 and up) it does not occur.
     ids = ALGORITHM_IDS[config.stage]
-    _, worlds = _world_table(config)
     kept = [world for world in worlds if world.code < 4]
     cells, _ = fold(kept)
     pair = (alice_sign, bob_sign)

@@ -28,25 +28,13 @@ import numpy as np
 from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
-from .errors import (
-    BellsimError,
-    ConditioningUndefinedError,
-    ValidationError,
-    is_real,
-)
+from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, is_real, one_of,
+                     require_count, require_fields, require_trials)
 from .report import Check, FloatTable, build_report, render_json, render_text
 from .rng import SIGN_PAIRS, glyph
-from .spinmodel import (
-    Description,
-    Direction,
-    HiddenVariable,
-    angle_between,
-    axis_cosine,
-    correlation_from_cosines,
-    quantum_correlation,
-    subquantum_correlation,
-    zero_axis_cosines,
-)
+from .spinmodel import (Description, Direction, HiddenVariable, angle_between, axis_cosine,
+                        correlation_from_cosines, quantum_correlation, subquantum_correlation,
+                        zero_axis_cosines)
 
 
 class UsageError(Exception):
@@ -112,15 +100,6 @@ def _read_json(path: str, what: str) -> Any:
         raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = _read_json(path, "config")
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must contain a JSON object")
-    return data
-
-
 def _sweep(value: Any) -> bool:
     return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
             and all(map(is_real, value.values()))
@@ -132,9 +111,9 @@ def _sweep(value: Any) -> bool:
 class Kind(NamedTuple):
     """Which JSON values a field takes, and how its flag's text becomes one.
 
-    A kind checks type and shape only.  Ranges (a probability's [0, 1], a
-    tolerance's sign, a seed's 64 bits) are the library's checks, which
-    raise ValidationError and so also exit 2.
+    A kind checks type and shape.  For trials and choices it is the library's
+    own contract (an ``errors.Contract``'s meaning and predicate) with a flag;
+    other ranges, such as a probability's, are library checks that also exit 2.
     """
 
     meaning: str  # completes "<key> must be ..."
@@ -143,10 +122,8 @@ class Kind(NamedTuple):
 
 
 def choice(*options) -> Kind:
-    """One of the options, of the same type (so true is not 1)."""
-    return Kind("one of " + ", ".join(json.dumps(o) for o in options),
-                lambda v: type(v) is type(options[0]) and v in options,
-                {"type": type(options[0]), "choices": options})
+    """One of the options, by the library's predicate (so true is not 1, nor 1.0)."""
+    return Kind(*one_of(options)[:2], {"type": type(options[0]), "choices": options})
 
 
 ANGLE = Kind("an angle in radians", is_real, {"type": parse_angle, "metavar": "ANGLE"})
@@ -159,7 +136,7 @@ FOUR_ANGLES = Kind("a list of four angles in radians",
 SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start "
              f"and at most {MAX_SWEEP_POINTS:,} points",
              _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
-COUNT = Kind("a positive integer", lambda v: type(v) is int and v >= 1, {"type": int})
+COUNT = Kind(*require_trials[:2], {"type": int})
 SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
 PROBABILITY = Kind("a probability in [0, 1]", is_real, {"type": float, "metavar": "P"})
 TOLERANCE = Kind("a nonnegative number", is_real, {"type": float})
@@ -191,10 +168,8 @@ def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
     Values are checked, never converted, so a manifest fed back via
     --config reproduces the run byte for byte.
     """
-    file_cfg = _load_config_file(ns.config)
-    unknown = set(file_cfg) - {f.key for f in schema}
-    if unknown:
-        raise UsageError(f"unknown config fields: {sorted(unknown)}")
+    file_cfg = {} if ns.config is None else _read_json(ns.config, "config")
+    file_cfg = require_fields(file_cfg, "config", set(), {f.key for f in schema})
     cfg = {}
     for f in schema:
         flag = getattr(ns, f.key)
@@ -595,8 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)  # angle and sweep flags raise UsageError
-        if ns.workers < 1:
-            raise UsageError(f"workers must be a positive integer, got {ns.workers}")
+        require_count(ns.workers, "workers")
         return ns.handler(ns)
     except (UsageError, ValidationError, ConditioningUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,32 +30,13 @@ import math
 from dataclasses import dataclass, replace
 
 from . import ballprotocol, spinmodel
-from .errors import (ConditioningUndefinedError, EmptyReportError, ValidationError, is_real,
-                     require_count)
+from .errors import (ConditioningUndefinedError, EmptyReportError, require, require_choice,
+                     require_fields, require_nonnegative, require_probability, require_table,
+                     require_trials, require_type)
 
 ANALYTIC_TOLERANCE = 1e-9
 
 Table = tuple[tuple[float, float], tuple[float, float]]
-
-
-def _validate_table(table, name: str) -> Table:
-    try:
-        rows = tuple(tuple(row) for row in table)
-    except TypeError as exc:
-        raise ValidationError(f"{name} must be a 2x2 table of numbers") from exc
-    if not all(is_real(v) for row in rows for v in row):
-        raise ValidationError(f"{name} must be a 2x2 table of numbers")
-    rows = tuple(tuple(float(v) for v in row) for row in rows)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValidationError(f"{name} must be a 2x2 table, got shape {[len(r) for r in rows]}")
-    for row in rows:
-        for v in row:
-            if v < -ANALYTIC_TOLERANCE or v > 1.0 + ANALYTIC_TOLERANCE:
-                raise ValidationError(f"{name} entries must be probabilities in [0, 1], got {v}")
-    total = sum(v for row in rows for v in row)
-    if abs(total - 1.0) > ANALYTIC_TOLERANCE:
-        raise ValidationError(f"{name} must sum to 1 within {ANALYTIC_TOLERANCE}, sums to {total}")
-    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,13 +56,11 @@ class BinaryEventModel:
     sample_size: int | None = None
 
     def __post_init__(self) -> None:
-        if not is_real(self.p_z) or not 0.0 <= self.p_z <= 1.0:
-            raise ValidationError(f"p_z must be a probability in [0, 1], got {self.p_z!r}")
-        object.__setattr__(self, "p_z", float(self.p_z))
-        for name in ("joint_given_z", "joint_given_not_z"):
-            object.__setattr__(self, name, _validate_table(getattr(self, name), name))
+        object.__setattr__(self, "p_z", require_probability(self.p_z, "p_z"))
+        for t in ("joint_given_z", "joint_given_not_z"):
+            object.__setattr__(self, t, require_table(getattr(self, t), t, ANALYTIC_TOLERANCE))
         if self.sample_size is not None:
-            require_count(self.sample_size, "sample_size")
+            require_trials(self.sample_size, "sample_size")
 
     def default_tolerance(self) -> float:
         if self.sample_size is None:
@@ -137,16 +116,8 @@ class BinaryEventModel:
 
 
 def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:
-    if not isinstance(data, dict):
-        raise ValidationError("model must be a JSON object")
     required = {"p_z", "joint_given_z", "joint_given_not_z"}
-    missing = required - set(data)
-    if missing:
-        raise ValidationError(f"model is missing fields: {sorted(missing)}")
-    unknown = set(data) - required - {"sample_size"}
-    if unknown:
-        raise ValidationError(f"unknown model fields: {sorted(unknown)}")
-    return BinaryEventModel(**data)
+    return BinaryEventModel(**require_fields(data, "model", required, {"sample_size"}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,11 +142,8 @@ class ConditionResult:
 
 
 def _resolve_tol(model: BinaryEventModel, tol: float | None) -> float:
-    if tol is None:
-        return model.default_tolerance()
-    if not is_real(tol) or tol < 0.0:
-        raise ValidationError(f"tolerance must be a nonnegative number, got {tol!r}")
-    return float(tol)
+    require_type(model, "model", BinaryEventModel)
+    return model.default_tolerance() if tol is None else require_nonnegative(tol, "tolerance")
 
 
 def check_cause_relevance(
@@ -316,8 +284,10 @@ def spin_event_model(
     along ``axis1`` equals ``x_outcome``; "y occurs" means particle 2's
     outcome along ``axis2`` equals ``y_outcome``.
     """
-    spinmodel.require_spin(x_outcome, "x_outcome")
-    spinmodel.require_spin(y_outcome, "y_outcome")
+    require_type(axis1, "axis1", spinmodel.Direction)
+    require_type(axis2, "axis2", spinmodel.Direction)
+    require_choice(x_outcome, "x_outcome", spinmodel.SPINS)
+    require_choice(y_outcome, "y_outcome", spinmodel.SPINS)
 
     def table(sign: int) -> Table:
         lam = spinmodel.HiddenVariable(axis1, sign)
@@ -355,8 +325,8 @@ def empirical_ball_event_model(
     the statistical tolerance 4/sqrt(N).  An algorithm that registered
     nothing leaves its conditional table undefined: :class:`EmptyReportError`.
     """
-    if report.mode != "empirical" or report.registered_trials is None:
-        raise ValidationError("expected an empirical stage report")
+    require(isinstance(report, ballprotocol.AggregateReport) and report.mode == "empirical",
+            "report", "an empirical stage report", report)
     for alg in report.algorithms:
         if not alg.registered:
             raise EmptyReportError(
@@ -369,8 +339,8 @@ def empirical_ball_event_model(
 def _event_model_from_report(
     report: ballprotocol.AggregateReport, x_sign: int, y_sign: int, sample_size: int | None
 ) -> BinaryEventModel:
-    if x_sign not in (1, -1) or y_sign not in (1, -1):
-        raise ValidationError("x_sign and y_sign must be +1 or -1")
+    require_choice(x_sign, "x_sign", spinmodel.SPINS)
+    require_choice(y_sign, "y_sign", spinmodel.SPINS)
     first, second = report.algorithms
 
     def table(stats: ballprotocol.AlgorithmStats) -> Table:

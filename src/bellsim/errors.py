@@ -1,7 +1,18 @@
-"""Exception hierarchy and the number checks shared across the package."""
+"""Exception hierarchy and the package's one family of input checks.
 
+Every library check is a ``require_*`` check here (``require_real``,
+``require_trials``, ``require_choice``, ``require_type``, ...).  Each returns
+the value or raises :class:`ValidationError` with the message ``<name> must
+be <meaning>, got <value>``, the shape of the CLI's config errors.
+"""
+
+import json
 import math
 import numbers
+import os
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 
 class BellsimError(Exception):
@@ -29,6 +40,17 @@ class EmptyReportError(BellsimError):
     """No jointly registered trials, so frequencies are undefined."""
 
 
+#: Most trials one run may have: trial i draws counter block i, a 64-bit number.
+MAX_TRIALS = 1 << 64
+
+
+def require(valid: bool, name: str, meaning: str, value):
+    """``value`` if ``valid``; else ValidationError ``<name> must be <meaning>, got <value>``."""
+    if not valid:
+        raise ValidationError(f"{name} must be {meaning}, got {value!r}")
+    return value
+
+
 def is_real(value) -> bool:
     """A number, not a boolean or a string, that converts to a finite float."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -39,7 +61,79 @@ def is_real(value) -> bool:
         return False
 
 
-def require_count(value, name: str) -> None:
-    """A count (of trials, or of samples) is a positive integer, not a boolean."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+class Contract(NamedTuple):
+    """What an input must be; calling it, as ``require_x(value, name)``, is the check."""
+
+    meaning: str
+    valid: Callable[[Any], bool]
+    convert: Callable[[Any], Any] = lambda value: value
+
+    def __call__(self, value, name: str):
+        return self.convert(require(self.valid(value), name, self.meaning, value))
+
+
+require_real = Contract("a finite number", is_real, float)
+require_nonnegative = Contract("a nonnegative number", lambda v: is_real(v) and v >= 0, float)
+require_probability = Contract("a probability in [0, 1]",
+                               lambda v: is_real(v) and 0 <= v <= 1, float)
+require_count = Contract("a positive integer",
+                         lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+require_trials = Contract("a positive integer of at most 2**64",
+                          lambda v: require_count.valid(v) and v <= MAX_TRIALS)
+require_u64 = Contract("an unsigned 64-bit integer",  # Python's or numpy's, returned as an int
+                       lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       and 0 <= v < MAX_TRIALS, int)
+require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike)))
+
+
+def one_of(options) -> Contract:
+    """Equal to an option of its type, a subtype or a base type, so 1.0 and True are not 1."""
+
+    def valid(v) -> bool:
+        return not isinstance(v, bool) and any(
+            (isinstance(v, type(o)) or isinstance(o, type(v))) and v == o for o in options)
+
+    return Contract("one of " + ", ".join(map(json.dumps, options)), valid)
+
+
+def require_choice(value, name: str, options):
+    return one_of(options)(value, name)
+
+
+def require_type(value, name: str, cls: type):
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    return require(isinstance(value, cls), name, f"{article} {cls.__name__}", value)
+
+
+def require_reals(values, name: str) -> np.ndarray:
+    """A one-dimensional sequence of finite real numbers, as a float64 array."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    valid = array.ndim == 1 and array.dtype.kind in "iuf" and bool(np.isfinite(array).all())
+    require(valid, name, "a sequence of finite numbers", values)
+    return array.astype(np.float64, copy=False)
+
+
+def require_table(value, name: str, tol: float) -> tuple:
+    """A 2x2 table of probabilities summing to 1, each within ``tol``, as floats."""
+    try:
+        rows = [tuple(row) for row in value]
+    except TypeError:  # not a sequence of sequences
+        rows = []
+    cells = [float(v) if is_real(v) else None for row in rows for v in row]
+    valid = [len(row) for row in rows] == [2, 2] and None not in cells and all(
+        -tol <= v <= 1.0 + tol for v in cells) and abs(sum(cells) - 1.0) <= tol
+    require(valid, name, f"a 2x2 table of probabilities summing to 1 within {tol}", value)
+    return (cells[0], cells[1]), (cells[2], cells[3])
+
+
+def require_fields(data, name: str, required: set, optional: set) -> dict:
+    """A JSON object with every ``required`` key and no key outside ``optional``."""
+    require(isinstance(data, dict), name, "a JSON object", data)
+    if required - set(data):
+        raise ValidationError(f"{name} is missing fields: {sorted(required - set(data))}")
+    if set(data) - required - optional:
+        raise ValidationError(f"unknown {name} fields: {sorted(set(data) - required - optional)}")
+    return data

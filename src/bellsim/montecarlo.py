@@ -19,15 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, require_count
+from .errors import (require, require_choice, require_nonnegative, require_real, require_trials,
+                     require_type)
 from .report import Check
 from .rng import SIGN_PAIRS, Coin, RngStream, World, simulate, threshold
-from .spinmodel import (
-    Description,
-    Direction,
-    angle_between,
-    quantum_correlation,
-)
+from .spinmodel import Description, Direction, angle_between, quantum_correlation
 
 CHSH_LOCAL_BOUND = 2.0
 CHSH_SINGLET_BOUND = 2.0 * math.sqrt(2.0)
@@ -52,9 +48,10 @@ class ExperimentConfig:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        require_count(self.trials, "trials")
-        if not isinstance(self.description, Description):
-            raise ValidationError(f"description must be a Description, got {self.description!r}")
+        require_type(self.axis1, "axis1", Direction)
+        require_type(self.axis2, "axis2", Direction)
+        require_trials(self.trials, "trials")
+        require_type(self.description, "description", Description)
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stream_id)
@@ -81,18 +78,14 @@ class EmpiricalStats:
 
     @classmethod
     def from_counts(cls, counts, trials: int) -> "EmpiricalStats":
+        require(len(counts) == 4 and min(counts) >= 0 and sum(counts) == trials, "counts",
+                f"four nonnegative cells summing to trials = {trials!r}", counts)
         npp, npm, nmp, nmm = (int(c) for c in counts)
-        if npp + npm + nmp + nmm != trials:
-            raise ValidationError("histogram cells must sum to the trial count")
         n = float(trials)
         mean1 = (npp + npm - nmp - nmm) / n
         mean2 = (npp - npm + nmp - nmm) / n
         pair_mean = (npp - npm - nmp + nmm) / n
         covariance = pair_mean - mean1 * mean2
-        # Sample covariance of +/-1 variables is bounded by the product of
-        # their sample deviations, hence by 1.
-        if abs(pair_mean) > 1.0 or abs(covariance) > 1.0 + 1e-9:
-            raise ValidationError("pair mean and covariance must lie in [-1, 1]")
         return cls(
             trials=trials,
             counts=dict(zip(SIGN_PAIRS, (npp, npm, nmp, nmm))),
@@ -113,7 +106,7 @@ def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World
     product of all three coins'.  The row text follows the trial number:
     ``,lambda_sign,outcome1,outcome2``.
     """
-    alice = config.description is Description.ALICE
+    alice = require_type(config, "config", ExperimentConfig).description is Description.ALICE
     cos_phi = math.cos(angle_between(config.axis1, config.axis2))
     # The outcome mean of particle 2 is -lambda*cos(phi), that of particle 1 +lambda*cos(phi).
     p_up = tuple(0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0))
@@ -154,7 +147,8 @@ def covariance_tolerance(analytic: float, trials: int, sigmas: float = 3.0) -> f
     product mean is exact and the entire deviation is mean1*mean2,
     which stays within 9/N at three standard errors.
     """
-    require_count(trials, "trials")
+    analytic, trials = require_real(analytic, "analytic"), require_trials(trials, "trials")
+    sigmas = require_nonnegative(sigmas, "sigmas")
     return sigmas * math.sqrt(max(0.0, 1.0 - analytic * analytic) / trials) + 9.0 / trials
 
 
@@ -275,8 +269,9 @@ def chsh_details(
     Analytic mode substitutes the model's -cos correlations; empirical
     mode runs four independent experiments, one stream per context.
     """
-    if mode not in ("analytic", "empirical"):
-        raise ValidationError(f"mode must be 'analytic' or 'empirical', got {mode!r}")
+    require_choice(mode, "mode", ("analytic", "empirical"))
+    for name, axis in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
+        require_type(axis, name, Direction)
     pairs = (
         ("E(a,b)", a, b, 1),
         ("E(a,b')", a, b_prime, -1),

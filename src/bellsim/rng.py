@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, is_real, require_count
-
-_MASK64 = (1 << 64) - 1
+from .errors import require_count, require_path, require_probability, require_u64
 
 #: Draws available per counter block (one Philox block is 4 x 64 bits).
 BLOCK_DRAWS = 4
@@ -85,20 +84,9 @@ def fold(worlds: list[World], mass=None) -> tuple[tuple[dict, dict], list]:
     return cells, registered
 
 
-def _require_u64(value: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
-    v = int(value)
-    if v < 0 or v > _MASK64:
-        raise ValidationError(f"{name} must fit in an unsigned 64-bit integer, got {v}")
-    return v
-
-
 def threshold(p: float) -> np.uint64:
     """``ceil(p * 2**53)``: ``(w >> 11) < threshold(p)`` exactly when numpy's ``u < p``."""
-    if not (is_real(p) and 0.0 <= p <= 1.0):
-        raise ValidationError(f"probability must be a number in [0, 1], got {p!r}")
-    return np.uint64(math.ceil(p * 9007199254740992.0))
+    return np.uint64(math.ceil(require_probability(p, "p") * 9007199254740992.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +97,11 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _require_u64(self.seed, "seed"))
-        object.__setattr__(self, "stream_id", _require_u64(self.stream_id, "stream_id"))
+        object.__setattr__(self, "seed", require_u64(self.seed, "seed"))
+        object.__setattr__(self, "stream_id", require_u64(self.stream_id, "stream_id"))
 
     def _bit_generator(self, block: int) -> np.random.Philox:
-        block = _require_u64(block, "block")
+        block = require_u64(block, "block")
         bg = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         if block:
             bg.advance(block)
@@ -125,8 +113,7 @@ class RngStream:
         Row i is counter block ``start + i``, so chunks with matching
         offsets concatenate to the sequential stream.
         """
-        if n_trials < 0:
-            raise ValidationError(f"n_trials must be >= 0, got {n_trials}")
+        n_trials = require_u64(n_trials, "n_trials")
         words = self._bit_generator(start).random_raw(n_trials * BLOCK_DRAWS)
         return words.reshape(n_trials, BLOCK_DRAWS)
 
@@ -147,18 +134,25 @@ def count_worlds(
 ) -> np.ndarray:
     """Exact int64 histogram of the world codes of trials [0, trials).
 
-    ``workers`` only sets how many threads pick up chunks, capped at the
-    chunk count and the CPU count; the histogram is the same for any value.
+    ``workers`` caps the threads, one pool task each taking chunks from one iterator,
+    as do the chunk count and the CPU count; the histogram is the same for any value.
     """
     require_count(workers, "workers")
-    starts = range(0, trials, CHUNK_TRIALS)
+    starts, lock = iter(range(0, trials, CHUNK_TRIALS)), threading.Lock()
 
-    def count(lo: int) -> np.ndarray:
-        return np.bincount(_chunk_codes(stream, lo, trials, coins), minlength=1 << len(coins))
+    def count(_) -> np.ndarray:
+        histogram = np.zeros(1 << len(coins), dtype=np.int64)
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return histogram
+            codes = _chunk_codes(stream, lo, trials, coins)
+            histogram += np.bincount(codes, minlength=len(histogram))
 
-    threads = min(workers, len(starts), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        return sum(pool.map(count, starts), np.zeros(1 << len(coins), dtype=np.int64))
+    threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(count, range(threads)), np.zeros(1 << len(coins), dtype=np.int64))
 
 
 def write_trials(
@@ -180,7 +174,7 @@ def write_trials(
     # Tails "00".."99": trials 0-9 drop the "0", since their head is empty.
     padded = np.array([f"{r:02d}{t}" for r in range(100) for t in row_text], dtype=object)
     offsets = np.arange(CHUNK_TRIALS + 100) % 100 * len(row_text)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(require_path(path, "csv_out"), "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, trials, CHUNK_TRIALS):
             codes = _chunk_codes(stream, lo, trials, coins)

@@ -38,26 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContextMismatchError, ValidationError, is_real
+from .errors import ContextMismatchError, require_choice, require_real, require_reals, require_type
 
 TWO_PI = 2.0 * math.pi
 
 #: Spin outcomes are plain ints restricted to {+1, -1} (units of hbar/2).
 SpinValue = int
-
-
-def require_spin(value: int, name: str = "spin value") -> int:
-    """Validate a spin outcome; only the integers +1 and -1 are admitted."""
-    # Reject bools explicitly: True == 1 but is not a spin outcome.
-    if isinstance(value, bool) or value not in (1, -1):
-        raise ValidationError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
-
-
-def _require_particle(particle: int) -> int:
-    if particle not in (1, 2):
-        raise ValidationError(f"particle must be 1 or 2, got {particle!r}")
-    return particle
+SPINS = (1, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +60,7 @@ class Direction:
     theta: float
 
     def __post_init__(self) -> None:
-        if not is_real(self.theta):
-            raise ValidationError(f"theta must be a finite number, got {self.theta!r}")
-        t = math.fmod(float(self.theta), TWO_PI)
+        t = math.fmod(require_real(self.theta, "theta"), TWO_PI)
         if t < 0.0:
             t += TWO_PI
         if t >= TWO_PI:
@@ -104,11 +89,12 @@ class HiddenVariable:
     first_particle: SpinValue
 
     def __post_init__(self) -> None:
-        require_spin(self.first_particle, "first_particle")
+        require_type(self.axis, "axis", Direction)
+        require_choice(self.first_particle, "first_particle", SPINS)
 
     def predetermined(self, particle: int) -> SpinValue:
         """The outcome fixed for ``particle`` along this hidden variable's axis."""
-        return self.first_particle if _require_particle(particle) == 1 else -self.first_particle
+        return self.first_particle * (-1) ** (require_choice(particle, "particle", (1, 2)) - 1)
 
 
 def angle_between(n: Direction, m: Direction) -> float:
@@ -117,7 +103,7 @@ def angle_between(n: Direction, m: Direction) -> float:
     Equal to arccos of the dot product of the two unit vectors, and
     symmetric in its arguments.
     """
-    c = math.cos(n.theta - m.theta)
+    c = math.cos(require_type(n, "n", Direction).theta - require_type(m, "m", Direction).theta)
     if c > 1.0:
         c = 1.0
     elif c < -1.0:
@@ -138,10 +124,7 @@ def zero_axis_cosines(angles) -> np.ndarray:
     ``math.cos`` and ``math.acos`` per angle, because numpy's ``cos``
     differs from ``math.cos`` in the last bit at some angles.
     """
-    t = np.asarray(angles, dtype=np.float64)
-    if not np.isfinite(t).all():
-        raise ValidationError("every angle must be finite")
-    t = np.fmod(t, TWO_PI)
+    t = np.fmod(require_reals(angles, "angles"), TWO_PI)
     t[t < 0.0] += TWO_PI
     t[t >= TWO_PI] -= TWO_PI
     # angle_between(Direction(0.0), axis) clamps cos(0.0 - theta) into [-1, 1].
@@ -196,6 +179,7 @@ def mean_value(lam: HiddenVariable, particle: int, axis: Direction) -> float:
     the two axes coincide it degenerates to the predetermined outcome
     itself (exactly +1 or -1).
     """
+    lam = require_type(lam, "lam", HiddenVariable)
     return _mean(lam.predetermined(particle), axis_cosine(lam.axis, axis))
 
 
@@ -208,7 +192,8 @@ def conditional_outcome_prob(
     The two outcome probabilities sum to 1 exactly, and measuring along
     the hidden variable's own axis gives exactly 1 or 0.
     """
-    require_spin(outcome, "outcome")
+    require_choice(outcome, "outcome", SPINS)
+    lam = require_type(lam, "lam", HiddenVariable)
     return _outcome_prob(lam.predetermined(particle), axis_cosine(lam.axis, axis), outcome)
 
 
@@ -236,6 +221,7 @@ def pair_expectation(lam: HiddenVariable, axis1: Direction, axis2: Direction) ->
     is the hidden variable's own axis this equals -cos(phi12) for
     either sign of the hidden variable.
     """
+    lam = require_type(lam, "lam", HiddenVariable)
     return _pair(lam.first_particle, axis_cosine(lam.axis, axis1), axis_cosine(lam.axis, axis2))
 
 
@@ -249,7 +235,7 @@ def subquantum_correlation(lam: HiddenVariable, axis1: Direction, axis2: Directi
     distribution factorizes given the hidden variable, the value is
     identically zero: the particles carry no correlation at this level.
     """
-    if lam.axis != axis1 and lam.axis != axis2:
+    if require_type(lam, "lam", HiddenVariable).axis not in (axis1, axis2):
         raise ContextMismatchError(
             "hidden variable is anchored to neither measurement axis; conditional "
             "correlations are defined only within a matching measurement context"
@@ -260,8 +246,9 @@ def subquantum_correlation(lam: HiddenVariable, axis1: Direction, axis2: Directi
 
 
 def _anchor_cosines(axis1: Direction, axis2: Direction, description: Description):
-    if description is not Description.ALICE and description is not Description.BOB:
-        raise ValidationError(f"description must be a Description member, got {description!r}")
+    require_type(axis1, "axis1", Direction)
+    require_type(axis2, "axis2", Direction)
+    require_type(description, "description", Description)
     anchor = axis1 if description is Description.ALICE else axis2
     return axis_cosine(anchor, axis1), axis_cosine(anchor, axis2)
 

@@ -482,6 +482,26 @@ def test_zero_workers_is_a_usage_error(capsys, name):
     assert err == "error: workers must be a positive integer, got 0\n"
 
 
+@pytest.mark.parametrize("trials", [str(2**64 + 1), "1" + "0" * 400], ids=["2**64+1", "10**400"])
+@pytest.mark.parametrize("args", [
+    ("mc-run", "--phi", "60deg"),
+    ("mc-run", "--description", "both"),
+    ("ball-protocol", "--stage", "1"),
+    ("chsh", "--mode", "empirical"),
+    ("common-cause", "--builtin", "ball", "--empirical"),
+], ids=" ".join)
+def test_trials_beyond_2_to_the_64_is_a_usage_error(capsys, monkeypatch, args, trials):
+    from bellsim.rng import RngStream
+
+    def refuse(*_):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(RngStream, "trial_words", refuse)
+    code, out, err = run_cli(capsys, *args, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: trials must be a positive integer of at most 2**64, got {trials}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (("spin-correlation", "--phi", "60deg", "--sweep-out", "{path}"), "--sweep-out needs --sweep"),
     (("common-cause", "--builtin", "spin", "--empirical"), "--empirical needs --builtin ball"),
@@ -585,10 +605,11 @@ def test_unreadable_json_file_is_a_usage_error_naming_it(capsys, tmp_path, flag,
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
 
-#: Any JSON value.  Integers stay at or below 300, so a drawn ``trials``
-#: never runs a long simulation.
+#: Any JSON value.  Integers stay at or below 300, or beyond 2**64, so a drawn
+#: ``trials`` never runs a long simulation.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(max_value=300) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(max_value=300) | st.integers(min_value=2**64 + 1)
+    | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                max_size=3),
     max_leaves=4,

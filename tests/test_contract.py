@@ -1,0 +1,183 @@
+"""The library's input contract: every bad input is a ValidationError.
+
+Every public constructor and entry point of spinmodel, rng, montecarlo,
+ballprotocol and commoncause is called with hostile values in each
+argument.  A call either succeeds or raises a BellsimError; nothing else
+escapes.  Not called: the result records, which the library builds from
+its own counts, and the kernels that take what checked entry points
+computed (``spinmodel.correlation_from_cosines``, ``rng.fold``,
+``rng.glyph``, ``rng.count_worlds``, ``rng.write_trials``,
+``rng.simulate``).  A ``csv_out`` string is a path to write, so only
+values that are no path are given there.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellsim import ballprotocol as bp
+from bellsim import commoncause as cc
+from bellsim import montecarlo as mc
+from bellsim import rng
+from bellsim import spinmodel as sm
+from bellsim.errors import BellsimError, ValidationError
+
+A, B = sm.Direction(0.0), sm.Direction(math.pi / 3)
+LAM = sm.HiddenVariable(A, 1)
+STREAM = rng.RngStream(0)
+STAGE = bp.StageConfig(stage=1, trials=10)
+REPORTS = tuple(bp.analytic_stage_report(bp.StageConfig(stage=s, trials=10)) for s in (1, 2, 3))
+EMPIRICAL = bp.run_stage(bp.StageConfig(stage=1, trials=200, seed=3))
+MODEL = cc.BinaryEventModel(0.5, ((0.15, 0.85), (0.0, 0.0)), ((0.0, 0.0), (0.85, 0.15)))
+
+#: (callable, valid arguments): called with one argument replaced at a time.
+ENTRY_POINTS = {
+    "Direction": (sm.Direction, (0.5,)),
+    "HiddenVariable": (sm.HiddenVariable, (A, 1)),
+    "HiddenVariable.predetermined": (LAM.predetermined, (2,)),
+    "angle_between": (sm.angle_between, (A, B)),
+    "axis_cosine": (sm.axis_cosine, (A, B)),
+    "zero_axis_cosines": (sm.zero_axis_cosines, ([0.0, 1.0],)),
+    "mean_value": (sm.mean_value, (LAM, 2, B)),
+    "conditional_outcome_prob": (sm.conditional_outcome_prob, (LAM, 1, B, -1)),
+    "joint_outcome_prob": (sm.joint_outcome_prob, (LAM, A, B, 1, -1)),
+    "pair_expectation": (sm.pair_expectation, (LAM, A, B)),
+    "subquantum_correlation": (sm.subquantum_correlation, (LAM, A, B)),
+    "quantum_correlation": (sm.quantum_correlation, (A, B, sm.Description.BOB)),
+    "RngStream": (rng.RngStream, (1, 2)),
+    "RngStream.trial_words": (STREAM.trial_words, (3, 5)),
+    "threshold": (rng.threshold, (0.25,)),
+    "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, sm.Description.ALICE, 1, 0)),
+    "run_experiment": (mc.run_experiment, (mc.ExperimentConfig(A, B, 10), 1)),
+    "covariance_tolerance": (mc.covariance_tolerance, (-0.5, 10, 3.0)),
+    "description_equivalence": (mc.description_equivalence, (A, B, 10, 1, 1)),
+    "chsh_details": (mc.chsh_details, (A, B, A, B, "empirical", 10, 1, 1)),
+    "StageConfig": (bp.StageConfig, (2, "c", "b", 10, 1, 0.5, 0.5, 0.1)),
+    "analytic_stage_report": (bp.analytic_stage_report, (STAGE,)),
+    "run_stage": (bp.run_stage, (STAGE, 1)),
+    "bell_inequality_check": (bp.bell_inequality_check, (REPORTS,)),
+    "contextual_decomposition": (bp.contextual_decomposition, (STAGE, 1, -1)),
+    "BinaryEventModel": (cc.BinaryEventModel,
+                         (0.5, ((0.25, 0.25), (0.25, 0.25)), ((1, 0), (0, 0)), 100)),
+    "binary_event_model_from_json_dict": (cc.binary_event_model_from_json_dict,
+                                          ({"p_z": 0.5, "joint_given_z": [[1, 0], [0, 0]],
+                                            "joint_given_not_z": [[0, 0], [0, 1]]},)),
+    "check_cause_relevance": (cc.check_cause_relevance, (MODEL, 1e-9)),
+    "check_screening_off": (cc.check_screening_off, (MODEL, 1e-9)),
+    "check_factorization": (cc.check_factorization, (MODEL, 1e-9)),
+    "full_report": (cc.full_report, (MODEL, 1e-9)),
+    "spin_event_model": (cc.spin_event_model, (A, B, 1, -1)),
+    "ball_event_model": (cc.ball_event_model, (STAGE, -1, 1)),
+    "empirical_ball_event_model": (cc.empirical_ball_event_model, (EMPIRICAL, 1, 1)),
+}
+
+HOSTILE = [None, True, False, "x", "", b"x", math.nan, math.inf, -math.inf, 10**400, 2**64 + 1,
+           -1, 0, 1.5, [], [1], [None], [[1], [1, 2]], {}, object(), A, STAGE, MODEL]
+#: Any value, but no integer that is a valid, long trial count.
+ANY_VALUE = st.sampled_from(HOSTILE) | st.floats() | st.integers(max_value=0) | st.integers(
+    min_value=2**64 + 1) | st.text(max_size=4) | st.binary(max_size=4) | st.lists(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=2), max_size=4)
+
+
+def call_with(name, position, value):
+    fn, args = ENTRY_POINTS[name]
+    args = list(args)
+    args[position] = value
+    try:
+        fn(*args)
+    except BellsimError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_takes_or_refuses_any_argument(name):
+    fn, args = ENTRY_POINTS[name]
+    fn(*args)  # the valid call succeeds
+    for position in range(len(args)):
+        for value in HOSTILE:
+            call_with(name, position, value)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(position=st.integers(0, len(args) - 1), value=ANY_VALUE)
+    def fuzz(position, value):
+        call_with(name, position, value)
+
+    fuzz()
+
+
+STAGE1 = bp.StageConfig(stage=1, trials=1)
+#: The inputs that a raw exception or silent acceptance answered before.
+REFUSED = {
+    "Direction('x')": lambda: sm.Direction("x"),
+    "Direction(None)": lambda: sm.Direction(None),
+    "Direction(10**400)": lambda: sm.Direction(10**400),
+    "HiddenVariable(A, 1.0)": lambda: sm.HiddenVariable(A, 1.0),
+    "HiddenVariable(A, True)": lambda: sm.HiddenVariable(A, True),
+    "predetermined(True)": lambda: LAM.predetermined(True),
+    "predetermined(2.0)": lambda: LAM.predetermined(2.0),
+    "conditional_outcome_prob(outcome=1.0)": lambda: sm.conditional_outcome_prob(LAM, 1, B, 1.0),
+    "angle_between(0.5, B)": lambda: sm.angle_between(0.5, B),
+    "quantum_correlation(0.5, B)": lambda: sm.quantum_correlation(0.5, B),
+    "zero_axis_cosines('x')": lambda: sm.zero_axis_cosines("x"),
+    "trial_words(True)": lambda: STREAM.trial_words(True),
+    "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
+    "threshold('0.5')": lambda: rng.threshold("0.5"),
+    "ExperimentConfig(0.5, B)": lambda: mc.ExperimentConfig(0.5, B, 10),
+    "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
+    "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
+    "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),
+    "covariance_tolerance(nan, 10)": lambda: mc.covariance_tolerance(math.nan, 10),
+    "covariance_tolerance(sigmas=True)": lambda: mc.covariance_tolerance(0.5, 10, True),
+    "covariance_tolerance(sigmas=-1)": lambda: mc.covariance_tolerance(0.5, 10, -1.0),
+    "covariance_tolerance(0.5, 10**400)": lambda: mc.covariance_tolerance(0.5, 10**400),
+    "covariance_tolerance(0.5, 2**64 + 1)": lambda: mc.covariance_tolerance(0.5, 2**64 + 1),
+    "StageConfig(stage=1.0)": lambda: bp.StageConfig(stage=1.0),
+    "StageConfig(alice_filter='z')": lambda: bp.StageConfig(stage=1, alice_filter="z"),
+    "StageConfig(trials=2**64 + 1)": lambda: bp.StageConfig(stage=1, trials=2**64 + 1),
+    "analytic_stage_report(None)": lambda: bp.analytic_stage_report(None),
+    "run_stage(csv_out=True)": lambda: bp.run_stage(STAGE1, csv_out=True),
+    "bell_inequality_check([1, 2, 3])": lambda: bp.bell_inequality_check([1, 2, 3]),
+    "bell_inequality_check(None)": lambda: bp.bell_inequality_check(None),
+    "contextual_decomposition(cfg, 1.0, 1)": lambda: bp.contextual_decomposition(STAGE1, 1.0, 1),
+    "contextual_decomposition(None, 1, 1)": lambda: bp.contextual_decomposition(None, 1, 1),
+    "full_report(model, 'x')": lambda: cc.full_report(MODEL, "x"),
+    "full_report(model, True)": lambda: cc.full_report(MODEL, True),
+    "full_report(0.5)": lambda: cc.full_report(0.5),
+    "spin_event_model(0.5, B)": lambda: cc.spin_event_model(0.5, B),
+    "ball_event_model(cfg, True)": lambda: cc.ball_event_model(STAGE1, True),
+    "ball_event_model(None)": lambda: cc.ball_event_model(None),
+    "empirical_ball_event_model(None)": lambda: cc.empirical_ball_event_model(None),
+    "BinaryEventModel(sample_size=10**400)": lambda: cc.BinaryEventModel(
+        0.5, ((1, 0), (0, 0)), ((0, 0), (0, 1)), 10**400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_inputs_outside_the_domain_raise_validation_error(case):
+    with pytest.raises(ValidationError, match=" must be "):
+        REFUSED[case]()
+
+
+@pytest.mark.parametrize("value", [v for v in HOSTILE if not isinstance(v, str)],
+                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("run", [lambda csv: mc.run_experiment(mc.ExperimentConfig(A, B, 10),
+                                                                 csv_out=csv),
+                                 lambda csv: bp.run_stage(STAGE, csv_out=csv)],
+                         ids=["run_experiment", "run_stage"])
+def test_a_csv_path_that_is_no_file_name_is_refused(run, value):
+    # open(True) would write the rows to file descriptor 1, then close it.
+    if value is None:
+        run(value)  # no file
+    else:
+        with pytest.raises(ValidationError, match="^csv_out must be a file name, got "):
+            run(value)
+
+
+def test_a_numpy_integer_seed_is_stored_as_an_int():
+    stream = rng.RngStream(np.uint64(2**64 - 1), np.int8(3))
+    assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
+    assert type(stream.seed) is int and type(stream.stream_id) is int
+

@@ -190,6 +190,59 @@ class _InlineExecutor:
         return map(fn, items)
 
 
+class _TaskCountingExecutor(_InlineExecutor):
+    """Also records how many tasks each ``map`` submits."""
+
+    tasks: list[int] = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks.append(len(items))
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_pool_gets_one_task_per_thread_not_per_chunk(monkeypatch, workers):
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", 4)
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", _TaskCountingExecutor)
+    monkeypatch.setattr(_TaskCountingExecutor, "sizes", [])
+    monkeypatch.setattr(_TaskCountingExecutor, "tasks", [])
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    coins = ((0, threshold(0.5)), (1, threshold(0.3)), (3, threshold(0.9)))
+    trials = 1_000 * 4 - 1  # 1,000 chunks, the last one short
+    histogram = rng.count_worlds(RngStream(7), trials, coins, workers)
+    assert _TaskCountingExecutor.tasks == _TaskCountingExecutor.sizes == [workers]
+    assert histogram.sum() == trials
+    _TaskCountingExecutor.tasks.clear()
+    assert np.array_equal(rng.count_worlds(RngStream(7), trials, coins, 1), histogram)
+    assert _TaskCountingExecutor.tasks == [1]
+    expected = np.bincount(_shifted_codes(RngStream(7), trials, coins), minlength=8)
+    assert np.array_equal(histogram, expected)
+
+
+def test_threads_taking_chunks_lose_and_repeat_none(monkeypatch):
+    """Stress: 8 threads, tiny chunks, a switch every microsecond; the sum stays exact."""
+    import sys
+
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", 16)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    coins = ((0, threshold(0.5)), (2, threshold(0.7)))
+    trials = 2_000 * 16 + 3
+    expected = np.bincount(_shifted_codes(RngStream(2), trials, coins), minlength=4)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: result.append(rng.count_worlds(RngStream(2), trials, coins, 8)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(result) == 1
+    assert np.array_equal(result[0], expected)
+
+
 def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_path):
     from bellsim import cli
 
