@@ -3,7 +3,8 @@
 Every library check is a ``require_*`` check here (``require_real``,
 ``require_trials``, ``require_choice``, ``require_type``, ...).  Each returns
 the value or raises :class:`ValidationError` with the message ``<name> must
-be <meaning>, got <value>``, the shape of the CLI's config errors.
+be <meaning>, got <value>``, the shape of the CLI's config errors; a value
+that Python will not print is described instead (:func:`describe`).
 """
 
 import json
@@ -44,10 +45,26 @@ class EmptyReportError(BellsimError):
 MAX_TRIALS = 1 << 64
 
 
+def describe(value) -> str:
+    """``repr(value)``, or where Python refuses to print it, its digit count or type.
+
+    Python prints no integer of more than 4,300 digits; the limit raises ValueError.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # such an integer inside a list, say
+            return f"a {type(value).__name__} that cannot be printed"
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # exact up to one digit
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"an integer of {digits} digits"
+
+
 def require(valid: bool, name: str, meaning: str, value):
     """``value`` if ``valid``; else ValidationError ``<name> must be <meaning>, got <value>``."""
     if not valid:
-        raise ValidationError(f"{name} must be {meaning}, got {value!r}")
+        raise ValidationError(f"{name} must be {meaning}, got {describe(value)}")
     return value
 
 
@@ -59,6 +76,11 @@ def is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def is_integer(value) -> bool:
+    """Python's or numpy's integer, not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Contract(NamedTuple):
@@ -80,9 +102,16 @@ require_count = Contract("a positive integer",
                          lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
 require_trials = Contract("a positive integer of at most 2**64",
                           lambda v: require_count.valid(v) and v <= MAX_TRIALS)
+require_trial_count = Contract("an integer in [0, 2**64]",  # the kernels' run; 0 is empty
+                               lambda v: isinstance(v, int) and not isinstance(v, bool)
+                               and 0 <= v <= MAX_TRIALS)
 require_u64 = Contract("an unsigned 64-bit integer",  # Python's or numpy's, returned as an int
-                       lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                       and 0 <= v < MAX_TRIALS, int)
+                       lambda v: is_integer(v) and 0 <= v < MAX_TRIALS, int)
+require_coins = Contract(  # codes are uint8: bit k is coin k
+    "a tuple of at most 8 (draw in 0-3, integer threshold in [0, 2**53]) pairs",
+    lambda v: isinstance(v, tuple) and len(v) <= 8 and all(
+        isinstance(coin, tuple) and len(coin) == 2 and is_integer(coin[0]) and 0 <= coin[0] <= 3
+        and is_integer(coin[1]) and 0 <= coin[1] <= 1 << 53 for coin in v))
 require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike)))
 
 

@@ -19,6 +19,10 @@ so the exact report and the simulated one are the same sum.
 
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
 whatever the worker count, so memory does not grow with the trial count.
+A chunk keeps one boolean array per coin.  Its histogram is exact integer
+arithmetic on subset counts: for every subset of coins, the number of
+trials in which all of them came up (``count_nonzero`` of their AND);
+inclusion-exclusion turns those 2**k counts into the trials of each world.
 :func:`simulate`, each simulation's one call, folds its world counts:
 :func:`count_worlds` runs the chunks on at most ``os.cpu_count()``
 threads and sums their exact histograms, so the result is the same for
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_count, require_path, require_probability, require_u64
+from .errors import (require, require_coins, require_count, require_path, require_probability,
+                     require_trial_count, require_type, require_u64)
 
 #: Draws available per counter block (one Philox block is 4 x 64 bits).
 BLOCK_DRAWS = 4
@@ -118,15 +123,42 @@ class RngStream:
         return words.reshape(n_trials, BLOCK_DRAWS)
 
 
-def _chunk_codes(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...]) -> np.ndarray:
-    """World code of each trial in the chunk at ``lo``: bit k is set when coin k came up."""
+def _chunk_coins(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...]) -> tuple:
+    """The chunk at ``lo``'s trial count and, per coin, where it came up (None if it never does)."""
     draws = stream.trial_words(min(CHUNK_TRIALS, trials - lo), lo)
-    codes = np.zeros(len(draws), dtype=np.uint8)
-    for bit, (draw, limit) in enumerate(coins):
-        if limit:  # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound
-            bound = np.uint64((int(limit) << 11) - 1)
-            codes |= (draws[:, draw] <= bound).view(np.uint8) << np.uint8(bit)
-    return codes
+    # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound.
+    return len(draws), [draws[:, draw] <= np.uint64((int(limit) << 11) - 1) if limit else None
+                        for draw, limit in coins]
+
+
+def _histogram(n: int, ups: list) -> np.ndarray:
+    """Exact int64 histogram of the world codes of :func:`_chunk_coins`' ``n`` trials.
+
+    ``counts[s]`` is the number of trials in which every coin of subset ``s``
+    came up, the ``count_nonzero`` of their AND; a loop walks the subsets depth
+    first, keeping at most one AND per coin.  Inclusion-exclusion, one coin at a
+    time, leaves in ``counts[c]`` the trials whose coins came up exactly as in ``c``.
+    """
+    counts, stack = [n] + [0] * ((1 << len(ups)) - 1), [(0, None)]
+    while stack:
+        subset, common = stack.pop()
+        for bit in range(subset.bit_length(), len(ups)):
+            if ups[bit] is not None:  # a subset holding a dead coin stays at 0
+                both = ups[bit] if common is None else common & ups[bit]
+                counts[subset | 1 << bit] = np.count_nonzero(both)
+                stack.append((subset | 1 << bit, both))
+    for bit in range(len(ups)):
+        for code in range(len(counts)):
+            if not code >> bit & 1:
+                counts[code] -= counts[code | 1 << bit]
+    return np.array(counts, dtype=np.int64)
+
+
+def _require_run(stream: RngStream, trials: int, coins: tuple[Coin, ...]) -> None:
+    """Check a kernel's stream, trial count (0 included) and coins, once per call."""
+    require_type(stream, "stream", RngStream)
+    require_trial_count(trials, "trials")
+    require_coins(coins, "coins")
 
 
 def count_worlds(
@@ -138,6 +170,7 @@ def count_worlds(
     as do the chunk count and the CPU count; the histogram is the same for any value.
     """
     require_count(workers, "workers")
+    _require_run(stream, trials, coins)
     starts, lock = iter(range(0, trials, CHUNK_TRIALS)), threading.Lock()
 
     def count(_) -> np.ndarray:
@@ -147,8 +180,7 @@ def count_worlds(
                 lo = next(starts, None)
             if lo is None:
                 return histogram
-            codes = _chunk_codes(stream, lo, trials, coins)
-            histogram += np.bincount(codes, minlength=len(histogram))
+            histogram += _histogram(*_chunk_coins(stream, lo, trials, coins))
 
     threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -170,6 +202,11 @@ def write_trials(
     ``head + head.join(tails)``; rows are written one chunk at a time, so
     memory does not grow with ``trials``.
     """
+    _require_run(stream, trials, coins)
+    require_type(header, "header", str)
+    require(isinstance(row_text, list) and len(row_text) == 1 << len(coins)
+            and all(isinstance(text, str) for text in row_text),
+            "row_text", f"a list of {1 << len(coins)} strings, one per world code", row_text)
     worlds = np.zeros(1 << len(coins), dtype=np.int64)
     # Tails "00".."99": trials 0-9 drop the "0", since their head is empty.
     padded = np.array([f"{r:02d}{t}" for r in range(100) for t in row_text], dtype=object)
@@ -177,9 +214,10 @@ def write_trials(
     with open(require_path(path, "csv_out"), "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, trials, CHUNK_TRIALS):
-            codes = _chunk_codes(stream, lo, trials, coins)
-            worlds += np.bincount(codes, minlength=len(worlds))
-            n = len(codes)
+            n, ups = _chunk_coins(stream, lo, trials, coins)
+            worlds += _histogram(n, ups)
+            codes = sum(up.view(np.uint8) << np.uint8(bit)  # bit k of a code is coin k
+                        for bit, up in enumerate(ups) if up is not None)
             tail = offsets[lo % 100:lo % 100 + n] + codes
             tails = padded[tail].tolist()
             if lo == 0:
@@ -188,6 +226,17 @@ def write_trials(
             heads = [str(h) if h else "" for h in range(lo // 100, (lo + n - 1) // 100 + 1)]
             fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
     return worlds
+
+
+def _is_world(world, size: int) -> bool:
+    """A World whose code indexes a histogram of ``size`` and whose cause and signs index cells."""
+    if not isinstance(world, World):
+        return False
+    signs = world.signs
+    return (type(world.code) is int and 0 <= world.code < size
+            and type(world.cause) is int and world.cause in (0, 1)
+            and (signs is None or type(signs) is tuple and all(type(s) is int for s in signs)
+                 and signs in SIGN_PAIRS))
 
 
 def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: list[World],
@@ -199,6 +248,12 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
     paths take only a positive integer ``workers``.
     """
     require_count(workers, "workers")
+    _require_run(stream, trials, coins)
+    size = 1 << len(coins)
+    valid = isinstance(worlds, list) and all(_is_world(world, size) for world in worlds)
+    require(valid and sorted(world.code for world in worlds) == list(range(size)), "worlds",
+            "a list of World records, one per world code, of cause 0 or 1 and a sign pair or None",
+            worlds)
     if csv_out is None:
         histogram = count_worlds(stream, trials, coins, workers)
     else:

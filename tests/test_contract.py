@@ -6,12 +6,15 @@ argument.  A call either succeeds or raises a BellsimError; nothing else
 escapes.  Not called: the result records, which the library builds from
 its own counts, and the kernels that take what checked entry points
 computed (``spinmodel.correlation_from_cosines``, ``rng.fold``,
-``rng.glyph``, ``rng.count_worlds``, ``rng.write_trials``,
-``rng.simulate``).  A ``csv_out`` string is a path to write, so only
-values that are no path are given there.
+``rng.glyph``).  A ``csv_out`` string is a path to write, so only
+values that are no path are given there, and ``rng.write_trials``
+writes to the null device.
 """
 
+import dataclasses
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from bellsim import commoncause as cc
 from bellsim import montecarlo as mc
 from bellsim import rng
 from bellsim import spinmodel as sm
-from bellsim.errors import BellsimError, ValidationError
+from bellsim.errors import BellsimError, ValidationError, require_trials
 
 A, B = sm.Direction(0.0), sm.Direction(math.pi / 3)
 LAM = sm.HiddenVariable(A, 1)
@@ -31,6 +34,8 @@ STREAM = rng.RngStream(0)
 STAGE = bp.StageConfig(stage=1, trials=10)
 REPORTS = tuple(bp.analytic_stage_report(bp.StageConfig(stage=s, trials=10)) for s in (1, 2, 3))
 EMPIRICAL = bp.run_stage(bp.StageConfig(stage=1, trials=200, seed=3))
+COINS, WORLDS = mc._world_table(mc.ExperimentConfig(A, B, 10))
+ROWS = [world.row for world in WORLDS]
 MODEL = cc.BinaryEventModel(0.5, ((0.15, 0.85), (0.0, 0.0)), ((0.0, 0.0), (0.85, 0.15)))
 
 #: (callable, valid arguments): called with one argument replaced at a time.
@@ -50,6 +55,10 @@ ENTRY_POINTS = {
     "RngStream": (rng.RngStream, (1, 2)),
     "RngStream.trial_words": (STREAM.trial_words, (3, 5)),
     "threshold": (rng.threshold, (0.25,)),
+    "count_worlds": (rng.count_worlds, (STREAM, 10, COINS, 1)),
+    "write_trials": (functools.partial(rng.write_trials, os.devnull),
+                     ("trial,x", STREAM, 10, COINS, ROWS)),
+    "simulate": (rng.simulate, (STREAM, 10, COINS, WORLDS, 1)),
     "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, sm.Description.ALICE, 1, 0)),
     "run_experiment": (mc.run_experiment, (mc.ExperimentConfig(A, B, 10), 1)),
     "covariance_tolerance": (mc.covariance_tolerance, (-0.5, 10, 3.0)),
@@ -109,6 +118,7 @@ def test_every_entry_point_takes_or_refuses_any_argument(name):
 
 
 STAGE1 = bp.StageConfig(stage=1, trials=1)
+HUGE = 10**5000  # more digits than Python will print
 #: The inputs that a raw exception or silent acceptance answered before.
 REFUSED = {
     "Direction('x')": lambda: sm.Direction("x"),
@@ -122,9 +132,23 @@ REFUSED = {
     "angle_between(0.5, B)": lambda: sm.angle_between(0.5, B),
     "quantum_correlation(0.5, B)": lambda: sm.quantum_correlation(0.5, B),
     "zero_axis_cosines('x')": lambda: sm.zero_axis_cosines("x"),
+    "zero_axis_cosines([10**5000])": lambda: sm.zero_axis_cosines([HUGE]),
     "trial_words(True)": lambda: STREAM.trial_words(True),
     "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
     "threshold('0.5')": lambda: rng.threshold("0.5"),
+    "count_worlds(None, 10, ())": lambda: rng.count_worlds(None, 10, ()),
+    "count_worlds(stream, -5, ())": lambda: rng.count_worlds(STREAM, -5, ()),
+    "count_worlds(coins=((4, 1),))": lambda: rng.count_worlds(STREAM, 10, ((4, 1),)),
+    "count_worlds(coins=((0, 2**53 + 1),))": lambda: rng.count_worlds(STREAM, 10,
+                                                                       ((0, 2**53 + 1),)),
+    "simulate(stream, 2.5, (), [], 1)": lambda: rng.simulate(STREAM, 2.5, (), [], 1),
+    "simulate(worlds=[])": lambda: rng.simulate(STREAM, 10, COINS, [], 1),
+    "simulate(a world of cause 2)": lambda: rng.simulate(
+        STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], cause=2), *WORLDS[1:]], 1),
+    "simulate(a world of signs (1, 2))": lambda: rng.simulate(
+        STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], signs=(1, 2)), *WORLDS[1:]], 1),
+    "write_trials(row_text=ROWS[:4])": lambda: rng.write_trials(os.devnull, "t", STREAM, 10,
+                                                                COINS, ROWS[:4]),
     "ExperimentConfig(0.5, B)": lambda: mc.ExperimentConfig(0.5, B, 10),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
@@ -174,6 +198,16 @@ def test_a_csv_path_that_is_no_file_name_is_refused(run, value):
     else:
         with pytest.raises(ValidationError, match="^csv_out must be a file name, got "):
             run(value)
+
+
+@pytest.mark.parametrize("check", [sm.Direction, rng.RngStream,
+                                   functools.partial(require_trials, name="trials")],
+                         ids=["Direction", "RngStream", "require_trials"])
+def test_an_integer_too_long_to_print_is_named_by_its_digits(check):
+    with pytest.raises(ValidationError, match=r"got an integer of 5001 digits$"):
+        check(HUGE)
+    with pytest.raises(ValidationError, match=r"got an integer of 5000 digits$"):
+        check(-(HUGE - 1) // 9)  # -111...1, five thousand ones
 
 
 def test_a_numpy_integer_seed_is_stored_as_an_int():

@@ -1,14 +1,16 @@
 """Counter-based stream: determinism, chunking, stream separation, the driver."""
 
 import errno
+import gc
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from actor_oracles import generator
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import rng
@@ -136,13 +138,24 @@ def _shifted_codes(stream, trials, coins):
     return codes
 
 
+def _chunk_codes(stream, lo, trials, coins):
+    """World code of each trial in the chunk at ``lo``, from the kernel's per-coin arrays."""
+    n, ups = rng._chunk_coins(stream, lo, trials, coins)
+    codes = np.zeros(n, dtype=np.uint8)
+    for bit, up in enumerate(ups):
+        if up is not None:
+            assert up.dtype == bool and up.shape == (n,)
+            codes |= up.view(np.uint8) << np.uint8(bit)
+    return codes
+
+
 def test_chunk_codes_equal_shift_then_compare():
     """Coins with p = 0 and p = 1, two coins on one draw, over several chunks."""
     stream = RngStream(5, 1)
     trials = 2 * CHUNK_TRIALS + 123
     coins = ((0, threshold(0.5)), (1, threshold(0.3)), (1, threshold(0.7)),
              (2, threshold(0.0)), (3, threshold(1.0)), (3, threshold(2.0**-53)))
-    codes = [rng._chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
+    codes = [_chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
     assert all(chunk.dtype == np.uint8 for chunk in codes)
     assert np.array_equal(np.concatenate(codes), _shifted_codes(stream, trials, coins))
 
@@ -157,8 +170,67 @@ def test_chunk_codes_split_each_coin_at_its_bound(monkeypatch):
     monkeypatch.setattr(RngStream, "trial_words",
                         lambda self, n_trials, start=0: words[start:start + n_trials].copy())
     stream = RngStream(0)
-    assert np.array_equal(rng._chunk_codes(stream, 0, len(words), coins),
+    assert np.array_equal(_chunk_codes(stream, 0, len(words), coins),
                           _shifted_codes(stream, len(words), coins))
+
+
+#: Thresholds at the edges of the 53-bit range, and any in between.
+THRESHOLDS = st.sampled_from([0, 1, 2**52, 2**53 - 1, 2**53]) | st.integers(0, 2**53)
+COINS = st.lists(st.tuples(st.integers(0, BLOCK_DRAWS - 1), THRESHOLDS.map(np.uint64)),
+                 max_size=4).map(tuple)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coins=COINS, trials=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
+       workers=st.integers(1, 3))
+def test_subset_counts_give_the_histogram_of_the_codes(coins, trials, seed, workers):
+    """Both kernels, over 64-trial chunks, count what the shift-then-compare codes count."""
+    stream = RngStream(seed)
+    expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
+    rows = [f",{code}\n" for code in range(1 << len(coins))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "CHUNK_TRIALS", 64)
+        assert rng.count_worlds(stream, trials, coins, workers).tolist() == expected.tolist()
+        written = rng.write_trials(os.devnull, "trial,code", stream, trials, coins, rows)
+    assert written.tolist() == expected.tolist()
+
+
+def test_subset_counts_invert_to_world_counts():
+    """A hand-built chunk of three coins: worlds 0b011 and 0b101 hold 2 and 3 trials, the rest 1."""
+    codes = np.array([0, 1, 2, 3, 4, 5, 6, 7, 3, 5, 5], dtype=np.uint8)
+    ups = [(codes >> np.uint8(bit) & 1).astype(bool) for bit in range(3)]
+    # Subsets {0}, {0, 1}, {0, 1, 2} hold 7, 3 and 1 trials: world 0b011 is 3 - 1 = 2.
+    assert rng._histogram(len(codes), ups).tolist() == [1, 1, 1, 2, 1, 3, 1, 1]
+    # A dead coin never comes up: its worlds are empty and the others absorb its trials.
+    assert rng._histogram(len(codes), [ups[0], None, ups[2]]).tolist() == [2, 3, 0, 0, 2, 4, 0, 0]
+    assert rng._histogram(len(codes), []).tolist() == [11]
+
+
+def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
+    """No reference cycle holds a chunk's arrays, so memory does not grow with the chunks."""
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", 256)
+    coins = ((0, threshold(0.5)), (1, threshold(0.4)), (2, threshold(0.1)), (3, threshold(0.1)))
+    rows = [f",{code}\n" for code in range(16)]
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            rng.count_worlds(RngStream(1), chunks * 256, coins)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gc.collect()
+    gc.disable()
+    try:
+        rng.count_worlds(RngStream(1), 40 * 256, coins, workers=2)
+        rng.write_trials(tmp_path / "t.csv", "trial,code", RngStream(1), 40 * 256, coins, rows)
+        unreachable = gc.collect()
+        peaks = [peak(chunks) for chunks in (40, 40, 160)]
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert peaks[2] < peaks[1] + 16 * 1024  # one chunk's arrays are about 10 KB
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -337,7 +409,7 @@ def test_write_trials_writes_index_then_row_text(tmp_path, trials):
     row_text = [f",row{code}\n" for code in range(8)]
     path = tmp_path / "trials.csv"
     worlds = rng.write_trials(path, "trial,row", stream, trials, coins, row_text)
-    codes = np.concatenate([rng._chunk_codes(stream, lo, trials, coins)
+    codes = np.concatenate([_chunk_codes(stream, lo, trials, coins)
                             for lo in range(0, trials, CHUNK_TRIALS)])
     expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
     assert path.read_text(encoding="utf-8") == expected
