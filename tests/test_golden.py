@@ -14,12 +14,14 @@ Long ``--sweep-out`` files must keep the SHA-256 in
 ``tests/golden/sweep_sha256.json``, long sweeps' JSON reports the
 SHA-256 in ``tests/golden/sweep_report_sha256.json``, and their text
 reports the SHA-256 in ``tests/golden/sweep_text_report_sha256.json``.
+Every subcommand's flags, in order, must match ``tests/golden/parser.json``.
 
 Regenerate the files only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from bellsim.cli import main
+from bellsim.cli import build_parser, main
 from bellsim.rng import CHUNK_TRIALS
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
@@ -126,6 +128,27 @@ def sweep_report_digest(command: str, fmt: str = "json") -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def parser_layout() -> dict:
+    """Each subcommand's help and, per flag in order, what argparse was told about it."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    return {name: {"help": helps[name], "actions": [{
+        "option_strings": action.option_strings,
+        "action": type(action).__name__,
+        "dest": action.dest,
+        "default": action.default,
+        "type": getattr(action.type, "__name__", None),
+        "choices": None if action.choices is None else list(action.choices),
+        "metavar": action.metavar,
+        "nargs": action.nargs,
+        "help": action.help,
+    } for action in parser._actions]} for name, parser in sub.choices.items()}
+
+
+def dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def write_model(directory: Path) -> None:
     (directory / "my_model.json").write_text(json.dumps(MODEL, indent=2), encoding="utf-8")
 
@@ -194,6 +217,10 @@ def test_sweep_text_report_is_byte_identical(workdir, name):
     assert sweep_report_digest(SWEEP_REPORT_RUNS[name], "text") == pins[name]
 
 
+def test_parser_is_pinned():
+    assert dump(parser_layout()) == (GOLDEN / "parser.json").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,6 +237,5 @@ if __name__ == "__main__":
                 "sweep_text_report": {name: sweep_report_digest(command, "text")
                                       for name, command in SWEEP_REPORT_RUNS.items()}}
     for kind, digests in pins.items():
-        (GOLDEN / f"{kind}_sha256.json").write_text(
-            json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (GOLDEN / f"{kind}_sha256.json").write_text(dump(digests), encoding="utf-8")
+    (GOLDEN / "parser.json").write_text(dump(parser_layout()), encoding="utf-8")
