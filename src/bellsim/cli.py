@@ -180,29 +180,19 @@ def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _emit(report: dict, ns: argparse.Namespace) -> int:
-    text = render_json(report) if ns.format == "json" else render_text(report)
-    if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0 if report["passed"] else 1
-
-
-def _add_flags(parser: argparse.ArgumentParser, schema: tuple[Field, ...]) -> None:
-    """The schema's flags, then the flags every subcommand takes."""
-    for f in (*schema, *(f for f in (_SEED, _TRIALS) if f not in schema)):
-        parser.add_argument(f.flag, dest=f.key, help=f.help, **f.kind.flag)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count; results are identical for any value")
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON config file (flags override it)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "text"), default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the manifest timestamp (byte-stable output)")
+#: (flag, add_argument keywords) of the flags that every subcommand takes and that are no keys.
+COMMON_FLAGS = (
+    ("--workers", {"type": int, "default": 1,
+                   "help": "worker count; results are identical for any value"}),
+    ("--config", {"default": None, "metavar": "FILE",
+                  "help": "JSON config file (flags override it)"}),
+    ("--out", {"default": None, "metavar": "PATH",
+               "help": "write the report here instead of stdout"}),
+    ("--format", {"choices": ("json", "text"), "default": "text",
+                  "help": "report format (default: text)"}),
+    ("--no-timestamp", {"action": "store_true",
+                        "help": "omit the manifest timestamp (byte-stable output)"}),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +205,7 @@ SPIN = (
 )
 
 
-def cmd_spin_correlation(ns: argparse.Namespace) -> int:
+def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(SPIN, ns)
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
@@ -248,12 +238,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> int:
         if ns.sweep_out:
             Path(ns.sweep_out).write_text(rows.text, encoding="utf-8")
             outputs["sweep_data"] = ns.sweep_out
-
-    report = build_report(
-        "spin-correlation", cfg, results, checks=[], seed=None,
-        outputs=outputs, timestamp=not ns.no_timestamp,
-    )
-    return _emit(report, ns)
+    return cfg, results, [], None, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +254,8 @@ MC = (
 )
 
 
-def _mc_single(
-    cfg: dict, description: Description, workers: int, csv_out: str | None
-) -> tuple[dict, list[Check]]:
+def _mc_single(cfg: dict, description: Description, workers: int,
+               csv_out: str | None) -> tuple[dict, list[Check]]:
     axis1, axis2 = Direction(cfg["theta1"]), Direction(cfg["theta2"])
     config = mc.ExperimentConfig(
         axis1, axis2, cfg["trials"], description, cfg["seed"],
@@ -293,7 +277,7 @@ def _mc_single(
     return results, [check]
 
 
-def cmd_mc_run(ns: argparse.Namespace) -> int:
+def cmd_mc_run(ns: argparse.Namespace) -> tuple:
     if ns.phi is not None:
         if ns.theta1 is not None or ns.theta2 is not None:
             raise UsageError("--phi is a shorthand for --theta1 0rad --theta2 PHI; "
@@ -312,13 +296,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> int:
         checks = comparison.checks()
     else:
         results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
-
-    report = build_report(
-        "mc-run", cfg, results, checks, seed=cfg["seed"],
-        outputs={"trials_csv": ns.csv_out} if ns.csv_out else None,
-        timestamp=not ns.no_timestamp,
-    )
-    return _emit(report, ns)
+    return cfg, results, checks, cfg["seed"], {"trials_csv": ns.csv_out} if ns.csv_out else None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +331,7 @@ def _stage_checks(report: bp.AggregateReport, config: bp.StageConfig) -> list[Ch
     return checks
 
 
-def cmd_ball_protocol(ns: argparse.Namespace) -> int:
+def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(BALL, ns)
     if cfg["all_stages"]:
         if cfg["stage"] is not None or cfg["alice_filter"] or cfg["bob_filter"]:
@@ -395,13 +373,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> int:
         results["inequality"] = bp.bell_inequality_check(tuple(stage_reports))
         results["decomposition"] = [bp.contextual_decomposition(stage_config(stage), 1, 1)
                                     for stage in stages]
-
-    report = build_report(
-        "ball-protocol", cfg, results, checks, seed=cfg["seed"],
-        outputs={"trials_csv": ns.csv_out} if ns.csv_out else None,
-        timestamp=not ns.no_timestamp,
-    )
-    return _emit(report, ns)
+    return cfg, results, checks, cfg["seed"], {"trials_csv": ns.csv_out} if ns.csv_out else None
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +396,7 @@ CAUSE = (
 )
 
 
-def cmd_common_cause(ns: argparse.Namespace) -> int:
+def cmd_common_cause(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(CAUSE, ns)
     if (cfg["builtin"] is None) == (cfg["model_file"] is None):
         raise UsageError("common-cause needs exactly one of --builtin or --model")
@@ -462,11 +434,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> int:
               value=cause_report.covariance, target=None,
               tolerance=cause_report.tolerance)
     )
-    report = build_report(
-        "common-cause", cfg, results, checks, seed=cfg["seed"],
-        timestamp=not ns.no_timestamp,
-    )
-    return _emit(report, ns)
+    return cfg, results, checks, cfg["seed"], None
 
 
 # ---------------------------------------------------------------------------
@@ -482,41 +450,50 @@ CHSH = (
 )
 
 
-def cmd_chsh(ns: argparse.Namespace) -> int:
+def cmd_chsh(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(CHSH, ns)
-
     axes = [Direction(float(a)) for a in cfg["angles"]]
-    result = mc.chsh_details(
-        *axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
-        workers=ns.workers,
-    )
-    checks = []
+    result = mc.chsh_details(*axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
+                             workers=ns.workers)
     if cfg["mode"] == "analytic":
-        checks.append(
-            Check("|S| within the singlet bound",
-                  result.abs_value <= mc.CHSH_SINGLET_BOUND + 1e-12,
-                  value=result.abs_value, target=mc.CHSH_SINGLET_BOUND, tolerance=1e-12)
-        )
-        results = {"chsh": result}
-    else:
-        analytic = mc.chsh_details(*axes, mode="analytic")
-        tol = sum(
-            mc.covariance_tolerance(ctx.expectation, cfg["trials"])
-            for ctx in analytic.contexts
-        )
-        checks.append(Check.within("empirical S matches analytic combination",
-                                   result.value, analytic.value, tol))
-        results = {"chsh": result, "analytic": analytic}
-
-    report = build_report(
-        "chsh", cfg, results, checks,
-        seed=cfg["seed"] if cfg["mode"] == "empirical" else None,
-        timestamp=not ns.no_timestamp,
-    )
-    return _emit(report, ns)
+        bound = mc.CHSH_SINGLET_BOUND
+        checks = [Check("|S| within the singlet bound", result.abs_value <= bound + 1e-12,
+                        value=result.abs_value, target=bound, tolerance=1e-12)]
+        return cfg, {"chsh": result}, checks, None, None
+    analytic = mc.chsh_details(*axes, mode="analytic")
+    tol = sum(mc.covariance_tolerance(ctx.expectation, cfg["trials"]) for ctx in analytic.contexts)
+    checks = [Check.within("empirical S matches analytic combination",
+                           result.value, analytic.value, tol)]
+    return cfg, {"chsh": result, "analytic": analytic}, checks, cfg["seed"], None
 
 
 # ---------------------------------------------------------------------------
+
+
+class Subcommand(NamedTuple):
+    """One subcommand: its help, config schema, handler and own flags that are no keys."""
+
+    help: str
+    schema: tuple[Field, ...]
+    handler: Callable[[argparse.Namespace], tuple]  # (cfg, results, checks, seed, outputs)
+    flags: tuple[tuple[str, dict], ...] = ()  # as COMMON_FLAGS, added after them
+
+
+CSV_OUT = ("--csv-out", {"metavar": "PATH", "help": "write per-trial records as CSV"})
+
+SUBCOMMANDS = {
+    "spin-correlation": Subcommand(
+        "analytic quantum and subquantum correlations per angle", SPIN, cmd_spin_correlation,
+        (("--sweep-out", {"metavar": "PATH", "help": "write the sweep as two-column text here"}),)),
+    "mc-run": Subcommand(
+        "Monte Carlo run vs the analytic correlation", MC, cmd_mc_run,
+        (("--phi", {"type": parse_angle, "metavar": "ANGLE",
+                    "help": "shorthand for --theta1 0rad --theta2 ANGLE"}), CSV_OUT)),
+    "ball-protocol": Subcommand(
+        "colored-ball stages, optionally the full trilogy", BALL, cmd_ball_protocol, (CSV_OUT,)),
+    "common-cause": Subcommand("six-condition common-cause report", CAUSE, cmd_common_cause),
+    "chsh": Subcommand("CHSH combination (derived demonstration)", CHSH, cmd_chsh),
+}
 
 
 @functools.cache
@@ -535,43 +512,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "protocol and common-cause diagnostics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spin-correlation",
-                       help="analytic quantum and subquantum correlations per angle")
-    _add_flags(p, SPIN)
-    p.add_argument("--sweep-out", metavar="PATH",
-                   help="write the sweep as two-column text here")
-    p.set_defaults(handler=cmd_spin_correlation)
-
-    p = sub.add_parser("mc-run", help="Monte Carlo run vs the analytic correlation")
-    _add_flags(p, MC)
-    p.add_argument("--phi", type=parse_angle, metavar="ANGLE",
-                   help="shorthand for --theta1 0rad --theta2 ANGLE")
-    p.add_argument("--csv-out", metavar="PATH", help="write per-trial records as CSV")
-    p.set_defaults(handler=cmd_mc_run)
-
-    p = sub.add_parser("ball-protocol", help="colored-ball stages, optionally the full trilogy")
-    _add_flags(p, BALL)
-    p.add_argument("--csv-out", metavar="PATH", help="write per-trial records as CSV")
-    p.set_defaults(handler=cmd_ball_protocol)
-
-    p = sub.add_parser("common-cause", help="six-condition common-cause report")
-    _add_flags(p, CAUSE)
-    p.set_defaults(handler=cmd_common_cause)
-
-    p = sub.add_parser("chsh", help="CHSH combination (derived demonstration)")
-    _add_flags(p, CHSH)
-    p.set_defaults(handler=cmd_chsh)
-
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        schema = command.schema
+        for f in (*schema, *(f for f in (_SEED, _TRIALS) if f not in schema)):
+            p.add_argument(f.flag, dest=f.key, help=f.help, **f.kind.flag)
+        for flag, keywords in (*COMMON_FLAGS, *command.flags):
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)  # angle and sweep flags raise UsageError
+        ns = build_parser().parse_args(argv)  # angle and sweep flags raise UsageError
         require_count(ns.workers, "workers")
-        return ns.handler(ns)
+        cfg, results, checks, seed, outputs = SUBCOMMANDS[ns.subcommand].handler(ns)
+        report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
+                              timestamp=not ns.no_timestamp)
+        text = render_json(report) if ns.format == "json" else render_text(report)
+        if ns.out:
+            Path(ns.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return 0 if report["passed"] else 1
     except (UsageError, ValidationError, ConditioningUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,11 @@ A chunk keeps one boolean array per coin.  Its histogram is exact integer
 arithmetic on subset counts: for every subset of coins, the number of
 trials in which all of them came up (``count_nonzero`` of their AND);
 inclusion-exclusion turns those 2**k counts into the trials of each world.
-:func:`simulate`, each simulation's one call, folds its world counts:
-:func:`count_worlds` runs the chunks on at most ``os.cpu_count()``
-threads and sums their exact histograms, so the result is the same for
-every worker count; given a CSV path, :func:`write_trials` runs them in
-order on one thread, writing each chunk's rows before drawing the next.
+:func:`simulate` is the one entry point, and folds its world counts.  Its
+driver sums the chunks' exact histograms, so the result is the same for
+every worker count: on up to ``os.cpu_count()`` pool threads, or on the
+calling thread when one thread runs them, as it does for a CSV export,
+whose rows are written in order, one chunk before the next is drawn.
 """
 
 from __future__ import annotations
@@ -154,23 +154,27 @@ def _histogram(n: int, ups: list) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def _require_run(stream: RngStream, trials: int, coins: tuple[Coin, ...]) -> None:
-    """Check a kernel's stream, trial count (0 included) and coins, once per call."""
-    require_type(stream, "stream", RngStream)
-    require_trial_count(trials, "trials")
-    require_coins(coins, "coins")
+def _chunk(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...], write) -> np.ndarray:
+    """The histogram of the chunk at ``lo``, its rows given to ``write`` first if there is one.
+
+    A function of its own, so the chunk's arrays are freed before the next chunk is drawn.
+    """
+    n, ups = _chunk_coins(stream, lo, trials, coins)
+    if write is not None:
+        write(lo, n, ups)
+    return _histogram(n, ups)
 
 
-def count_worlds(
-    stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int = 1
-) -> np.ndarray:
+def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int,
+           write=None) -> np.ndarray:
     """Exact int64 histogram of the world codes of trials [0, trials).
 
-    ``workers`` caps the threads, one pool task each taking chunks from one iterator,
-    as do the chunk count and the CPU count; the histogram is the same for any value.
+    ``workers``, the chunk count and the CPU count cap the threads.  Each
+    thread runs one loop taking chunks from one shared iterator: one pool
+    task per thread or, for one thread, the caller, with no pool, so
+    ``write`` (given with one worker) gets the chunks in order.  The
+    histogram is the same for any thread count.
     """
-    require_count(workers, "workers")
-    _require_run(stream, trials, coins)
     starts, lock = iter(range(0, trials, CHUNK_TRIALS)), threading.Lock()
 
     def count(_) -> np.ndarray:
@@ -180,60 +184,48 @@ def count_worlds(
                 lo = next(starts, None)
             if lo is None:
                 return histogram
-            histogram += _histogram(*_chunk_coins(stream, lo, trials, coins))
+            histogram += _chunk(stream, lo, trials, coins, write)
 
     threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
+    if threads == 1:
+        return count(0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(count, range(threads)), np.zeros(1 << len(coins), dtype=np.int64))
 
 
-def write_trials(
-    path, header: str, stream: RngStream, trials: int, coins: tuple[Coin, ...],
-    row_text: list[str],
-) -> np.ndarray:
-    """Write a CSV of trials [0, trials) and return :func:`count_worlds`' histogram.
+def _row_writer(fh, rows: list[str]):
+    """``write(lo, n, ups)`` for :func:`_count`, writing each chunk's CSV lines to ``fh``.
 
-    The file is opened before anything is simulated.  Trial i's line is
-    ``f"{i}{row_text[code]}"`` for its world code, built as a head,
-    ``str(i // 100)`` (empty below 100), and a tail looked up by
-    ``(i % 100, code)`` in a table of 100 * len(row_text) lines made once
-    per file.  A chunk's tails are gathered with numpy in one call, and
-    the rows of each block of trials [100h, 100h + 100) are written as
-    ``head + head.join(tails)``; rows are written one chunk at a time, so
-    memory does not grow with ``trials``.
+    Trial i's line is ``f"{i}{rows[code]}"`` for its world code, built as a
+    head, ``str(i // 100)`` (empty below 100), and a tail looked up by
+    ``(i % 100, code)`` in a table of 100 * len(rows) lines made once per
+    file.  A chunk's tails are gathered with numpy in one call, and the rows
+    of each block of trials [100h, 100h + 100) are written as
+    ``head + head.join(tails)``.
     """
-    _require_run(stream, trials, coins)
-    require_type(header, "header", str)
-    require(isinstance(row_text, list) and len(row_text) == 1 << len(coins)
-            and all(isinstance(text, str) for text in row_text),
-            "row_text", f"a list of {1 << len(coins)} strings, one per world code", row_text)
-    worlds = np.zeros(1 << len(coins), dtype=np.int64)
     # Tails "00".."99": trials 0-9 drop the "0", since their head is empty.
-    padded = np.array([f"{r:02d}{t}" for r in range(100) for t in row_text], dtype=object)
-    offsets = np.arange(CHUNK_TRIALS + 100) % 100 * len(row_text)
-    with open(require_path(path, "csv_out"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, trials, CHUNK_TRIALS):
-            n, ups = _chunk_coins(stream, lo, trials, coins)
-            worlds += _histogram(n, ups)
-            codes = sum(up.view(np.uint8) << np.uint8(bit)  # bit k of a code is coin k
-                        for bit, up in enumerate(ups) if up is not None)
-            tail = offsets[lo % 100:lo % 100 + n] + codes
-            tails = padded[tail].tolist()
-            if lo == 0:
-                tails[:10] = [t[1:] for t in tails[:10]]
-            cuts = [0, *range(-lo % 100 or 100, n, 100), n]
-            heads = [str(h) if h else "" for h in range(lo // 100, (lo + n - 1) // 100 + 1)]
-            fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
-    return worlds
+    padded = np.array([f"{r:02d}{t}" for r in range(100) for t in rows], dtype=object)
+    offsets = np.arange(CHUNK_TRIALS + 100) % 100 * len(rows)
+
+    def write(lo: int, n: int, ups: list) -> None:
+        codes = sum(up.view(np.uint8) << np.uint8(bit)  # bit k of a code is coin k
+                    for bit, up in enumerate(ups) if up is not None)
+        tails = padded[offsets[lo % 100:lo % 100 + n] + codes].tolist()
+        if lo == 0:
+            tails[:10] = [t[1:] for t in tails[:10]]
+        cuts = [0, *range(-lo % 100 or 100, n, 100), n]
+        heads = [str(h) if h else "" for h in range(lo // 100, (lo + n - 1) // 100 + 1)]
+        fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
+
+    return write
 
 
 def _is_world(world, size: int) -> bool:
-    """A World whose code indexes a histogram of ``size`` and whose cause and signs index cells."""
+    """A World whose code is below ``size``, cause 0 or 1, signs a sign pair or None, row text."""
     if not isinstance(world, World):
         return False
     signs = world.signs
-    return (type(world.code) is int and 0 <= world.code < size
+    return (type(world.code) is int and 0 <= world.code < size and type(world.row) is str
             and type(world.cause) is int and world.cause in (0, 1)
             and (signs is None or type(signs) is tuple and all(type(s) is int for s in signs)
                  and signs in SIGN_PAIRS))
@@ -244,19 +236,23 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
     """:func:`fold` of the world counts of trials [0, trials), written to ``csv_out`` if given.
 
     Counting runs on up to ``workers`` threads; writing, under ``header``,
-    runs on one, so the file's bytes do not depend on ``workers``.  Both
-    paths take only a positive integer ``workers``.
+    runs on one, so the file's bytes do not depend on ``workers``.  Every
+    argument is checked, and the file opened, before anything is drawn.
     """
     require_count(workers, "workers")
-    _require_run(stream, trials, coins)
+    require_type(stream, "stream", RngStream)
+    require_trial_count(trials, "trials")
+    require_coins(coins, "coins")
+    require_type(header, "header", str)
     size = 1 << len(coins)
     valid = isinstance(worlds, list) and all(_is_world(world, size) for world in worlds)
     require(valid and sorted(world.code for world in worlds) == list(range(size)), "worlds",
             "a list of World records, one per world code, of cause 0 or 1 and a sign pair or None",
             worlds)
     if csv_out is None:
-        histogram = count_worlds(stream, trials, coins, workers)
-    else:
-        rows = [world.row for world in sorted(worlds, key=lambda world: world.code)]
-        histogram = write_trials(csv_out, header, stream, trials, coins, rows)
+        return fold(worlds, _count(stream, trials, coins, workers).tolist())
+    rows = [world.row for world in sorted(worlds, key=lambda world: world.code)]
+    with open(require_path(csv_out, "csv_out"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        histogram = _count(stream, trials, coins, 1, _row_writer(fh, rows))
     return fold(worlds, histogram.tolist())

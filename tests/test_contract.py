@@ -7,8 +7,8 @@ escapes.  Not called: the result records, which the library builds from
 its own counts, and the kernels that take what checked entry points
 computed (``spinmodel.correlation_from_cosines``, ``rng.fold``,
 ``rng.glyph``).  A ``csv_out`` string is a path to write, so only
-values that are no path are given there, and ``rng.write_trials``
-writes to the null device.
+values that are no path are given there, and ``rng.simulate`` writes its
+CSV rows to the null device.
 """
 
 import dataclasses
@@ -35,7 +35,9 @@ STAGE = bp.StageConfig(stage=1, trials=10)
 REPORTS = tuple(bp.analytic_stage_report(bp.StageConfig(stage=s, trials=10)) for s in (1, 2, 3))
 EMPIRICAL = bp.run_stage(bp.StageConfig(stage=1, trials=200, seed=3))
 COINS, WORLDS = mc._world_table(mc.ExperimentConfig(A, B, 10))
-ROWS = [world.row for world in WORLDS]
+#: One world per code of no coin and of one coin.
+NO_COIN = [rng.World(0, 1.0, 0, None, ",\n")]
+ONE_COIN = [rng.World(code, 0.5, code, None, ",\n") for code in (0, 1)]
 MODEL = cc.BinaryEventModel(0.5, ((0.15, 0.85), (0.0, 0.0)), ((0.0, 0.0), (0.85, 0.15)))
 
 #: (callable, valid arguments): called with one argument replaced at a time.
@@ -55,10 +57,11 @@ ENTRY_POINTS = {
     "RngStream": (rng.RngStream, (1, 2)),
     "RngStream.trial_words": (STREAM.trial_words, (3, 5)),
     "threshold": (rng.threshold, (0.25,)),
-    "count_worlds": (rng.count_worlds, (STREAM, 10, COINS, 1)),
-    "write_trials": (functools.partial(rng.write_trials, os.devnull),
-                     ("trial,x", STREAM, 10, COINS, ROWS)),
     "simulate": (rng.simulate, (STREAM, 10, COINS, WORLDS, 1)),
+    "simulate to a CSV file": (
+        lambda stream, trials, coins, worlds, workers, header: rng.simulate(
+            stream, trials, coins, worlds, workers, os.devnull, header),
+        (STREAM, 10, COINS, WORLDS, 1, "trial,x")),
     "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, sm.Description.ALICE, 1, 0)),
     "run_experiment": (mc.run_experiment, (mc.ExperimentConfig(A, B, 10), 1)),
     "covariance_tolerance": (mc.covariance_tolerance, (-0.5, 10, 3.0)),
@@ -136,19 +139,20 @@ REFUSED = {
     "trial_words(True)": lambda: STREAM.trial_words(True),
     "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
     "threshold('0.5')": lambda: rng.threshold("0.5"),
-    "count_worlds(None, 10, ())": lambda: rng.count_worlds(None, 10, ()),
-    "count_worlds(stream, -5, ())": lambda: rng.count_worlds(STREAM, -5, ()),
-    "count_worlds(coins=((4, 1),))": lambda: rng.count_worlds(STREAM, 10, ((4, 1),)),
-    "count_worlds(coins=((0, 2**53 + 1),))": lambda: rng.count_worlds(STREAM, 10,
-                                                                       ((0, 2**53 + 1),)),
+    "simulate(None, 10, (), ...)": lambda: rng.simulate(None, 10, (), NO_COIN),
+    "simulate(stream, -5, (), ...)": lambda: rng.simulate(STREAM, -5, (), NO_COIN),
+    "simulate(coins=((4, 1),))": lambda: rng.simulate(STREAM, 10, ((4, 1),), ONE_COIN),
+    "simulate(coins=((0, 2**53 + 1),))": lambda: rng.simulate(STREAM, 10, ((0, 2**53 + 1),),
+                                                              ONE_COIN),
+    "simulate(header=5)": lambda: rng.simulate(STREAM, 10, COINS, WORLDS, 1, os.devnull, 5),
     "simulate(stream, 2.5, (), [], 1)": lambda: rng.simulate(STREAM, 2.5, (), [], 1),
     "simulate(worlds=[])": lambda: rng.simulate(STREAM, 10, COINS, [], 1),
     "simulate(a world of cause 2)": lambda: rng.simulate(
         STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], cause=2), *WORLDS[1:]], 1),
     "simulate(a world of signs (1, 2))": lambda: rng.simulate(
         STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], signs=(1, 2)), *WORLDS[1:]], 1),
-    "write_trials(row_text=ROWS[:4])": lambda: rng.write_trials(os.devnull, "t", STREAM, 10,
-                                                                COINS, ROWS[:4]),
+    "simulate(a world whose row is no string)": lambda: rng.simulate(
+        STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], row=5), *WORLDS[1:]], 1),
     "ExperimentConfig(0.5, B)": lambda: mc.ExperimentConfig(0.5, B, 10),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),

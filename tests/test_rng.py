@@ -138,6 +138,13 @@ def _shifted_codes(stream, trials, coins):
     return codes
 
 
+def _write_csv(path, header, stream, trials, coins, rows):
+    """The driver's CSV path, as :func:`rng.simulate` runs it: the histogram, rows in ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        return rng._count(stream, trials, coins, 1, rng._row_writer(fh, rows))
+
+
 def _chunk_codes(stream, lo, trials, coins):
     """World code of each trial in the chunk at ``lo``, from the kernel's per-coin arrays."""
     n, ups = rng._chunk_coins(stream, lo, trials, coins)
@@ -184,14 +191,14 @@ COINS = st.lists(st.tuples(st.integers(0, BLOCK_DRAWS - 1), THRESHOLDS.map(np.ui
 @given(coins=COINS, trials=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
        workers=st.integers(1, 3))
 def test_subset_counts_give_the_histogram_of_the_codes(coins, trials, seed, workers):
-    """Both kernels, over 64-trial chunks, count what the shift-then-compare codes count."""
+    """Both driver paths, over 64-trial chunks, count what the shift-then-compare codes count."""
     stream = RngStream(seed)
     expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
     rows = [f",{code}\n" for code in range(1 << len(coins))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "CHUNK_TRIALS", 64)
-        assert rng.count_worlds(stream, trials, coins, workers).tolist() == expected.tolist()
-        written = rng.write_trials(os.devnull, "trial,code", stream, trials, coins, rows)
+        assert rng._count(stream, trials, coins, workers).tolist() == expected.tolist()
+        written = _write_csv(os.devnull, "trial,code", stream, trials, coins, rows)
     assert written.tolist() == expected.tolist()
 
 
@@ -215,7 +222,7 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
     def peak(chunks):
         tracemalloc.start()
         try:
-            rng.count_worlds(RngStream(1), chunks * 256, coins)
+            rng._count(RngStream(1), chunks * 256, coins, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,8 +230,8 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
     gc.collect()
     gc.disable()
     try:
-        rng.count_worlds(RngStream(1), 40 * 256, coins, workers=2)
-        rng.write_trials(tmp_path / "t.csv", "trial,code", RngStream(1), 40 * 256, coins, rows)
+        rng._count(RngStream(1), 40 * 256, coins, 2)
+        _write_csv(tmp_path / "t.csv", "trial,code", RngStream(1), 40 * 256, coins, rows)
         unreachable = gc.collect()
         peaks = [peak(chunks) for chunks in (40, 40, 160)]
     finally:
@@ -236,10 +243,10 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
     coins = ((0, threshold(0.5)), (1, threshold(0.25)))
-    worlds = rng.count_worlds(RngStream(0), 0, coins, workers)
+    worlds = rng._count(RngStream(0), 0, coins, workers)
     assert worlds.dtype == np.int64 and worlds.tolist() == [0] * 4
     path = tmp_path / "trials.csv"
-    written = rng.write_trials(path, "trial,row", RngStream(0), 0, coins, [",r\n"] * 4)
+    written = _write_csv(path, "trial,row", RngStream(0), 0, coins, [",r\n"] * 4)
     assert written.dtype == np.int64 and written.tolist() == [0] * 4
     assert path.read_text(encoding="utf-8") == "trial,row\n"
 
@@ -282,12 +289,13 @@ def test_the_pool_gets_one_task_per_thread_not_per_chunk(monkeypatch, workers):
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
     coins = ((0, threshold(0.5)), (1, threshold(0.3)), (3, threshold(0.9)))
     trials = 1_000 * 4 - 1  # 1,000 chunks, the last one short
-    histogram = rng.count_worlds(RngStream(7), trials, coins, workers)
-    assert _TaskCountingExecutor.tasks == _TaskCountingExecutor.sizes == [workers]
+    histogram = rng._count(RngStream(7), trials, coins, workers)
+    pools = [] if workers == 1 else [workers]  # one thread runs on the caller
+    assert _TaskCountingExecutor.tasks == _TaskCountingExecutor.sizes == pools
     assert histogram.sum() == trials
     _TaskCountingExecutor.tasks.clear()
-    assert np.array_equal(rng.count_worlds(RngStream(7), trials, coins, 1), histogram)
-    assert _TaskCountingExecutor.tasks == [1]
+    assert np.array_equal(rng._count(RngStream(7), trials, coins, 1), histogram)
+    assert _TaskCountingExecutor.tasks == [] and _TaskCountingExecutor.sizes == pools
     expected = np.bincount(_shifted_codes(RngStream(7), trials, coins), minlength=8)
     assert np.array_equal(histogram, expected)
 
@@ -306,7 +314,7 @@ def test_threads_taking_chunks_lose_and_repeat_none(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         worker = threading.Thread(
-            target=lambda: result.append(rng.count_worlds(RngStream(2), trials, coins, 8)))
+            target=lambda: result.append(rng._count(RngStream(2), trials, coins, 8)))
         worker.start()
         worker.join(timeout=60)
     finally:
@@ -327,15 +335,36 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_pa
     _InlineExecutor.sizes.clear()
     assert cli.main([*argv, "--workers", str(10**9)]) == 0
     assert capsys.readouterr().out == baseline
-    assert _InlineExecutor.sizes and all(
-        1 <= size <= min(3, os.cpu_count() or 1) for size in _InlineExecutor.sizes
-    )
+    cpus = os.cpu_count() or 1
+    assert all(2 <= size <= min(3, cpus) for size in _InlineExecutor.sizes)
+    assert bool(_InlineExecutor.sizes) == (cpus > 1)  # one thread runs on the caller, no pool
     # The writer draws on the calling thread: it asks for no pool at any worker count.
     _InlineExecutor.sizes.clear()
     csv = ["--csv-out", str(tmp_path / "trials.csv")]
     assert cli.main([*argv, *csv, "--workers", str(10**9)]) == 0
     capsys.readouterr()
     assert _InlineExecutor.sizes == []
+
+
+@pytest.mark.parametrize("args, pools", [
+    (("mc-run", "--phi", "60deg", "--workers", "1"), []),
+    (("ball-protocol", "--stage", "2", "--mismatch-prob", "0.1", "--workers", "1"), []),
+    (("mc-run", "--phi", "60deg", "--workers", "2", "--csv-out", "{csv}"), []),
+    (("ball-protocol", "--stage", "1", "--workers", "2", "--csv-out", "{csv}"), []),
+    (("mc-run", "--phi", "60deg", "--workers", "2"), [2]),
+    (("ball-protocol", "--stage", "2", "--mismatch-prob", "0.1", "--workers", "2"), [2]),
+], ids=lambda v: " ".join(map(str, v)))
+def test_one_thread_counts_on_the_caller_and_builds_no_pool(monkeypatch, capsys, tmp_path, args,
+                                                            pools):
+    from bellsim import cli
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    argv = [a.format(csv=tmp_path / "trials.csv") for a in args]
+    assert cli.main([*argv, "--trials", str(3 * CHUNK_TRIALS), "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert _InlineExecutor.sizes == pools
 
 
 def test_common_cause_honours_workers(monkeypatch, capsys):
@@ -356,7 +385,7 @@ def test_common_cause_honours_workers(monkeypatch, capsys):
 
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
-        rng.count_worlds(RngStream(0), 10, (), workers=0)
+        rng.simulate(RngStream(0), 10, (), [rng.World(0, 1.0, 0, None, ",\n")], workers=0)
 
 
 @pytest.mark.parametrize("csv", [False, True], ids=["count", "csv"])
@@ -402,13 +431,13 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
 @pytest.mark.parametrize(
     "trials", [1, 99, 100, 101, 250, CHUNK_TRIALS + 64, CHUNK_TRIALS + 101, 2 * CHUNK_TRIALS + 250]
 )
-def test_write_trials_writes_index_then_row_text(tmp_path, trials):
+def test_csv_rows_are_index_then_row_text(tmp_path, trials):
     """Each line is f"{i}{row_text[code]}", the plain form of the table-built rows."""
     stream = RngStream(11, 2)
     coins = ((0, threshold(0.5)), (1, threshold(0.25)), (2, threshold(0.9)))
     row_text = [f",row{code}\n" for code in range(8)]
     path = tmp_path / "trials.csv"
-    worlds = rng.write_trials(path, "trial,row", stream, trials, coins, row_text)
+    worlds = _write_csv(path, "trial,row", stream, trials, coins, row_text)
     codes = np.concatenate([_chunk_codes(stream, lo, trials, coins)
                             for lo in range(0, trials, CHUNK_TRIALS)])
     expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
@@ -434,10 +463,10 @@ def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_
     before = threading.active_count()
     with pytest.raises(_Boom):
         if path == "count":  # the draws run on pool threads
-            rng.count_worlds(RngStream(3), 3 * CHUNK_TRIALS, coins, workers=2)
+            rng._count(RngStream(3), 3 * CHUNK_TRIALS, coins, 2)
         else:
-            rng.write_trials(tmp_path / "t.csv", "trial,c", RngStream(3), 3 * CHUNK_TRIALS,
-                             coins, [",0\n", ",1\n"])
+            _write_csv(tmp_path / "t.csv", "trial,c", RngStream(3), 3 * CHUNK_TRIALS,
+                       coins, [",0\n", ",1\n"])
     assert threading.active_count() == before
 
 
