@@ -6,7 +6,8 @@ fields (config key, default, kind, flag, help); the table builds the
 flags and checks config-file values.  Precedence is flags over
 config-file values over defaults; the resolved configuration is
 embedded in every report's manifest and can be fed back via --config to
-reproduce the run.
+reproduce the run.  A flag that the run would not read, such as --trials
+of an analytic run, is a usage error; a config-file value never is.
 
 Exit codes: 0 when all embedded checks pass, 1 when a check fails or
 the run hits a data-level error (such as an empty registered set), 2
@@ -180,6 +181,18 @@ def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
     return cfg
 
 
+def _refuse_unread(ns: argparse.Namespace, schema: tuple[Field, ...], needs: dict) -> None:
+    """``<flag> needs <what>`` for a flag given although the run will not read it.
+
+    ``needs`` maps a key to (what its flag needs, whether the run has it).
+    Only flags are refused, so a manifest's config still reproduces its run.
+    """
+    for f in schema:
+        what, has = needs.get(f.key, (None, True))
+        if not has and getattr(ns, f.key) is not None:
+            raise UsageError(f"{f.flag} needs {what}")
+
+
 #: (flag, add_argument keywords) of the flags that every subcommand takes and that are no keys.
 COMMON_FLAGS = (
     ("--workers", {"type": int, "default": 1,
@@ -342,6 +355,9 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
         if cfg["stage"] is None:
             raise UsageError("ball-protocol needs --stage or --all-stages")
         stages = [cfg["stage"]]
+    _refuse_unread(ns, BALL, {"trials": ("--mode empirical", cfg["mode"] == "empirical"),
+                              "p_stage1": ("stage 1", 1 in stages),
+                              "p_stage23": ("stage 2 or 3", stages != [1])})
 
     def stage_config(stage: int) -> bp.StageConfig:
         return bp.StageConfig(
@@ -402,6 +418,12 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
         raise UsageError("common-cause needs exactly one of --builtin or --model")
     if cfg["empirical"] and cfg["builtin"] != "ball":
         raise UsageError("--empirical needs --builtin ball")
+    builtin = cfg["builtin"]
+    _refuse_unread(ns, CAUSE, {"phi": ("--builtin spin", builtin == "spin"),
+                               "x_outcome": ("--builtin", builtin is not None),
+                               "y_outcome": ("--builtin", builtin is not None),
+                               "stage": ("--builtin ball", builtin == "ball"),
+                               "trials": ("--empirical", cfg["empirical"])})
 
     if cfg["model_file"] is not None:
         model = cc.binary_event_model_from_json_dict(_read_json(cfg["model_file"], "model"))
@@ -452,6 +474,7 @@ CHSH = (
 
 def cmd_chsh(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(CHSH, ns)
+    _refuse_unread(ns, CHSH, {"trials": ("--mode empirical", cfg["mode"] == "empirical")})
     axes = [Direction(float(a)) for a in cfg["angles"]]
     result = mc.chsh_details(*axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
                              workers=ns.workers)
@@ -514,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        schema = command.schema
-        for f in (*schema, *(f for f in (_SEED, _TRIALS) if f not in schema)):
+        for f in command.schema if _SEED in command.schema else (*command.schema, _SEED):
             p.add_argument(f.flag, dest=f.key, help=f.help, **f.kind.flag)
         for flag, keywords in (*COMMON_FLAGS, *command.flags):
             p.add_argument(flag, **keywords)

@@ -505,12 +505,40 @@ def test_trials_beyond_2_to_the_64_is_a_usage_error(capsys, monkeypatch, args, t
 @pytest.mark.parametrize("args, message", [
     (("spin-correlation", "--phi", "60deg", "--sweep-out", "{path}"), "--sweep-out needs --sweep"),
     (("common-cause", "--builtin", "spin", "--empirical"), "--empirical needs --builtin ball"),
+    (("ball-protocol", "--stage", "1", "--mode", "analytic", "--trials", "5"),
+     "--trials needs --mode empirical"),
+    (("chsh", "--trials", "5"), "--trials needs --mode empirical"),
+    (("common-cause", "--builtin", "ball", "--trials", "7"), "--trials needs --empirical"),
+    (("common-cause", "--builtin", "spin", "--stage", "3", "--trials", "7"),
+     "--stage needs --builtin ball"),
+    (("common-cause", "--builtin", "ball", "--phi", "30deg"), "--phi needs --builtin spin"),
+    (("common-cause", "--model", "{path}", "--x-outcome", "-1"), "--x-outcome needs --builtin"),
+    (("common-cause", "--model", "{path}", "--y-outcome", "-1"), "--y-outcome needs --builtin"),
+    (("ball-protocol", "--stage", "2", "--p1", "0.2"), "--p1 needs stage 1"),
+    (("ball-protocol", "--stage", "1", "--p23", "0.2"), "--p23 needs stage 2 or 3"),
 ])
 def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     path = tmp_path / "sweep.dat"
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in args))
     assert code == 2 and out == "" and err == f"error: {message}\n"
     assert not path.exists()
+
+
+def test_spin_correlation_takes_no_trials(capsys):
+    code, out, err = run_cli(capsys, "spin-correlation", "--phi", "60deg", "--trials", "5")
+    assert code == 2 and out == "" and "unrecognized arguments: --trials 5" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("ball-protocol", "--all-stages", "--mode", "analytic", "--p1", "0.2", "--p23", "0.1"),
+    ("chsh", "--mode", "empirical", "--trials", "1000"),
+    ("common-cause", "--builtin", "spin", "--phi", "30deg", "--x-outcome", "-1"),
+    ("common-cause", "--builtin", "ball", "--stage", "2", "--empirical", "--trials", "20000"),
+    ("spin-correlation", "--phi", "60deg"),
+], ids=" ".join)
+def test_seed_and_workers_are_taken_everywhere(capsys, args):
+    code, _, err = run_cli(capsys, *args, "--seed", "3", "--workers", "2")
+    assert code == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------
