@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (require, require_choice, require_nonnegative, require_real, require_trials,
-                     require_type)
+from .errors import require, require_choice, require_real, require_trials, require_type
 from .report import Check
 from .rng import SIGN_PAIRS, Coin, RngStream, World, simulate, threshold
 from .spinmodel import Description, Direction, angle_between, quantum_correlation
@@ -139,17 +138,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, csv_out=None) -> 
     return EmpiricalStats.from_counts(counts, config.trials)
 
 
-def covariance_tolerance(analytic: float, trials: int, sigmas: float = 3.0) -> float:
+def covariance_tolerance(analytic: float, trials: int) -> float:
     """Acceptance band for an empirical covariance around its analytic value.
 
-    ``sigmas`` standard errors of the +/-1 product mean, plus a 9/N
-    guard for the sample marginal product: at certainty angles the
-    product mean is exact and the entire deviation is mean1*mean2,
-    which stays within 9/N at three standard errors.
+    Three standard errors of the +/-1 product mean, plus a 9/N guard for
+    the sample marginal product: at certainty angles the product mean is
+    exact and the entire deviation is mean1*mean2, which stays within 9/N
+    at three standard errors.
     """
     analytic, trials = require_real(analytic, "analytic"), require_trials(trials, "trials")
-    sigmas = require_nonnegative(sigmas, "sigmas")
-    return sigmas * math.sqrt(max(0.0, 1.0 - analytic * analytic) / trials) + 9.0 / trials
+    return 3.0 * math.sqrt(max(0.0, 1.0 - analytic * analytic) / trials) + 9.0 / trials
 
 
 @dataclass(frozen=True, slots=True)
