@@ -115,6 +115,16 @@ require_coins = Contract(  # codes are uint8: bit k is coin k
 require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike)))
 
 
+def _is_cosines(value) -> bool:
+    """A number in [-1, 1], or a float64 array of them; NaN is in no interval."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == np.float64 and bool((np.abs(value) <= 1.0).all())
+    return is_real(value) and -1.0 <= value <= 1.0
+
+
+require_cosines = Contract("a number in [-1, 1] or a float64 array of them", _is_cosines)
+
+
 def one_of(options) -> Contract:
     """Equal to an option of its type, a subtype or a base type, so 1.0 and True are not 1."""
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (require, require_coins, require_count, require_path, require_probability,
-                     require_trial_count, require_type, require_u64)
+from .errors import (is_real, require, require_coins, require_count, require_path,
+                     require_probability, require_trial_count, require_type, require_u64)
 
 #: Draws available per counter block (one Philox block is 4 x 64 bits).
 BLOCK_DRAWS = 4
@@ -73,12 +73,29 @@ class World:
     row: str  # CSV row text after the trial number
 
 
+def _is_world(world, size: int) -> bool:
+    """A World of code below ``size``, finite prob, cause 0 or 1, a sign pair or None, row text."""
+    if not isinstance(world, World):
+        return False
+    signs = world.signs
+    return (type(world.code) is int and 0 <= world.code < size and is_real(world.prob)
+            and type(world.cause) is int and world.cause in (0, 1) and type(world.row) is str
+            and (signs is None or type(signs) is tuple and all(type(s) is int for s in signs)
+                 and signs in SIGN_PAIRS))
+
+
 def fold(worlds: list[World], mass=None) -> tuple[tuple[dict, dict], list]:
     """Per-cause sign-pair cells and registered totals, adding masses in table order.
 
     A world's mass is ``mass[world.code]``, or its probability when
     ``mass`` is None; unregistered worlds add nothing.
     """
+    require(mass is None or isinstance(mass, list) and all(map(is_real, mass)), "mass",
+            "None or a list of finite numbers", mass)
+    size = 1 << 8 if mass is None else len(mass)  # a code has one bit per coin, at most 8
+    require(isinstance(worlds, list) and all(_is_world(world, size) for world in worlds), "worlds",
+            "a list of World records whose codes index mass, of cause 0 or 1 and a sign pair or None",
+            worlds)
     cells = ({pair: 0 for pair in SIGN_PAIRS}, {pair: 0 for pair in SIGN_PAIRS})
     registered = [0, 0]
     for world in worlds:
@@ -218,17 +235,6 @@ def _row_writer(fh, rows: list[str]):
         fh.write("".join([h + h.join(tails[a:b]) for h, a, b in zip(heads, cuts, cuts[1:])]))
 
     return write
-
-
-def _is_world(world, size: int) -> bool:
-    """A World whose code is below ``size``, cause 0 or 1, signs a sign pair or None, row text."""
-    if not isinstance(world, World):
-        return False
-    signs = world.signs
-    return (type(world.code) is int and 0 <= world.code < size and type(world.row) is str
-            and type(world.cause) is int and world.cause in (0, 1)
-            and (signs is None or type(signs) is tuple and all(type(s) is int for s in signs)
-                 and signs in SIGN_PAIRS))
 
 
 def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: list[World],

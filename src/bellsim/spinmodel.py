@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContextMismatchError, require_choice, require_real, require_reals, require_type
+from .errors import (ContextMismatchError, require_choice, require_cosines, require_real,
+                     require_reals, require_type)
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,8 +166,9 @@ def correlation_from_cosines(c1, c2):
     """Observable correlation, from the cosines between the anchor axis and each axis.
 
     ``c1`` and ``c2`` are floats or float64 arrays (see
-    :func:`axis_cosine`); the result has their broadcast shape.
+    :func:`axis_cosine`) in [-1, 1]; the result has their broadcast shape.
     """
+    c1, c2 = require_cosines(c1, "c1"), require_cosines(c2, "c2")
     return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
 
 

@@ -4,9 +4,8 @@ Every public constructor and entry point of spinmodel, rng, montecarlo,
 ballprotocol and commoncause is called with hostile values in each
 argument.  A call either succeeds or raises a BellsimError; nothing else
 escapes.  Not called: the result records, which the library builds from
-its own counts, and the kernels that take what checked entry points
-computed (``spinmodel.correlation_from_cosines``, ``rng.fold``,
-``rng.glyph``).  A ``csv_out`` string is a path to write, so only
+its own counts, and ``rng.glyph``, which only the library calls, with
+signs that checked entry points computed.  A ``csv_out`` string is a path to write, so only
 values that are no path are given there, and ``rng.simulate`` writes its
 CSV rows to the null device.
 """
@@ -54,9 +53,11 @@ ENTRY_POINTS = {
     "pair_expectation": (sm.pair_expectation, (LAM, A, B)),
     "subquantum_correlation": (sm.subquantum_correlation, (LAM, A, B)),
     "quantum_correlation": (sm.quantum_correlation, (A, B, sm.Description.BOB)),
+    "correlation_from_cosines": (sm.correlation_from_cosines, (1.0, np.array([0.5, -1.0]))),
     "RngStream": (rng.RngStream, (1, 2)),
     "RngStream.trial_words": (STREAM.trial_words, (3, 5)),
     "threshold": (rng.threshold, (0.25,)),
+    "fold": (rng.fold, (WORLDS, [3] * len(WORLDS))),
     "simulate": (rng.simulate, (STREAM, 10, COINS, WORLDS, 1)),
     "simulate to a CSV file": (
         lambda stream, trials, coins, worlds, workers, header: rng.simulate(
@@ -135,6 +136,17 @@ REFUSED = {
     "angle_between(0.5, B)": lambda: sm.angle_between(0.5, B),
     "quantum_correlation(0.5, B)": lambda: sm.quantum_correlation(0.5, B),
     "zero_axis_cosines('x')": lambda: sm.zero_axis_cosines("x"),
+    "correlation_from_cosines('x', 1.0)": lambda: sm.correlation_from_cosines("x", 1.0),
+    "correlation_from_cosines(1.5, 1.0)": lambda: sm.correlation_from_cosines(1.5, 1.0),
+    "correlation_from_cosines(1.0, [0.5])": lambda: sm.correlation_from_cosines(1.0, [0.5]),
+    "correlation_from_cosines(1.0, float32 array)": lambda: sm.correlation_from_cosines(
+        1.0, np.array([0.5], dtype=np.float32)),
+    "correlation_from_cosines(1.0, array with nan)": lambda: sm.correlation_from_cosines(
+        1.0, np.array([0.5, math.nan])),
+    "fold(None)": lambda: rng.fold(None),
+    "fold(mass=[1])": lambda: rng.fold(WORLDS, [1]),
+    "fold(mass=['x'] * 8)": lambda: rng.fold(WORLDS, ["x"] * len(WORLDS)),
+    "fold(a world of prob 'x')": lambda: rng.fold([dataclasses.replace(WORLDS[0], prob="x")]),
     "zero_axis_cosines([10**5000])": lambda: sm.zero_axis_cosines([HUGE]),
     "trial_words(True)": lambda: STREAM.trial_words(True),
     "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
