@@ -193,7 +193,7 @@ def _refuse_unread(ns: argparse.Namespace, schema: tuple[Field, ...], needs: dic
             raise UsageError(f"{f.flag} needs {what}")
 
 
-#: (flag, add_argument keywords) of the flags that every subcommand takes and that are no keys.
+#: (flag, add_argument keywords) of the flags, no config keys, that every subcommand takes.
 COMMON_FLAGS = (
     ("--workers", {"type": int, "default": 1,
                    "help": "worker count; results are identical for any value"}),
@@ -494,7 +494,7 @@ def cmd_chsh(ns: argparse.Namespace) -> tuple:
 
 
 class Subcommand(NamedTuple):
-    """One subcommand: its help, config schema, handler and own flags that are no keys."""
+    """One subcommand: its help, config schema, handler and own flags that are no config keys."""
 
     help: str
     schema: tuple[Field, ...]

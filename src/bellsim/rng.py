@@ -94,8 +94,7 @@ def fold(worlds: list[World], mass=None) -> tuple[tuple[dict, dict], list]:
             "None or a list of finite numbers", mass)
     size = 1 << 8 if mass is None else len(mass)  # a code has one bit per coin, at most 8
     require(isinstance(worlds, list) and all(_is_world(world, size) for world in worlds), "worlds",
-            "a list of World records whose codes index mass, of cause 0 or 1 and a sign pair or None",
-            worlds)
+            "a list of World records of finite probability whose codes index mass", worlds)
     cells = ({pair: 0 for pair in SIGN_PAIRS}, {pair: 0 for pair in SIGN_PAIRS})
     registered = [0, 0]
     for world in worlds:
