@@ -264,11 +264,9 @@ def run_stage(config: StageConfig, workers: int = 1, csv_out=None) -> AggregateR
     an observer's color and sign are empty when they registered nothing).
     """
     coins, worlds = _world_table(config)
-    folded = simulate(
-        config.stream(), config.trials, coins, worlds, workers, csv_out,
-        "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered",
-    )
-    return _reduce(config, folded, config.trials)
+    histogram = simulate(config.stream(), config.trials, coins, worlds, workers, csv_out,
+                         "trial,algorithm,alice_color,alice_sign,bob_color,bob_sign,registered")
+    return _reduce(config, fold(worlds, histogram), config.trials)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import require, require_choice, require_real, require_trials, require_type
 from .report import Check
-from .rng import SIGN_PAIRS, Coin, RngStream, World, simulate, threshold
+from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
 from .spinmodel import Description, Direction, angle_between, quantum_correlation
 
 CHSH_LOCAL_BOUND = 2.0
@@ -132,8 +132,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, csv_out=None) -> 
     order (columns: trial, lambda_sign, outcome1, outcome2).
     """
     coins, worlds = _world_table(config)
-    cells, _ = simulate(config.stream(), config.trials, coins, worlds, workers, csv_out,
-                        "trial,lambda_sign,outcome1,outcome2")
+    cells, _ = fold(worlds, simulate(config.stream(), config.trials, coins, worlds, workers,
+                                     csv_out, "trial,lambda_sign,outcome1,outcome2"))
     counts = [cells[0][pair] + cells[1][pair] for pair in SIGN_PAIRS]
     return EmpiricalStats.from_counts(counts, config.trials)
 

@@ -23,11 +23,11 @@ A chunk keeps one boolean array per coin.  Its histogram is exact integer
 arithmetic on subset counts: for every subset of coins, the number of
 trials in which all of them came up (``count_nonzero`` of their AND);
 inclusion-exclusion turns those 2**k counts into the trials of each world.
-:func:`simulate` is the one entry point, and folds its world counts.  Its
-driver sums the chunks' exact histograms, so the result is the same for
-every worker count: on up to ``os.cpu_count()`` pool threads, or on the
-calling thread when one thread runs them, as it does for a CSV export,
-whose rows are written in order, one chunk before the next is drawn.
+:func:`simulate`, the one entry point, returns those world counts and its
+callers fold them.  The chunks' exact histograms add up, so the counts are
+the same for every worker count: on up to ``os.cpu_count()`` pool threads,
+or on the calling thread when one thread runs them, as it does for a CSV
+export, whose rows are written in order, one chunk before the next is drawn.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ CHUNK_TRIALS = 1 << 16
 
 #: (draw index within the trial's block, threshold): the coin comes up
 #: when that draw's 53-bit integer is below the threshold.
-Coin = tuple[int, np.uint64]
+Coin = tuple[int, int]
 
 #: Registered sign pairs, in the order cells and reports list them.
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -105,9 +105,9 @@ def fold(worlds: list[World], mass=None) -> tuple[tuple[dict, dict], list]:
     return cells, registered
 
 
-def threshold(p: float) -> np.uint64:
+def threshold(p: float) -> int:
     """``ceil(p * 2**53)``: ``(w >> 11) < threshold(p)`` exactly when numpy's ``u < p``."""
-    return np.uint64(math.ceil(require_probability(p, "p") * 9007199254740992.0))
+    return math.ceil(require_probability(p, "p") * 9007199254740992.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,12 +237,12 @@ def _row_writer(fh, rows: list[str]):
 
 
 def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: list[World],
-             workers: int = 1, csv_out=None, header: str = "") -> tuple[tuple[dict, dict], list]:
-    """:func:`fold` of the world counts of trials [0, trials), written to ``csv_out`` if given.
+             workers: int = 1, csv_out=None, header: str = "") -> list[int]:
+    """Trial counts of the worlds of trials [0, trials), by code, for callers to :func:`fold`.
 
-    Counting runs on up to ``workers`` threads; writing, under ``header``,
-    runs on one, so the file's bytes do not depend on ``workers``.  Every
-    argument is checked, and the file opened, before anything is drawn.
+    Counting runs on up to ``workers`` threads; writing the rows to ``csv_out``,
+    under ``header``, runs on one, so the file's bytes do not depend on ``workers``.
+    Every argument is checked, and the file opened, before anything is drawn.
     """
     require_count(workers, "workers")
     require_type(stream, "stream", RngStream)
@@ -255,9 +255,8 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
             "a list of World records, one per world code, of cause 0 or 1 and a sign pair or None",
             worlds)
     if csv_out is None:
-        return fold(worlds, _count(stream, trials, coins, workers).tolist())
+        return _count(stream, trials, coins, workers).tolist()
     rows = [world.row for world in sorted(worlds, key=lambda world: world.code)]
     with open(require_path(csv_out, "csv_out"), "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        histogram = _count(stream, trials, coins, 1, _row_writer(fh, rows))
-    return fold(worlds, histogram.tolist())
+        return _count(stream, trials, coins, 1, _row_writer(fh, rows)).tolist()

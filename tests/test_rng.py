@@ -95,6 +95,7 @@ def _edge_probabilities():
 @example(2**11 - 1, 2.0**-53)
 def test_threshold_identity(word, p):
     k = np.uint64(word) >> np.uint64(11)
+    assert type(threshold(p)) is int
     assert bool(k < threshold(p)) == (float(k) * 2.0**-53 < p)
 
 
@@ -181,25 +182,59 @@ def test_chunk_codes_split_each_coin_at_its_bound(monkeypatch):
                           _shifted_codes(stream, len(words), coins))
 
 
-#: Thresholds at the edges of the 53-bit range, and any in between.
+#: Thresholds at the edges of the 53-bit range, and any in between, as Python's
+#: or numpy's integers: the coin contract takes both.
 THRESHOLDS = st.sampled_from([0, 1, 2**52, 2**53 - 1, 2**53]) | st.integers(0, 2**53)
-COINS = st.lists(st.tuples(st.integers(0, BLOCK_DRAWS - 1), THRESHOLDS.map(np.uint64)),
-                 max_size=4).map(tuple)
+COINS = st.lists(st.tuples(st.integers(0, BLOCK_DRAWS - 1),
+                           THRESHOLDS | THRESHOLDS.map(np.uint64)), max_size=4).map(tuple)
 
 
 @settings(deadline=None, max_examples=60)
 @given(coins=COINS, trials=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
        workers=st.integers(1, 3))
 def test_subset_counts_give_the_histogram_of_the_codes(coins, trials, seed, workers):
-    """Both driver paths, over 64-trial chunks, count what the shift-then-compare codes count."""
+    """Both paths of ``simulate``, over 64-trial chunks, return the shift-then-compare codes'
+    histogram: a list of ``2**len(coins)`` Python ints that sums to ``trials``."""
     stream = RngStream(seed)
     expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
-    rows = [f",{code}\n" for code in range(1 << len(coins))]
+    worlds = [rng.World(code, 1.0, 0, None, f",{code}\n") for code in range(1 << len(coins))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "CHUNK_TRIALS", 64)
-        assert rng._count(stream, trials, coins, workers).tolist() == expected.tolist()
-        written = _write_csv(os.devnull, "trial,code", stream, trials, coins, rows)
-    assert written.tolist() == expected.tolist()
+        counted = rng.simulate(stream, trials, coins, worlds, workers)
+        written = rng.simulate(stream, trials, coins, worlds, workers, os.devnull, "trial,code")
+    for histogram in (counted, written):
+        assert type(histogram) is list and all(type(n) is int for n in histogram)
+        assert histogram == expected.tolist() and sum(histogram) == trials
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["count", "csv"])
+@pytest.mark.parametrize("name", ["montecarlo", "ballprotocol"])
+def test_fold_of_simulate_gives_each_simulations_cells(tmp_path, name, csv):
+    """Each world's trials land in its cause's sign-pair cell, and the run reports those cells."""
+    from bellsim import ballprotocol as bp
+    from bellsim import montecarlo as mc
+    from bellsim.spinmodel import Direction
+
+    module, config = {
+        "montecarlo": (mc, mc.ExperimentConfig(Direction(0.0), Direction(1.0), 3000, seed=5)),
+        "ballprotocol": (bp, bp.StageConfig(stage=2, trials=3000, seed=5,
+                                            filter_mismatch_prob=0.2)),
+    }[name]
+    coins, worlds = module._world_table(config)
+    csv_out = tmp_path / "trials.csv" if csv else None
+    histogram = rng.simulate(config.stream(), config.trials, coins, worlds, 2, csv_out)
+    cells, registered = rng.fold(worlds, histogram)
+    codes = _shifted_codes(config.stream(), config.trials, coins).tolist()
+    expected = ({pair: 0 for pair in rng.SIGN_PAIRS}, {pair: 0 for pair in rng.SIGN_PAIRS})
+    for world in worlds:
+        if world.signs is not None:
+            expected[world.cause][world.signs] += codes.count(world.code)
+    assert cells == expected and registered == [sum(cause.values()) for cause in expected]
+    if module is mc:
+        counts = {pair: cells[0][pair] + cells[1][pair] for pair in rng.SIGN_PAIRS}
+        assert mc.run_experiment(config).counts == counts
+    else:
+        assert bp.run_stage(config) == bp._reduce(config, (cells, registered), config.trials)
 
 
 def test_subset_counts_invert_to_world_counts():
