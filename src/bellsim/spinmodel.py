@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContextMismatchError, require_choice, require_cosines, require_real,
-                     require_reals, require_type)
+from .errors import (ContextMismatchError, require, require_choice, require_cosines,
+                     require_real, require_reals, require_type)
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,6 +169,9 @@ def correlation_from_cosines(c1, c2):
     :func:`axis_cosine`) in [-1, 1]; the result has their broadcast shape.
     """
     c1, c2 = require_cosines(c1, "c1"), require_cosines(c2, "c2")
+    shapes = np.shape(c1)[::-1], np.shape(c2)[::-1]  # numpy aligns trailing axes
+    require(all(1 in (m, n) or m == n for m, n in zip(*shapes)), "c2",
+            f"cosines whose shape broadcasts with c1's {np.shape(c1)}", c2)
     return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
 
 

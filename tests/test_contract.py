@@ -143,6 +143,8 @@ REFUSED = {
         1.0, np.array([0.5], dtype=np.float32)),
     "correlation_from_cosines(1.0, array with nan)": lambda: sm.correlation_from_cosines(
         1.0, np.array([0.5, math.nan])),
+    "correlation_from_cosines(shape (2,), shape (3,))": lambda: sm.correlation_from_cosines(
+        np.array([0.5, 0.1]), np.array([0.5, 0.2, 0.3])),
     "fold(None)": lambda: rng.fold(None),
     "fold(mass=[1])": lambda: rng.fold(WORLDS, [1]),
     "fold(mass=['x'] * 8)": lambda: rng.fold(WORLDS, ["x"] * len(WORLDS)),

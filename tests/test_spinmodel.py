@@ -14,6 +14,7 @@ from actor_oracles import (
 )
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bellsim.errors import ContextMismatchError, ValidationError
 from bellsim.spinmodel import (
@@ -348,6 +349,18 @@ class TestCosineCore:
         assert type(c) is float
         assert c == quantum_correlation(a, b)
         assert c == pytest.approx(-0.5, abs=TOL)
+
+    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+           hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    def test_shapes_are_taken_exactly_when_numpy_broadcasts_them(self, shape1, shape2):
+        c1, c2 = np.full(shape1, 0.5), np.full(shape2, -0.25)
+        try:
+            expected = np.broadcast_shapes(shape1, shape2)
+        except ValueError:
+            with pytest.raises(ValidationError, match="c2 must be cosines whose shape broadcasts"):
+                correlation_from_cosines(c1, c2)
+        else:
+            assert np.shape(correlation_from_cosines(c1, c2)) == expected
 
 
 def bits(values) -> list[int]:
