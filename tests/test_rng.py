@@ -139,11 +139,9 @@ def _shifted_codes(stream, trials, coins):
     return codes
 
 
-def _write_csv(path, header, stream, trials, coins, rows):
-    """The driver's CSV path, as :func:`rng.simulate` runs it: the histogram, rows in ``path``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        return rng._count(stream, trials, coins, 1, rng._row_writer(fh, rows))
+def _worlds(rows):
+    """One world per code, whose CSV row is ``rows[code]``, for :func:`rng.simulate`."""
+    return [rng.World(code, 1.0, 0, None, row) for code, row in enumerate(rows)]
 
 
 def _chunk_codes(stream, lo, trials, coins):
@@ -197,7 +195,7 @@ def test_subset_counts_give_the_histogram_of_the_codes(coins, trials, seed, work
     histogram: a list of ``2**len(coins)`` Python ints that sums to ``trials``."""
     stream = RngStream(seed)
     expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
-    worlds = [rng.World(code, 1.0, 0, None, f",{code}\n") for code in range(1 << len(coins))]
+    worlds = _worlds([f",{code}\n" for code in range(1 << len(coins))])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "CHUNK_TRIALS", 64)
         counted = rng.simulate(stream, trials, coins, worlds, workers)
@@ -266,7 +264,7 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
     gc.disable()
     try:
         rng._count(RngStream(1), 40 * 256, coins, 2)
-        _write_csv(tmp_path / "t.csv", "trial,code", RngStream(1), 40 * 256, coins, rows)
+        rng.simulate(RngStream(1), 40 * 256, coins, _worlds(rows), 1, tmp_path / "t.csv")
         unreachable = gc.collect()
         peaks = [peak(chunks) for chunks in (40, 40, 160)]
     finally:
@@ -278,11 +276,10 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
     coins = ((0, threshold(0.5)), (1, threshold(0.25)))
-    worlds = rng._count(RngStream(0), 0, coins, workers)
-    assert worlds.dtype == np.int64 and worlds.tolist() == [0] * 4
+    worlds = _worlds([",r\n"] * 4)
+    assert rng.simulate(RngStream(0), 0, coins, worlds, workers) == [0] * 4
     path = tmp_path / "trials.csv"
-    written = _write_csv(path, "trial,row", RngStream(0), 0, coins, [",r\n"] * 4)
-    assert written.dtype == np.int64 and written.tolist() == [0] * 4
+    assert rng.simulate(RngStream(0), 0, coins, worlds, workers, path, "trial,row") == [0] * 4
     assert path.read_text(encoding="utf-8") == "trial,row\n"
 
 
@@ -472,12 +469,12 @@ def test_csv_rows_are_index_then_row_text(tmp_path, trials):
     coins = ((0, threshold(0.5)), (1, threshold(0.25)), (2, threshold(0.9)))
     row_text = [f",row{code}\n" for code in range(8)]
     path = tmp_path / "trials.csv"
-    worlds = _write_csv(path, "trial,row", stream, trials, coins, row_text)
+    histogram = rng.simulate(stream, trials, coins, _worlds(row_text), 1, path, "trial,row")
     codes = np.concatenate([_chunk_codes(stream, lo, trials, coins)
                             for lo in range(0, trials, CHUNK_TRIALS)])
     expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
     assert path.read_text(encoding="utf-8") == expected
-    assert worlds.tolist() == np.bincount(codes, minlength=8).tolist()
+    assert histogram == np.bincount(codes, minlength=8).tolist()
 
 
 class _Boom(Exception):
@@ -500,8 +497,8 @@ def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_
         if path == "count":  # the draws run on pool threads
             rng._count(RngStream(3), 3 * CHUNK_TRIALS, coins, 2)
         else:
-            _write_csv(tmp_path / "t.csv", "trial,c", RngStream(3), 3 * CHUNK_TRIALS,
-                       coins, [",0\n", ",1\n"])
+            rng.simulate(RngStream(3), 3 * CHUNK_TRIALS, coins, _worlds([",0\n", ",1\n"]), 2,
+                         tmp_path / "t.csv")
     assert threading.active_count() == before
 
 
