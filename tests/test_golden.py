@@ -5,11 +5,12 @@ with ``--seed 1 --no-timestamp`` and at most 20,000 trials; its stdout in
 ``--format json`` and in the default text format must equal the files in
 ``tests/golden/``, and feeding the golden manifest's ``config`` back via
 ``--config`` must reproduce the golden JSON.  Per-trial CSV
-exports run at ``2 * CHUNK_TRIALS + 1`` trials, so they cross a chunk
-boundary, and must keep the SHA-256 in ``tests/golden/csv_sha256.json``;
-runs at the trial counts where a row's index gains a digit, a chunk
-ends, or the second chunk's first block of 100 indices ends keep the
-SHA-256 in ``tests/golden/csv_boundary_sha256.json``.
+exports run at 131,073 trials, so they cross a chunk boundary, and must
+keep the SHA-256 in ``tests/golden/csv_sha256.json``; runs at the trial
+counts where a row's index gains a digit, a chunk ends, or the second
+chunk's first block of 100 indices ends keep the SHA-256 in
+``tests/golden/csv_boundary_sha256.json``.  The counts are literals, so a
+digest does not move with the chunk size.
 Long ``--sweep-out`` files must keep the SHA-256 in
 ``tests/golden/sweep_sha256.json``, long sweeps' JSON reports the
 SHA-256 in ``tests/golden/sweep_report_sha256.json``, and their text
@@ -68,7 +69,8 @@ REPORTS = {
     "common-cause-ball-empirical": "common-cause --builtin ball --empirical --trials 20000",
 }
 
-CSV_TRIALS = 2 * CHUNK_TRIALS + 1
+#: Twice a 65,536-trial chunk, and one more trial.
+CSV_TRIALS = 131_073
 CSV_RUNS = {
     "mc-run-alice": "mc-run --phi 60deg",
     "mc-run-bob": "mc-run --phi 60deg --description bob",
@@ -92,13 +94,17 @@ SWEEP_REPORT_RUNS = {
 }
 
 #: CSV exports pinned by digest at the trial counts around the first
-#: three-digit index, past the first chunk, and around the end of the
-#: second chunk's first block of 100 indices (it starts at index 65,536,
-#: so that block holds 64 rows).
+#: three-digit index, and around the edges of 16,384- and 65,536-trial
+#: chunks: one trial past the first chunk and past the second, and around
+#: the end of the second chunk's first block of 100 indices.  That block
+#: holds 16 rows after index 16,384 (ending at 16,400) and 64 after index
+#: 65,536 (ending at 65,600); 16,448 and 16,449 sit 64 and 65 rows past
+#: index 16,384.
 CSV_BOUNDARY_RUNS = {
     f"{name}-{trials}": (CSV_RUNS[name], trials)
     for name in ("mc-run-alice", "ball-stage1")
-    for trials in (1, 99, 100, 101, CHUNK_TRIALS + 1, CHUNK_TRIALS + 64, CHUNK_TRIALS + 65)
+    for trials in (1, 99, 100, 101, 16_385, 16_400, 16_401, 16_448, 16_449, 32_769,
+                   65_537, 65_600, 65_601)
 }
 
 
@@ -203,6 +209,12 @@ def test_sweep_file_is_byte_identical(workdir, name):
 def test_csv_export_at_boundary_is_byte_identical(workdir, name):
     pins = json.loads((GOLDEN / "csv_boundary_sha256.json").read_text(encoding="utf-8"))
     assert csv_digest(*CSV_BOUNDARY_RUNS[name]) == pins[name]
+
+
+def test_csv_runs_cross_the_chunk_edges():
+    """The pinned trial counts reach one trial past the first and the second chunk."""
+    counts = {trials for _, trials in CSV_BOUNDARY_RUNS.values()} | {CSV_TRIALS}
+    assert {CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 1} <= counts
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_REPORT_RUNS))
