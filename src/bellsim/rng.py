@@ -18,16 +18,18 @@ probability or its count, into per-cause sign-pair cells in table order,
 so the exact report and the simulated one are the same sum.
 
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
-whatever the worker count, so memory does not grow with the trial count.
-A chunk keeps one boolean array per coin.  Its histogram is exact integer
-arithmetic on subset counts: for every subset of coins, the number of
-trials in which all of them came up (``count_nonzero`` of their AND);
-inclusion-exclusion turns those 2**k counts into the trials of each world.
-:func:`simulate`, the one entry point, returns those world counts and its
-callers fold them.  The chunks' exact histograms add up, so the counts are
-the same for every worker count: on up to ``os.cpu_count()`` pool threads,
-or on the calling thread when one thread runs them, as it does for a CSV
-export, whose rows are written in order, one chunk before the next is drawn.
+whatever the worker count, so memory does not grow with the trial count:
+a chunk's raw words are 512 KB, which stay in a core's L2 cache for the
+coin compares, and it keeps one boolean array per coin.  Its histogram is
+exact integer arithmetic on subset counts: for every subset of coins, the
+number of trials in which all of them came up (``count_nonzero`` of their
+AND); inclusion-exclusion turns those 2**k counts into the trials of each
+world.  :func:`simulate`, the one entry point, returns those world counts
+and its callers fold them.  The chunks' exact histograms add up, so the
+counts are the same for every worker count: on up to ``os.cpu_count()``
+threads, the calling thread and its pool helpers, each drawing from one
+Philox generator of its own; a CSV export's rows are written in order on
+the calling thread alone, one chunk before the next is drawn.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (is_real, require, require_coins, require_count, require_pat
 BLOCK_DRAWS = 4
 
 #: Trials per chunk: the unit of work a thread picks up.
-CHUNK_TRIALS = 1 << 16
+CHUNK_TRIALS = 1 << 14
 
 #: (draw index within the trial's block, threshold): the coin comes up
 #: when that draw's 53-bit integer is below the threshold.
@@ -134,21 +136,18 @@ class RngStream:
         Row i is counter block ``start + i``, so chunks with matching
         offsets concatenate to the sequential stream.
         """
-        n_trials = require_u64(n_trials, "n_trials")
-        words = self._bit_generator(start).random_raw(n_trials * BLOCK_DRAWS)
-        return words.reshape(n_trials, BLOCK_DRAWS)
+        most = np.iinfo(np.intp).max // BLOCK_DRAWS  # the most trials whose words numpy can size
+        require(require_u64(n_trials, "n_trials") <= most, "n_trials", f"at most {most}", n_trials)
+        return _draw(self._bit_generator(start), int(n_trials))
 
 
-def _chunk_coins(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...]) -> tuple:
-    """The chunk at ``lo``'s trial count and, per coin, where it came up (None if it never does)."""
-    draws = stream.trial_words(min(CHUNK_TRIALS, trials - lo), lo)
-    # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound.
-    return len(draws), [draws[:, draw] <= np.uint64((int(limit) << 11) - 1) if limit else None
-                        for draw, limit in coins]
+def _draw(bg: np.random.Philox, n: int) -> np.ndarray:
+    """The next ``n`` trials' raw words from ``bg``, shape (n, 4): the engine's one draw."""
+    return bg.random_raw(n * BLOCK_DRAWS).reshape(n, BLOCK_DRAWS)
 
 
 def _histogram(n: int, ups: list) -> np.ndarray:
-    """Exact int64 histogram of the world codes of :func:`_chunk_coins`' ``n`` trials.
+    """Exact int64 histogram of the world codes of ``n`` trials, given where each coin came up.
 
     ``counts[s]`` is the number of trials in which every coin of subset ``s``
     came up, the ``count_nonzero`` of their AND; a loop walks the subsets depth
@@ -170,43 +169,54 @@ def _histogram(n: int, ups: list) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def _chunk(stream: RngStream, lo: int, trials: int, coins: tuple[Coin, ...], write) -> np.ndarray:
+def _chunk(words: np.ndarray, bounds: list, lo: int, write) -> np.ndarray:
     """The histogram of the chunk at ``lo``, its rows given to ``write`` first if there is one.
 
+    A coin's bound is its draw and the largest raw word that comes up, or None if none does.
     A function of its own, so the chunk's arrays are freed before the next chunk is drawn.
     """
-    n, ups = _chunk_coins(stream, lo, trials, coins)
+    ups = [None if bound is None else words[:, bound[0]] <= bound[1] for bound in bounds]
     if write is not None:
-        write(lo, n, ups)
-    return _histogram(n, ups)
+        write(lo, len(words), ups)
+    return _histogram(len(words), ups)
 
 
 def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int,
            write=None) -> np.ndarray:
     """Exact int64 histogram of the world codes of trials [0, trials).
 
-    ``workers``, the chunk count and the CPU count cap the threads.  Each
-    thread runs one loop taking chunks from one shared iterator: one pool
-    task per thread or, for one thread, the caller, with no pool, so
-    ``write`` (given with one worker) gets the chunks in order.  The
-    histogram is the same for any thread count.
+    ``workers``, the chunk count and the CPU count cap the threads, the
+    caller included.  Each thread runs one loop taking chunks from one shared
+    iterator: the caller runs it, next to one pool task per helper thread when
+    there is more than one thread, so ``write`` (given with one worker) gets
+    the chunks in order.  A thread builds one Philox generator and moves it on
+    by a relative ``advance`` only to a chunk that does not start where its
+    last one ended.  The histogram is the same for any thread count.
     """
     starts, lock = iter(range(0, trials, CHUNK_TRIALS)), threading.Lock()
+    # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound.
+    bounds = [(draw, np.uint64((int(limit) << 11) - 1)) if limit else None for draw, limit in coins]
 
-    def count(_) -> np.ndarray:
+    def count() -> np.ndarray:
         histogram = np.zeros(1 << len(coins), dtype=np.int64)
+        bg, end = stream._bit_generator(0), 0
         while True:
             with lock:
                 lo = next(starts, None)
             if lo is None:
                 return histogram
-            histogram += _chunk(stream, lo, trials, coins, write)
+            if lo != end:
+                bg.advance(lo - end)
+            end = min(lo + CHUNK_TRIALS, trials)
+            histogram += _chunk(_draw(bg, end - lo), bounds, lo, write)
 
     threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
     if threads == 1:
-        return count(0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count, range(threads)), np.zeros(1 << len(coins), dtype=np.int64))
+        return count()
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(count) for _ in range(threads - 1)]
+        histogram = count()  # the caller counts next to its helpers
+        return sum((helper.result() for helper in helpers), histogram)
 
 
 def _row_writer(fh, rows: list[str]):

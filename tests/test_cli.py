@@ -491,15 +491,27 @@ def test_zero_workers_is_a_usage_error(capsys, name):
     ("common-cause", "--builtin", "ball", "--empirical"),
 ], ids=" ".join)
 def test_trials_beyond_2_to_the_64_is_a_usage_error(capsys, monkeypatch, args, trials):
-    from bellsim.rng import RngStream
+    from bellsim import rng
 
     def refuse(*_):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(RngStream, "trial_words", refuse)
+    monkeypatch.setattr(rng, "_draw", refuse)
     code, out, err = run_cli(capsys, *args, "--trials", trials)
     assert code == 2 and out == ""
     assert err == f"error: trials must be a positive integer of at most 2**64, got {trials}\n"
+
+
+def test_every_draw_goes_through_the_patched_seam(capsys, monkeypatch):
+    """The hook above refuses draws only if a normal run draws through it."""
+    from bellsim import rng
+
+    def refuse(*_):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(rng, "_draw", refuse)
+    with pytest.raises(AssertionError, match="a trial was drawn"):
+        run_cli(capsys, "mc-run", "--phi", "60deg", "--trials", "10")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -152,6 +152,7 @@ REFUSED = {
     "zero_axis_cosines([10**5000])": lambda: sm.zero_axis_cosines([HUGE]),
     "trial_words(True)": lambda: STREAM.trial_words(True),
     "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
+    "trial_words(2**61)": lambda: STREAM.trial_words(2**61),
     "threshold('0.5')": lambda: rng.threshold("0.5"),
     "simulate(None, 10, (), ...)": lambda: rng.simulate(None, 10, (), NO_COIN),
     "simulate(stream, -5, (), ...)": lambda: rng.simulate(STREAM, -5, (), NO_COIN),

@@ -2,10 +2,12 @@
 
 import errno
 import gc
+import itertools
 import math
 import os
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -144,14 +146,21 @@ def _worlds(rows):
     return [rng.World(code, 1.0, 0, None, row) for code, row in enumerate(rows)]
 
 
-def _chunk_codes(stream, lo, trials, coins):
-    """World code of each trial in the chunk at ``lo``, from the kernel's per-coin arrays."""
-    n, ups = rng._chunk_coins(stream, lo, trials, coins)
-    codes = np.zeros(n, dtype=np.uint8)
-    for bit, up in enumerate(ups):
-        if up is not None:
-            assert up.dtype == bool and up.shape == (n,)
-            codes |= up.view(np.uint8) << np.uint8(bit)
+def _chunk_codes(stream, trials, coins):
+    """World code of each trial, chunk by chunk, from the per-coin arrays the driver hands
+    a writer on one thread."""
+    codes = []
+
+    def capture(lo, n, ups):
+        assert lo == sum(map(len, codes))
+        chunk = np.zeros(n, dtype=np.uint8)
+        for bit, up in enumerate(ups):
+            if up is not None:
+                assert up.dtype == bool and up.shape == (n,)
+                chunk |= up.view(np.uint8) << np.uint8(bit)
+        codes.append(chunk)
+
+    rng._count(stream, trials, coins, 1, capture)
     return codes
 
 
@@ -161,7 +170,8 @@ def test_chunk_codes_equal_shift_then_compare():
     trials = 2 * CHUNK_TRIALS + 123
     coins = ((0, threshold(0.5)), (1, threshold(0.3)), (1, threshold(0.7)),
              (2, threshold(0.0)), (3, threshold(1.0)), (3, threshold(2.0**-53)))
-    codes = [_chunk_codes(stream, lo, trials, coins) for lo in range(0, trials, CHUNK_TRIALS)]
+    codes = _chunk_codes(stream, trials, coins)
+    assert [len(chunk) for chunk in codes] == [CHUNK_TRIALS, CHUNK_TRIALS, 123]
     assert all(chunk.dtype == np.uint8 for chunk in codes)
     assert np.array_equal(np.concatenate(codes), _shifted_codes(stream, trials, coins))
 
@@ -173,10 +183,9 @@ def test_chunk_codes_split_each_coin_at_its_bound(monkeypatch):
     for _, limit in coins:
         edges |= {(int(limit) << 11) - 1, min(int(limit) << 11, 2**64 - 1)}
     words = np.repeat(np.array(sorted(edges), dtype=np.uint64)[:, None], BLOCK_DRAWS, axis=1)
-    monkeypatch.setattr(RngStream, "trial_words",
-                        lambda self, n_trials, start=0: words[start:start + n_trials].copy())
+    monkeypatch.setattr(rng, "_draw", lambda bg, n: words[:n].copy())
     stream = RngStream(0)
-    assert np.array_equal(_chunk_codes(stream, 0, len(words), coins),
+    assert np.array_equal(np.concatenate(_chunk_codes(stream, len(words), coins)),
                           _shifted_codes(stream, len(words), coins))
 
 
@@ -247,19 +256,26 @@ def test_subset_counts_invert_to_world_counts():
 
 
 def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
-    """No reference cycle holds a chunk's arrays, so memory does not grow with the chunks."""
-    monkeypatch.setattr(rng, "CHUNK_TRIALS", 256)
+    """No reference cycle holds a chunk's arrays, so memory does not grow with the chunks,
+    and one thread's count peaks under 48 bytes a chunk trial, 32 of them its words."""
+    from bellsim import montecarlo as mc
+    from bellsim.spinmodel import Direction
+
     coins = ((0, threshold(0.5)), (1, threshold(0.4)), (2, threshold(0.1)), (3, threshold(0.1)))
     rows = [f",{code}\n" for code in range(16)]
 
-    def peak(chunks):
+    def peak(chunks, coins=coins):
         tracemalloc.start()
         try:
-            rng._count(RngStream(1), chunks * 256, coins, 1)
+            rng._count(RngStream(1), chunks * rng.CHUNK_TRIALS, coins, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    mc_coins, _ = mc._world_table(mc.ExperimentConfig(Direction(0.0), Direction(1.0), 10))
+    rng._count(RngStream(1), 1, coins, 1)  # numpy.random is imported on the first draw
+    assert peak(3, mc_coins) < 48 * CHUNK_TRIALS and peak(3) < 48 * CHUNK_TRIALS
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", 256)
     gc.collect()
     gc.disable()
     try:
@@ -284,7 +300,7 @@ def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
 
 
 class _InlineExecutor:
-    """Stands in for the thread pool: records its size, runs map inline."""
+    """Stands in for the thread pool: records its size, runs each submitted task inline."""
 
     sizes: list[int] = []
 
@@ -297,19 +313,114 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn):
+        future = Future()
+        try:
+            future.set_result(fn())
+        except Exception as exc:  # the caller reads it from the future, as from a pool's
+            future.set_exception(exc)
+        return future
 
 
 class _TaskCountingExecutor(_InlineExecutor):
-    """Also records how many tasks each ``map`` submits."""
+    """Also records how many tasks each pool is given."""
 
     tasks: list[int] = []
 
-    def map(self, fn, items):
-        items = list(items)
-        self.tasks.append(len(items))
-        return map(fn, items)
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.tasks.append(0)
+
+    def submit(self, fn):
+        self.tasks[-1] += 1
+        return super().submit(fn)
+
+
+class _TurnTakingPool:
+    """Stands in for the thread pool, and makes its threads draw in turns the test picks.
+
+    Each helper runs on a thread of its own.  One thread draws at a time: a
+    thread done drawing hands the turn to the waiting thread that ``picks``
+    names next, cycling through them, or frees it when none waits.  A thread
+    holds at most one chunk it has not drawn, so the picks decide which thread
+    takes which chunk: a run of consecutive chunks, or a jump.
+    """
+
+    def __init__(self, picks, draw):
+        self.picks, self.draw = itertools.cycle(picks), draw
+        self.turn, self.waiting, self.changed = None, [], threading.Condition()
+        self.sizes, self.threads = [], []
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for thread in self.threads:
+            thread.join(timeout=60)
+        return False
+
+    def submit(self, fn):
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(fn())
+            except Exception as exc:  # the caller reads it from the future
+                future.set_exception(exc)
+
+        self.threads.append(threading.Thread(target=run))
+        self.threads[-1].start()
+        return future
+
+    def draw_in_turn(self, bg, n):
+        me = threading.get_ident()
+        with self.changed:
+            if self.turn is None:
+                self.turn = me
+            else:
+                self.waiting.append(me)
+                assert self.changed.wait_for(lambda: self.turn == me, timeout=60)
+        try:
+            return self.draw(bg, n)
+        finally:
+            with self.changed:
+                pick = next(self.picks) % len(self.waiting) if self.waiting else None
+                self.turn = None if pick is None else self.waiting.pop(pick)
+                self.changed.notify_all()
+
+
+@settings(deadline=None, max_examples=60)
+@given(coins=COINS, trials=st.integers(0, 600), seed=st.integers(0, 2**64 - 1),
+       chunk=st.integers(4, 64), workers=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 2), min_size=1, max_size=8))
+def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, seed, chunk,
+                                                               workers, picks):
+    """Threads whose chunks interleave in any order count the shift-then-compare codes'
+    histogram, and build one generator each at most."""
+    stream = RngStream(seed)
+    expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
+    pool, built = _TurnTakingPool(picks, rng._draw), []
+    bit_generator = RngStream._bit_generator
+
+    def counted(self, block):
+        built.append(block)
+        return bit_generator(self, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "CHUNK_TRIALS", chunk)
+        patch.setattr(rng, "ThreadPoolExecutor", pool)
+        patch.setattr(rng, "_draw", pool.draw_in_turn)
+        patch.setattr(rng.os, "cpu_count", lambda: 8)
+        patch.setattr(RngStream, "_bit_generator", counted)
+        histogram = rng._count(stream, trials, coins, workers)
+    threads = max(1, min(workers, -(-trials // chunk)))
+    assert np.array_equal(histogram, expected)
+    assert pool.sizes == [threads - 1] * (threads > 1) and len(built) <= threads
+    assert not any(thread.is_alive() for thread in pool.threads)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -322,8 +433,9 @@ def test_the_pool_gets_one_task_per_thread_not_per_chunk(monkeypatch, workers):
     coins = ((0, threshold(0.5)), (1, threshold(0.3)), (3, threshold(0.9)))
     trials = 1_000 * 4 - 1  # 1,000 chunks, the last one short
     histogram = rng._count(RngStream(7), trials, coins, workers)
-    pools = [] if workers == 1 else [workers]  # one thread runs on the caller
+    pools = [] if workers == 1 else [workers - 1]  # helpers; the caller is one more thread
     assert _TaskCountingExecutor.tasks == _TaskCountingExecutor.sizes == pools
+    assert [size + 1 for size in _TaskCountingExecutor.sizes] == [workers] * (workers > 1)
     assert histogram.sum() == trials
     _TaskCountingExecutor.tasks.clear()
     assert np.array_equal(rng._count(RngStream(7), trials, coins, 1), histogram)
@@ -368,7 +480,8 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_pa
     assert cli.main([*argv, "--workers", str(10**9)]) == 0
     assert capsys.readouterr().out == baseline
     cpus = os.cpu_count() or 1
-    assert all(2 <= size <= min(3, cpus) for size in _InlineExecutor.sizes)
+    # A pool holds the helpers; the caller counts too, so size + 1 threads count.
+    assert all(2 <= size + 1 <= min(3, cpus) for size in _InlineExecutor.sizes)
     assert bool(_InlineExecutor.sizes) == (cpus > 1)  # one thread runs on the caller, no pool
     # The writer draws on the calling thread: it asks for no pool at any worker count.
     _InlineExecutor.sizes.clear()
@@ -378,7 +491,7 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_pa
     assert _InlineExecutor.sizes == []
 
 
-@pytest.mark.parametrize("args, pools", [
+@pytest.mark.parametrize("args, threads", [
     (("mc-run", "--phi", "60deg", "--workers", "1"), []),
     (("ball-protocol", "--stage", "2", "--mismatch-prob", "0.1", "--workers", "1"), []),
     (("mc-run", "--phi", "60deg", "--workers", "2", "--csv-out", "{csv}"), []),
@@ -387,7 +500,8 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_pa
     (("ball-protocol", "--stage", "2", "--mismatch-prob", "0.1", "--workers", "2"), [2]),
 ], ids=lambda v: " ".join(map(str, v)))
 def test_one_thread_counts_on_the_caller_and_builds_no_pool(monkeypatch, capsys, tmp_path, args,
-                                                            pools):
+                                                            threads):
+    """``threads`` lists each pool's thread count, the caller included."""
     from bellsim import cli
 
     monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
@@ -396,7 +510,7 @@ def test_one_thread_counts_on_the_caller_and_builds_no_pool(monkeypatch, capsys,
     argv = [a.format(csv=tmp_path / "trials.csv") for a in args]
     assert cli.main([*argv, "--trials", str(3 * CHUNK_TRIALS), "--seed", "4"]) == 0
     capsys.readouterr()
-    assert _InlineExecutor.sizes == pools
+    assert [size + 1 for size in _InlineExecutor.sizes] == threads
 
 
 def test_common_cause_honours_workers(monkeypatch, capsys):
@@ -408,7 +522,7 @@ def test_common_cause_honours_workers(monkeypatch, capsys):
     argv = ["common-cause", "--builtin", "ball", "--empirical",
             "--trials", str(3 * CHUNK_TRIALS), "--format", "json", "--no-timestamp"]
     assert cli.main([*argv, "--workers", "2"]) == 0
-    assert _InlineExecutor.sizes == [2]
+    assert _InlineExecutor.sizes == [1]  # one helper next to the caller: two threads
     _InlineExecutor.sizes.clear()
     assert cli.main([*argv, "--workers", "0"]) == 2
     assert "workers" in capsys.readouterr().err
@@ -443,13 +557,13 @@ def test_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, workers):
     from bellsim.spinmodel import Direction
 
     blocks = []
-    draw = RngStream.trial_words
+    draw = rng._draw
 
-    def recording(self, n_trials, start=0):
-        blocks.append(n_trials)
-        return draw(self, n_trials, start)
+    def recording(bg, n):
+        blocks.append(n)
+        return draw(bg, n)
 
-    monkeypatch.setattr(RngStream, "trial_words", recording)
+    monkeypatch.setattr(rng, "_draw", recording)
     trials = 3 * CHUNK_TRIALS + 1
     mc_config = mc.ExperimentConfig(Direction(0.0), Direction(1.0), trials)
     stage_config = bp.StageConfig(stage=2, trials=trials, filter_mismatch_prob=0.1)
@@ -470,8 +584,7 @@ def test_csv_rows_are_index_then_row_text(tmp_path, trials):
     row_text = [f",row{code}\n" for code in range(8)]
     path = tmp_path / "trials.csv"
     histogram = rng.simulate(stream, trials, coins, _worlds(row_text), 1, path, "trial,row")
-    codes = np.concatenate([_chunk_codes(stream, lo, trials, coins)
-                            for lo in range(0, trials, CHUNK_TRIALS)])
+    codes = np.concatenate(_chunk_codes(stream, trials, coins))
     expected = "trial,row\n" + "".join(f"{i}{row_text[c]}" for i, c in enumerate(codes.tolist()))
     assert path.read_text(encoding="utf-8") == expected
     assert histogram == np.bincount(codes, minlength=8).tolist()
@@ -483,18 +596,18 @@ class _Boom(Exception):
 
 @pytest.mark.parametrize("path", ["count", "csv"])
 def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_path, path):
-    draw = RngStream.trial_words
+    draw, draws = rng._draw, itertools.count()
 
-    def failing(self, n_trials, start=0):
-        if start == CHUNK_TRIALS:
-            raise _Boom(start)
-        return draw(self, n_trials, start)
+    def failing(bg, n):
+        if next(draws) == 1:  # the second chunk's draw, on whichever thread takes it
+            raise _Boom(n)
+        return draw(bg, n)
 
-    monkeypatch.setattr(RngStream, "trial_words", failing)
+    monkeypatch.setattr(rng, "_draw", failing)
     coins = ((0, threshold(0.5)),)
     before = threading.active_count()
     with pytest.raises(_Boom):
-        if path == "count":  # the draws run on pool threads
+        if path == "count":  # the draws run on the caller and a pool thread
             rng._count(RngStream(3), 3 * CHUNK_TRIALS, coins, 2)
         else:
             rng.simulate(RngStream(3), 3 * CHUNK_TRIALS, coins, _worlds([",0\n", ",1\n"]), 2,
