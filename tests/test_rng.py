@@ -599,7 +599,7 @@ def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_
     draw, draws = rng._draw, itertools.count()
 
     def failing(bg, n):
-        if next(draws) == 1:  # the second chunk's draw, on whichever thread takes it
+        if next(draws) == 1:  # the second draw, on whichever thread makes it
             raise _Boom(n)
         return draw(bg, n)
 
