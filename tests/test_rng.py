@@ -147,7 +147,7 @@ def _worlds(rows):
 
 
 def _chunk_codes(stream, trials, coins):
-    """World code of each trial, chunk by chunk, from the per-coin arrays the driver hands
+    """World code of each trial, chunk by chunk, from the per-coin arrays ``_count`` hands
     a writer on one thread."""
     codes = []
 
