@@ -42,8 +42,9 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-#: Most points a sweep may have: the report holds every row (at the cap, about
-#: 70 MB peak with --format json and 64 MB with the text format).
+#: Most points a sweep may have: the report holds every row (at the cap, a
+#: fresh process peaks at about 70 MiB with --format json and 68 MiB with the
+#: text format).
 MAX_SWEEP_POINTS = 200_001
 
 

@@ -27,18 +27,18 @@ AND); inclusion-exclusion turns those 2**k counts into the trials of each
 world.  :func:`simulate`, the one entry point, returns those world counts
 and its callers fold them.  The chunks' exact histograms add up, so the
 counts are the same for every worker count: on up to ``os.cpu_count()``
-threads, the calling thread and its pool helpers, each drawing from one
-Philox generator of its own; a CSV export's rows are written in order on
-the calling thread alone, one chunk before the next is drawn.
+threads, the calling thread and the plain helper threads it starts and
+joins, each drawing from one Philox generator of its own; a CSV export's
+rows are written in order on the calling thread alone, one chunk before the
+next is drawn.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -187,36 +187,53 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
 
     ``workers``, the chunk count and the CPU count cap the threads, the
     caller included.  Each thread runs one loop taking chunks from one shared
-    iterator: the caller runs it, next to one pool task per helper thread when
-    there is more than one thread, so ``write`` (given with one worker) gets
-    the chunks in order.  A thread builds one Philox generator and moves it on
-    by a relative ``advance`` only to a chunk that does not start where its
-    last one ended.  The histogram is the same for any thread count.
+    iterator: the caller runs it, next to one plain helper thread per extra
+    thread, so ``write`` (given with one worker) gets the chunks in order.  A
+    thread builds one Philox generator and moves it on by a relative
+    ``advance`` only to a chunk that does not start where its last one ended.
+    A loop that raises empties the iterator, so the other threads stop after
+    the chunk they hold, and the caller re-raises the first error once every
+    helper has ended.  The histogram is the same for any thread count.
     """
-    starts, lock = iter(range(0, trials, CHUNK_TRIALS)), threading.Lock()
+    starts, lock, histograms, errors = iter(range(0, trials, CHUNK_TRIALS)), Lock(), [], []
     # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound.
     bounds = [(draw, np.uint64((int(limit) << 11) - 1)) if limit else None for draw, limit in coins]
 
-    def count() -> np.ndarray:
-        histogram = np.zeros(1 << len(coins), dtype=np.int64)
-        bg, end = stream._bit_generator(0), 0
-        while True:
+    def count() -> None:
+        nonlocal starts
+        try:
+            histogram = np.zeros(1 << len(coins), dtype=np.int64)
+            bg, end = stream._bit_generator(0), 0
+            while True:
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    break
+                if lo != end:
+                    bg.advance(lo - end)
+                end = min(lo + CHUNK_TRIALS, trials)
+                histogram += _chunk(_draw(bg, end - lo), bounds, lo, write)
+        except BaseException as exc:  # the caller re-raises it
             with lock:
-                lo = next(starts, None)
-            if lo is None:
-                return histogram
-            if lo != end:
-                bg.advance(lo - end)
-            end = min(lo + CHUNK_TRIALS, trials)
-            histogram += _chunk(_draw(bg, end - lo), bounds, lo, write)
+                starts = iter(())  # the other threads take no further chunk
+                errors.append(exc)
+        else:
+            histograms.append(histogram)
 
     threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
-    if threads == 1:
-        return count()
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        helpers = [pool.submit(count) for _ in range(threads - 1)]
-        histogram = count()  # the caller counts next to its helpers
-        return sum((helper.result() for helper in helpers), histogram)
+    helpers = []  # the started ones, each joined even if a later one fails to start
+    try:
+        for _ in range(threads - 1):
+            helper = Thread(target=count)
+            helper.start()
+            helpers.append(helper)
+        count()  # the caller counts next to its helpers
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return sum(histograms)
 
 
 def _row_writer(fh, rows: list[str]):

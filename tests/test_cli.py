@@ -731,3 +731,19 @@ def test_module_entrypoint_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["passed"] is True
+
+
+def test_a_threaded_run_imports_no_pool_module():
+    """Helpers are plain threads: neither ``concurrent.futures`` nor the ``logging`` it
+    pulls in is loaded by importing the CLI or by a two-worker Monte Carlo run."""
+    import subprocess
+    import sys
+
+    child = ("import os, sys\n"
+             "from bellsim.cli import main\n"
+             "argv = 'mc-run --phi 60deg --trials 100000 --workers 2'.split()\n"
+             "assert main([*argv, '--out', os.devnull]) == 0\n"
+             "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

@@ -7,7 +7,7 @@ import math
 import os
 import threading
 import tracemalloc
-from concurrent.futures import Future
+import types
 
 import numpy as np
 import pytest
@@ -299,82 +299,54 @@ def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
     assert path.read_text(encoding="utf-8") == "trial,row\n"
 
 
-class _InlineExecutor:
-    """Stands in for the thread pool: records its size, runs each submitted task inline."""
+class _InlineThreads:
+    """Stands in for ``threading.Thread``: runs a helper's counting loop inline when started.
 
-    sizes: list[int] = []
+    Per ``_count`` call, it records the helper threads made (``sizes``) and the
+    counting loops they ran (``tasks``).  A call's helpers all run its one
+    loop function, so a function not seen last starts a new call's record.
+    """
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self):
+        self.sizes, self.tasks, self.loop = [], [], None
 
-    def __enter__(self):
-        return self
+    def __call__(self, target):
+        if target is not self.loop:
+            self.loop = target
+            self.sizes.append(0)
+            self.tasks.append(0)
+        self.sizes[-1] += 1
+        call = len(self.tasks) - 1
 
-    def __exit__(self, *exc):
-        return False
+        def run():
+            self.tasks[call] += 1
+            target()
 
-    def submit(self, fn):
-        future = Future()
-        try:
-            future.set_result(fn())
-        except Exception as exc:  # the caller reads it from the future, as from a pool's
-            future.set_exception(exc)
-        return future
+        return self.thread(run)
 
-
-class _TaskCountingExecutor(_InlineExecutor):
-    """Also records how many tasks each pool is given."""
-
-    tasks: list[int] = []
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
-        self.tasks.append(0)
-
-    def submit(self, fn):
-        self.tasks[-1] += 1
-        return super().submit(fn)
+    def thread(self, run):
+        return types.SimpleNamespace(start=run, join=lambda: None)
 
 
-class _TurnTakingPool:
-    """Stands in for the thread pool, and makes its threads draw in turns the test picks.
+class _TurnTakingThreads(_InlineThreads):
+    """Helpers on real threads of their own, which draw in turns the test picks.
 
-    Each helper runs on a thread of its own.  One thread draws at a time: a
-    thread done drawing hands the turn to the waiting thread that ``picks``
-    names next, cycling through them, or frees it when none waits.  A thread
-    holds at most one chunk it has not drawn, so the picks decide which thread
-    takes which chunk: a run of consecutive chunks, or a jump.
+    One thread draws at a time: a thread done drawing hands the turn to the
+    waiting thread that ``picks`` names next, cycling through them, or frees
+    it when none waits.  A thread holds at most one chunk it has not drawn, so
+    the picks decide which thread takes which chunk: a run of consecutive
+    chunks, or a jump.
     """
 
     def __init__(self, picks, draw):
+        super().__init__()
         self.picks, self.draw = itertools.cycle(picks), draw
         self.turn, self.waiting, self.changed = None, [], threading.Condition()
-        self.sizes, self.threads = [], []
+        self.threads = []
 
-    def __call__(self, max_workers):
-        self.sizes.append(max_workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for thread in self.threads:
-            thread.join(timeout=60)
-        return False
-
-    def submit(self, fn):
-        future = Future()
-
-        def run():
-            try:
-                future.set_result(fn())
-            except Exception as exc:  # the caller reads it from the future
-                future.set_exception(exc)
-
+    def thread(self, run):
         self.threads.append(threading.Thread(target=run))
-        self.threads[-1].start()
-        return future
+        return self.threads[-1]
 
     def draw_in_turn(self, bg, n):
         me = threading.get_ident()
@@ -403,7 +375,7 @@ def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, se
     histogram, and build one generator each at most."""
     stream = RngStream(seed)
     expected = np.bincount(_shifted_codes(stream, trials, coins), minlength=1 << len(coins))
-    pool, built = _TurnTakingPool(picks, rng._draw), []
+    helpers, built = _TurnTakingThreads(picks, rng._draw), []
     bit_generator = RngStream._bit_generator
 
     def counted(self, block):
@@ -412,34 +384,33 @@ def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, se
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "CHUNK_TRIALS", chunk)
-        patch.setattr(rng, "ThreadPoolExecutor", pool)
-        patch.setattr(rng, "_draw", pool.draw_in_turn)
+        patch.setattr(rng, "Thread", helpers)
+        patch.setattr(rng, "_draw", helpers.draw_in_turn)
         patch.setattr(rng.os, "cpu_count", lambda: 8)
         patch.setattr(RngStream, "_bit_generator", counted)
         histogram = rng._count(stream, trials, coins, workers)
     threads = max(1, min(workers, -(-trials // chunk)))
     assert np.array_equal(histogram, expected)
-    assert pool.sizes == [threads - 1] * (threads > 1) and len(built) <= threads
-    assert not any(thread.is_alive() for thread in pool.threads)
+    assert helpers.sizes == [threads - 1] * (threads > 1) and len(built) <= threads
+    assert not any(thread.is_alive() for thread in helpers.threads)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_pool_gets_one_task_per_thread_not_per_chunk(monkeypatch, workers):
     monkeypatch.setattr(rng, "CHUNK_TRIALS", 4)
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", _TaskCountingExecutor)
-    monkeypatch.setattr(_TaskCountingExecutor, "sizes", [])
-    monkeypatch.setattr(_TaskCountingExecutor, "tasks", [])
+    helpers = _InlineThreads()
+    monkeypatch.setattr(rng, "Thread", helpers)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
     coins = ((0, threshold(0.5)), (1, threshold(0.3)), (3, threshold(0.9)))
     trials = 1_000 * 4 - 1  # 1,000 chunks, the last one short
     histogram = rng._count(RngStream(7), trials, coins, workers)
-    pools = [] if workers == 1 else [workers - 1]  # helpers; the caller is one more thread
-    assert _TaskCountingExecutor.tasks == _TaskCountingExecutor.sizes == pools
-    assert [size + 1 for size in _TaskCountingExecutor.sizes] == [workers] * (workers > 1)
+    sizes = [] if workers == 1 else [workers - 1]  # helpers; the caller is one more thread
+    assert helpers.tasks == helpers.sizes == sizes
+    assert [size + 1 for size in helpers.sizes] == [workers] * (workers > 1)
     assert histogram.sum() == trials
-    _TaskCountingExecutor.tasks.clear()
+    helpers.tasks.clear()
     assert np.array_equal(rng._count(RngStream(7), trials, coins, 1), histogram)
-    assert _TaskCountingExecutor.tasks == [] and _TaskCountingExecutor.sizes == pools
+    assert helpers.tasks == [] and helpers.sizes == sizes
     expected = np.bincount(_shifted_codes(RngStream(7), trials, coins), minlength=8)
     assert np.array_equal(histogram, expected)
 
@@ -470,25 +441,25 @@ def test_threads_taking_chunks_lose_and_repeat_none(monkeypatch):
 def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_path):
     from bellsim import cli
 
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    helpers = _InlineThreads()
+    monkeypatch.setattr(rng, "Thread", helpers)
     argv = ["mc-run", "--phi", "60deg", "--trials", str(3 * CHUNK_TRIALS),
             "--seed", "4", "--format", "json", "--no-timestamp"]
     assert cli.main([*argv, "--workers", "1"]) == 0
     baseline = capsys.readouterr().out
-    _InlineExecutor.sizes.clear()
+    helpers.sizes.clear()
     assert cli.main([*argv, "--workers", str(10**9)]) == 0
     assert capsys.readouterr().out == baseline
     cpus = os.cpu_count() or 1
-    # A pool holds the helpers; the caller counts too, so size + 1 threads count.
-    assert all(2 <= size + 1 <= min(3, cpus) for size in _InlineExecutor.sizes)
-    assert bool(_InlineExecutor.sizes) == (cpus > 1)  # one thread runs on the caller, no pool
-    # The writer draws on the calling thread: it asks for no pool at any worker count.
-    _InlineExecutor.sizes.clear()
+    # The caller counts next to its helpers, so size + 1 threads count.
+    assert all(2 <= size + 1 <= min(3, cpus) for size in helpers.sizes)
+    assert bool(helpers.sizes) == (cpus > 1)  # one thread runs on the caller, no helper
+    # The writer draws on the calling thread: it starts no helper at any worker count.
+    helpers.sizes.clear()
     csv = ["--csv-out", str(tmp_path / "trials.csv")]
     assert cli.main([*argv, *csv, "--workers", str(10**9)]) == 0
     capsys.readouterr()
-    assert _InlineExecutor.sizes == []
+    assert helpers.sizes == []
 
 
 @pytest.mark.parametrize("args, threads", [
@@ -501,32 +472,32 @@ def test_thread_count_is_capped_for_any_worker_count(monkeypatch, capsys, tmp_pa
 ], ids=lambda v: " ".join(map(str, v)))
 def test_one_thread_counts_on_the_caller_and_builds_no_pool(monkeypatch, capsys, tmp_path, args,
                                                             threads):
-    """``threads`` lists each pool's thread count, the caller included."""
+    """``threads`` lists each count's thread count, the caller included, if it starts helpers."""
     from bellsim import cli
 
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    helpers = _InlineThreads()
+    monkeypatch.setattr(rng, "Thread", helpers)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
     argv = [a.format(csv=tmp_path / "trials.csv") for a in args]
     assert cli.main([*argv, "--trials", str(3 * CHUNK_TRIALS), "--seed", "4"]) == 0
     capsys.readouterr()
-    assert [size + 1 for size in _InlineExecutor.sizes] == threads
+    assert [size + 1 for size in helpers.sizes] == threads
 
 
 def test_common_cause_honours_workers(monkeypatch, capsys):
     from bellsim import cli
 
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    helpers = _InlineThreads()
+    monkeypatch.setattr(rng, "Thread", helpers)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
     argv = ["common-cause", "--builtin", "ball", "--empirical",
             "--trials", str(3 * CHUNK_TRIALS), "--format", "json", "--no-timestamp"]
     assert cli.main([*argv, "--workers", "2"]) == 0
-    assert _InlineExecutor.sizes == [1]  # one helper next to the caller: two threads
-    _InlineExecutor.sizes.clear()
+    assert helpers.sizes == [1]  # one helper next to the caller: two threads
+    helpers.sizes.clear()
     assert cli.main([*argv, "--workers", "0"]) == 2
     assert "workers" in capsys.readouterr().err
-    assert _InlineExecutor.sizes == []
+    assert helpers.sizes == []
 
 
 def test_workers_must_be_positive():
@@ -607,13 +578,47 @@ def test_a_failed_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, tmp_
     coins = ((0, threshold(0.5)),)
     before = threading.active_count()
     with pytest.raises(_Boom):
-        if path == "count":  # the draws run on the caller and a pool thread
+        if path == "count":  # the draws run on the caller and a helper thread
             rng._count(RngStream(3), 3 * CHUNK_TRIALS, coins, 2)
         else:
             rng.simulate(RngStream(3), 3 * CHUNK_TRIALS, coins, _worlds([",0\n", ",1\n"]), 2,
                          tmp_path / "t.csv")
     assert threading.active_count() == before
 
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_draw_stops_the_other_threads(monkeypatch, workers):
+    """The failing thread empties the shared iterator: each other thread draws at most the
+    chunk it already holds, not every chunk left."""
+    draw, draws = rng._draw, itertools.count()
+
+    def failing(bg, n):
+        if next(draws) == 0:  # the first draw, on whichever thread makes it
+            raise _Boom(n)
+        return draw(bg, n)
+
+    monkeypatch.setattr(rng, "_draw", failing)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        rng._count(RngStream(1), 200 * CHUNK_TRIALS, ((0, threshold(0.5)),), workers)
+    assert next(draws) - 1 <= workers  # the failed draw and one per other thread
+    assert threading.active_count() == before
+
+
+def test_a_helper_that_fails_to_start_leaves_no_thread(monkeypatch):
+    class Unstartable(threading.Thread):
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+    made = iter([threading.Thread, Unstartable])
+    monkeypatch.setattr(rng, "Thread", lambda target: next(made)(target=target))
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start"):
+        rng._count(RngStream(1), 3 * CHUNK_TRIALS, ((0, threshold(0.5)),), 3)
+    assert threading.active_count() == before
 
 def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, tmp_path):
     from bellsim import cli
