@@ -223,7 +223,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(SPIN, ns)
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
-    if ns.sweep_out and cfg["sweep"] is None:
+    if ns.sweep_out is not None and cfg["sweep"] is None:
         raise UsageError("--sweep-out needs --sweep")
 
     def evaluate(phi: float) -> dict:
@@ -249,7 +249,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         corrs = correlation_from_cosines(axis_cosine(anchor, anchor), zero_axis_cosines(values))
         rows = FloatTable(np.column_stack((values, corrs)))
         results["sweep"] = {"rows": rows, "row_count": len(values)}
-        if ns.sweep_out:
+        if ns.sweep_out is not None:
             Path(ns.sweep_out).write_text(rows.text, encoding="utf-8")
             outputs["sweep_data"] = ns.sweep_out
     return cfg, results, [], None, outputs
@@ -300,7 +300,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(MC, ns)
 
     if cfg["description"] == "both":
-        if ns.csv_out:
+        if ns.csv_out is not None:
             raise UsageError("per-trial CSV output requires a single description")
         comparison = mc.description_equivalence(
             Direction(cfg["theta1"]), Direction(cfg["theta2"]),
@@ -310,7 +310,8 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
         checks = comparison.checks()
     else:
         results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
-    return cfg, results, checks, cfg["seed"], {"trials_csv": ns.csv_out} if ns.csv_out else None
+    return (cfg, results, checks, cfg["seed"],
+            None if ns.csv_out is None else {"trials_csv": ns.csv_out})
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
             filter_mismatch_prob=cfg["filter_mismatch_prob"],
         )
 
-    if ns.csv_out and (len(stages) != 1 or cfg["mode"] != "empirical"):
+    if ns.csv_out is not None and (len(stages) != 1 or cfg["mode"] != "empirical"):
         raise UsageError("per-trial CSV output requires a single empirical stage")
 
     checks: list[Check] = []
@@ -390,7 +391,8 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
         results["inequality"] = bp.bell_inequality_check(tuple(stage_reports))
         results["decomposition"] = [bp.contextual_decomposition(stage_config(stage), 1, 1)
                                     for stage in stages]
-    return cfg, results, checks, cfg["seed"], {"trials_csv": ns.csv_out} if ns.csv_out else None
+    return (cfg, results, checks, cfg["seed"],
+            None if ns.csv_out is None else {"trials_csv": ns.csv_out})
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +438,9 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
         source = {"kind": "builtin-spin", "phi": cfg["phi"]}
     else:
         stage_cfg = bp.StageConfig(stage=cfg["stage"], trials=cfg["trials"], seed=cfg["seed"])
-        if cfg["empirical"]:
-            model = cc.empirical_ball_event_model(
-                bp.run_stage(stage_cfg, ns.workers), cfg["x_outcome"], cfg["y_outcome"]
-            )
-        else:
-            model = cc.ball_event_model(stage_cfg, cfg["x_outcome"], cfg["y_outcome"])
+        stage_report = (bp.run_stage(stage_cfg, ns.workers) if cfg["empirical"]
+                        else bp.analytic_stage_report(stage_cfg))
+        model = cc.ball_event_model(stage_report, cfg["x_outcome"], cfg["y_outcome"])
         source = {"kind": "builtin-ball", "stage": cfg["stage"], "empirical": cfg["empirical"]}
 
     cause_report = cc.full_report(model, cfg["tolerance"])
@@ -553,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
                               timestamp=not ns.no_timestamp)
         text = render_json(report) if ns.format == "json" else render_text(report)
-        if ns.out:
+        if ns.out is not None:
             Path(ns.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)

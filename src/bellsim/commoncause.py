@@ -15,8 +15,13 @@ A pair of effects that is unconditionally correlated, screened off and
 factorized is certified as explained by the common cause.  Relevance
 is direction-sensitive: for anticorrelated effects it holds under one
 orientation of "x occurs"/"y occurs" and reverses under the other, so
-:func:`full_report` evaluates it under all four orientations instead
-of privileging one.
+it is evaluated under all four orientations instead of privileging one.
+
+:func:`full_report` is the one evaluator: a single pass over the two
+conditional tables gives every condition, each orientation's relevance
+coming from the tables' row and column sums.  :func:`ball_event_model`
+is the one ball-protocol builder, from an analytic or a simulated stage
+report alike; :func:`spin_event_model` builds the spin model.
 
 Equality checks use an absolute tolerance: 1e-9 for analytically
 constructed models, 4/sqrt(N) for models estimated from N trials.
@@ -27,12 +32,12 @@ reported as vacuous passes, never as failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import ballprotocol, spinmodel
-from .errors import (ConditioningUndefinedError, EmptyReportError, require, require_choice,
-                     require_fields, require_nonnegative, require_probability, require_table,
-                     require_trials, require_type)
+from .errors import (ConditioningUndefinedError, EmptyReportError, require_choice, require_fields,
+                     require_nonnegative, require_probability, require_table, require_trials,
+                     require_type)
 
 ANALYTIC_TOLERANCE = 1e-9
 
@@ -67,52 +72,23 @@ class BinaryEventModel:
             return ANALYTIC_TOLERANCE
         return 4.0 / math.sqrt(self.sample_size)
 
-    def _table(self, given_z: bool) -> Table:
-        return self.joint_given_z if given_z else self.joint_given_not_z
-
-    def p_x_given(self, given_z: bool) -> float:
-        t = self._table(given_z)
-        return t[0][0] + t[0][1]
-
-    def p_y_given(self, given_z: bool) -> float:
-        t = self._table(given_z)
-        return t[0][0] + t[1][0]
-
-    def p_xy_given(self, given_z: bool) -> float:
-        return self._table(given_z)[0][0]
+    def _mix(self, given) -> float:
+        """P(event) from ``given(table)``, the event's probability under one cause value."""
+        p_z = self.p_z
+        return p_z * given(self.joint_given_z) + (1.0 - p_z) * given(self.joint_given_not_z)
 
     def p_x(self) -> float:
-        return self.p_z * self.p_x_given(True) + (1.0 - self.p_z) * self.p_x_given(False)
+        return self._mix(lambda t: t[0][0] + t[0][1])
 
     def p_y(self) -> float:
-        return self.p_z * self.p_y_given(True) + (1.0 - self.p_z) * self.p_y_given(False)
+        return self._mix(lambda t: t[0][0] + t[1][0])
 
     def p_xy(self) -> float:
-        return self.p_z * self.p_xy_given(True) + (1.0 - self.p_z) * self.p_xy_given(False)
+        return self._mix(lambda t: t[0][0])
 
     def covariance(self) -> float:
         """Unconditional covariance of the occurrence indicators."""
         return self.p_xy() - self.p_x() * self.p_y()
-
-    def with_flipped_x(self) -> "BinaryEventModel":
-        """Swap which x state counts as "occurs"."""
-        return replace(
-            self,
-            joint_given_z=(self.joint_given_z[1], self.joint_given_z[0]),
-            joint_given_not_z=(self.joint_given_not_z[1], self.joint_given_not_z[0]),
-        )
-
-    def with_flipped_y(self) -> "BinaryEventModel":
-        """Swap which y state counts as "occurs"."""
-
-        def flip(t: Table) -> Table:
-            return ((t[0][1], t[0][0]), (t[1][1], t[1][0]))
-
-        return replace(
-            self,
-            joint_given_z=flip(self.joint_given_z),
-            joint_given_not_z=flip(self.joint_given_not_z),
-        )
 
 
 def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:
@@ -127,7 +103,7 @@ class ConditionResult:
     ``margin`` is lhs - rhs for inequality conditions and |lhs - rhs|
     for equality conditions; ``vacuous`` marks an equality whose
     conditioning event has (near) zero probability, which passes by
-    convention.  Truthiness follows ``holds``.
+    convention.
     """
 
     name: str
@@ -137,82 +113,37 @@ class ConditionResult:
     margin: float | None
     vacuous: bool = False
 
-    def __bool__(self) -> bool:
-        return self.holds
+
+def _sums(t: Table) -> tuple[tuple[float, float], tuple[float, float]]:
+    """P(x takes state i) and P(y takes state j) under one table: its row and column sums."""
+    return (t[0][0] + t[0][1], t[1][0] + t[1][1]), (t[0][0] + t[1][0], t[0][1] + t[1][1])
 
 
-def _resolve_tol(model: BinaryEventModel, tol: float | None) -> float:
-    require_type(model, "model", BinaryEventModel)
-    return model.default_tolerance() if tol is None else require_nonnegative(tol, "tolerance")
+def _given(t: Table, p_branch: float, label: str,
+           eps: float) -> tuple[ConditionResult, ConditionResult]:
+    """Screening off and factorization under the cause value of table ``t``.
 
-
-def check_cause_relevance(
-    model: BinaryEventModel, tol: float | None = None
-) -> tuple[ConditionResult, ConditionResult]:
-    """Does z raise the probability of x, and of y?  Strict, with tolerance.
-
-    Conditioning on both z and not-z must be meaningful, so a
-    degenerate cause (p_z of 0 or 1) is an error rather than a result.
+    Screening off compares P(y | x) with P(y | not-x); a side whose
+    conditioning event has (near) zero probability, ``p_branch`` times
+    its row sum, is vacuous and passes with a flag.  Factorization
+    compares the joint P(x & y) with the product P(x) P(y).
     """
-    eps = _resolve_tol(model, tol)
-    if model.p_z <= eps or model.p_z >= 1.0 - eps:
-        raise ConditioningUndefinedError(
-            f"cause relevance needs 0 < p_z < 1, got p_z = {model.p_z}"
-        )
-    results = []
-    for name, lhs, rhs in (
-        ("relevance_x", model.p_x_given(True), model.p_x_given(False)),
-        ("relevance_y", model.p_y_given(True), model.p_y_given(False)),
-    ):
-        results.append(
-            ConditionResult(name=name, holds=lhs - rhs > eps, lhs=lhs, rhs=rhs, margin=lhs - rhs)
-        )
-    return results[0], results[1]
-
-
-def _screening_branch(model: BinaryEventModel, given_z: bool, eps: float) -> ConditionResult:
-    name = "screening_given_z" if given_z else "screening_given_not_z"
-    p_branch = model.p_z if given_z else 1.0 - model.p_z
-    table = model._table(given_z)
-    p_x = table[0][0] + table[0][1]
-    p_not_x = table[1][0] + table[1][1]
-    lhs = table[0][0] / p_x if p_branch * p_x > eps else None
-    rhs = table[1][0] / p_not_x if p_branch * p_not_x > eps else None
+    (p_x, p_not_x), (p_y, _) = _sums(t)
+    lhs = t[0][0] / p_x if p_branch * p_x > eps else None
+    rhs = t[1][0] / p_not_x if p_branch * p_not_x > eps else None
     if lhs is None or rhs is None:
-        return ConditionResult(name=name, holds=True, lhs=lhs, rhs=rhs, margin=None, vacuous=True)
-    margin = abs(lhs - rhs)
-    return ConditionResult(name=name, holds=margin <= eps, lhs=lhs, rhs=rhs, margin=margin)
-
-
-def check_screening_off(
-    model: BinaryEventModel, tol: float | None = None
-) -> tuple[ConditionResult, ConditionResult]:
-    """Is y independent of x once z is held fixed (positively and negatively)?
-
-    Each branch compares P(y | z & x) with P(y | z & not-x); a branch
-    whose conditioning event has (near) zero probability is vacuous and
-    passes with a flag.
-    """
-    eps = _resolve_tol(model, tol)
-    return _screening_branch(model, True, eps), _screening_branch(model, False, eps)
-
-
-def check_factorization(
-    model: BinaryEventModel, tol: float | None = None
-) -> tuple[ConditionResult, ConditionResult]:
-    """Does the conditional joint equal the product of conditional marginals?"""
-    eps = _resolve_tol(model, tol)
-    results = []
-    for given_z, name in ((True, "factorization_given_z"), (False, "factorization_given_not_z")):
-        lhs = model.p_xy_given(given_z)
-        rhs = model.p_x_given(given_z) * model.p_y_given(given_z)
+        screening = ConditionResult(f"screening_{label}", True, lhs, rhs, None, vacuous=True)
+    else:
         margin = abs(lhs - rhs)
-        results.append(ConditionResult(name=name, holds=margin <= eps, lhs=lhs, rhs=rhs,
-                                       margin=margin))
-    return results[0], results[1]
+        screening = ConditionResult(f"screening_{label}", margin <= eps, lhs, rhs, margin)
+    margin = abs(t[0][0] - p_x * p_y)
+    return screening, ConditionResult(f"factorization_{label}", margin <= eps, t[0][0], p_x * p_y,
+                                      margin)
 
 
-_ORIENTATIONS = ("as_given", "x_flipped", "y_flipped", "both_flipped")
+#: Which state of x and of y counts as "occurs": row i and column j of each table.
+_ORIENTATIONS = {"as_given": (0, 0), "x_flipped": (1, 0), "y_flipped": (0, 1),
+                 "both_flipped": (1, 1)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,34 +168,40 @@ class CommonCauseReport:
 def full_report(model: BinaryEventModel, tol: float | None = None) -> CommonCauseReport:
     """Evaluate all six conditions and certify or decline the model.
 
-    Relevance results feed the orientation table only; certification
-    depends on screening off, factorization and a nonzero unconditional
-    correlation at the working tolerance.
+    Relevance asks whether z strictly raises the probability of x, and
+    of y, by more than the tolerance.  Conditioning on both z and not-z
+    must be meaningful, so a degenerate cause (p_z within the tolerance
+    of 0 or 1) is an error rather than a result.  Relevance results feed
+    the orientation table only; certification depends on screening off,
+    factorization and a nonzero unconditional correlation at the working
+    tolerance.
     """
-    eps = _resolve_tol(model, tol)
-    relevance = check_cause_relevance(model, eps)
-    screening = check_screening_off(model, eps)
-    factorization = check_factorization(model, eps)
-
-    orientations: dict[str, tuple[bool, bool]] = {}
-    variants = {
-        "as_given": model,
-        "x_flipped": model.with_flipped_x(),
-        "y_flipped": model.with_flipped_y(),
-        "both_flipped": model.with_flipped_x().with_flipped_y(),
-    }
-    for label in _ORIENTATIONS:
-        rx, ry = check_cause_relevance(variants[label], eps)
-        orientations[label] = (rx.holds, ry.holds)
-
+    require_type(model, "model", BinaryEventModel)
+    eps = model.default_tolerance() if tol is None else require_nonnegative(tol, "tolerance")
+    if model.p_z <= eps or model.p_z >= 1.0 - eps:
+        raise ConditioningUndefinedError(
+            f"cause relevance needs 0 < p_z < 1, got p_z = {model.p_z}"
+        )
+    rows_z, cols_z = _sums(model.joint_given_z)
+    rows_not_z, cols_not_z = _sums(model.joint_given_not_z)
+    relevance = tuple(
+        ConditionResult(name, lhs - rhs > eps, lhs, rhs, lhs - rhs) for name, lhs, rhs in (
+            ("relevance_x", rows_z[0], rows_not_z[0]), ("relevance_y", cols_z[0], cols_not_z[0]))
+    )
+    orientations = {label: (rows_z[i] - rows_not_z[i] > eps, cols_z[j] - cols_not_z[j] > eps)
+                    for label, (i, j) in _ORIENTATIONS.items()}
+    (screening_z, factorization_z), (screening_not_z, factorization_not_z) = (
+        _given(model.joint_given_z, model.p_z, "given_z", eps),
+        _given(model.joint_given_not_z, 1.0 - model.p_z, "given_not_z", eps),
+    )
+    checked = (screening_z, screening_not_z, factorization_z, factorization_not_z)
     covariance = model.covariance()
-    certified = all(c.holds for c in (*screening, *factorization)) and abs(covariance) > eps
     return CommonCauseReport(
-        conditions=(*relevance, *screening, *factorization),
+        conditions=(*relevance, *checked),
         unconditional_joint=model.p_xy(),
         product_of_marginals=model.p_x() * model.p_y(),
         covariance=covariance,
-        certified=certified,
+        certified=all(c.holds for c in checked) and abs(covariance) > eps,
         tolerance=eps,
         relevance_by_orientation=orientations,
     )
@@ -303,42 +240,26 @@ def spin_event_model(
 
 
 def ball_event_model(
-    config: ballprotocol.StageConfig, x_sign: int = 1, y_sign: int = 1
+    report: ballprotocol.AggregateReport, x_sign: int = 1, y_sign: int = 1
 ) -> BinaryEventModel:
-    """Binary event model of one ball-protocol stage (analytic).
+    """Binary event model of one ball-protocol stage, from its analytic or simulated report.
 
     The cause z is the stage's first executive algorithm (not-z its
     mirror).  "x occurs" means Alice registers ``x_sign`` on her filter
-    color; "y occurs" means Bob registers ``y_sign`` on his.  Built
-    from the exact per-algorithm registered-outcome distribution.
+    color; "y occurs" means Bob registers ``y_sign`` on his.  The tables
+    are the per-algorithm registered-outcome distributions.  A simulated
+    report's registered-trial count becomes ``sample_size``, so checks
+    use the statistical tolerance 4/sqrt(N); an analytic report has none.
+    A simulated algorithm that registered nothing leaves its conditional
+    table undefined: :class:`EmptyReportError`.
     """
-    report = ballprotocol.analytic_stage_report(config)
-    return _event_model_from_report(report, x_sign, y_sign, sample_size=None)
-
-
-def empirical_ball_event_model(
-    report: ballprotocol.AggregateReport, x_sign: int = 1, y_sign: int = 1
-) -> BinaryEventModel:
-    """Binary event model estimated from a simulated stage report.
-
-    Carries the registered-trial count as ``sample_size`` so checks use
-    the statistical tolerance 4/sqrt(N).  An algorithm that registered
-    nothing leaves its conditional table undefined: :class:`EmptyReportError`.
-    """
-    require(isinstance(report, ballprotocol.AggregateReport) and report.mode == "empirical",
-            "report", "an empirical stage report", report)
+    require_type(report, "report", ballprotocol.AggregateReport)
     for alg in report.algorithms:
-        if not alg.registered:
+        if alg.registered == 0:  # None in an analytic report
             raise EmptyReportError(
                 f"stage {report.stage}: algorithm {alg.algorithm} registered no joint "
                 f"trials in {report.trials} emissions"
             )
-    return _event_model_from_report(report, x_sign, y_sign, sample_size=report.registered_trials)
-
-
-def _event_model_from_report(
-    report: ballprotocol.AggregateReport, x_sign: int, y_sign: int, sample_size: int | None
-) -> BinaryEventModel:
     require_choice(x_sign, "x_sign", spinmodel.SPINS)
     require_choice(y_sign, "y_sign", spinmodel.SPINS)
     first, second = report.algorithms
@@ -353,5 +274,5 @@ def _event_model_from_report(
         p_z=first.weight,
         joint_given_z=table(first),
         joint_given_not_z=table(second),
-        sample_size=sample_size,
+        sample_size=report.registered_trials,
     )

@@ -123,22 +123,9 @@ class RngStream:
         object.__setattr__(self, "seed", require_u64(self.seed, "seed"))
         object.__setattr__(self, "stream_id", require_u64(self.stream_id, "stream_id"))
 
-    def _bit_generator(self, block: int) -> np.random.Philox:
-        block = require_u64(block, "block")
-        bg = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        if block:
-            bg.advance(block)
-        return bg
-
-    def trial_words(self, n_trials: int, start: int = 0) -> np.ndarray:
-        """Raw uint64 words of trials [start, start + n_trials), shape (n_trials, 4).
-
-        Row i is counter block ``start + i``, so chunks with matching
-        offsets concatenate to the sequential stream.
-        """
-        most = np.iinfo(np.intp).max // BLOCK_DRAWS  # the most trials whose words numpy can size
-        require(require_u64(n_trials, "n_trials") <= most, "n_trials", f"at most {most}", n_trials)
-        return _draw(self._bit_generator(start), int(n_trials))
+    def _bit_generator(self) -> np.random.Philox:
+        """A generator at counter block 0: trial 0's draws, then on."""
+        return np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
 
 
 def _draw(bg: np.random.Philox, n: int) -> np.ndarray:
@@ -203,7 +190,7 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
         nonlocal starts
         try:
             histogram = np.zeros(1 << len(coins), dtype=np.int64)
-            bg, end = stream._bit_generator(0), 0
+            bg, end = stream._bit_generator(), 0
             while True:
                 with lock:
                     lo = next(starts, None)

@@ -188,8 +188,19 @@ def mixed_joint_cells(model):
 
 
 def generator(stream, block: int = 0) -> np.random.Generator:
-    """The stream's generator from counter block ``block``: trial ``block``'s draws, then on."""
-    return np.random.Generator(stream._bit_generator(block))
+    """The stream's generator from counter block ``block``: trial ``block``'s draws, then on.
+
+    Built here from the documented key, (seed, stream_id), and not from the
+    engine's own generator, so a fault in either shows as a mismatch.
+    """
+    bit_generator = np.random.Philox(key=np.array([stream.seed, stream.stream_id], np.uint64))
+    bit_generator.advance(block)
+    return np.random.Generator(bit_generator)
+
+
+def trial_words(stream, trials: int) -> np.ndarray:
+    """Raw uint64 words of trials [0, trials), one row of four per trial."""
+    return generator(stream).bit_generator.random_raw(trials * 4).reshape(trials, 4)
 
 
 def find(records, field: str, value):

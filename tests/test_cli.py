@@ -475,6 +475,26 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="), "cannot write"),
+    (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out="),
+     "requires a single description"),
+    (("ball-protocol", "--stage", "1", "--mode", "analytic", "--csv-out="),
+     "requires a single empirical stage"),
+    (("ball-protocol", "--all-stages", "--csv-out="), "requires a single empirical stage"),
+    (("spin-correlation", "--sweep", "0:10:5deg", "--sweep-out="), "cannot write"),
+    (("spin-correlation", "--phi", "60deg", "--sweep-out="), "--sweep-out needs --sweep"),
+    (("mc-run", "--phi", "60deg", "--trials", "1000", "--out="), "cannot write"),
+    (("chsh", "--out="), "cannot write"),
+], ids=["mc-run-csv", "mc-run-both-csv", "ball-analytic-csv", "ball-all-stages-csv", "sweep-out",
+        "sweep-out-without-sweep", "mc-run-out", "chsh-out"])
+def test_an_empty_output_path_is_an_output_path(capsys, args, message):
+    """An empty path is given, not absent: it meets the rule or the write error of any path."""
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
 def test_zero_workers_is_a_usage_error(capsys, name):
     code, out, err = run_cli(capsys, *SUBCOMMAND_ARGS[name], "--workers", "0")

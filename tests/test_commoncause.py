@@ -33,6 +33,22 @@ def independent_model():
     return cc.BinaryEventModel(p_z=0.5, joint_given_z=table, joint_given_not_z=table)
 
 
+def ball_model(stage=1, **config):
+    """The analytic ball event model of a stage."""
+    return cc.ball_event_model(bp.analytic_stage_report(bp.StageConfig(stage, trials=1, **config)))
+
+
+def conditions(model, *names):
+    """The named conditions of ``model``'s full report."""
+    report = cc.full_report(model)
+    return tuple(find(report.conditions, "name", name) for name in names)
+
+
+RELEVANCE = ("relevance_x", "relevance_y")
+SCREENING = ("screening_given_z", "screening_given_not_z")
+FACTORIZATION = ("factorization_given_z", "factorization_given_not_z")
+
+
 class TestBinaryEventModel:
     def test_rejects_unnormalized_table(self):
         with pytest.raises(ValidationError, match="joint_given_z"):
@@ -74,12 +90,6 @@ class TestBinaryEventModel:
         assert model.p_y() == pytest.approx(cells[0][0] + cells[1][0], abs=1e-9)
         assert sum(v for row in cells for v in row) == pytest.approx(1.0, abs=1e-9)
 
-    @given(models())
-    def test_orientation_flips_preserve_normalization(self, model):
-        for variant in (model.with_flipped_x(), model.with_flipped_y()):
-            total = sum(v for row in variant.joint_given_z for v in row)
-            assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_statistical_tolerance(self):
         table = ((0.25, 0.25), (0.25, 0.25))
         model = cc.BinaryEventModel(0.5, table, table, sample_size=10_000)
@@ -88,21 +98,21 @@ class TestBinaryEventModel:
 
 class TestCauseRelevance:
     def test_independent_model(self):
-        rx, ry = cc.check_cause_relevance(independent_model())
-        assert (bool(rx), bool(ry)) == (False, False)
+        rx, ry = conditions(independent_model(), *RELEVANCE)
+        assert (rx.holds, ry.holds) == (False, False)
 
     def test_degenerate_cause_rejected(self):
         table = ((0.25, 0.25), (0.25, 0.25))
         model = cc.BinaryEventModel(0.0, table, table)
         with pytest.raises(ConditioningUndefinedError):
-            cc.check_cause_relevance(model)
+            cc.full_report(model)
 
     def test_spin_model_at_sixty_degrees(self):
         # With both events oriented positive, the cause makes x certain but
         # makes y *less* likely below a right angle, so only the first
         # relevance inequality holds in this orientation.
         model = cc.spin_event_model(Direction(0.0), Direction(math.pi / 3))
-        rx, ry = cc.check_cause_relevance(model)
+        rx, ry = conditions(model, *RELEVANCE)
         assert rx.holds and rx.lhs == 1.0 and rx.rhs == 0.0
         assert not ry.holds
         assert ry.lhs == pytest.approx(0.25, abs=1e-12)
@@ -110,22 +120,35 @@ class TestCauseRelevance:
 
     def test_spin_model_beyond_right_angle(self):
         model = cc.spin_event_model(Direction(0.0), Direction(2 * math.pi / 3))
-        rx, ry = cc.check_cause_relevance(model)
+        rx, ry = conditions(model, *RELEVANCE)
         assert rx.holds and ry.holds
 
     def test_ball_model_orientation_dependence(self):
-        model = cc.ball_event_model(bp.StageConfig(stage=1, trials=1))
-        rx, ry = cc.check_cause_relevance(model)
+        rx, ry = conditions(ball_model(), *RELEVANCE)
         assert rx.holds and rx.lhs == 1.0 and rx.rhs == 0.0
         assert not ry.holds  # P(b+|first) = 0.15 < P(b+|mirror) = 0.85
-        flipped = cc.check_cause_relevance(model.with_flipped_y())
-        assert flipped[0].holds and flipped[1].holds
+
+    @given(models())
+    def test_each_orientation_is_the_swapped_model_as_given(self, model):
+        """Counting x's or y's other state as "occurs" swaps the rows or the columns."""
+
+        def swapped(rows, columns):
+            def table(t):
+                return tuple(tuple(t[i ^ rows][j ^ columns] for j in (0, 1)) for i in (0, 1))
+
+            return cc.BinaryEventModel(model.p_z, table(model.joint_given_z),
+                                       table(model.joint_given_not_z))
+
+        orientations = cc.full_report(model).relevance_by_orientation
+        for label, rows, columns in (("x_flipped", 1, 0), ("y_flipped", 0, 1),
+                                     ("both_flipped", 1, 1)):
+            again = cc.full_report(swapped(rows, columns)).relevance_by_orientation
+            assert again["as_given"] == orientations[label]
 
 
 class TestScreeningOff:
     def test_ball_model_screens_off(self):
-        model = cc.ball_event_model(bp.StageConfig(stage=1, trials=1))
-        s_z, s_not_z = cc.check_screening_off(model)
+        s_z, s_not_z = conditions(ball_model(), *SCREENING)
         assert s_z.holds and s_not_z.holds
         # Given the first algorithm, Alice's event is certain, so holding it
         # fixed leaves Bob's frequency at its conditional value.
@@ -134,7 +157,7 @@ class TestScreeningOff:
 
     def test_spin_model_vacuous_branch_passes(self):
         model = cc.spin_event_model(Direction(0.0), Direction(1.0))
-        s_z, s_not_z = cc.check_screening_off(model)
+        s_z, s_not_z = conditions(model, *SCREENING)
         assert s_z.holds and s_z.vacuous
         assert s_not_z.holds and s_not_z.vacuous
 
@@ -144,7 +167,7 @@ class TestScreeningOff:
             ((0.45, 0.05), (0.05, 0.45)),  # P(y|z&x)=0.9 vs P(y|z&~x)=0.1
             ((0.25, 0.25), (0.25, 0.25)),
         )
-        s_z, s_not_z = cc.check_screening_off(model)
+        s_z, s_not_z = conditions(model, *SCREENING)
         assert not s_z.holds
         assert s_z.lhs == pytest.approx(0.9) and s_z.rhs == pytest.approx(0.1)
         assert s_not_z.holds
@@ -156,7 +179,7 @@ class TestFactorization:
         for _ in range(200):
             t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             model = cc.spin_event_model(Direction(t1), Direction(t2))
-            f_z, f_not_z = cc.check_factorization(model)
+            f_z, f_not_z = conditions(model, *FACTORIZATION)
             assert f_z.holds and f_z.margin <= 1e-9
             assert f_not_z.holds and f_not_z.margin <= 1e-9
 
@@ -164,13 +187,12 @@ class TestFactorization:
         rng = np.random.default_rng(7)
         biases = [0.15] + list(rng.uniform(0.001, 0.999, size=50))
         for p in biases:
-            cfg = bp.StageConfig(stage=1, trials=1, p_stage1=float(p))
-            model = cc.ball_event_model(cfg)
-            assert all(cc.check_factorization(model))
-            assert all(cc.check_screening_off(model))
+            model = ball_model(p_stage1=float(p))
+            assert all(c.holds for c in conditions(model, *FACTORIZATION))
+            assert all(c.holds for c in conditions(model, *SCREENING))
 
     def test_unconditional_joint_shows_spurious_correlation(self):
-        model = cc.ball_event_model(bp.StageConfig(stage=1, trials=1))
+        model = ball_model()
         assert model.p_xy() == pytest.approx(0.075, abs=1e-12)
         assert model.p_x() * model.p_y() == pytest.approx(0.25, abs=1e-12)
         assert model.covariance() == pytest.approx(-0.175, abs=1e-12)
@@ -178,7 +200,7 @@ class TestFactorization:
 
 class TestFullReport:
     def test_ball_model_certified(self):
-        report = cc.full_report(cc.ball_event_model(bp.StageConfig(stage=1, trials=1)))
+        report = cc.full_report(ball_model())
         assert report.certified
         assert report.unconditional_joint == pytest.approx(0.075, abs=1e-12)
         assert report.product_of_marginals == pytest.approx(0.25, abs=1e-12)
@@ -205,6 +227,13 @@ class TestFullReport:
             "as_given", "x_flipped", "y_flipped", "both_flipped",
         }
 
+    def test_a_table_at_the_normalization_edge_gets_a_report(self):
+        """A table accepted by the model is reported on in every orientation."""
+        edge = ((0.10800000099999997, 0.449), (0.428, 0.015))  # sums to 1 + 1e-9 - 1 ulp
+        assert sum(edge[1] + edge[0]) - 1.0 > 1e-9  # the rows summed in the other order do not
+        report = cc.full_report(cc.BinaryEventModel(0.5, edge, independent_model().joint_given_z))
+        assert len(report.conditions) == 6 and len(report.relevance_by_orientation) == 4
+
     @pytest.mark.parametrize("tol", ["x", True, -1.0, math.nan])
     def test_tolerance_must_be_a_nonnegative_number(self, tol):
         with pytest.raises(ValidationError, match="tolerance"):
@@ -218,7 +247,7 @@ class TestFullReport:
     def test_json_serializable(self):
         import json
 
-        report = cc.full_report(cc.ball_event_model(bp.StageConfig(stage=2, trials=1)))
+        report = cc.full_report(ball_model(2))
         payload = json.loads(json.dumps(asdict(report)))
         assert payload["certified"] is True
         assert len(payload["conditions"]) == 6
@@ -227,7 +256,7 @@ class TestFullReport:
 class TestEmpiricalModel:
     def test_statistical_tolerance_applied(self):
         stage_report = bp.run_stage(bp.StageConfig(stage=1, trials=100_000, seed=41))
-        model = cc.empirical_ball_event_model(stage_report)
+        model = cc.ball_event_model(stage_report)
         assert model.sample_size == stage_report.registered_trials
         assert model.default_tolerance() == pytest.approx(
             4.0 / math.sqrt(stage_report.registered_trials)
@@ -235,10 +264,16 @@ class TestEmpiricalModel:
         report = cc.full_report(model)
         assert report.certified
 
-    def test_requires_empirical_report(self):
+    def test_analytic_report_gives_exact_frequencies(self):
         analytic = bp.analytic_stage_report(bp.StageConfig(stage=1, trials=1))
-        with pytest.raises(ValidationError):
-            cc.empirical_ball_event_model(analytic)
+        model = cc.ball_event_model(analytic, 1, -1)
+        assert model.sample_size is None
+        assert model.default_tolerance() == cc.ANALYTIC_TOLERANCE
+        first, mirror = analytic.algorithms
+        assert model.p_z == first.weight
+        for table, stats in ((model.joint_given_z, first), (model.joint_given_not_z, mirror)):
+            assert table == tuple(tuple(stats.joint_freq[(a, b)] for b in (-1, 1))
+                                  for a in (1, -1))
 
     @pytest.mark.parametrize("stage", [1, 2, 3])
     def test_algorithm_that_registered_nothing_is_an_empty_report(self, stage):
@@ -246,4 +281,4 @@ class TestEmpiricalModel:
         (empty,) = [alg.algorithm for alg in report.algorithms if not alg.registered]
         with pytest.raises(EmptyReportError,
                            match=f"stage {stage}: algorithm {empty} registered no joint"):
-            cc.empirical_ball_event_model(report)
+            cc.ball_event_model(report)

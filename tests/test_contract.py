@@ -55,7 +55,6 @@ ENTRY_POINTS = {
     "quantum_correlation": (sm.quantum_correlation, (A, B, sm.Description.BOB)),
     "correlation_from_cosines": (sm.correlation_from_cosines, (1.0, np.array([0.5, -1.0]))),
     "RngStream": (rng.RngStream, (1, 2)),
-    "RngStream.trial_words": (STREAM.trial_words, (3, 5)),
     "threshold": (rng.threshold, (0.25,)),
     "fold": (rng.fold, (WORLDS, [3] * len(WORLDS))),
     "simulate": (rng.simulate, (STREAM, 10, COINS, WORLDS, 1)),
@@ -78,13 +77,10 @@ ENTRY_POINTS = {
     "binary_event_model_from_json_dict": (cc.binary_event_model_from_json_dict,
                                           ({"p_z": 0.5, "joint_given_z": [[1, 0], [0, 0]],
                                             "joint_given_not_z": [[0, 0], [0, 1]]},)),
-    "check_cause_relevance": (cc.check_cause_relevance, (MODEL, 1e-9)),
-    "check_screening_off": (cc.check_screening_off, (MODEL, 1e-9)),
-    "check_factorization": (cc.check_factorization, (MODEL, 1e-9)),
     "full_report": (cc.full_report, (MODEL, 1e-9)),
     "spin_event_model": (cc.spin_event_model, (A, B, 1, -1)),
-    "ball_event_model": (cc.ball_event_model, (STAGE, -1, 1)),
-    "empirical_ball_event_model": (cc.empirical_ball_event_model, (EMPIRICAL, 1, 1)),
+    "ball_event_model": (cc.ball_event_model, (REPORTS[0], -1, 1)),
+    "ball_event_model of a simulated report": (cc.ball_event_model, (EMPIRICAL, 1, 1)),
 }
 
 HOSTILE = [None, True, False, "x", "", b"x", math.nan, math.inf, -math.inf, 10**400, 2**64 + 1,
@@ -150,9 +146,6 @@ REFUSED = {
     "fold(mass=['x'] * 8)": lambda: rng.fold(WORLDS, ["x"] * len(WORLDS)),
     "fold(a world of prob 'x')": lambda: rng.fold([dataclasses.replace(WORLDS[0], prob="x")]),
     "zero_axis_cosines([10**5000])": lambda: sm.zero_axis_cosines([HUGE]),
-    "trial_words(True)": lambda: STREAM.trial_words(True),
-    "trial_words(2.0)": lambda: STREAM.trial_words(2.0),
-    "trial_words(2**61)": lambda: STREAM.trial_words(2**61),
     "threshold('0.5')": lambda: rng.threshold("0.5"),
     "simulate(None, 10, (), ...)": lambda: rng.simulate(None, 10, (), NO_COIN),
     "simulate(stream, -5, (), ...)": lambda: rng.simulate(STREAM, -5, (), NO_COIN),
@@ -188,9 +181,9 @@ REFUSED = {
     "full_report(model, True)": lambda: cc.full_report(MODEL, True),
     "full_report(0.5)": lambda: cc.full_report(0.5),
     "spin_event_model(0.5, B)": lambda: cc.spin_event_model(0.5, B),
-    "ball_event_model(cfg, True)": lambda: cc.ball_event_model(STAGE1, True),
+    "ball_event_model(report, True)": lambda: cc.ball_event_model(REPORTS[0], True),
+    "ball_event_model(cfg)": lambda: cc.ball_event_model(STAGE1),
     "ball_event_model(None)": lambda: cc.ball_event_model(None),
-    "empirical_ball_event_model(None)": lambda: cc.empirical_ball_event_model(None),
     "BinaryEventModel(sample_size=10**400)": lambda: cc.BinaryEventModel(
         0.5, ((1, 0), (0, 0)), ((0, 0), (0, 1)), 10**400),
 }

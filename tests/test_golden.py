@@ -69,7 +69,8 @@ REPORTS = {
     "common-cause-ball-empirical": "common-cause --builtin ball --empirical --trials 20000",
 }
 
-#: Twice a 65,536-trial chunk, and one more trial.
+#: Twice a 65,536-trial chunk, and one more trial; that is also eight of the engine's
+#: 16,384-trial chunks and one trial.
 CSV_TRIALS = 131_073
 CSV_RUNS = {
     "mc-run-alice": "mc-run --phi 60deg",

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from actor_oracles import TrialRecord, generator, sample_hidden_variable, simulate_trial
+from actor_oracles import (TrialRecord, generator, sample_hidden_variable, simulate_trial,
+                           trial_words)
 from float_oracles import mc_counts
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ def config(phi, trials, description=Description.ALICE, seed=0, stream_id=0):
 
 class TestSampleHiddenVariable:
     def test_balanced_at_default_seed(self):
-        draws = RngStream(0, 0).trial_words(1_000_000)[:, 0] >> np.uint64(11)
+        draws = trial_words(RngStream(0, 0), 1_000_000)[:, 0] >> np.uint64(11)
         frac_plus = float(np.mean(draws < threshold(0.5)))
         assert 0.499 <= frac_plus <= 0.501
 

@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from actor_oracles import generator
+from actor_oracles import generator, trial_words
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,28 +38,17 @@ def test_distinct_seeds_differ():
     assert np.any(a != b)
 
 
-def test_trial_words_match_sequential_stream():
+def test_a_double_is_the_top_53_bits_of_its_word():
     stream = RngStream(7, 3)
-    words = stream.trial_words(40)
-    assert words.shape == (40, BLOCK_DRAWS) and words.dtype == np.uint64
-    assert np.array_equal(words.ravel(), generator(stream).bit_generator.random_raw(160))
+    words = trial_words(stream, 40)
     # numpy's double is the top 53 bits of the word, scaled by 2**-53.
     doubles = generator(stream).random(40 * BLOCK_DRAWS)
     assert np.array_equal((words.ravel() >> np.uint64(11)) * 2.0**-53, doubles)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 7, 8])
-def test_chunked_generation_equals_sequential(parts):
-    stream = RngStream(42, 1)
-    total = 1001
-    edges = [round(total * k / parts) for k in range(parts + 1)]
-    chunks = [stream.trial_words(hi - lo, start=lo) for lo, hi in zip(edges, edges[1:])]
-    assert np.array_equal(np.vstack(chunks), stream.trial_words(total))
-
-
 def test_trial_generator_matches_trial_words_row():
     stream = RngStream(9, 2)
-    rows = stream.trial_words(10) >> np.uint64(11)
+    rows = trial_words(stream, 10) >> np.uint64(11)
     for i in range(10):
         assert np.array_equal(generator(stream, i).random(BLOCK_DRAWS), rows[i] * 2.0**-53)
 
@@ -70,12 +59,6 @@ def test_trial_generator_matches_trial_words_row():
 def test_key_validation(seed, stream):
     with pytest.raises(ValidationError):
         RngStream(seed, stream)
-
-
-@pytest.mark.parametrize("n_trials,start", [(-1, 0), (4, -1), (4, 2**64)])
-def test_trial_words_rejects_bad_ranges(n_trials, start):
-    with pytest.raises(ValidationError):
-        RngStream(0).trial_words(n_trials, start)
 
 
 def _edge_probabilities():
@@ -132,9 +115,12 @@ def test_raw_word_bound_matches_shifted_compare(word, p):
         assert bool(np.uint64(word) <= np.uint64(bound)) == shifted
 
 
-def _shifted_codes(stream, trials, coins):
-    """Reference kernel: shift every word to its 53-bit integer, then compare with thresholds."""
-    words = stream.trial_words(trials) >> np.uint64(11)
+def _shifted_codes(stream, trials, coins, words=None):
+    """Reference kernel: shift every word to its 53-bit integer, then compare with thresholds.
+
+    The words are the stream's own, drawn by the oracle, unless ``words`` are given.
+    """
+    words = (trial_words(stream, trials) if words is None else words) >> np.uint64(11)
     codes = np.zeros(trials, dtype=np.uint8)
     for bit, (draw, limit) in enumerate(coins):
         codes |= (words[:, draw] < limit).astype(np.uint8) << np.uint8(bit)
@@ -186,7 +172,7 @@ def test_chunk_codes_split_each_coin_at_its_bound(monkeypatch):
     monkeypatch.setattr(rng, "_draw", lambda bg, n: words[:n].copy())
     stream = RngStream(0)
     assert np.array_equal(np.concatenate(_chunk_codes(stream, len(words), coins)),
-                          _shifted_codes(stream, len(words), coins))
+                          _shifted_codes(stream, len(words), coins, words))
 
 
 #: Thresholds at the edges of the 53-bit range, and any in between, as Python's
@@ -378,9 +364,9 @@ def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, se
     helpers, built = _TurnTakingThreads(picks, rng._draw), []
     bit_generator = RngStream._bit_generator
 
-    def counted(self, block):
-        built.append(block)
-        return bit_generator(self, block)
+    def counted(self):
+        built.append(self)
+        return bit_generator(self)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "CHUNK_TRIALS", chunk)
