@@ -183,6 +183,7 @@ REFUSED = {
     "spin_event_model(0.5, B)": lambda: cc.spin_event_model(0.5, B),
     "ball_event_model(report, True)": lambda: cc.ball_event_model(REPORTS[0], True),
     "ball_event_model(cfg)": lambda: cc.ball_event_model(STAGE1),
+    "ball_event_model(report, 1, 0)": lambda: cc.ball_event_model(REPORTS[0], 1, 0),
     "ball_event_model(None)": lambda: cc.ball_event_model(None),
     "BinaryEventModel(sample_size=10**400)": lambda: cc.BinaryEventModel(
         0.5, ((1, 0), (0, 0)), ((0, 0), (0, 1)), 10**400),

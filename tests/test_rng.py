@@ -38,6 +38,42 @@ def test_distinct_seeds_differ():
     assert np.any(a != b)
 
 
+def test_trial_words_match_sequential_stream():
+    """The engine's draw is the stream under its documented key, built apart from the engine."""
+    stream = RngStream(7, 3)
+    words = rng._draw(stream._bit_generator(), 40)
+    assert words.shape == (40, BLOCK_DRAWS) and words.dtype == np.uint64
+    assert np.array_equal(words, trial_words(stream, 40))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 7, 8])
+def test_chunked_generation_equals_sequential(monkeypatch, parts):
+    """Chunks drawn by two threads, each holding one chunk before either draws, so that one
+    moves its generator past the other's chunk, are the stream's words in order."""
+    stream, total, drawn = RngStream(42, 1), 1001, {}
+    draw, chunk = rng._draw, rng._chunk
+    held, first = threading.Barrier(min(2, parts), timeout=60), threading.local()
+
+    def draw_once_both_hold_one(bg, n):
+        if not getattr(first, "passed", False):
+            first.passed = True
+            held.wait()
+        return draw(bg, n)
+
+    def recorded(words, bounds, lo, write):
+        drawn[lo] = words.copy()
+        return chunk(words, bounds, lo, write)
+
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", -(-total // parts))
+    monkeypatch.setattr(rng, "_draw", draw_once_both_hold_one)
+    monkeypatch.setattr(rng, "_chunk", recorded)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    rng._count(stream, total, ((0, threshold(0.5)),), 2)
+    assert len(drawn) == parts
+    assert np.array_equal(np.vstack([drawn[lo] for lo in sorted(drawn)]),
+                          trial_words(stream, total))
+
+
 def test_a_double_is_the_top_53_bits_of_its_word():
     stream = RngStream(7, 3)
     words = trial_words(stream, 40)
