@@ -40,10 +40,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import (EmptyReportError, require, require_choice, require_probability,
-                     require_trials, require_type)
+from .errors import (EmptyReportError, one_of, require, require_probability, require_trials,
+                     require_type)
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, glyph, simulate, threshold
-from .spinmodel import SPINS
+from .spinmodel import require_spin
 
 
 class Color(str, enum.Enum):
@@ -95,11 +95,11 @@ class StageConfig:
     filter_mismatch_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        canonical = STAGE_COLORS[require_choice(self.stage, "stage", tuple(STAGE_COLORS))]
+        canonical = STAGE_COLORS[one_of(tuple(STAGE_COLORS))(self.stage, "stage")]
         for name, default, admissible in zip(("alice_filter", "bob_filter"), canonical,
                                              (ALICE_FILTERS, BOB_FILTERS)):
             value = getattr(self, name)
-            value = default if value is None else require_choice(value, name, admissible)
+            value = default if value is None else one_of(admissible)(value, name)
             object.__setattr__(self, name, Color(value))
         require_trials(self.trials, "trials")
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
@@ -350,8 +350,8 @@ def contextual_decomposition(
     and Bob registers ``bob_sign`` on his"; both the per-algorithm
     conditionals and the direct unconditional frequency are exact.
     """
-    require_choice(alice_sign, "alice_sign", SPINS)
-    require_choice(bob_sign, "bob_sign", SPINS)
+    require_spin(alice_sign, "alice_sign")
+    require_spin(bob_sign, "bob_sign")
     _, worlds = _world_table(config)
     # The event names the configured filter colors, so in mismatch worlds
     # (device flipped to the other color, code 4 and up) it does not occur.
@@ -361,7 +361,7 @@ def contextual_decomposition(
     pair = (alice_sign, bob_sign)
     conditionals = {aid: cells[k][pair] / 0.5 for k, aid in enumerate(ids)}
     weights = {aid: 0.5 for aid in ids}
-    composed = sum(weights[aid] * conditionals[aid] for aid in sorted(conditionals))
+    composed = sum(weights[aid] * conditionals[aid] for aid in ids)
     direct = sum((world.prob for world in kept if world.signs == pair), 0.0)
     event = (
         f"{config.alice_filter.value}_A{glyph(alice_sign)}; "

@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -95,11 +94,12 @@ def sweep_values(sweep: dict) -> np.ndarray:
 def _read_json(path: str, what: str) -> Any:
     """The JSON document in a file; an unreadable or malformed one is a usage error."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
     except ValueError as exc:  # also bad UTF-8 and over-long integers
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _sweep(value: Any) -> bool:
@@ -129,7 +129,8 @@ def choice(*options) -> Kind:
 
 
 ANGLE = Kind("an angle in radians", is_real, {"type": parse_angle, "metavar": "ANGLE"})
-ANGLES = Kind("a list of angles in radians", lambda v: type(v) is list and all(map(is_real, v)),
+ANGLES = Kind("a list of angles in radians, each finite in degrees",  # phi_degrees is reported
+              lambda v: type(v) is list and all(is_real(a) and is_real(math.degrees(a)) for a in v),
               {"type": parse_angle, "metavar": "ANGLE", "action": "append"})
 FOUR_ANGLES = Kind("a list of four angles in radians",
                    lambda v: type(v) is list and len(v) == 4 and all(map(is_real, v)),
@@ -250,7 +251,8 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         rows = FloatTable(np.column_stack((values, corrs)))
         results["sweep"] = {"rows": rows, "row_count": len(values)}
         if ns.sweep_out is not None:
-            Path(ns.sweep_out).write_text(rows.text, encoding="utf-8")
+            with open(ns.sweep_out, "w", encoding="utf-8") as fh:
+                fh.write(rows.text)
             outputs["sweep_data"] = ns.sweep_out
     return cfg, results, [], None, outputs
 
@@ -276,7 +278,7 @@ def _mc_single(cfg: dict, description: Description, workers: int,
         stream_id=0 if description is Description.ALICE else 1,
     )
     stats = mc.run_experiment(config, workers=workers, csv_out=csv_out)
-    analytic = quantum_correlation(axis1, axis2, description)
+    analytic = quantum_correlation(axis1, axis2)
     tol = mc.covariance_tolerance(analytic, cfg["trials"])
     results = {
         "description": description.value,
@@ -553,7 +555,8 @@ def main(argv: list[str] | None = None) -> int:
                               timestamp=not ns.no_timestamp)
         text = render_json(report) if ns.format == "json" else render_text(report)
         if ns.out is not None:
-            Path(ns.out).write_text(text, encoding="utf-8")
+            with open(ns.out, "w", encoding="utf-8") as fh:  # Path('') would be '.'
+                fh.write(text)
         else:
             sys.stdout.write(text)
         return 0 if report["passed"] else 1
@@ -564,7 +567,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # reads turn theirs into usage errors, so this came from a write
-        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
+        name = "output" if exc.filename is None else repr(exc.filename)
+        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

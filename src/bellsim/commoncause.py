@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import ballprotocol, spinmodel
-from .errors import (ConditioningUndefinedError, EmptyReportError, require_choice, require_fields,
+from .errors import (ConditioningUndefinedError, EmptyReportError, require_fields,
                      require_nonnegative, require_probability, require_table, require_trials,
                      require_type)
 
@@ -223,8 +223,8 @@ def spin_event_model(
     """
     require_type(axis1, "axis1", spinmodel.Direction)
     require_type(axis2, "axis2", spinmodel.Direction)
-    require_choice(x_outcome, "x_outcome", spinmodel.SPINS)
-    require_choice(y_outcome, "y_outcome", spinmodel.SPINS)
+    spinmodel.require_spin(x_outcome, "x_outcome")
+    spinmodel.require_spin(y_outcome, "y_outcome")
 
     def table(sign: int) -> Table:
         lam = spinmodel.HiddenVariable(axis1, sign)
@@ -260,8 +260,8 @@ def ball_event_model(
                 f"stage {report.stage}: algorithm {alg.algorithm} registered no joint "
                 f"trials in {report.trials} emissions"
             )
-    require_choice(x_sign, "x_sign", spinmodel.SPINS)
-    require_choice(y_sign, "y_sign", spinmodel.SPINS)
+    spinmodel.require_spin(x_sign, "x_sign")
+    spinmodel.require_spin(y_sign, "y_sign")
     first, second = report.algorithms
 
     def table(stats: ballprotocol.AlgorithmStats) -> Table:

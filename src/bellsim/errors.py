@@ -1,7 +1,7 @@
 """Exception hierarchy and the package's one family of input checks.
 
 Every library check is a ``require_*`` check here (``require_real``,
-``require_trials``, ``require_choice``, ``require_type``, ...).  Each returns
+``require_trials``, ``require_type``, a :func:`one_of` contract, ...).  Each returns
 the value or raises :class:`ValidationError` with the message ``<name> must
 be <meaning>, got <value>``, the shape of the CLI's config errors; a value
 that Python will not print is described instead (:func:`describe`).
@@ -133,10 +133,6 @@ def one_of(options) -> Contract:
             (isinstance(v, type(o)) or isinstance(o, type(v))) and v == o for o in options)
 
     return Contract("one of " + ", ".join(map(json.dumps, options)), valid)
-
-
-def require_choice(value, name: str, options):
-    return one_of(options)(value, name)
 
 
 def require_type(value, name: str, cls: type):

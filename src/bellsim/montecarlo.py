@@ -11,7 +11,7 @@ statistics once from the final counts, so results are bit-identical to
 sequential execution.  The per-trial CSV export (``csv_out``) streams
 from the same chunks and returns the same statistics.  The worlds are
 :class:`~bellsim.rng.World` records whose common cause is the hidden
-sign; a world's probability is the product of its three coins'.
+sign, and each world's probability is the probability of its code.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import require, require_choice, require_real, require_trials, require_type
+from .errors import one_of, require, require_real, require_trials, require_type
 from .report import Check
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
-from .spinmodel import Description, Direction, angle_between, quantum_correlation
+from .spinmodel import (Description, Direction, HiddenVariable, conditional_outcome_prob,
+                        quantum_correlation)
 
 CHSH_LOCAL_BOUND = 2.0
 CHSH_SINGLET_BOUND = 2.0 * math.sqrt(2.0)
@@ -73,7 +74,7 @@ class EmpiricalStats:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "standard_error",
-                           math.sqrt(max(0.0, 1.0 - self.pair_mean**2) / self.trials))
+                           math.sqrt((1.0 - self.pair_mean**2) / self.trials))
 
     @classmethod
     def from_counts(cls, counts, trials: int) -> "EmpiricalStats":
@@ -101,24 +102,29 @@ def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World
     Coin 0 is the sign draw (below 1/2: the hidden variable is +1, cause
     0).  Coins 1 and 2 compare the outcome draw against the non-anchored
     observer's probability of +1 given lambda = +1 and lambda = -1; a
-    world reads the one that matches its sign, but its probability is the
-    product of all three coins'.  The row text follows the trial number:
-    ``,lambda_sign,outcome1,outcome2``.
+    world reads the one that matches its sign.  Both compare draw 1, so a
+    world's probability is 1/2 times the length of the part of draw 1's
+    range in which both coins take its states; the two ranges are nested,
+    so one pair of states never occurs.  The row text follows the trial
+    number: ``,lambda_sign,outcome1,outcome2``.
     """
     alice = require_type(config, "config", ExperimentConfig).description is Description.ALICE
-    cos_phi = math.cos(angle_between(config.axis1, config.axis2))
-    # The outcome mean of particle 2 is -lambda*cos(phi), that of particle 1 +lambda*cos(phi).
-    p_up = tuple(0.5 * (1.0 + (-s if alice else s) * cos_phi) for s in (1.0, -1.0))
+    anchor, other = (config.axis1, config.axis2) if alice else (config.axis2, config.axis1)
+    anchored, drawn = (1, 2) if alice else (2, 1)  # particles: lambda fixes one, draw 1 the other
+    lams = (HiddenVariable(anchor, 1), HiddenVariable(anchor, -1))
+    p_up = [conditional_outcome_prob(lam, drawn, other, 1) for lam in lams]
+    fixed = [lam.predetermined(anchored) for lam in lams]
     coins = ((0, threshold(0.5)), (1, threshold(p_up[0])), (1, threshold(p_up[1])))
     worlds = []
     for code in range(1 << len(coins)):
         cause = 0 if code & 1 else 1  # lambda = +1 or -1
-        sign = 1 - 2 * cause
         up = (code >> 1 & 1, code >> 2 & 1)
-        drawn = 1 if up[cause] else -1
-        o1, o2 = (sign, drawn) if alice else (drawn, -sign)
-        prob = 0.5 * (p_up[0] if up[0] else 1.0 - p_up[0]) * (p_up[1] if up[1] else 1.0 - p_up[1])
-        worlds.append(World(code, prob, cause, (o1, o2), f",{sign},{o1},{o2}\n"))
+        # Coin k is up where draw 1 is in [0, p_up[k]) and down where it is in [p_up[k], 1).
+        start = max(0.0 if u else p for u, p in zip(up, p_up))
+        end = min(p if u else 1.0 for u, p in zip(up, p_up))
+        signs = {anchored: fixed[cause], drawn: 1 if up[cause] else -1}
+        worlds.append(World(code, 0.5 * max(0.0, end - start), cause, (signs[1], signs[2]),
+                            f",{lams[cause].first_particle},{signs[1]},{signs[2]}\n"))
     return coins, worlds
 
 
@@ -195,7 +201,7 @@ def description_equivalence(
     tolerance and the two must match each other within the combined
     (sqrt(2) wider) tolerance.
     """
-    analytic = quantum_correlation(axis1, axis2, Description.ALICE)
+    analytic = quantum_correlation(axis1, axis2)
     alice = run_experiment(
         ExperimentConfig(axis1, axis2, trials, Description.ALICE, seed, stream_id=0), workers
     )
@@ -267,7 +273,7 @@ def chsh_details(
     Analytic mode substitutes the model's -cos correlations; empirical
     mode runs four independent experiments, one stream per context.
     """
-    require_choice(mode, "mode", ("analytic", "empirical"))
+    one_of(("analytic", "empirical"))(mode, "mode")
     for name, axis in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
         require_type(axis, name, Direction)
     pairs = (

@@ -190,16 +190,15 @@ def _lines(value: Any, indent: int) -> list[str]:
 
 def render_text(report: dict) -> str:
     lines: list[str] = []
-    manifest = report.get("manifest", {})
-    lines.append(f"{manifest.get('tool', TOOL_NAME)} {manifest.get('version', '')} "
-                 f"-- {manifest.get('subcommand', '')}")
+    manifest = report["manifest"]
+    lines.append(f"{manifest['tool']} {manifest['version']} -- {manifest['subcommand']}")
     lines.append("")
     lines.append("manifest:")
     lines.extend(_lines(manifest, 1))
     lines.append("")
     lines.append("results:")
-    lines.extend(_lines(report.get("results", {}), 1))
-    checks = report.get("checks", [])
+    lines.extend(_lines(report["results"], 1))
+    checks = report["checks"]
     if checks:
         lines.append("")
         lines.append("checks:")
@@ -207,12 +206,12 @@ def render_text(report: dict) -> str:
             status = "PASS" if check["passed"] else "FAIL"
             detail = []
             for field in ("value", "target", "tolerance"):
-                if check.get(field) is not None:
+                if check[field] is not None:
                     detail.append(f"{field}={_scalar(check[field])}")
             suffix = f"  ({', '.join(detail)})" if detail else ""
             lines.append(f"  [{status}] {check['name']}{suffix}")
     lines.append("")
     n_pass = sum(1 for c in checks if c["passed"])
-    verdict = "PASS" if report.get("passed", True) else "FAIL"
+    verdict = "PASS" if report["passed"] else "FAIL"
     lines += (f"RESULT: {verdict} ({n_pass}/{len(checks)} checks)", "")  # newline-ended, uncopied
     return "\n".join(lines)

@@ -69,7 +69,7 @@ class World:
     """One outcome of a trial's coins."""
 
     code: int  # bit k is set when coin k came up
-    prob: float  # the product of its coin probabilities
+    prob: float  # the probability that a trial's coins give its code
     cause: int  # 0 or 1: the value the trial's common cause took
     signs: tuple[int, int] | None  # the registered sign pair; None unless both register
     row: str  # CSV row text after the trial number

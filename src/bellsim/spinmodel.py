@@ -13,10 +13,11 @@ singlet correlation -cos(phi) for axes separated by the angle phi.
 
 Conditional statistics are meaningful only relative to one
 hidden-variable set, anchored to a single observer's axis (the "Alice"
-or "Bob" description).  The anchor is always an explicit argument, and
+or "Bob" description).  There the anchor is an explicit argument, and
 :func:`subquantum_correlation` rejects a hidden variable anchored to
 neither measurement axis, so quantities that would mix hidden-variable
-sets from different contexts cannot be formed here.
+sets from different contexts cannot be formed here.  The observable
+correlation takes no anchor, as both descriptions give the same float.
 
 Every statistic is a function of cosines between axes, and that
 arithmetic is written once (:func:`correlation_from_cosines` and the
@@ -38,14 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContextMismatchError, require, require_choice, require_cosines,
-                     require_real, require_reals, require_type)
+from .errors import (ContextMismatchError, one_of, require, require_cosines, require_real,
+                     require_reals, require_type)
 
 TWO_PI = 2.0 * math.pi
 
 #: Spin outcomes are plain ints restricted to {+1, -1} (units of hbar/2).
 SpinValue = int
 SPINS = (1, -1)
+require_spin = one_of(SPINS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,11 +93,11 @@ class HiddenVariable:
 
     def __post_init__(self) -> None:
         require_type(self.axis, "axis", Direction)
-        require_choice(self.first_particle, "first_particle", SPINS)
+        require_spin(self.first_particle, "first_particle")
 
     def predetermined(self, particle: int) -> SpinValue:
         """The outcome fixed for ``particle`` along this hidden variable's axis."""
-        return self.first_particle * (-1) ** (require_choice(particle, "particle", (1, 2)) - 1)
+        return self.first_particle * (-1) ** (one_of((1, 2))(particle, "particle") - 1)
 
 
 def angle_between(n: Direction, m: Direction) -> float:
@@ -104,12 +106,8 @@ def angle_between(n: Direction, m: Direction) -> float:
     Equal to arccos of the dot product of the two unit vectors, and
     symmetric in its arguments.
     """
-    c = math.cos(require_type(n, "n", Direction).theta - require_type(m, "m", Direction).theta)
-    if c > 1.0:
-        c = 1.0
-    elif c < -1.0:
-        c = -1.0
-    return math.acos(c)
+    return math.acos(math.cos(require_type(n, "n", Direction).theta
+                              - require_type(m, "m", Direction).theta))
 
 
 def axis_cosine(n: Direction, m: Direction) -> float:
@@ -128,9 +126,7 @@ def zero_axis_cosines(angles) -> np.ndarray:
     t = np.fmod(require_reals(angles, "angles"), TWO_PI)
     t[t < 0.0] += TWO_PI
     t[t >= TWO_PI] -= TWO_PI
-    # angle_between(Direction(0.0), axis) clamps cos(0.0 - theta) into [-1, 1].
-    c = np.clip(list(map(math.cos, (0.0 - t).tolist())), -1.0, 1.0)
-    return np.array(list(map(math.cos, map(math.acos, c.tolist()))), dtype=np.float64)
+    return np.array(list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist())))))
 
 
 # The law, written once over ``c``, the cosine between the hidden variable's
@@ -197,7 +193,7 @@ def conditional_outcome_prob(
     The two outcome probabilities sum to 1 exactly, and measuring along
     the hidden variable's own axis gives exactly 1 or 0.
     """
-    require_choice(outcome, "outcome", SPINS)
+    require_spin(outcome, "outcome")
     lam = require_type(lam, "lam", HiddenVariable)
     return _outcome_prob(lam.predetermined(particle), axis_cosine(lam.axis, axis), outcome)
 
@@ -250,21 +246,14 @@ def subquantum_correlation(lam: HiddenVariable, axis1: Direction, axis2: Directi
     )
 
 
-def _anchor_cosines(axis1: Direction, axis2: Direction, description: Description):
+def quantum_correlation(axis1: Direction, axis2: Direction) -> float:
+    """Observable correlation (covariance) of the two outcomes: -cos(phi12).
+
+    The hidden variable is anchored on ``axis1``; anchoring it on ``axis2``
+    gives the same float.  The anchor's own cosine is exactly 1, so its
+    outcomes are certain and either anchor sums the same two nonzero terms
+    (``axis_cosine`` is symmetric); each marginal is exactly 0.
+    """
     require_type(axis1, "axis1", Direction)
     require_type(axis2, "axis2", Direction)
-    require_type(description, "description", Description)
-    anchor = axis1 if description is Description.ALICE else axis2
-    return axis_cosine(anchor, axis1), axis_cosine(anchor, axis2)
-
-
-def quantum_correlation(
-    axis1: Direction, axis2: Direction, description: Description = Description.ALICE
-) -> float:
-    """Observable correlation (covariance) of the two outcomes.
-
-    Covariance is the canonical form; since the single-particle
-    marginals vanish it numerically equals the raw pair expectation,
-    -cos(phi12), under either description.
-    """
-    return correlation_from_cosines(*_anchor_cosines(axis1, axis2, description))
+    return correlation_from_cosines(axis_cosine(axis1, axis1), axis_cosine(axis1, axis2))

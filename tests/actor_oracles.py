@@ -26,7 +26,6 @@ from bellsim.spinmodel import (
     Description,
     Direction,
     HiddenVariable,
-    _anchor_cosines,
     _marginal,
     _quantum_pair,
     axis_cosine,
@@ -219,5 +218,9 @@ def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Di
 
 def quantum_pair_expectation(axis1: Direction, axis2: Direction,
                              description: Description = Description.ALICE) -> float:
-    """Outcome-product expectation averaged over both signs: -cos of the axis angle."""
-    return _quantum_pair(*_anchor_cosines(axis1, axis2, description))
+    """Outcome-product expectation averaged over both signs: -cos of the axis angle.
+
+    The hidden variable is anchored on the described observer's axis.
+    """
+    anchor = axis1 if description is Description.ALICE else axis2
+    return _quantum_pair(axis_cosine(anchor, axis1), axis_cosine(anchor, axis2))

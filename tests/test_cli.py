@@ -495,6 +495,33 @@ def test_an_empty_output_path_is_an_output_path(capsys, args, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("chsh", "--out="), "cannot write ''"),
+    (("spin-correlation", "--sweep", "0:10:5deg", "--sweep-out="), "cannot write ''"),
+    (("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="), "cannot write ''"),
+    (("chsh", "--config="), "cannot read config file ''"),
+    (("common-cause", "--model="), "cannot read model file ''"),
+], ids=["out", "sweep-out", "csv-out", "config", "model"])
+def test_an_empty_path_is_named_as_given(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {message}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_phi_beyond_the_degree_range_is_a_usage_error(capsys, tmp_path, source, fmt):
+    # 1e308 rad is inf in degrees, which the report's phi_degrees cannot hold.
+    if source == "flag":
+        args = ("--phi", "1e308rad")
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"phi": [0.5, 1.7e308]}))
+        args = ("--config", str(tmp_path / "cfg.json"))
+    code, out, err = run_cli(capsys, "spin-correlation", *args, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: phi must be ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
 def test_zero_workers_is_a_usage_error(capsys, name):
     code, out, err = run_cli(capsys, *SUBCOMMAND_ARGS[name], "--workers", "0")

@@ -52,7 +52,7 @@ ENTRY_POINTS = {
     "joint_outcome_prob": (sm.joint_outcome_prob, (LAM, A, B, 1, -1)),
     "pair_expectation": (sm.pair_expectation, (LAM, A, B)),
     "subquantum_correlation": (sm.subquantum_correlation, (LAM, A, B)),
-    "quantum_correlation": (sm.quantum_correlation, (A, B, sm.Description.BOB)),
+    "quantum_correlation": (sm.quantum_correlation, (A, B)),
     "correlation_from_cosines": (sm.correlation_from_cosines, (1.0, np.array([0.5, -1.0]))),
     "RngStream": (rng.RngStream, (1, 2)),
     "threshold": (rng.threshold, (0.25,)),

@@ -14,7 +14,7 @@ from records import read_mc_csv
 from bellsim import montecarlo as mc
 from bellsim.errors import ValidationError
 from bellsim.report import record
-from bellsim.rng import CHUNK_TRIALS, SIGN_PAIRS, RngStream, fold, threshold
+from bellsim.rng import CHUNK_TRIALS, SIGN_PAIRS, RngStream, fold, simulate, threshold
 from bellsim.spinmodel import Description, Direction, quantum_correlation
 
 A0 = Direction(0.0)
@@ -169,8 +169,30 @@ class TestWorldTable:
         assert abs(sum(world.prob for world in worlds) - 1.0) <= 1e-15
         cells, _ = fold(worlds)
         pair_mean = sum(a * b * (cells[0][(a, b)] + cells[1][(a, b)]) for a, b in SIGN_PAIRS)
-        analytic = quantum_correlation(cfg.axis1, cfg.axis2, description)
+        analytic = quantum_correlation(cfg.axis1, cfg.axis2)
         assert abs(pair_mean - analytic) <= 1e-12
+
+    @pytest.mark.parametrize("description", list(Description))
+    def test_no_world_of_probability_zero_occurs(self, description):
+        # Coins 1 and 2 compare the same draw, so one of their mixed states never occurs.
+        cfg = config(math.pi / 3, 1_000_000, description, seed=1)
+        coins, worlds = mc._world_table(cfg)
+        counts = simulate(cfg.stream(), cfg.trials, coins, worlds)
+        assert [counts[w.code] for w in worlds if w.prob == 0.0] == [0, 0]
+
+    @pytest.mark.parametrize("description", list(Description))
+    @pytest.mark.parametrize("degrees", [30, 60, 135])
+    def test_world_counts_fit_the_world_probabilities(self, degrees, description):
+        # G-test: six possible worlds give 5 degrees of freedom, whose 1e-3 critical value
+        # is 20.515 (chi-squared inverse survival function).
+        cfg = config(math.radians(degrees), 1_000_000, description, seed=1,
+                     stream_id=0 if description is Description.ALICE else 1)  # as mc-run does
+        coins, worlds = mc._world_table(cfg)
+        counts = simulate(cfg.stream(), cfg.trials, coins, worlds)
+        expected = [w.prob * cfg.trials for w in worlds]
+        assert sum(e > 0 for e in expected) == 6
+        g = 2.0 * sum(c * math.log(c / e) for c, e in zip(counts, expected) if c)
+        assert g < 20.515
 
 
 class TestDescriptionEquivalence:

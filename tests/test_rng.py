@@ -672,7 +672,7 @@ def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, t
                      "--csv-out", str(out)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert captured.err == f"error: cannot write {str(out)!r}: {os.strerror(errno.ENOSPC)}\n"
     assert threading.active_count() == before
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + CHUNK_TRIALS
 

@@ -286,12 +286,14 @@ class TestQuantumCorrelation:
 
     def test_equal_axes_perfect_anticorrelation(self):
         a = Direction(0.9)
+        assert quantum_correlation(a, a) == pytest.approx(-1.0, abs=TOL)
         for d in (Description.ALICE, Description.BOB):
-            assert quantum_correlation(a, a, d) == pytest.approx(-1.0, abs=TOL)
+            assert quantum_pair_expectation(a, a, d) == pytest.approx(-1.0, abs=TOL)
 
     def test_orthogonal(self):
-        c = quantum_correlation(Direction(0.0), Direction(math.pi / 2), Description.BOB)
-        assert abs(c) <= TOL
+        a, b = Direction(0.0), Direction(math.pi / 2)
+        assert abs(quantum_correlation(a, b)) <= TOL
+        assert abs(quantum_pair_expectation(a, b, Description.BOB)) <= TOL
 
     def test_minus_cosine_identity_1000_random_pairs(self):
         rng = np.random.default_rng(99)
@@ -299,15 +301,16 @@ class TestQuantumCorrelation:
             t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             a, b = Direction(t1), Direction(t2)
             phi = angle_between(a, b)
+            assert abs(quantum_correlation(a, b) + math.cos(phi)) <= TOL
             for d in (Description.ALICE, Description.BOB):
-                assert abs(quantum_correlation(a, b, d) + math.cos(phi)) <= TOL
+                assert abs(quantum_pair_expectation(a, b, d) + math.cos(phi)) <= TOL
 
     @given(angles, angles)
     def test_descriptions_agree(self, t1, t2):
+        # The Alice-anchored correlation equals the Bob-anchored average bit for bit.
         a, b = Direction(t1), Direction(t2)
-        alice = quantum_correlation(a, b, Description.ALICE)
-        bob = quantum_correlation(a, b, Description.BOB)
-        assert abs(alice - bob) < TOL
+        bob = quantum_pair_expectation(a, b, Description.BOB)
+        assert quantum_correlation(a, b) == bob == quantum_pair_expectation(a, b)
 
     @given(angles, angles)
     def test_covariance_equals_pair_expectation(self, t1, t2):
@@ -319,8 +322,8 @@ class TestQuantumCorrelation:
 
 
 def correlations_at_once(phis, description):
-    """quantum_correlation(Direction(0.0), Direction(phi), description) for
-    every phi, through the cosine core with one array per measurement axis."""
+    """quantum_correlation(Direction(0.0), Direction(phi)) for every phi, through
+    the cosine core with one array per measurement axis, anchored as described."""
     axes = [(Direction(0.0), Direction(phi)) for phi in phis]
     anchor = 0 if description is Description.ALICE else 1
     c1, c2 = (np.array([axis_cosine(pair[anchor], pair[i]) for pair in axes]) for i in (0, 1))
@@ -331,8 +334,7 @@ class TestCosineCore:
     @pytest.mark.parametrize("description", list(Description))
     def test_array_equals_scalar_over_a_full_turn(self, description):
         phis = [i * math.radians(0.01) for i in range(36_001)]  # --sweep 0:360:0.01deg
-        expected = [quantum_correlation(Direction(0.0), Direction(phi), description)
-                    for phi in phis]
+        expected = [quantum_correlation(Direction(0.0), Direction(phi)) for phi in phis]
         assert correlations_at_once(phis, description) == expected
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
@@ -340,8 +342,7 @@ class TestCosineCore:
     def test_array_equals_scalar_for_any_finite_angles(self, phis, description):
         got = correlations_at_once(phis, description)
         assert all(type(c) is float for c in got)
-        assert got == [quantum_correlation(Direction(0.0), Direction(phi), description)
-                       for phi in phis]
+        assert got == [quantum_correlation(Direction(0.0), Direction(phi)) for phi in phis]
 
     def test_scalar_cosines_give_a_float(self):
         a, b = Direction(0.0), Direction(math.pi / 3)
