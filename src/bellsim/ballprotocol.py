@@ -71,6 +71,9 @@ ALGORITHM_IDS: dict[int, tuple[str, str]] = {
 
 ALICE_FILTERS = (Color.AMBER, Color.CHERRY)
 BOB_FILTERS = (Color.BLUE, Color.CHERRY)
+require_stage = one_of(tuple(STAGE_COLORS))
+#: Alice's filter check, then Bob's.
+require_filters = (one_of(ALICE_FILTERS), one_of(BOB_FILTERS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,11 +98,11 @@ class StageConfig:
     filter_mismatch_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        canonical = STAGE_COLORS[one_of(tuple(STAGE_COLORS))(self.stage, "stage")]
-        for name, default, admissible in zip(("alice_filter", "bob_filter"), canonical,
-                                             (ALICE_FILTERS, BOB_FILTERS)):
+        canonical = STAGE_COLORS[require_stage(self.stage, "stage")]
+        for name, default, require_filter in zip(("alice_filter", "bob_filter"), canonical,
+                                                 require_filters):
             value = getattr(self, name)
-            value = default if value is None else one_of(admissible)(value, name)
+            value = default if value is None else require_filter(value, name)
             object.__setattr__(self, name, Color(value))
         require_trials(self.trials, "trials")
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):

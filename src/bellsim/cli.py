@@ -23,8 +23,6 @@ import math
 import sys
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
 from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
@@ -32,19 +30,12 @@ from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, 
                      require_count, require_fields, require_trials)
 from .report import Check, FloatTable, build_report, render_json, render_text
 from .rng import SIGN_PAIRS, glyph
-from .spinmodel import (Description, Direction, HiddenVariable, angle_between, axis_cosine,
-                        correlation_from_cosines, quantum_correlation, subquantum_correlation,
-                        zero_axis_cosines)
+from .spinmodel import (MAX_SWEEP_POINTS, Description, Direction, HiddenVariable, angle_between,
+                        correlation_sweep, quantum_correlation, subquantum_correlation)
 
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
-
-
-#: Most points a sweep may have: the report holds every row (at the cap, a
-#: fresh process peaks at about 70 MiB with --format json and 68 MiB with the
-#: text format).
-MAX_SWEEP_POINTS = 200_001
 
 
 def parse_angle(text: str) -> float:
@@ -85,16 +76,16 @@ def _sweep_steps(sweep: dict) -> float:
     return (float(sweep["stop"]) - float(sweep["start"])) / float(sweep["step"]) + 1e-9
 
 
-def sweep_values(sweep: dict) -> np.ndarray:
-    """The sweep's angles ``start + i * step`` as float64, for integer bounds too."""
-    start, step = float(sweep["start"]), float(sweep["step"])
-    return start + np.arange(math.floor(_sweep_steps(sweep)) + 1) * step
-
-
 def _read_json(path: str, what: str) -> Any:
     """The JSON document in a file; an unreadable or malformed one is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # a name open() refuses, such as one holding a null byte
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
+    try:
+        with fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
@@ -107,7 +98,10 @@ def _sweep(value: Any) -> bool:
             and all(map(is_real, value.values()))
             and value["step"] > 0 and value["stop"] >= value["start"]
             # floor(steps) + 1 points; false for an infinite step count too
-            and _sweep_steps(value) < MAX_SWEEP_POINTS)
+            and _sweep_steps(value) < MAX_SWEEP_POINTS
+            # the last point, as spinmodel.correlation_sweep computes it
+            and math.isfinite(float(value["start"])
+                              + math.floor(_sweep_steps(value)) * float(value["step"])))
 
 
 class Kind(NamedTuple):
@@ -136,8 +130,8 @@ FOUR_ANGLES = Kind("a list of four angles in radians",
                    lambda v: type(v) is list and len(v) == 4 and all(map(is_real, v)),
                    {"type": lambda t: [parse_angle(a) for a in t.split(",")],
                     "metavar": "A,A',B,B'"})
-SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start "
-             f"and at most {MAX_SWEEP_POINTS:,} points",
+SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start, "
+             f"a finite last point and at most {MAX_SWEEP_POINTS:,} points",
              _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
 COUNT = Kind(*require_trials[:2], {"type": int})
 SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
@@ -244,12 +238,10 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
     if cfg["phi"] is not None:
         results["angles"] = [evaluate(float(p)) for p in cfg["phi"]]
     if cfg["sweep"] is not None:
-        values = sweep_values(cfg["sweep"])
-        # quantum_correlation(Direction(0.0), Direction(phi)) for every phi at once.
-        anchor = Direction(0.0)
-        corrs = correlation_from_cosines(axis_cosine(anchor, anchor), zero_axis_cosines(values))
-        rows = FloatTable(np.column_stack((values, corrs)))
-        results["sweep"] = {"rows": rows, "row_count": len(values)}
+        sweep = cfg["sweep"]
+        count = math.floor(_sweep_steps(sweep)) + 1
+        rows = FloatTable(2, correlation_sweep(sweep["start"], sweep["step"], count))
+        results["sweep"] = {"rows": rows, "row_count": count}
         if ns.sweep_out is not None:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
                 fh.write(rows.text)

@@ -13,8 +13,6 @@ import numbers
 import os
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
 
 class BellsimError(Exception):
     """Base class for all package errors."""
@@ -79,7 +77,7 @@ def is_real(value) -> bool:
 
 
 def is_integer(value) -> bool:
-    """Python's or numpy's integer, not a boolean."""
+    """An integer of any ``numbers.Integral`` type, not a boolean."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -105,7 +103,7 @@ require_trials = Contract("a positive integer of at most 2**64",
 require_trial_count = Contract("an integer in [0, 2**64]",  # the kernels' run; 0 is empty
                                lambda v: isinstance(v, int) and not isinstance(v, bool)
                                and 0 <= v <= MAX_TRIALS)
-require_u64 = Contract("an unsigned 64-bit integer",  # Python's or numpy's, returned as an int
+require_u64 = Contract("an unsigned 64-bit integer",  # any integer type, returned as an int
                        lambda v: is_integer(v) and 0 <= v < MAX_TRIALS, int)
 require_coins = Contract(  # codes are uint8: bit k is coin k
     "a tuple of at most 8 (draw in 0-3, integer threshold in [0, 2**53]) pairs",
@@ -115,14 +113,7 @@ require_coins = Contract(  # codes are uint8: bit k is coin k
 require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike)))
 
 
-def _is_cosines(value) -> bool:
-    """A number in [-1, 1], or a float64 array of them; NaN is in no interval."""
-    if isinstance(value, np.ndarray):
-        return value.dtype == np.float64 and bool((np.abs(value) <= 1.0).all())
-    return is_real(value) and -1.0 <= value <= 1.0
-
-
-require_cosines = Contract("a number in [-1, 1] or a float64 array of them", _is_cosines)
+require_cosine = Contract("a number in [-1, 1]", lambda v: is_real(v) and -1.0 <= v <= 1.0)
 
 
 def one_of(options) -> Contract:
@@ -138,17 +129,6 @@ def one_of(options) -> Contract:
 def require_type(value, name: str, cls: type):
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
     return require(isinstance(value, cls), name, f"{article} {cls.__name__}", value)
-
-
-def require_reals(values, name: str) -> np.ndarray:
-    """A one-dimensional sequence of finite real numbers, as a float64 array."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        array = np.asarray(None)
-    valid = array.ndim == 1 and array.dtype.kind in "iuf" and bool(np.isfinite(array).all())
-    require(valid, name, "a sequence of finite numbers", values)
-    return array.astype(np.float64, copy=False)
 
 
 def require_table(value, name: str, tol: float) -> tuple:

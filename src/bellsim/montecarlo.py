@@ -27,6 +27,7 @@ from .spinmodel import (Description, Direction, HiddenVariable, conditional_outc
 
 CHSH_LOCAL_BOUND = 2.0
 CHSH_SINGLET_BOUND = 2.0 * math.sqrt(2.0)
+require_chsh_mode = one_of(("analytic", "empirical"))
 
 #: The CHSH combination is a derived demonstration built from the model's
 #: pair correlations; it is not itself a primitive of the model.
@@ -273,7 +274,7 @@ def chsh_details(
     Analytic mode substitutes the model's -cos correlations; empirical
     mode runs four independent experiments, one stream per context.
     """
-    one_of(("analytic", "empirical"))(mode, "mode")
+    require_chsh_mode(mode, "mode")
     for name, axis in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
         require_type(axis, name, Direction)
     pairs = (

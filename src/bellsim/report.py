@@ -10,8 +10,9 @@ omitted entirely.
 Result records are dataclasses, and :func:`record` gives each its one
 JSON shape: its fields in field order, which is also the order the text
 format lists them in.  A sweep's rows go into a report as a
-:class:`FloatTable`, whose cells are checked and formatted once; both
-renderers lay it out as its list of rows.  :func:`render_json` is
+:class:`FloatTable`: a flat list of Python floats, checked and formatted
+once into text, which is all the table keeps.  Both renderers lay it out
+as its list of rows.  :func:`render_json` is
 ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
 each table's rows spliced into that layout as one string, so the
 standard library's pure-Python indenting encoder never walks them.
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .rng import glyph
@@ -54,14 +54,19 @@ class Check:
 class FloatTable:
     """Rows of finite floats; ``text`` has each cell's ``%r`` once, spaced, a row per line."""
 
-    __slots__ = ("array", "text")
+    __slots__ = ("text",)
 
-    def __init__(self, array: np.ndarray) -> None:
-        if array.ndim != 2 or 0 in array.shape or not np.isfinite(array).all():
-            raise ValueError("a float table needs at least one row and column of finite floats")
-        self.array = array
-        row = " ".join(["%r"] * array.shape[1]) + "\n"
-        self.text = row * len(array) % tuple(array.ravel().tolist())
+    def __init__(self, columns: int, cells: list[float]) -> None:
+        """``cells`` lists the rows one after another, ``columns`` cells each."""
+        if not (type(columns) is int and columns >= 1 and cells and len(cells) % columns == 0
+                and set(map(type, cells)) == {float} and all(map(math.isfinite, cells))):
+            raise ValueError("a float table needs at least one row of finite floats")
+        row = " ".join(["%r"] * columns) + "\n"
+        self.text = row * (len(cells) // columns) % tuple(cells)
+
+    def rows(self) -> list[list[float]]:
+        """The rows as lists of floats, parsed from ``text``: ``float(repr(x))`` is ``x``."""
+        return [list(map(float, line.split(" "))) for line in self.text.splitlines()]
 
     def join(self, cell_separator: str, row_separator: str) -> str:
         """The cells joined in each row, then the rows."""
@@ -139,7 +144,7 @@ def render_json(report: dict) -> str:
     if len(pieces) != len(tables) + 1:
         # Only tables reach ``default`` here: the first pass raised for anything else.
         return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                          default=lambda table: table.array.tolist()) + "\n"
+                          default=FloatTable.rows) + "\n"
     out = [pieces[0]]
     for table, before, after in zip(tables, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]

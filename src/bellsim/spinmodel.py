@@ -20,12 +20,13 @@ sets from different contexts cannot be formed here.  The observable
 correlation takes no anchor, as both descriptions give the same float.
 
 Every statistic is a function of cosines between axes, and that
-arithmetic is written once (:func:`correlation_from_cosines` and the
-helpers above it).  The public functions compute each cosine with
-:func:`axis_cosine` and pass floats; ``spin-correlation --sweep`` passes
-one float64 array for all its points, from :func:`zero_axis_cosines`.
-Each step is elementwise in the same order for both, so every array
-element equals the float the scalar call gives, bit for bit.
+arithmetic is written once (``_correlation`` and the helpers above it).
+The public functions compute each cosine with :func:`axis_cosine` and
+pass floats.  :func:`correlation_sweep`, behind ``spin-correlation
+--sweep``, passes one numpy array for all its points and is the only
+code here that imports numpy.  Each step is elementwise in the same
+order for both, so every point equals the float the scalar call gives,
+bit for bit.
 
 Everything in this module is a pure function of its arguments and is
 safe to call concurrently.
@@ -37,10 +38,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (ContextMismatchError, one_of, require, require_cosines, require_real,
-                     require_reals, require_type)
+from .errors import (ContextMismatchError, one_of, require, require_cosine, require_count,
+                     require_real, require_type)
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +47,12 @@ TWO_PI = 2.0 * math.pi
 SpinValue = int
 SPINS = (1, -1)
 require_spin = one_of(SPINS)
+require_particle = one_of((1, 2))
+
+#: Most points a sweep may have: a report holds every row (at the cap, a
+#: fresh ``spin-correlation --sweep`` process peaks at about 64 MiB with
+#: either report format).
+MAX_SWEEP_POINTS = 200_001
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +102,7 @@ class HiddenVariable:
 
     def predetermined(self, particle: int) -> SpinValue:
         """The outcome fixed for ``particle`` along this hidden variable's axis."""
-        return self.first_particle * (-1) ** (one_of((1, 2))(particle, "particle") - 1)
+        return self.first_particle * (-1) ** (require_particle(particle, "particle") - 1)
 
 
 def angle_between(n: Direction, m: Direction) -> float:
@@ -113,20 +118,6 @@ def angle_between(n: Direction, m: Direction) -> float:
 def axis_cosine(n: Direction, m: Direction) -> float:
     """cos of :func:`angle_between`: the cosine every statistic below reads."""
     return math.cos(angle_between(n, m))
-
-
-def zero_axis_cosines(angles) -> np.ndarray:
-    """``axis_cosine(Direction(0.0), Direction(a))`` for every angle, as a float64 array.
-
-    The angles are canonicalised as :class:`Direction` does it, as one
-    array (``np.fmod`` is exact, like ``math.fmod``).  The cosines stay
-    ``math.cos`` and ``math.acos`` per angle, because numpy's ``cos``
-    differs from ``math.cos`` in the last bit at some angles.
-    """
-    t = np.fmod(require_reals(angles, "angles"), TWO_PI)
-    t[t < 0.0] += TWO_PI
-    t[t >= TWO_PI] -= TWO_PI
-    return np.array(list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist())))))
 
 
 # The law, written once over ``c``, the cosine between the hidden variable's
@@ -158,17 +149,42 @@ def _quantum_pair(c1, c2):
     return 0.5 * _pair(1, c1, c2) + 0.5 * _pair(-1, c1, c2)
 
 
-def correlation_from_cosines(c1, c2):
+def _correlation(c1, c2):
+    return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
+
+
+def correlation_from_cosines(c1: float, c2: float) -> float:
     """Observable correlation, from the cosines between the anchor axis and each axis.
 
-    ``c1`` and ``c2`` are floats or float64 arrays (see
-    :func:`axis_cosine`) in [-1, 1]; the result has their broadcast shape.
+    ``c1`` and ``c2`` are numbers in [-1, 1] (see :func:`axis_cosine`).
     """
-    c1, c2 = require_cosines(c1, "c1"), require_cosines(c2, "c2")
-    shapes = np.shape(c1)[::-1], np.shape(c2)[::-1]  # numpy aligns trailing axes
-    require(all(1 in (m, n) or m == n for m, n in zip(*shapes)), "c2",
-            f"cosines whose shape broadcasts with c1's {np.shape(c1)}", c2)
-    return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
+    return _correlation(require_cosine(c1, "c1"), require_cosine(c2, "c2"))
+
+
+def correlation_sweep(start: float, step: float, count: int) -> list[float]:
+    """``[angle0, corr0, angle1, corr1, ...]`` for the angles ``start + i * step``, i < count.
+
+    Each ``corr`` is ``quantum_correlation(Direction(0.0), Direction(angle))``
+    bit for bit.  The angles are computed and canonicalised as
+    :class:`Direction` does it, as one array (``np.fmod`` is exact, like
+    ``math.fmod``), and the law runs on one array of cosines.  The cosines
+    stay ``math.cos`` and ``math.acos`` per angle, because numpy's ``cos``
+    differs from ``math.cos`` in the last bit at some angles.  The last
+    angle must be finite, and then so is every other.
+    """
+    start, step = require_real(start, "start"), require_real(step, "step")
+    require(require_count.valid(count) and count <= MAX_SWEEP_POINTS, "count",
+            f"a positive integer of at most {MAX_SWEEP_POINTS:,}", count)
+    require_real(start + (count - 1) * step, "start + (count - 1) * step")
+    import numpy as np  # the sweep's one array; numpy stays unloaded until a sweep runs
+
+    angles = start + np.arange(count) * step
+    t = np.fmod(angles, TWO_PI)
+    t[t < 0.0] += TWO_PI
+    t[t >= TWO_PI] -= TWO_PI
+    cosines = np.array(list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist())))))
+    # The anchor's own cosine is exactly 1.0 (see quantum_correlation).
+    return np.column_stack((angles, _correlation(1.0, cosines))).ravel().tolist()
 
 
 def mean_value(lam: HiddenVariable, particle: int, axis: Direction) -> float:

@@ -186,6 +186,23 @@ def mixed_joint_cells(model):
                  for i in range(2))
 
 
+def philox_block(key: tuple[int, int], counter: int) -> list[int]:
+    """Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC'11): the four words at ``counter``.
+
+    The definition of every stream, without numpy: trial i of the stream
+    (seed, stream_id) draws ``philox_block((seed, stream_id), i + 1)``, since
+    numpy's Philox steps its 256-bit counter, low word first, before each block.
+    """
+    mask = (1 << 64) - 1
+    c = [counter >> 64 * k & mask for k in range(4)]
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [p1 >> 64 ^ c[1] ^ k0, p1 & mask, p0 >> 64 ^ c[3] ^ k1, p0 & mask]
+        k0, k1 = k0 + 0x9E3779B97F4A7C15 & mask, k1 + 0xBB67AE8584CAA73B & mask
+    return c
+
+
 def generator(stream, block: int = 0) -> np.random.Generator:
     """The stream's generator from counter block ``block``: trial ``block``'s draws, then on.
 

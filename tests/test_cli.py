@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import cli
-from bellsim.cli import main, parse_angle, parse_sweep, sweep_values
+from bellsim.cli import main, parse_angle, parse_sweep
+from bellsim.spinmodel import correlation_sweep
 
 
 def run_cli(capsys, *args):
@@ -42,10 +43,10 @@ class TestAngleParsing:
 
     def test_sweep(self):
         sweep = parse_sweep("0:180:5deg")
-        values = sweep_values(sweep)
-        assert len(values) == 37
-        assert values[0] == 0.0
-        assert values[-1] == pytest.approx(math.pi)
+        assert math.floor(cli._sweep_steps(sweep)) + 1 == 37
+        angles = correlation_sweep(sweep["start"], sweep["step"], 37)[::2]
+        assert angles[0] == 0.0
+        assert angles[-1] == pytest.approx(math.pi)
 
     def test_sweep_validation(self):
         from bellsim.cli import UsageError
@@ -56,7 +57,7 @@ class TestAngleParsing:
             parse_sweep("10:0:5deg")
         with pytest.raises(UsageError, match="^sweep must be "):
             parse_sweep("0:1e300:1e-300rad")
-        assert len(sweep_values(parse_sweep("0:200000:1rad"))) == 200_001
+        assert math.floor(cli._sweep_steps(parse_sweep("0:200000:1rad"))) + 1 == 200_001
         with pytest.raises(UsageError, match="^sweep must be .* at most 200,001 points"):
             parse_sweep("0:200001:1rad")
 
@@ -119,6 +120,14 @@ class TestSpinCorrelation:
         code, out, err = run_cli(capsys, "spin-correlation", "--sweep", "0:200001:1rad")
         assert code == 2 and out == ""
         assert err.startswith("error: sweep must be ") and "Traceback" not in err
+
+    def test_a_sweep_whose_last_point_overflows_exits_2(self, capsys):
+        # 1e308 + 7.97693134942085e307 is beyond the float range.
+        code, out, err = run_cli(capsys, "spin-correlation", "--sweep",
+                                 "1e308:1.7976931348623157e308:7.97693134942085e+307rad")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sweep must be ") and err.count("\n") == 1
+        assert "a finite last point" in err
 
     def test_requires_phi_or_sweep(self, capsys):
         code, _, err = run_cli(capsys, "spin-correlation")
@@ -507,6 +516,19 @@ def test_an_empty_path_is_named_as_given(capsys, args, message):
     assert (code, out, err) == (2, "", f"error: {message}: No such file or directory\n")
 
 
+@pytest.mark.parametrize("what", ["model", "config"])
+def test_a_path_that_open_refuses_is_named_as_unreadable(capsys, tmp_path, what):
+    # open() raises ValueError, not OSError, for a name holding a null byte.
+    if what == "model":
+        (tmp_path / "cfg.json").write_text(json.dumps({"model_file": "m\u0000.json"}))
+        args = ("common-cause", "--config", str(tmp_path / "cfg.json"))
+    else:
+        args = ("chsh", "--config", "m\0.json")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: cannot read {what} file 'm\\x00.json': "
+                                       "embedded null byte\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_a_phi_beyond_the_degree_range_is_a_usage_error(capsys, tmp_path, source, fmt):
@@ -645,6 +667,8 @@ MALFORMED = [
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 1e300, "step": 1e-300}}),
     ("spin-correlation", "sweep", {"sweep": {"start": -10**308, "stop": 10**308, "step": 1}}),
     ("spin-correlation", "sweep", {"sweep": {"start": 0, "stop": 200_001, "step": 1}}),
+    ("spin-correlation", "sweep", {"sweep": {"start": 1e308, "stop": 1.7976931348623157e308,
+                                             "step": 7.97693134942085e+307}}),
 ]
 
 

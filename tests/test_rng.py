@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from actor_oracles import generator, trial_words
+from actor_oracles import generator, philox_block, trial_words
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +44,18 @@ def test_trial_words_match_sequential_stream():
     words = rng._draw(stream._bit_generator(), 40)
     assert words.shape == (40, BLOCK_DRAWS) and words.dtype == np.uint64
     assert np.array_equal(words, trial_words(stream, 40))
+
+
+@pytest.mark.parametrize("key", [(0, 0), (1, 0), (1, 1), (2**64 - 1, 12345)])
+def test_the_engine_draws_philox4x64_10_at_counter_trial_plus_one(key):
+    """Known answers from the algorithm itself: the first trials, those around the first chunk
+    edge, a far trial, and the last two of a 2**64-trial run, whose counter carries into its
+    second word, each reached by the engine's own ``advance``."""
+    bg, end = RngStream(*key)._bit_generator(), 0
+    for first, n in ((0, 8), (CHUNK_TRIALS - 4, 8), (2**40, 4), (2**64 - 2, 2)):
+        bg.advance(first - end)
+        end = first + n
+        assert rng._draw(bg, n).tolist() == [philox_block(key, i + 1) for i in range(first, end)]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 7, 8])

@@ -14,7 +14,6 @@ from actor_oracles import (
 )
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from bellsim.errors import ContextMismatchError, ValidationError
 from bellsim.spinmodel import (
@@ -25,12 +24,12 @@ from bellsim.spinmodel import (
     axis_cosine,
     conditional_outcome_prob,
     correlation_from_cosines,
+    correlation_sweep,
     joint_outcome_prob,
     mean_value,
     pair_expectation,
     quantum_correlation,
     subquantum_correlation,
-    zero_axis_cosines,
 )
 
 TOL = 1e-12
@@ -321,28 +320,41 @@ class TestQuantumCorrelation:
         )
 
 
-def correlations_at_once(phis, description):
-    """quantum_correlation(Direction(0.0), Direction(phi)) for every phi, through
-    the cosine core with one array per measurement axis, anchored as described."""
-    axes = [(Direction(0.0), Direction(phi)) for phi in phis]
-    anchor = 0 if description is Description.ALICE else 1
-    c1, c2 = (np.array([axis_cosine(pair[anchor], pair[i]) for pair in axes]) for i in (0, 1))
-    return correlation_from_cosines(c1, c2).tolist()
+def bits(values) -> list[int]:
+    """Each float's bit pattern, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_sweep_equals_scalar(start, step, count):
+    """correlation_sweep's angles are start + i * step, and each correlation the scalar's."""
+    cells = correlation_sweep(start, step, count)
+    assert len(cells) == 2 * count and all(type(c) is float for c in cells)
+    angles, corrs = cells[::2], cells[1::2]
+    assert bits(angles) == bits([start + i * step for i in range(count)])
+    assert bits(corrs) == bits([quantum_correlation(Direction(0.0), Direction(a)) for a in angles])
 
 
 class TestCosineCore:
-    @pytest.mark.parametrize("description", list(Description))
-    def test_array_equals_scalar_over_a_full_turn(self, description):
-        phis = [i * math.radians(0.01) for i in range(36_001)]  # --sweep 0:360:0.01deg
-        expected = [quantum_correlation(Direction(0.0), Direction(phi)) for phi in phis]
-        assert correlations_at_once(phis, description) == expected
+    def test_sweep_equals_scalar_over_a_full_turn(self):
+        assert_sweep_equals_scalar(0.0, math.radians(0.01), 36_001)  # --sweep 0:360:0.01deg
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
-           st.sampled_from(list(Description)))
-    def test_array_equals_scalar_for_any_finite_angles(self, phis, description):
-        got = correlations_at_once(phis, description)
-        assert all(type(c) is float for c in got)
-        assert got == [quantum_correlation(Direction(0.0), Direction(phi)) for phi in phis]
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 20))
+    def test_sweep_equals_scalar_for_any_finite_angles(self, start, step, count):
+        if math.isfinite(start + (count - 1) * step):
+            assert_sweep_equals_scalar(start, step, count)
+        else:
+            with pytest.raises(ValidationError, match=r"^start \+ \(count - 1\) \* step must be "):
+                correlation_sweep(start, step, count)
+
+    def test_sweep_equals_scalar_at_the_edges(self):
+        two_pi = 2.0 * math.pi
+        for phi in (0.0, 5e-324, -5e-324, -1e-17, 1e300, -1e300, math.pi, -math.pi, two_pi,
+                    -two_pi, math.nextafter(two_pi, 0.0), -math.nextafter(two_pi, 0.0),
+                    math.nextafter(two_pi, 7.0)):
+            assert_sweep_equals_scalar(phi, 1.0, 1)
+        assert_sweep_equals_scalar(-0.0, -1.0, 2)  # -0.0 + 0 * -1.0 keeps the sign
+        assert_sweep_equals_scalar(-1e3, 0.1, 20_001)
 
     def test_scalar_cosines_give_a_float(self):
         a, b = Direction(0.0), Direction(math.pi / 3)
@@ -351,39 +363,19 @@ class TestCosineCore:
         assert c == quantum_correlation(a, b)
         assert c == pytest.approx(-0.5, abs=TOL)
 
-    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-           hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
-    def test_shapes_are_taken_exactly_when_numpy_broadcasts_them(self, shape1, shape2):
-        c1, c2 = np.full(shape1, 0.5), np.full(shape2, -0.25)
-        try:
-            expected = np.broadcast_shapes(shape1, shape2)
-        except ValueError:
-            with pytest.raises(ValidationError, match="c2 must be cosines whose shape broadcasts"):
-                correlation_from_cosines(c1, c2)
-        else:
-            assert np.shape(correlation_from_cosines(c1, c2)) == expected
-
-
-def bits(values) -> list[int]:
-    """Each float's bit pattern, so -0.0 and 0.0 differ."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-
-
-class TestZeroAxisCosines:
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
-    def test_equals_axis_cosine_for_any_finite_angle(self, phis):
-        expected = [axis_cosine(Direction(0.0), Direction(phi)) for phi in phis]
-        assert bits(zero_axis_cosines(phis)) == bits(expected)
-
-    def test_equals_axis_cosine_at_the_edges(self):
-        two_pi = 2.0 * math.pi
-        phis = [0.0, -0.0, 5e-324, -5e-324, -1e-17, 1e300, -1e300, math.pi, -math.pi,
-                two_pi, -two_pi, math.nextafter(two_pi, 0.0), -math.nextafter(two_pi, 0.0),
-                math.nextafter(two_pi, 7.0), *np.linspace(-1e3, 1e3, 20_001).tolist()]
-        expected = [axis_cosine(Direction(0.0), Direction(phi)) for phi in phis]
-        assert bits(zero_axis_cosines(phis)) == bits(expected)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_angles(self, bad):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_sweep_rejects_non_finite_angles(self, bad):
         with pytest.raises(ValidationError):
-            zero_axis_cosines([0.0, bad])
+            correlation_sweep(0.0, bad, 3)
+
+
+def test_importing_the_package_loads_no_numpy():
+    """The package root, its checks and the analytic model need no numpy: only the engine
+    (``rng``) imports it, and the sweep where it runs."""
+    import subprocess
+    import sys
+
+    child = "import sys, bellsim, bellsim.spinmodel; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
