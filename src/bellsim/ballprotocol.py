@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 from .errors import (EmptyReportError, one_of, require, require_probability, require_trials,
                      require_type)
-from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, glyph, simulate, threshold
-from .spinmodel import require_spin
+from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
+from .spinmodel import glyph, require_spin
 
 
 class Color(str, enum.Enum):

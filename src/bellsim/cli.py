@@ -27,11 +27,11 @@ from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
 from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, is_real, one_of,
-                     require_count, require_fields, require_trials)
+                     require_count, require_fields, require_trials, require_u64)
 from .report import Check, FloatTable, build_report, render_json, render_text
-from .rng import SIGN_PAIRS, glyph
+from .rng import SIGN_PAIRS
 from .spinmodel import (MAX_SWEEP_POINTS, Description, Direction, HiddenVariable, angle_between,
-                        correlation_sweep, quantum_correlation, subquantum_correlation)
+                        correlation_sweep, glyph, quantum_correlation, subquantum_correlation)
 
 
 class UsageError(Exception):
@@ -107,9 +107,10 @@ def _sweep(value: Any) -> bool:
 class Kind(NamedTuple):
     """Which JSON values a field takes, and how its flag's text becomes one.
 
-    A kind checks type and shape.  For trials and choices it is the library's
-    own contract (an ``errors.Contract``'s meaning and predicate) with a flag;
-    other ranges, such as a probability's, are library checks that also exit 2.
+    A kind checks type and shape.  For trials, seeds and choices it is the
+    library's own contract (an ``errors.Contract``'s meaning and predicate)
+    with a flag; other ranges, such as a probability's, are library checks
+    that also exit 2.
     """
 
     meaning: str  # completes "<key> must be ..."
@@ -134,7 +135,7 @@ SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= st
              f"a finite last point and at most {MAX_SWEEP_POINTS:,} points",
              _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
 COUNT = Kind(*require_trials[:2], {"type": int})
-SEED = Kind("an integer", lambda v: type(v) is int, {"type": int})
+SEED = Kind(*require_u64[:2], {"type": int})
 PROBABILITY = Kind("a probability in [0, 1]", is_real, {"type": float, "metavar": "P"})
 TOLERANCE = Kind("a nonnegative number", is_real, {"type": float})
 SWITCH = Kind("true or false", lambda v: type(v) is bool,

@@ -17,11 +17,15 @@ is direction-sensitive: for anticorrelated effects it holds under one
 orientation of "x occurs"/"y occurs" and reverses under the other, so
 it is evaluated under all four orientations instead of privileging one.
 
-:func:`full_report` is the one evaluator: a single pass over the two
-conditional tables gives every condition, each orientation's relevance
-coming from the tables' row and column sums.  :func:`ball_event_model`
-is the one ball-protocol builder, from an analytic or a simulated stage
-report alike; :func:`spin_event_model` builds the spin model.
+A :class:`BinaryEventModel` is data: the cause's probability and the
+two conditional tables.  :func:`full_report` is the one evaluator.  It
+takes each table's row and column sums once, and derives from them every
+probability the report holds: each orientation's relevance, screening
+off and factorization under each cause value, and the unconditional
+joint, marginals and covariance by the law of total probability.
+:func:`ball_event_model` is the one ball-protocol builder, from an
+analytic or a simulated stage report alike; :func:`spin_event_model`
+builds the spin model, and both lay out their tables with ``_table``.
 
 Equality checks use an absolute tolerance: 1e-9 for analytically
 constructed models, 4/sqrt(N) for models estimated from N trials.
@@ -52,7 +56,7 @@ class BinaryEventModel:
     state i and y takes state j, with index 0 meaning "occurs" and 1
     meaning "absent"; likewise ``joint_given_not_z`` given not-z.
     ``sample_size`` marks a model estimated from that many trials, which
-    widens the default check tolerance to 4/sqrt(N).
+    widens :func:`full_report`'s default tolerance to 4/sqrt(N).
     """
 
     p_z: float
@@ -66,29 +70,6 @@ class BinaryEventModel:
             object.__setattr__(self, t, require_table(getattr(self, t), t, ANALYTIC_TOLERANCE))
         if self.sample_size is not None:
             require_trials(self.sample_size, "sample_size")
-
-    def default_tolerance(self) -> float:
-        if self.sample_size is None:
-            return ANALYTIC_TOLERANCE
-        return 4.0 / math.sqrt(self.sample_size)
-
-    def _mix(self, given) -> float:
-        """P(event) from ``given(table)``, the event's probability under one cause value."""
-        p_z = self.p_z
-        return p_z * given(self.joint_given_z) + (1.0 - p_z) * given(self.joint_given_not_z)
-
-    def p_x(self) -> float:
-        return self._mix(lambda t: t[0][0] + t[0][1])
-
-    def p_y(self) -> float:
-        return self._mix(lambda t: t[0][0] + t[1][0])
-
-    def p_xy(self) -> float:
-        return self._mix(lambda t: t[0][0])
-
-    def covariance(self) -> float:
-        """Unconditional covariance of the occurrence indicators."""
-        return self.p_xy() - self.p_x() * self.p_y()
 
 
 def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:
@@ -119,16 +100,17 @@ def _sums(t: Table) -> tuple[tuple[float, float], tuple[float, float]]:
     return (t[0][0] + t[0][1], t[1][0] + t[1][1]), (t[0][0] + t[1][0], t[0][1] + t[1][1])
 
 
-def _given(t: Table, p_branch: float, label: str,
+def _given(t: Table, sums: tuple, p_branch: float, label: str,
            eps: float) -> tuple[ConditionResult, ConditionResult]:
     """Screening off and factorization under the cause value of table ``t``.
 
-    Screening off compares P(y | x) with P(y | not-x); a side whose
-    conditioning event has (near) zero probability, ``p_branch`` times
-    its row sum, is vacuous and passes with a flag.  Factorization
-    compares the joint P(x & y) with the product P(x) P(y).
+    ``sums`` is ``_sums(t)``.  Screening off compares P(y | x) with
+    P(y | not-x); a side whose conditioning event has (near) zero
+    probability, ``p_branch`` times its row sum, is vacuous and passes
+    with a flag.  Factorization compares the joint P(x & y) with the
+    product P(x) P(y).
     """
-    (p_x, p_not_x), (p_y, _) = _sums(t)
+    (p_x, p_not_x), (p_y, _) = sums
     lhs = t[0][0] / p_x if p_branch * p_x > eps else None
     rhs = t[1][0] / p_not_x if p_branch * p_not_x > eps else None
     if lhs is None or rhs is None:
@@ -177,13 +159,20 @@ def full_report(model: BinaryEventModel, tol: float | None = None) -> CommonCaus
     tolerance.
     """
     require_type(model, "model", BinaryEventModel)
-    eps = model.default_tolerance() if tol is None else require_nonnegative(tol, "tolerance")
-    if model.p_z <= eps or model.p_z >= 1.0 - eps:
+    p_z = model.p_z
+    if tol is not None:
+        eps = require_nonnegative(tol, "tolerance")
+    elif model.sample_size is None:
+        eps = ANALYTIC_TOLERANCE
+    else:
+        eps = 4.0 / math.sqrt(model.sample_size)
+    if p_z <= eps or p_z >= 1.0 - eps:
         raise ConditioningUndefinedError(
-            f"cause relevance needs 0 < p_z < 1, got p_z = {model.p_z}"
+            f"cause relevance needs tolerance < p_z < 1 - tolerance, got p_z = {p_z} "
+            f"with tolerance {eps}"
         )
-    rows_z, cols_z = _sums(model.joint_given_z)
-    rows_not_z, cols_not_z = _sums(model.joint_given_not_z)
+    sums_z, sums_not_z = _sums(model.joint_given_z), _sums(model.joint_given_not_z)
+    (rows_z, cols_z), (rows_not_z, cols_not_z) = sums_z, sums_not_z
     relevance = tuple(
         ConditionResult(name, lhs - rhs > eps, lhs, rhs, lhs - rhs) for name, lhs, rhs in (
             ("relevance_x", rows_z[0], rows_not_z[0]), ("relevance_y", cols_z[0], cols_not_z[0]))
@@ -191,20 +180,29 @@ def full_report(model: BinaryEventModel, tol: float | None = None) -> CommonCaus
     orientations = {label: (rows_z[i] - rows_not_z[i] > eps, cols_z[j] - cols_not_z[j] > eps)
                     for label, (i, j) in _ORIENTATIONS.items()}
     (screening_z, factorization_z), (screening_not_z, factorization_not_z) = (
-        _given(model.joint_given_z, model.p_z, "given_z", eps),
-        _given(model.joint_given_not_z, 1.0 - model.p_z, "given_not_z", eps),
+        _given(model.joint_given_z, sums_z, p_z, "given_z", eps),
+        _given(model.joint_given_not_z, sums_not_z, 1.0 - p_z, "given_not_z", eps),
     )
     checked = (screening_z, screening_not_z, factorization_z, factorization_not_z)
-    covariance = model.covariance()
+    # The law of total probability over the two cause values.
+    joint, p_x, p_y = (p_z * a + (1.0 - p_z) * b for a, b in (
+        (model.joint_given_z[0][0], model.joint_given_not_z[0][0]),
+        (rows_z[0], rows_not_z[0]), (cols_z[0], cols_not_z[0])))
+    covariance = joint - p_x * p_y
     return CommonCauseReport(
         conditions=(*relevance, *checked),
-        unconditional_joint=model.p_xy(),
-        product_of_marginals=model.p_x() * model.p_y(),
+        unconditional_joint=joint,
+        product_of_marginals=p_x * p_y,
         covariance=covariance,
         certified=all(c.holds for c in checked) and abs(covariance) > eps,
         tolerance=eps,
         relevance_by_orientation=orientations,
     )
+
+
+def _table(joint, x: int, y: int) -> Table:
+    """The 2x2 layout of ``joint(a, b)``: rows are x's states (x, -x), columns y's (y, -y)."""
+    return tuple(tuple(joint(a, b) for b in (y, -y)) for a in (x, -x))
 
 
 def spin_event_model(
@@ -228,13 +226,8 @@ def spin_event_model(
 
     def table(sign: int) -> Table:
         lam = spinmodel.HiddenVariable(axis1, sign)
-        return tuple(
-            tuple(
-                spinmodel.joint_outcome_prob(lam, axis1, axis2, x, y)
-                for y in (y_outcome, -y_outcome)
-            )
-            for x in (x_outcome, -x_outcome)
-        )
+        return _table(lambda x, y: spinmodel.joint_outcome_prob(lam, axis1, axis2, x, y),
+                      x_outcome, y_outcome)
 
     return BinaryEventModel(p_z=0.5, joint_given_z=table(1), joint_given_not_z=table(-1))
 
@@ -262,17 +255,10 @@ def ball_event_model(
             )
     spinmodel.require_spin(x_sign, "x_sign")
     spinmodel.require_spin(y_sign, "y_sign")
-    first, second = report.algorithms
-
-    def table(stats: ballprotocol.AlgorithmStats) -> Table:
-        return tuple(
-            tuple(stats.joint_freq[(a, b)] for b in (y_sign, -y_sign))
-            for a in (x_sign, -x_sign)
-        )
-
+    first, mirror = report.algorithms
     return BinaryEventModel(
         p_z=first.weight,
-        joint_given_z=table(first),
-        joint_given_not_z=table(second),
+        joint_given_z=_table(lambda *pair: first.joint_freq[pair], x_sign, y_sign),
+        joint_given_not_z=_table(lambda *pair: mirror.joint_freq[pair], x_sign, y_sign),
         sample_size=report.registered_trials,
     )

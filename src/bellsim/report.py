@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from . import __version__
-from .rng import glyph
+from .spinmodel import glyph
 
 TOOL_NAME = "bellsim"
 

@@ -59,11 +59,6 @@ Coin = tuple[int, int]
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def glyph(*signs: int) -> str:
-    """The signs as text: ``glyph(1, -1)`` is ``"+-"``."""
-    return "".join("+" if s > 0 else "-" for s in signs)
-
-
 @dataclass(frozen=True, slots=True)
 class World:
     """One outcome of a trial's coins."""

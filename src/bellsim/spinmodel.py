@@ -49,6 +49,12 @@ SPINS = (1, -1)
 require_spin = one_of(SPINS)
 require_particle = one_of((1, 2))
 
+
+def glyph(*signs: int) -> str:
+    """The signs as text: ``glyph(1, -1)`` is ``"+-"``."""
+    return "".join("+" if s > 0 else "-" for s in signs)
+
+
 #: Most points a sweep may have: a report holds every row (at the cap, a
 #: fresh ``spin-correlation --sweep`` process peaks at about 64 MiB with
 #: either report format).

@@ -177,9 +177,10 @@ def observer_detect(balls, filter_color) -> DetectionRecord:
 def mixed_joint_cells(model):
     """Unconditional 2x2 joint table by mixing the two conditional tables.
 
-    Marginalizing these cells must reproduce ``p_x``/``p_y``/``p_xy``,
-    which mix the conditional marginals directly; the two computations
-    take different paths through the law of total probability.
+    Marginalizing these cells must reproduce the common-cause report's
+    unconditional joint and marginals, which mix the conditional row and
+    column sums directly; the two computations take different paths
+    through the law of total probability.
     """
     return tuple(tuple(model.p_z * model.joint_given_z[i][j]
                        + (1.0 - model.p_z) * model.joint_given_not_z[i][j] for j in range(2))

@@ -315,6 +315,16 @@ class TestCommonCause:
         assert code == 1 and out == ""
         assert err == "error: stage 1: algorithm A1 registered no joint trials in 1 emissions\n"
 
+    @pytest.mark.parametrize("args, p_z, tol", [
+        (("--builtin", "ball", "--empirical", "--trials", "16"), "0.375", "1.0"),
+        (("--builtin", "spin", "--tolerance", "0.5"), "0.5", "0.5"),
+    ], ids=["ball-16-trials", "spin-tolerance-0.5"])
+    def test_cause_within_the_tolerance_of_0_or_1_exits_2(self, capsys, args, p_z, tol):
+        code, out, err = run_cli(capsys, "common-cause", *args)
+        assert (code, out) == (2, "")
+        assert err == ("error: cause relevance needs tolerance < p_z < 1 - tolerance, "
+                       f"got p_z = {p_z} with tolerance {tol}\n")
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "common-cause")
         assert code == 2
@@ -571,6 +581,26 @@ def test_trials_beyond_2_to_the_64_is_a_usage_error(capsys, monkeypatch, args, t
     assert err == f"error: trials must be a positive integer of at most 2**64, got {trials}\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["-1", "2**64"])
+@pytest.mark.parametrize("args", [
+    ("mc-run", "--phi", "60deg"),
+    ("ball-protocol", "--stage", "1"),
+    ("chsh",),
+    ("chsh", "--mode", "empirical"),
+    ("common-cause", "--builtin", "ball"),
+], ids=" ".join)
+def test_seed_outside_64_bits_is_a_usage_error(capsys, args, seed):
+    """Analytic runs too: a manifest records only seeds the engine would take."""
+    code, out, err = run_cli(capsys, *args, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
+def test_largest_seed_is_taken(capsys):
+    code, report, _ = run_json(capsys, "chsh", "--seed", str(2**64 - 1))
+    assert code == 0 and report["manifest"]["config"]["seed"] == 2**64 - 1
+
+
 def test_every_draw_goes_through_the_patched_seam(capsys, monkeypatch):
     """The hook above refuses draws only if a normal run draws through it."""
     from bellsim import rng
@@ -654,6 +684,8 @@ MALFORMED = [
     ("ball-protocol", "p_stage1", {"stage": 1, "p_stage1": None}),
     ("ball-protocol", "alice_filter", {"stage": 1, "alice_filter": "z"}),
     ("chsh", "angles", {"angles": [0, 1, 2, "x"]}),
+    ("chsh", "seed", {"seed": -1}),
+    ("mc-run", "seed", {"seed": 1.0}),
     ("common-cause", "tolerance", {"builtin": "ball", "tolerance": "x"}),
     ("common-cause", "phi", {"builtin": "spin", "phi": "60deg"}),
     ("common-cause", "phi", {"builtin": "spin", "phi": None}),

@@ -84,16 +84,36 @@ class TestBinaryEventModel:
 
     @given(models())
     def test_law_of_total_probability(self, model):
+        report = cc.full_report(model)
         cells = mixed_joint_cells(model)
-        assert model.p_xy() == pytest.approx(cells[0][0], abs=1e-9)
-        assert model.p_x() == pytest.approx(cells[0][0] + cells[0][1], abs=1e-9)
-        assert model.p_y() == pytest.approx(cells[0][0] + cells[1][0], abs=1e-9)
+        p_x, p_y = cells[0][0] + cells[0][1], cells[0][0] + cells[1][0]
+        assert report.unconditional_joint == pytest.approx(cells[0][0], abs=1e-9)
+        assert report.product_of_marginals == pytest.approx(p_x * p_y, abs=1e-9)
+        assert report.covariance == pytest.approx(cells[0][0] - p_x * p_y, abs=1e-9)
         assert sum(v for row in cells for v in row) == pytest.approx(1.0, abs=1e-9)
+
+    @given(models(), st.sampled_from([None, 10_000]), st.sampled_from([None, 0.0, 0.01]))
+    def test_unconditional_fields_are_the_mixed_conditional_sums(self, model, size, tol):
+        """The report's unconditional numbers are, bit for bit, P(z) P(e | z) plus
+        P(not-z) P(e | not-z) over the raw tables, whatever the sample size and tolerance."""
+        model = cc.BinaryEventModel(model.p_z, model.joint_given_z, model.joint_given_not_z, size)
+        z, not_z = model.joint_given_z, model.joint_given_not_z
+
+        def total(event):
+            return model.p_z * event(z) + (1.0 - model.p_z) * event(not_z)
+
+        joint = total(lambda t: t[0][0])
+        p_x, p_y = total(lambda t: t[0][0] + t[0][1]), total(lambda t: t[0][0] + t[1][0])
+        report = cc.full_report(model, tol)
+        assert report.unconditional_joint == joint
+        assert report.product_of_marginals == p_x * p_y
+        assert report.covariance == joint - p_x * p_y
 
     def test_statistical_tolerance(self):
         table = ((0.25, 0.25), (0.25, 0.25))
         model = cc.BinaryEventModel(0.5, table, table, sample_size=10_000)
-        assert model.default_tolerance() == pytest.approx(0.04)
+        assert cc.full_report(model).tolerance == pytest.approx(0.04)
+        assert cc.full_report(model, 0.01).tolerance == 0.01
 
 
 class TestCauseRelevance:
@@ -104,7 +124,7 @@ class TestCauseRelevance:
     def test_degenerate_cause_rejected(self):
         table = ((0.25, 0.25), (0.25, 0.25))
         model = cc.BinaryEventModel(0.0, table, table)
-        with pytest.raises(ConditioningUndefinedError):
+        with pytest.raises(ConditioningUndefinedError, match="got p_z = 0.0 with tolerance 1e-09"):
             cc.full_report(model)
 
     def test_spin_model_at_sixty_degrees(self):
@@ -192,10 +212,10 @@ class TestFactorization:
             assert all(c.holds for c in conditions(model, *SCREENING))
 
     def test_unconditional_joint_shows_spurious_correlation(self):
-        model = ball_model()
-        assert model.p_xy() == pytest.approx(0.075, abs=1e-12)
-        assert model.p_x() * model.p_y() == pytest.approx(0.25, abs=1e-12)
-        assert model.covariance() == pytest.approx(-0.175, abs=1e-12)
+        report = cc.full_report(ball_model())
+        assert report.unconditional_joint == pytest.approx(0.075, abs=1e-12)
+        assert report.product_of_marginals == pytest.approx(0.25, abs=1e-12)
+        assert report.covariance == pytest.approx(-0.175, abs=1e-12)
 
 
 class TestFullReport:
@@ -258,17 +278,15 @@ class TestEmpiricalModel:
         stage_report = bp.run_stage(bp.StageConfig(stage=1, trials=100_000, seed=41))
         model = cc.ball_event_model(stage_report)
         assert model.sample_size == stage_report.registered_trials
-        assert model.default_tolerance() == pytest.approx(
-            4.0 / math.sqrt(stage_report.registered_trials)
-        )
         report = cc.full_report(model)
+        assert report.tolerance == pytest.approx(4.0 / math.sqrt(stage_report.registered_trials))
         assert report.certified
 
     def test_analytic_report_gives_exact_frequencies(self):
         analytic = bp.analytic_stage_report(bp.StageConfig(stage=1, trials=1))
         model = cc.ball_event_model(analytic, 1, -1)
         assert model.sample_size is None
-        assert model.default_tolerance() == cc.ANALYTIC_TOLERANCE
+        assert cc.full_report(model).tolerance == cc.ANALYTIC_TOLERANCE
         first, mirror = analytic.algorithms
         assert model.p_z == first.weight
         for table, stats in ((model.joint_given_z, first), (model.joint_given_not_z, mirror)):

@@ -4,7 +4,7 @@ Every public constructor and entry point of spinmodel, rng, montecarlo,
 ballprotocol and commoncause is called with hostile values in each
 argument.  A call either succeeds or raises a BellsimError; nothing else
 escapes.  Not called: the result records, which the library builds from
-its own counts, and ``rng.glyph``, which only the library calls, with
+its own counts, and ``spinmodel.glyph``, which only the library calls, with
 signs that checked entry points computed.  A ``csv_out`` string is a path to write, so only
 values that are no path are given there, and ``rng.simulate`` writes its
 CSV rows to the null device.

@@ -370,12 +370,12 @@ class TestCosineCore:
 
 
 def test_importing_the_package_loads_no_numpy():
-    """The package root, its checks and the analytic model need no numpy: only the engine
-    (``rng``) imports it, and the sweep where it runs."""
+    """The package root, its checks, the analytic model and the report renderer need no numpy:
+    only the engine (``rng``) imports it, and the sweep where it runs."""
     import subprocess
     import sys
 
-    child = "import sys, bellsim, bellsim.spinmodel; print('numpy' in sys.modules)"
+    child = "import sys, bellsim, bellsim.spinmodel, bellsim.report; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
