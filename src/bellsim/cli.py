@@ -217,6 +217,8 @@ SPIN = (
 
 def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(SPIN, ns)
+    if not (ns.seed is None or SEED.valid(ns.seed)):  # --seed is on every subcommand, read or not
+        raise UsageError(f"seed must be {SEED.meaning}, got {ns.seed}")
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
     if ns.sweep_out is not None and cfg["sweep"] is None:
@@ -245,7 +247,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         results["sweep"] = {"rows": rows, "row_count": count}
         if ns.sweep_out is not None:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
-                fh.write(rows.text)
+                fh.writelines(rows.blocks)
             outputs["sweep_data"] = ns.sweep_out
     return cfg, results, [], None, outputs
 
@@ -543,15 +545,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = build_parser().parse_args(argv)  # angle and sweep flags raise UsageError
         require_count(ns.workers, "workers")
+        for path in (ns.out, getattr(ns, "csv_out", None), getattr(ns, "sweep_out", None)):
+            if path is not None and "\0" in path:  # open() would raise ValueError
+                raise UsageError(f"cannot write {path!r}: embedded null byte")
         cfg, results, checks, seed, outputs = SUBCOMMANDS[ns.subcommand].handler(ns)
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
                               timestamp=not ns.no_timestamp)
-        text = render_json(report) if ns.format == "json" else render_text(report)
+        pieces = render_json(report) if ns.format == "json" else render_text(report)
         if ns.out is not None:
             with open(ns.out, "w", encoding="utf-8") as fh:  # Path('') would be '.'
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         return 0 if report["passed"] else 1
     except (UsageError, ValidationError, ConditioningUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,24 +10,26 @@ omitted entirely.
 Result records are dataclasses, and :func:`record` gives each its one
 JSON shape: its fields in field order, which is also the order the text
 format lists them in.  A sweep's rows go into a report as a
-:class:`FloatTable`: a flat list of Python floats, checked and formatted
+:class:`FloatTable`: blocks of Python floats, each checked and formatted
 once into text, which is all the table keeps.  Both renderers lay it out
-as its list of rows.  :func:`render_json` is
+as its list of rows, a block at a time as the report is written (see
+:class:`Rendered`).  :func:`render_json` is
 ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
-each table's rows spliced into that layout as one string, so the
-standard library's pure-Python indenting encoder never walks them.
-Anything ``json.dumps`` refuses (non-string keys, unknown types, NaN or
-infinity, a cycle) raises exactly what it raises.
+each table's rows spliced into that layout, so the standard library's
+pure-Python indenting encoder never walks them.  Anything ``json.dumps``
+refuses (non-string keys, unknown types, NaN or infinity, a cycle)
+raises exactly what it raises, when the renderer is called.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__
 from .spinmodel import glyph
@@ -52,27 +54,51 @@ class Check:
 
 
 class FloatTable:
-    """Rows of finite floats; ``text`` has each cell's ``%r`` once, spaced, a row per line."""
+    """Rows of finite floats, as text: each block's cells ``%r`` once, spaced, a row per line."""
 
-    __slots__ = ("text",)
+    __slots__ = ("blocks",)
 
-    def __init__(self, columns: int, cells: list[float]) -> None:
-        """``cells`` lists the rows one after another, ``columns`` cells each."""
+    def __init__(self, columns: int, blocks: Iterable[list[float]]) -> None:
+        """Each block lists whole rows one after another, ``columns`` cells each."""
+        self.blocks = [self._format(columns, cells) for cells in blocks]
+        if not self.blocks:
+            raise ValueError("a float table needs at least one row")
+
+    @staticmethod
+    def _format(columns: int, cells: list[float]) -> str:
         if not (type(columns) is int and columns >= 1 and cells and len(cells) % columns == 0
                 and set(map(type, cells)) == {float} and all(map(math.isfinite, cells))):
-            raise ValueError("a float table needs at least one row of finite floats")
-        row = " ".join(["%r"] * columns) + "\n"
-        self.text = row * (len(cells) // columns) % tuple(cells)
+            raise ValueError("each block of a float table holds whole rows of finite floats")
+        return (" ".join(["%r"] * columns) + "\n") * (len(cells) // columns) % tuple(cells)
 
     def rows(self) -> list[list[float]]:
-        """The rows as lists of floats, parsed from ``text``: ``float(repr(x))`` is ``x``."""
-        return [list(map(float, line.split(" "))) for line in self.text.splitlines()]
+        """The rows as lists of floats, parsed from the text: ``float(repr(x))`` is ``x``."""
+        return [list(map(float, line.split(" "))) for text in self.blocks
+                for line in text.splitlines()]
 
-    def join(self, cell_separator: str, row_separator: str) -> str:
-        """The cells joined in each row, then the rows."""
-        # A NUL, which no %r holds, marks cells while separators with spaces and newlines go in.
-        rows = self.text[:-1].replace(" ", "\0").replace("\n", row_separator)
-        return rows.replace("\0", cell_separator)
+    def join(self, before: str, cell: str, row: str, after: str) -> Iterator[str]:
+        """``before``, the cells joined by ``cell`` in each row, the rows by ``row``, ``after``."""
+        for text in self.blocks:
+            yield before
+            # A NUL, which no %r holds, marks cells while separators with spaces and newlines go in.
+            yield text[:-1].replace(" ", "\0").replace("\n", row).replace("\0", cell)
+            before = row
+        yield after
+
+
+class Rendered:
+    """A report's text as pieces: strings, and calls making a table's pieces a block at a time."""
+
+    def __init__(self, pieces: list[str | Callable[[], Iterator[str]]]) -> None:
+        self.pieces = pieces
+
+    def __iter__(self) -> Iterator[str]:
+        for piece in self.pieces:
+            yield from (piece,) if isinstance(piece, str) else piece()
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole text's bytes, as ``str.encode`` gives them."""
+        return "".join(self).encode(encoding)
 
 
 def record(value: Any) -> Any:
@@ -124,7 +150,7 @@ _QUOTED_MARKER = json.dumps(_MARKER)
 _not_serializable = json.JSONEncoder().default
 
 
-def render_json(report: dict) -> str:
+def render_json(report: dict) -> Rendered:
     """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, tables as rows.
 
     Each table is written as a marker string, and its rows are spliced in
@@ -143,18 +169,19 @@ def render_json(report: dict) -> str:
     pieces = text.split(_QUOTED_MARKER)
     if len(pieces) != len(tables) + 1:
         # Only tables reach ``default`` here: the first pass raised for anything else.
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                          default=FloatTable.rows) + "\n"
-    out = [pieces[0]]
+        return Rendered([json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                                    default=FloatTable.rows), "\n"])
+    out: list = [pieces[0]]
     for table, before, after in zip(tables, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
         newline = "\n" + line[:len(line) - len(line.lstrip(" "))]
         inner = newline + "  "
         cell = inner + "  "
-        rows = table.join("," + cell, inner + "]," + inner + "[" + cell)
-        out += ("[" + inner + "[" + cell, rows, inner + "]" + newline + "]", after)
+        out += (functools.partial(table.join, "[" + inner + "[" + cell, "," + cell,
+                                  inner + "]," + inner + "[" + cell, inner + "]" + newline + "]"),
+                after)
     out.append("\n")
-    return "".join(out)
+    return Rendered(out)
 
 
 def _scalar(value: Any) -> str:
@@ -167,9 +194,10 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _lines(value: Any, indent: int) -> list[str]:
+def _lines(value: Any, indent: int) -> list:
+    """The lines of ``value``; a table's is a call that makes its pieces (see :class:`Rendered`)."""
     pad = "  " * indent
-    out: list[str] = []
+    out: list = []
     if isinstance(value, dict):
         for key, item in value.items():
             if isinstance(item, (dict, list, tuple, FloatTable)) and item:
@@ -180,7 +208,8 @@ def _lines(value: Any, indent: int) -> list[str]:
                 item_text = "{}" if isinstance(item, dict) else item_text
                 out.append(f"{pad}{key}: {item_text}")
     elif isinstance(value, FloatTable):
-        out.append(f"{pad}-\n{pad}  [" + value.join(", ", f"]\n{pad}-\n{pad}  [") + "]")
+        out.append(functools.partial(value.join, f"{pad}-\n{pad}  [", ", ",
+                                     f"]\n{pad}-\n{pad}  [", "]"))
     elif isinstance(value, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple, FloatTable)) for v in value):
             out.append(f"{pad}[{', '.join(_scalar(v) for v in value)}]")
@@ -193,30 +222,19 @@ def _lines(value: Any, indent: int) -> list[str]:
     return out
 
 
-def render_text(report: dict) -> str:
-    lines: list[str] = []
-    manifest = report["manifest"]
-    lines.append(f"{manifest['tool']} {manifest['version']} -- {manifest['subcommand']}")
-    lines.append("")
-    lines.append("manifest:")
-    lines.extend(_lines(manifest, 1))
-    lines.append("")
-    lines.append("results:")
-    lines.extend(_lines(report["results"], 1))
-    checks = report["checks"]
+def render_text(report: dict) -> Rendered:
+    manifest, checks = report["manifest"], report["checks"]
+    lines = [f"{manifest['tool']} {manifest['version']} -- {manifest['subcommand']}", "",
+             "manifest:", *_lines(manifest, 1), "", "results:", *_lines(report["results"], 1)]
     if checks:
-        lines.append("")
-        lines.append("checks:")
+        lines += ("", "checks:")
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"
-            detail = []
-            for field in ("value", "target", "tolerance"):
-                if check[field] is not None:
-                    detail.append(f"{field}={_scalar(check[field])}")
+            detail = [f"{key}={_scalar(check[key])}" for key in ("value", "target", "tolerance")
+                      if check[key] is not None]
             suffix = f"  ({', '.join(detail)})" if detail else ""
             lines.append(f"  [{status}] {check['name']}{suffix}")
-    lines.append("")
     n_pass = sum(1 for c in checks if c["passed"])
     verdict = "PASS" if report["passed"] else "FAIL"
-    lines += (f"RESULT: {verdict} ({n_pass}/{len(checks)} checks)", "")  # newline-ended, uncopied
-    return "\n".join(lines)
+    lines += ("", f"RESULT: {verdict} ({n_pass}/{len(checks)} checks)")
+    return Rendered([piece for line in lines for piece in (line, "\n")])

@@ -23,7 +23,7 @@ Every statistic is a function of cosines between axes, and that
 arithmetic is written once (``_correlation`` and the helpers above it).
 The public functions compute each cosine with :func:`axis_cosine` and
 pass floats.  :func:`correlation_sweep`, behind ``spin-correlation
---sweep``, passes one numpy array for all its points and is the only
+--sweep``, passes one numpy array per block of points and is the only
 code here that imports numpy.  Each step is elementwise in the same
 order for both, so every point equals the float the scalar call gives,
 bit for bit.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (ContextMismatchError, one_of, require, require_cosine, require_count,
@@ -55,10 +56,11 @@ def glyph(*signs: int) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
 
 
-#: Most points a sweep may have: a report holds every row (at the cap, a
-#: fresh ``spin-correlation --sweep`` process peaks at about 64 MiB with
-#: either report format).
+#: Most points a sweep may have: a report holds every row's text (at the
+#: cap, a fresh ``spin-correlation --sweep`` process peaks at about 35 MiB
+#: with either report format).
 MAX_SWEEP_POINTS = 200_001
+SWEEP_BLOCK = 1_024  #: most points :func:`correlation_sweep` computes at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,30 +169,35 @@ def correlation_from_cosines(c1: float, c2: float) -> float:
     return _correlation(require_cosine(c1, "c1"), require_cosine(c2, "c2"))
 
 
-def correlation_sweep(start: float, step: float, count: int) -> list[float]:
+def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[float]]:
     """``[angle0, corr0, angle1, corr1, ...]`` for the angles ``start + i * step``, i < count.
 
     Each ``corr`` is ``quantum_correlation(Direction(0.0), Direction(angle))``
-    bit for bit.  The angles are computed and canonicalised as
-    :class:`Direction` does it, as one array (``np.fmod`` is exact, like
-    ``math.fmod``), and the law runs on one array of cosines.  The cosines
-    stay ``math.cos`` and ``math.acos`` per angle, because numpy's ``cos``
-    differs from ``math.cos`` in the last bit at some angles.  The last
-    angle must be finite, and then so is every other.
+    bit for bit.  The arguments are checked at the call; then each block of
+    at most :data:`SWEEP_BLOCK` points comes as one list.  A block computes
+    and canonicalises its angles as :class:`Direction` does it, as one array
+    (``np.fmod`` is exact, like ``math.fmod``), and runs the law on one array
+    of cosines.  The cosines stay ``math.cos`` and ``math.acos`` per angle,
+    because numpy's ``cos`` differs from ``math.cos`` in the last bit at some
+    angles.  The last angle must be finite, and then so is every other.
     """
     start, step = require_real(start, "start"), require_real(step, "step")
     require(require_count.valid(count) and count <= MAX_SWEEP_POINTS, "count",
             f"a positive integer of at most {MAX_SWEEP_POINTS:,}", count)
     require_real(start + (count - 1) * step, "start + (count - 1) * step")
-    import numpy as np  # the sweep's one array; numpy stays unloaded until a sweep runs
+    import numpy as np  # the sweep's arrays; numpy stays unloaded until a sweep runs
 
-    angles = start + np.arange(count) * step
-    t = np.fmod(angles, TWO_PI)
-    t[t < 0.0] += TWO_PI
-    t[t >= TWO_PI] -= TWO_PI
-    cosines = np.array(list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist())))))
-    # The anchor's own cosine is exactly 1.0 (see quantum_correlation).
-    return np.column_stack((angles, _correlation(1.0, cosines))).ravel().tolist()
+    def blocks() -> Iterator[list[float]]:
+        for lo in range(0, count, SWEEP_BLOCK):
+            angles = start + np.arange(lo, min(lo + SWEEP_BLOCK, count)) * step
+            t = np.fmod(angles, TWO_PI)
+            t[t < 0.0] += TWO_PI
+            t[t >= TWO_PI] -= TWO_PI
+            cosines = list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist()))))
+            # The anchor's own cosine is exactly 1.0 (see quantum_correlation).
+            yield np.column_stack((angles, _correlation(1.0, np.array(cosines)))).ravel().tolist()
+
+    return blocks()
 
 
 def mean_value(lam: HiddenVariable, particle: int, axis: Direction) -> float:

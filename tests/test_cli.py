@@ -44,7 +44,8 @@ class TestAngleParsing:
     def test_sweep(self):
         sweep = parse_sweep("0:180:5deg")
         assert math.floor(cli._sweep_steps(sweep)) + 1 == 37
-        angles = correlation_sweep(sweep["start"], sweep["step"], 37)[::2]
+        (cells,) = correlation_sweep(sweep["start"], sweep["step"], 37)
+        angles = cells[::2]
         assert angles[0] == 0.0
         assert angles[-1] == pytest.approx(math.pi)
 
@@ -115,6 +116,25 @@ class TestSpinCorrelation:
         assert outputs["config"] == outputs["flag"]
         assert outputs["flag"][1].startswith(b"0.0 -1.0\n1.0 ")
         assert report["manifest"]["config"]["sweep"] == {"start": 0, "stop": 2, "step": 1}
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_sweep_holds_its_table_text_and_little_more(self, tmp_path, fmt):
+        """Beyond the table's text, a sweep's traced peak does not grow with its length."""
+        import tracemalloc
+
+        def peak_beyond_text(last):
+            argv = ["spin-correlation", "--sweep", f"0:{last}:1rad", "--format", fmt,
+                    "--out", str(tmp_path / "report"), "--sweep-out", str(tmp_path / "sweep.dat")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - (tmp_path / "sweep.dat").stat().st_size  # the table text, in ASCII
+
+        peak_beyond_text(10)  # imports and first-call caches are not the sweep's
+        assert abs(peak_beyond_text(200_000) - peak_beyond_text(20_000)) < 2**20
 
     def test_sweep_over_the_cap_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "spin-correlation", "--sweep", "0:200001:1rad")
@@ -485,12 +505,16 @@ class TestSharedParser:
     ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}"),
     ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}"),
     ("ball-protocol", "--stage", "1", "--trials", "100", "--csv-out", "{missing}"),
+    # A name open() refuses: it holds a NUL byte.
+    ("spin-correlation", "--phi", "60deg", "--out", "{missing}\0"),
+    ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}\0"),
+    ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}\0"),
 ])
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
     missing = str(tmp_path / "no-such-dir" / "out")
     code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in args))
     assert code == 2
-    assert err.startswith("error: cannot write") and missing in err
+    assert err.startswith("error: cannot write") and missing in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -588,9 +612,11 @@ def test_trials_beyond_2_to_the_64_is_a_usage_error(capsys, monkeypatch, args, t
     ("chsh",),
     ("chsh", "--mode", "empirical"),
     ("common-cause", "--builtin", "ball"),
+    ("spin-correlation", "--phi", "60deg"),
 ], ids=" ".join)
 def test_seed_outside_64_bits_is_a_usage_error(capsys, args, seed):
-    """Analytic runs too: a manifest records only seeds the engine would take."""
+    """Analytic runs too: a manifest records only seeds the engine would take, and
+    spin-correlation, which takes --seed and reads none, checks it all the same."""
     code, out, err = run_cli(capsys, *args, "--seed", seed)
     assert (code, out) == (2, "")
     assert err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"

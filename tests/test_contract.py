@@ -46,7 +46,8 @@ ENTRY_POINTS = {
     "HiddenVariable.predetermined": (LAM.predetermined, (2,)),
     "angle_between": (sm.angle_between, (A, B)),
     "axis_cosine": (sm.axis_cosine, (A, B)),
-    "correlation_sweep": (sm.correlation_sweep, (0.0, 0.5, 3)),
+    "correlation_sweep": (  # its blocks too, which are made after the call's checks
+        lambda start, step, count: list(sm.correlation_sweep(start, step, count)), (0.0, 0.5, 3)),
     "mean_value": (sm.mean_value, (LAM, 2, B)),
     "conditional_outcome_prob": (sm.conditional_outcome_prob, (LAM, 1, B, -1)),
     "joint_outcome_prob": (sm.joint_outcome_prob, (LAM, A, B, 1, -1)),

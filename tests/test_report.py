@@ -1,6 +1,7 @@
 """render_json writes what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes.
 
-A FloatTable renders, in JSON and in text, exactly as the list of its rows.
+A FloatTable renders, in JSON and in text, exactly as the list of its rows,
+whatever blocks its rows come in.
 """
 
 import json
@@ -11,11 +12,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bellsim.report import _MARKER, FloatTable, _lines, render_json
+from bellsim.report import _MARKER, FloatTable, build_report, render_json, render_text
 
 
 def stdlib(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def as_json(value) -> str:
+    return "".join(render_json(value))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -44,7 +49,7 @@ trees = st.recursive(
 @example([[], []])
 @example([[1.0], (2.0,)])
 def test_render_json_equals_the_stdlib(value):
-    assert render_json(value) == stdlib(value)
+    assert as_json(value) == stdlib(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -84,12 +89,13 @@ def test_subclasses_render_as_their_base_type():
             return "Ratio()"
 
     value = {"level": Level.HIGH, "ratio": Ratio(0.5), "rows": [[Ratio(1.0), 2.0]], "pair": (1, 2)}
-    assert render_json(value) == stdlib(value)
+    assert as_json(value) == stdlib(value)
 
 
-def table_of(rows) -> FloatTable:
-    """The rows as a table: their cells one row after another."""
-    return FloatTable(len(rows[0]), [cell for row in rows for cell in row])
+def table_of(rows, size: int = 1) -> FloatTable:
+    """The rows as a table: their cells one row after another, ``size`` rows a block."""
+    blocks = (rows[i:i + size] for i in range(0, len(rows), size))
+    return FloatTable(len(rows[0]), [[cell for row in block for cell in row] for block in blocks])
 
 
 def nest(value, wrappers):
@@ -99,22 +105,29 @@ def nest(value, wrappers):
     return value
 
 
-@given(float_tables, st.lists(st.booleans(), max_size=3), st.integers(0, 3))
+def as_text(results) -> str:
+    return "".join(render_text(build_report("spin-correlation", {}, results, [], timestamp=False)))
+
+
+@given(float_tables, st.lists(st.booleans(), max_size=3), st.integers(1, 3))
 @example([[0.0, -1.0], [-0.0, 5e-324], [1e16, 1e-5], [1e300, -1e300]], [True, True], 1)
-@example([[1.0]], [], 0)
-def test_float_table_renders_as_its_rows(rows, wrappers, indent):
-    table = table_of(rows)
-    assert table.text == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
-    assert render_json(nest(table, wrappers)) == stdlib(nest(rows, wrappers))
-    text, expected = ("\n".join(_lines(nest(value, wrappers), indent)) for value in (table, rows))
-    assert text == expected
+@example([[0.0, -1.0], [-0.0, 5e-324], [1e16, 1e-5], [1e300, -1e300]], [False, True], 3)
+@example([[1.0]], [], 1)
+def test_float_table_renders_as_its_rows(rows, wrappers, size):
+    table = table_of(rows, size)
+    assert "".join(table.blocks) == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+    assert table.rows() == rows
+    rendered = render_json(nest(table, wrappers))
+    assert "".join(rendered) == "".join(rendered) == stdlib(nest(rows, wrappers))
+    assert rendered.encode("utf-8") == stdlib(nest(rows, wrappers)).encode("utf-8")
+    assert as_text(nest(table, wrappers)) == as_text(nest(rows, wrappers))
 
 
-@given(float_tables)
-@example([[0.0, -1.0], [-0.0, 5e-324]])
-def test_a_report_the_fast_renderer_refuses_renders_a_table_as_its_rows(rows):
-    table = table_of(rows)
-    assert render_json({"rows": table, "counts": {1: 2}}) == stdlib({"rows": rows, "counts": {1: 2}})
+@given(float_tables, st.integers(1, 3))
+@example([[0.0, -1.0], [-0.0, 5e-324]], 1)
+def test_a_report_the_fast_renderer_refuses_renders_a_table_as_its_rows(rows, size):
+    table = table_of(rows, size)
+    assert as_json({"rows": table, "counts": {1: 2}}) == stdlib({"rows": rows, "counts": {1: 2}})
     with pytest.raises(ValueError) as expected:
         stdlib({"rows": rows, "x": math.nan})
     with pytest.raises(ValueError) as got:
@@ -122,18 +135,30 @@ def test_a_report_the_fast_renderer_refuses_renders_a_table_as_its_rows(rows):
     assert str(got.value) == str(expected.value)
 
 
+def test_a_refused_report_raises_before_any_piece_is_made():
+    """render_json checks the whole report at the call, so a failed render writes nothing."""
+    table = table_of([[0.0, 1.0], [2.0, 3.0]])
+    cycle = []
+    cycle.append(cycle)
+    for bad in (object(), math.nan, cycle, {"a": 1, 2: 3}, {(1, 2): 3}):
+        with pytest.raises((TypeError, ValueError)):
+            render_json({"rows": table, "x": bad})
+
+
 @pytest.mark.parametrize("extra", [{"note": _MARKER}, {"note": '"' + _MARKER}, {_MARKER: 1},
                                    {"note": f'"{_MARKER}"'}])
 def test_strings_holding_the_marker_leave_tables_rendered_as_rows(extra):
     rows = [[0.0, -1.0], [1e16, 5e-324]]
     table = table_of(rows)
-    assert render_json({"rows": table, **extra}) == stdlib({"rows": rows, **extra})
+    assert as_json({"rows": table, **extra}) == stdlib({"rows": rows, **extra})
 
 
-@pytest.mark.parametrize("columns, cells", [
-    (2, [0.0, math.nan]), (1, [math.inf]), (2, [-math.inf, 1.0]), (2, []), (0, [1.0, 2.0]),
-    (2, [1.0, 2.0, 3.0]), (True, [1.0]), (1.0, [1.0]), (1, [1]), (1, [True]), (2, [1.0, 2]),
+@pytest.mark.parametrize("columns, blocks", [
+    (2, [[0.0, math.nan]]), (1, [[math.inf]]), (2, [[-math.inf, 1.0]]), (2, [[]]), (2, []),
+    (0, [[1.0, 2.0]]), (2, [[1.0, 2.0, 3.0]]), (True, [[1.0]]), (1.0, [[1.0]]), (1, [[1]]),
+    (1, [[True]]), (2, [[1.0, 2]]), (2, [[1.0, 2.0], []]), (2, [[1.0, 2.0], [3.0]]),
+    (2, [[1.0, 2.0], [3.0, math.nan]]),
 ])
-def test_float_table_takes_only_whole_rows_of_finite_floats(columns, cells):
+def test_float_table_takes_only_whole_rows_of_finite_floats(columns, blocks):
     with pytest.raises(ValueError):
-        FloatTable(columns, cells)
+        FloatTable(columns, blocks)

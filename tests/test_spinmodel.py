@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from bellsim.errors import ContextMismatchError, ValidationError
 from bellsim.spinmodel import (
+    SWEEP_BLOCK,
     Description,
     Direction,
     HiddenVariable,
@@ -326,8 +327,14 @@ def bits(values) -> list[int]:
 
 
 def assert_sweep_equals_scalar(start, step, count):
-    """correlation_sweep's angles are start + i * step, and each correlation the scalar's."""
-    cells = correlation_sweep(start, step, count)
+    """correlation_sweep's angles are start + i * step, and each correlation the scalar's.
+
+    The points come in full blocks of SWEEP_BLOCK, then one more of at most that many.
+    """
+    blocks = list(correlation_sweep(start, step, count))
+    assert all(len(block) == 2 * SWEEP_BLOCK for block in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= 2 * SWEEP_BLOCK
+    cells = [c for block in blocks for c in block]
     assert len(cells) == 2 * count and all(type(c) is float for c in cells)
     angles, corrs = cells[::2], cells[1::2]
     assert bits(angles) == bits([start + i * step for i in range(count)])
@@ -355,6 +362,8 @@ class TestCosineCore:
             assert_sweep_equals_scalar(phi, 1.0, 1)
         assert_sweep_equals_scalar(-0.0, -1.0, 2)  # -0.0 + 0 * -1.0 keeps the sign
         assert_sweep_equals_scalar(-1e3, 0.1, 20_001)
+        for count in (SWEEP_BLOCK, SWEEP_BLOCK + 1):  # a full last block, and one point past it
+            assert_sweep_equals_scalar(1.0, -0.3, count)
 
     def test_scalar_cosines_give_a_float(self):
         a, b = Direction(0.0), Direction(math.pi / 3)
