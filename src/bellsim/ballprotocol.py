@@ -38,7 +38,7 @@ probabilities and over world counts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (EmptyReportError, one_of, require, require_probability, require_trials,
                      require_type)
@@ -285,13 +285,10 @@ class InequalityReport:
 
     lhs: float
     rhs: float
-    margin: float = field(init=False)
+    margin: float
     violated: bool
     mode: str
     terms: dict[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "margin", self.lhs - self.rhs)
 
 
 def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityReport:
@@ -312,6 +309,7 @@ def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityRep
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
+        margin=lhs - rhs,
         violated=lhs > rhs,
         mode=modes.pop() if len(modes) == 1 else "mixed",
         terms={
@@ -338,10 +336,7 @@ class DecompositionRecord:
     weights: dict[str, float]
     composed: float
     direct: float
-    difference: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "difference", abs(self.composed - self.direct))
+    difference: float
 
 
 def contextual_decomposition(
@@ -377,4 +372,5 @@ def contextual_decomposition(
         weights=weights,
         composed=composed,
         direct=direct,
+        difference=abs(composed - direct),
     )

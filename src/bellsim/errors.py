@@ -113,9 +113,6 @@ require_coins = Contract(  # codes are uint8: bit k is coin k
 require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike)))
 
 
-require_cosine = Contract("a number in [-1, 1]", lambda v: is_real(v) and -1.0 <= v <= 1.0)
-
-
 def one_of(options) -> Contract:
     """Equal to an option of its type, a subtype or a base type, so 1.0 and True are not 1."""
 

@@ -71,11 +71,7 @@ class EmpiricalStats:
     mean2: float
     pair_mean: float
     covariance: float
-    standard_error: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "standard_error",
-                           math.sqrt((1.0 - self.pair_mean**2) / self.trials))
+    standard_error: float
 
     @classmethod
     def from_counts(cls, counts, trials: int) -> "EmpiricalStats":
@@ -94,6 +90,7 @@ class EmpiricalStats:
             mean2=mean2,
             pair_mean=pair_mean,
             covariance=covariance,
+            standard_error=math.sqrt((1.0 - pair_mean**2) / trials),
         )
 
 
@@ -247,16 +244,13 @@ class ChshResult:
 
     mode: str
     value: float
-    abs_value: float = field(init=False)
+    abs_value: float
     contexts: tuple[ChshContext, ...]
     trials: int | None
     seed: int | None
     local_bound: float = CHSH_LOCAL_BOUND
     singlet_bound: float = CHSH_SINGLET_BOUND
     note: str = CHSH_NOTE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "abs_value", abs(self.value))
 
 
 def chsh_details(
@@ -300,6 +294,7 @@ def chsh_details(
     return ChshResult(
         mode=mode,
         value=total,
+        abs_value=abs(total),
         contexts=tuple(contexts),
         trials=trials if mode == "empirical" else None,
         seed=seed if mode == "empirical" else None,

@@ -17,16 +17,18 @@ or "Bob" description).  There the anchor is an explicit argument, and
 :func:`subquantum_correlation` rejects a hidden variable anchored to
 neither measurement axis, so quantities that would mix hidden-variable
 sets from different contexts cannot be formed here.  The observable
-correlation takes no anchor, as both descriptions give the same float.
+correlation takes no anchor, as both descriptions give the same float:
+its law, ``_correlation``, anchors the hidden variable on the first axis,
+whose own cosine is exactly 1.0, and reads only the cosine to the second.
 
 Every statistic is a function of cosines between axes, and that
 arithmetic is written once (``_correlation`` and the helpers above it).
 The public functions compute each cosine with :func:`axis_cosine` and
-pass floats.  :func:`correlation_sweep`, behind ``spin-correlation
---sweep``, passes one numpy array per block of points and is the only
-code here that imports numpy.  Each step is elementwise in the same
-order for both, so every point equals the float the scalar call gives,
-bit for bit.
+pass floats; :func:`quantum_correlation` is the law's one scalar entry.
+:func:`correlation_sweep`, behind ``spin-correlation --sweep``, passes
+one numpy array per block of points and is the only code here that
+imports numpy.  Each step is elementwise in the same order for both, so
+every point equals the float the scalar call gives, bit for bit.
 
 Everything in this module is a pure function of its arguments and is
 safe to call concurrently.
@@ -39,8 +41,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (ContextMismatchError, one_of, require, require_cosine, require_count,
-                     require_real, require_type)
+from .errors import (ContextMismatchError, one_of, require, require_count, require_real,
+                     require_type)
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,16 +159,8 @@ def _quantum_pair(c1, c2):
     return 0.5 * _pair(1, c1, c2) + 0.5 * _pair(-1, c1, c2)
 
 
-def _correlation(c1, c2):
-    return _quantum_pair(c1, c2) - _marginal(1, c1) * _marginal(-1, c2)
-
-
-def correlation_from_cosines(c1: float, c2: float) -> float:
-    """Observable correlation, from the cosines between the anchor axis and each axis.
-
-    ``c1`` and ``c2`` are numbers in [-1, 1] (see :func:`axis_cosine`).
-    """
-    return _correlation(require_cosine(c1, "c1"), require_cosine(c2, "c2"))
+def _correlation(c):
+    return _quantum_pair(1.0, c) - _marginal(1, 1.0) * _marginal(-1, c)
 
 
 def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[float]]:
@@ -194,8 +188,7 @@ def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[fl
             t[t < 0.0] += TWO_PI
             t[t >= TWO_PI] -= TWO_PI
             cosines = list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist()))))
-            # The anchor's own cosine is exactly 1.0 (see quantum_correlation).
-            yield np.column_stack((angles, _correlation(1.0, np.array(cosines)))).ravel().tolist()
+            yield np.column_stack((angles, _correlation(np.array(cosines)))).ravel().tolist()
 
     return blocks()
 
@@ -285,4 +278,4 @@ def quantum_correlation(axis1: Direction, axis2: Direction) -> float:
     """
     require_type(axis1, "axis1", Direction)
     require_type(axis2, "axis2", Direction)
-    return correlation_from_cosines(axis_cosine(axis1, axis1), axis_cosine(axis1, axis2))
+    return _correlation(axis_cosine(axis1, axis2))

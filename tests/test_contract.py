@@ -54,7 +54,6 @@ ENTRY_POINTS = {
     "pair_expectation": (sm.pair_expectation, (LAM, A, B)),
     "subquantum_correlation": (sm.subquantum_correlation, (LAM, A, B)),
     "quantum_correlation": (sm.quantum_correlation, (A, B)),
-    "correlation_from_cosines": (sm.correlation_from_cosines, (1.0, -0.5)),
     "RngStream": (rng.RngStream, (1, 2)),
     "threshold": (rng.threshold, (0.25,)),
     "fold": (rng.fold, (WORLDS, [3] * len(WORLDS))),
@@ -136,12 +135,6 @@ REFUSED = {
     "correlation_sweep(0.0, 0.5, 3.0)": lambda: sm.correlation_sweep(0.0, 0.5, 3.0),
     "correlation_sweep(0.0, 0.5, 200_002)": lambda: sm.correlation_sweep(0.0, 0.5, 200_002),
     "correlation_sweep(1e308, 8e307, 2)": lambda: sm.correlation_sweep(1e308, 8e307, 2),
-    "correlation_from_cosines('x', 1.0)": lambda: sm.correlation_from_cosines("x", 1.0),
-    "correlation_from_cosines(1.5, 1.0)": lambda: sm.correlation_from_cosines(1.5, 1.0),
-    "correlation_from_cosines(1.0, [0.5])": lambda: sm.correlation_from_cosines(1.0, [0.5]),
-    "correlation_from_cosines(1.0, nan)": lambda: sm.correlation_from_cosines(1.0, math.nan),
-    "correlation_from_cosines(1.0, array)": lambda: sm.correlation_from_cosines(
-        1.0, np.array([0.5, -1.0])),
     "fold(None)": lambda: rng.fold(None),
     "fold(mass=[1])": lambda: rng.fold(WORLDS, [1]),
     "fold(mass=['x'] * 8)": lambda: rng.fold(WORLDS, ["x"] * len(WORLDS)),

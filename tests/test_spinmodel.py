@@ -23,8 +23,8 @@ from bellsim.spinmodel import (
     HiddenVariable,
     angle_between,
     axis_cosine,
+    _correlation,
     conditional_outcome_prob,
-    correlation_from_cosines,
     correlation_sweep,
     joint_outcome_prob,
     mean_value,
@@ -367,9 +367,9 @@ class TestCosineCore:
 
     def test_scalar_cosines_give_a_float(self):
         a, b = Direction(0.0), Direction(math.pi / 3)
-        c = correlation_from_cosines(axis_cosine(a, a), axis_cosine(a, b))
+        c = quantum_correlation(a, b)
         assert type(c) is float
-        assert c == quantum_correlation(a, b)
+        assert c == _correlation(axis_cosine(a, b))
         assert c == pytest.approx(-0.5, abs=TOL)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
