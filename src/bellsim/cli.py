@@ -20,14 +20,15 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
 from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
-from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, is_real, one_of,
-                     require_count, require_fields, require_trials, require_u64)
+from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, describe,
+                     is_real, one_of, require_count, require_fields, require_trials, require_u64)
 from .report import Check, FloatTable, build_report, render_json, render_text
 from .rng import SIGN_PAIRS
 from .spinmodel import (MAX_SWEEP_POINTS, Description, Direction, HiddenVariable, angle_between,
@@ -91,6 +92,8 @@ def _read_json(path: str, what: str) -> Any:
         raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
     except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested beyond the decoder's reach
+        raise UsageError(f"cannot read {what} file {path!r}: nested too deeply") from exc
 
 
 def _sweep(value: Any) -> bool:
@@ -173,7 +176,11 @@ def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
         flag = getattr(ns, f.key)
         value = file_cfg.get(f.key, f.default) if flag is None else flag
         if not (value is None and f.default is None or f.kind.valid(value)):
-            raise UsageError(f"{f.key} must be {f.kind.meaning}, got {json.dumps(value)}")
+            try:
+                got = json.dumps(value)
+            except RecursionError:  # nested just under the decoder's limit; repr may print it
+                got = describe(value)
+            raise UsageError(f"{f.key} must be {f.kind.meaning}, got {got}")
         cfg[f.key] = value
     return cfg
 
@@ -542,16 +549,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    writing = None  # the path being written: an OSError raised by a write names no file
     try:
         ns = build_parser().parse_args(argv)  # angle and sweep flags raise UsageError
         require_count(ns.workers, "workers")
-        for path in (ns.out, getattr(ns, "csv_out", None), getattr(ns, "sweep_out", None)):
+        command = SUBCOMMANDS[ns.subcommand]
+        flag = next((f for f, _ in command.flags if f.endswith("-out")), None)  # its one export
+        writing = None if flag is None else getattr(ns, flag[2:].replace("-", "_"))
+        for path in (ns.out, writing):
             if path is not None and "\0" in path:  # open() would raise ValueError
                 raise UsageError(f"cannot write {path!r}: embedded null byte")
-        cfg, results, checks, seed, outputs = SUBCOMMANDS[ns.subcommand].handler(ns)
+        if writing is not None and ns.out is not None:
+            real = os.path.realpath(writing)
+            file = os.path.isfile(real) or not os.path.exists(real)  # not a device: /dev/null
+            if file and real == os.path.realpath(ns.out):
+                raise UsageError(f"--out and {flag} name the same file {writing!r}")
+        cfg, results, checks, seed, outputs = command.handler(ns)
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
                               timestamp=not ns.no_timestamp)
         pieces = render_json(report) if ns.format == "json" else render_text(report)
+        writing = ns.out
         if ns.out is not None:
             with open(ns.out, "w", encoding="utf-8") as fh:  # Path('') would be '.'
                 fh.writelines(pieces)
@@ -565,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # reads turn theirs into usage errors, so this came from a write
-        name = "output" if exc.filename is None else repr(exc.filename)
+        name = "output" if writing is None else repr(writing)
         print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
         return 2
 

@@ -46,11 +46,12 @@ MAX_TRIALS = 1 << 64
 def describe(value) -> str:
     """``repr(value)``, or where Python refuses to print it, its digit count or type.
 
-    Python prints no integer of more than 4,300 digits; the limit raises ValueError.
+    Python prints no integer of more than 4,300 digits (ValueError), nor a
+    value nested beyond its recursion limit (RecursionError).
     """
     try:
         return repr(value)
-    except ValueError:
+    except (ValueError, RecursionError):
         if not isinstance(value, int):  # such an integer inside a list, say
             return f"a {type(value).__name__} that cannot be printed"
         size = abs(value)

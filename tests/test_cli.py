@@ -1,9 +1,11 @@
 """CLI: subcommands, config precedence, exit codes, byte-stable output."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -518,6 +520,43 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
     assert "Traceback" not in err
 
 
+EXPORTS = [("mc-run", "--phi", "60deg", "--trials", "10", "--csv-out"),
+           ("ball-protocol", "--stage", "1", "--trials", "10", "--csv-out"),
+           ("spin-correlation", "--sweep", "0:10:1deg", "--sweep-out")]
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+@pytest.mark.parametrize("other", ["{path}", "{tmp}/./{name}", "{tmp}/link"],
+                         ids=["same", "dot", "symlink"])
+def test_out_may_not_overwrite_the_export(capsys, tmp_path, monkeypatch, args, other):
+    """Refused before the run, and nothing is written: the report would replace the export."""
+    import bellsim.rng
+
+    path = tmp_path / "data.txt"
+    (tmp_path / "link").symlink_to(path)
+    monkeypatch.setattr(bellsim.rng, "_count", None)  # nothing may be simulated
+    out = other.format(path=path, tmp=tmp_path, name=path.name)
+    code, stdout, err = run_cli(capsys, *args, str(path), "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out and {args[-1]} name the same file {str(path)!r}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+def test_out_and_the_export_may_share_a_device(capsys, args):
+    code, out, err = run_cli(capsys, *args, os.devnull, "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args", [*EXPORTS, ("chsh", "--out")], ids=lambda args: args[0])
+def test_a_full_device_is_named_in_the_write_error(capsys, args):
+    """A write that fails, rather than its open, raises an OSError that names no file."""
+    code, out, err = run_cli(capsys, *args, "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="), "cannot write"),
     (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out="),
@@ -762,7 +801,8 @@ def test_malformed_model_value_is_a_usage_error(capsys, tmp_path, key, value):
 
 
 @pytest.mark.parametrize("flag", ["--config", "--model"])
-@pytest.mark.parametrize("content", [None, "{", b"\xff"], ids=["missing", "malformed", "bad-utf8"])
+@pytest.mark.parametrize("content", [None, "{", b"\xff", "[" * 200_000 + "]" * 200_000],
+                         ids=["missing", "malformed", "bad-utf8", "deep"])
 def test_unreadable_json_file_is_a_usage_error_naming_it(capsys, tmp_path, flag, content):
     path = tmp_path / "doc.json"
     if isinstance(content, bytes):
@@ -772,6 +812,43 @@ def test_unreadable_json_file_is_a_usage_error_naming_it(capsys, tmp_path, flag,
     code, out, err = run_cli(capsys, "common-cause", flag, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, document, key", [
+    (("chsh", "--config"), {}, "seed"),
+    (("common-cause", "--model"), MODEL, "p_z"),
+], ids=["config", "model"])
+def test_the_deepest_readable_value_is_refused_in_one_line(capsys, tmp_path, args, document, key):
+    """Printing a value can reach the recursion limit that reading it just missed."""
+    path = tmp_path / "doc.json"
+
+    def run(depth):
+        nested = "[" * depth + "]" * depth
+        path.write_text(json.dumps({**document, key: None}).replace("null", nested))
+        return run_cli(capsys, *args, str(path))
+
+    readable, unreadable = 1, 200_000
+    assert "nested too deeply" in run(unreadable)[2]
+    while unreadable - readable > 1:
+        depth = (readable + unreadable) // 2
+        if "nested too deeply" in run(depth)[2]:
+            unreadable = depth
+        else:
+            readable = depth
+    code, out, err = run(readable)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+def test_a_config_value_too_deep_for_json_dumps_is_described(capsys, monkeypatch, tmp_path):
+    def too_deep(value):
+        raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    (tmp_path / "cfg.json").write_text('{"seed": [[]]}')
+    monkeypatch.setattr(cli.json, "dumps", too_deep)
+    code, out, err = run_cli(capsys, "chsh", "--config", str(tmp_path / "cfg.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be {cli.SEED.meaning}, got [[]]\n"
 
 
 #: Any JSON value.  Integers stay at or below 300, or beyond 2**64, so a drawn

@@ -220,3 +220,26 @@ def test_a_numpy_integer_seed_is_stored_as_an_int():
     assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
     assert type(stream.seed) is int and type(stream.stream_id) is int
 
+
+def test_the_builders_derive_each_record_field_exactly():
+    """Each builder passes its records' derived field as one expression of their other fields,
+    for analytic and for simulated results."""
+    a, a_prime, b, b_prime = (sm.Direction(k * math.pi / 4) for k in (0, 2, 1, 3))
+    chsh = [mc.chsh_details(a, a_prime, b, b_prime, mode, 1000, 5)
+            for mode in ("analytic", "empirical")]
+    stats = [mc.EmpiricalStats.from_counts((5, 0, 2, 7), 14),
+             *(ctx.stats for ctx in chsh[1].contexts)]
+    for s in stats:
+        assert s.standard_error == math.sqrt((1.0 - s.pair_mean**2) / s.trials)
+    for result in chsh:
+        assert result.value < 0 and result.abs_value == abs(result.value)
+    simulated = tuple(bp.run_stage(bp.StageConfig(stage=s, trials=200, seed=3)) for s in (1, 2, 3))
+    for reports in (REPORTS, simulated):
+        check = bp.bell_inequality_check(reports)
+        assert check.margin == check.lhs - check.rhs
+    for stage in (1, 2, 3):
+        for mismatch in (0.0, 0.1):
+            for signs in ((1, 1), (1, -1), (-1, 1)):
+                d = bp.contextual_decomposition(
+                    bp.StageConfig(stage=stage, filter_mismatch_prob=mismatch), *signs)
+                assert d.difference == abs(d.composed - d.direct)

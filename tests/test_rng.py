@@ -654,7 +654,10 @@ def test_a_helper_that_fails_to_start_leaves_no_thread(monkeypatch):
         rng._count(RngStream(1), 3 * CHUNK_TRIALS, ((0, threshold(0.5)),), 3)
     assert threading.active_count() == before
 
-def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, tmp_path):
+
+def fill_the_disk_on_the_second_chunk(monkeypatch, capsys, tmp_path, named):
+    """mc-run --csv-out, whose second chunk's rows meet ENOSPC, an error that names the file
+    or, as a real write's, does not; the message names the path as given."""
     from bellsim import cli
 
     class FullDisk:
@@ -674,7 +677,8 @@ def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, t
         def write(self, text):
             self.writes += 1
             if self.writes == 3:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              *[self.fh.name] * named)
             return self.fh.write(text)
 
     monkeypatch.setattr(rng, "open", FullDisk, raising=False)
@@ -688,3 +692,10 @@ def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, t
     assert threading.active_count() == before
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + CHUNK_TRIALS
 
+
+def test_a_full_disk_on_the_second_chunk_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    fill_the_disk_on_the_second_chunk(monkeypatch, capsys, tmp_path, named=True)
+
+
+def test_a_write_error_that_names_no_file_is_named_by_its_flag(monkeypatch, capsys, tmp_path):
+    fill_the_disk_on_the_second_chunk(monkeypatch, capsys, tmp_path, named=False)

@@ -21,9 +21,9 @@ from bellsim.spinmodel import (
     Description,
     Direction,
     HiddenVariable,
+    _correlation,
     angle_between,
     axis_cosine,
-    _correlation,
     conditional_outcome_prob,
     correlation_sweep,
     joint_outcome_prob,
