@@ -18,6 +18,8 @@ conditioning variable yields an inequality that the actual frequencies
 violate; the per-algorithm weighted decomposition shows where that
 composition breaks.
 
+A color is its letter, the plain string that filters, CSV rows and
+reports hold: ``"a"`` (amber), ``"b"`` (blue) or ``"c"`` (cherry).
 Each emission is a color->sign table, giving each color's (Alice's
 sign, Bob's sign); an observer registers the entry of their own
 filter's color, or nothing when the stage sends no ball of it.
@@ -37,7 +39,6 @@ probabilities and over world counts.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import (EmptyReportError, one_of, require, require_probability, require_trials,
@@ -45,21 +46,10 @@ from .errors import (EmptyReportError, one_of, require, require_probability, req
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
 from .spinmodel import glyph, require_spin
 
-
-class Color(str, enum.Enum):
-    AMBER = "a"
-    BLUE = "b"
-    CHERRY = "c"
-
-
 #: Stage number -> (fixed-sign color, variable-sign color).  The fixed
 #: color is the one whose signs the executive algorithms pin down; it is
 #: also the canonical filter choice for Alice, the variable color for Bob.
-STAGE_COLORS: dict[int, tuple[Color, Color]] = {
-    1: (Color.AMBER, Color.BLUE),
-    2: (Color.AMBER, Color.CHERRY),
-    3: (Color.CHERRY, Color.BLUE),
-}
+STAGE_COLORS: dict[int, tuple[str, str]] = {1: ("a", "b"), 2: ("a", "c"), 3: ("c", "b")}
 
 #: Stage number -> (first algorithm, its mirror).  The first gives Alice
 #: the fixed color's + sign, the mirror flips every sign.
@@ -69,8 +59,8 @@ ALGORITHM_IDS: dict[int, tuple[str, str]] = {
     3: ("A1''", "A2''"),
 }
 
-ALICE_FILTERS = (Color.AMBER, Color.CHERRY)
-BOB_FILTERS = (Color.BLUE, Color.CHERRY)
+ALICE_FILTERS = ("a", "c")
+BOB_FILTERS = ("b", "c")
 require_stage = one_of(tuple(STAGE_COLORS))
 #: Alice's filter check, then Bob's.
 require_filters = (one_of(ALICE_FILTERS), one_of(BOB_FILTERS))
@@ -89,8 +79,8 @@ class StageConfig:
     """
 
     stage: int
-    alice_filter: Color | None = None
-    bob_filter: Color | None = None
+    alice_filter: str | None = None
+    bob_filter: str | None = None
     trials: int = 1_000_000
     seed: int = 0
     p_stage1: float = 0.15
@@ -103,7 +93,7 @@ class StageConfig:
                                                  require_filters):
             value = getattr(self, name)
             value = default if value is None else require_filter(value, name)
-            object.__setattr__(self, name, Color(value))
+            object.__setattr__(self, name, value)
         require_trials(self.trials, "trials")
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
             object.__setattr__(self, name, require_probability(getattr(self, name), name))
@@ -135,8 +125,8 @@ class AggregateReport:
     """The remote computer's per-stage summary over registered trials."""
 
     stage: int
-    alice_filter: Color
-    bob_filter: Color
+    alice_filter: str
+    bob_filter: str
     mode: str
     trials: int | None
     passages_per_observer: int | None
@@ -180,8 +170,8 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[World]]:
     coins = ((0, threshold(0.5)), (1, threshold(p)), (2, threshold(m)), (3, threshold(m)))
     fixed, variable = STAGE_COLORS[config.stage]
 
-    def devices(chosen: Color, admissible: tuple[Color, Color]):
-        other = admissible[1] if chosen is admissible[0] else admissible[0]
+    def devices(chosen: str, admissible: tuple[str, str]):
+        other = admissible[1] if chosen == admissible[0] else admissible[0]
         return ((chosen, 1.0 - m, 0), (other, m, 1))
 
     worlds = []
@@ -199,8 +189,8 @@ def _world_table(config: StageConfig) -> tuple[tuple[Coin, ...], list[World]]:
                         prob=0.5 * p_corr * (pa * pb),
                         cause=k,
                         signs=(a, b) if both else None,
-                        row=f",{algorithm_id},{af.value if a else ''},{a or ''},"
-                            f"{bf.value if b else ''},{b or ''},{int(both)}\n",
+                        row=f",{algorithm_id},{af if a else ''},{a or ''},"
+                            f"{bf if b else ''},{b or ''},{int(both)}\n",
                     ))
     return coins, worlds
 
@@ -218,10 +208,8 @@ def _reduce(config: StageConfig, folded, trials: int | None) -> AggregateReport:
     if total <= 0:
         happened = "registers no joint trials" if trials is None else \
             f"registered no joint trials in {trials} emissions"
-        raise EmptyReportError(
-            f"stage {config.stage} with filters "
-            f"({config.alice_filter.value}, {config.bob_filter.value}) {happened}"
-        )
+        raise EmptyReportError(f"stage {config.stage} with filters "
+                               f"({config.alice_filter}, {config.bob_filter}) {happened}")
     empirical = trials is not None
     alg_stats = []
     for k, algorithm_id in enumerate(ALGORITHM_IDS[config.stage]):
@@ -297,8 +285,8 @@ def bell_inequality_check(reports: tuple[AggregateReport, ...]) -> InequalityRep
     Requires reports for stages 1, 2, 3 (in order) with the canonical
     filter pairs (a,b), (a,c), (c,b); anything else is rejected.
     """
-    canonical = [(stage, a.value, b.value) for stage, (a, b) in STAGE_COLORS.items()]
-    got = [(r.stage, r.alice_filter.value, r.bob_filter.value) if isinstance(r, AggregateReport)
+    canonical = [(stage, a, b) for stage, (a, b) in STAGE_COLORS.items()]
+    got = [(r.stage, r.alice_filter, r.bob_filter) if isinstance(r, AggregateReport)
            else r for r in reports] if isinstance(reports, (tuple, list)) else reports
     require(got == canonical, "reports", f"(stage, alice filter, bob filter) {canonical}", got)
     # Registered-trial frequencies, as the remote computer tabulates them.
@@ -361,10 +349,7 @@ def contextual_decomposition(
     weights = {aid: 0.5 for aid in ids}
     composed = sum(weights[aid] * conditionals[aid] for aid in ids)
     direct = sum((world.prob for world in kept if world.signs == pair), 0.0)
-    event = (
-        f"{config.alice_filter.value}_A{glyph(alice_sign)}; "
-        f"{config.bob_filter.value}_B{glyph(bob_sign)}"
-    )
+    event = f"{config.alice_filter}_A{glyph(alice_sign)}; {config.bob_filter}_B{glyph(bob_sign)}"
     return DecompositionRecord(
         stage=config.stage,
         event=event,

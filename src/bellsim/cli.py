@@ -31,7 +31,7 @@ from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, 
                      is_real, one_of, require_count, require_fields, require_trials, require_u64)
 from .report import Check, FloatTable, build_report, render_json, render_text
 from .rng import SIGN_PAIRS
-from .spinmodel import (MAX_SWEEP_POINTS, Description, Direction, HiddenVariable, angle_between,
+from .spinmodel import (MAX_SWEEP_POINTS, Direction, HiddenVariable, angle_between,
                         correlation_sweep, glyph, quantum_correlation, subquantum_correlation)
 
 
@@ -272,25 +272,25 @@ MC = (
 )
 
 
-def _mc_single(cfg: dict, description: Description, workers: int,
-               csv_out: str | None) -> tuple[dict, list[Check]]:
+def _mc_single(cfg: dict, workers: int, csv_out: str | None) -> tuple[dict, list[Check]]:
+    description = cfg["description"]
     axis1, axis2 = Direction(cfg["theta1"]), Direction(cfg["theta2"])
     config = mc.ExperimentConfig(
         axis1, axis2, cfg["trials"], description, cfg["seed"],
-        stream_id=0 if description is Description.ALICE else 1,
+        stream_id=0 if description == "alice" else 1,
     )
     stats = mc.run_experiment(config, workers=workers, csv_out=csv_out)
     analytic = quantum_correlation(axis1, axis2)
     tol = mc.covariance_tolerance(analytic, cfg["trials"])
     results = {
-        "description": description.value,
+        "description": description,
         "phi": angle_between(axis1, axis2),
         "analytic": analytic,
         "stats": stats,
         "error": abs(stats.covariance - analytic),
         "tolerance": tol,
     }
-    check = Check.within(f"{description.value}: empirical covariance matches analytic",
+    check = Check.within(f"{description}: empirical covariance matches analytic",
                          stats.covariance, analytic, tol)
     return results, [check]
 
@@ -313,7 +313,7 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
         results = {"equivalence": comparison}
         checks = comparison.checks()
     else:
-        results, checks = _mc_single(cfg, Description(cfg["description"]), ns.workers, ns.csv_out)
+        results, checks = _mc_single(cfg, ns.workers, ns.csv_out)
     return (cfg, results, checks, cfg["seed"],
             None if ns.csv_out is None else {"trials_csv": ns.csv_out})
 

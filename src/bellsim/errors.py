@@ -115,13 +115,17 @@ require_path = Contract("a file name", lambda v: isinstance(v, (str, os.PathLike
 
 
 def one_of(options) -> Contract:
-    """Equal to an option of its type, a subtype or a base type, so 1.0 and True are not 1."""
+    """Equal to an option of its type, a subtype or a base type, so 1.0 and True are not 1.
+
+    The check returns the option itself, so ``numpy.str_("c")`` comes back as ``"c"``.
+    """
 
     def valid(v) -> bool:
         return not isinstance(v, bool) and any(
             (isinstance(v, type(o)) or isinstance(o, type(v))) and v == o for o in options)
 
-    return Contract("one of " + ", ".join(map(json.dumps, options)), valid)
+    return Contract("one of " + ", ".join(map(json.dumps, options)), valid,
+                    lambda v: options[options.index(v)])
 
 
 def require_type(value, name: str, cls: type):

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 from .errors import one_of, require, require_real, require_trials, require_type
 from .report import Check
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
-from .spinmodel import (Description, Direction, HiddenVariable, conditional_outcome_prob,
-                        quantum_correlation)
+from .spinmodel import Direction, HiddenVariable, conditional_outcome_prob, quantum_correlation
 
 CHSH_LOCAL_BOUND = 2.0
 CHSH_SINGLET_BOUND = 2.0 * math.sqrt(2.0)
 require_chsh_mode = one_of(("analytic", "empirical"))
+#: Whose axis anchors the hidden variable: Alice's (axis1) or Bob's (axis2).
+require_description = one_of(("alice", "bob"))
 
 #: The CHSH combination is a derived demonstration built from the model's
 #: pair correlations; it is not itself a primitive of the model.
@@ -44,7 +45,7 @@ class ExperimentConfig:
     axis1: Direction
     axis2: Direction
     trials: int
-    description: Description = Description.ALICE
+    description: str = "alice"
     seed: int = 0
     stream_id: int = 0
 
@@ -52,7 +53,8 @@ class ExperimentConfig:
         require_type(self.axis1, "axis1", Direction)
         require_type(self.axis2, "axis2", Direction)
         require_trials(self.trials, "trials")
-        require_type(self.description, "description", Description)
+        object.__setattr__(self, "description",
+                           require_description(self.description, "description"))
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stream_id)
@@ -106,7 +108,7 @@ def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World
     so one pair of states never occurs.  The row text follows the trial
     number: ``,lambda_sign,outcome1,outcome2``.
     """
-    alice = require_type(config, "config", ExperimentConfig).description is Description.ALICE
+    alice = require_type(config, "config", ExperimentConfig).description == "alice"
     anchor, other = (config.axis1, config.axis2) if alice else (config.axis2, config.axis1)
     anchored, drawn = (1, 2) if alice else (2, 1)  # particles: lambda fixes one, draw 1 the other
     lams = (HiddenVariable(anchor, 1), HiddenVariable(anchor, -1))
@@ -200,12 +202,9 @@ def description_equivalence(
     (sqrt(2) wider) tolerance.
     """
     analytic = quantum_correlation(axis1, axis2)
-    alice = run_experiment(
-        ExperimentConfig(axis1, axis2, trials, Description.ALICE, seed, stream_id=0), workers
-    )
-    bob = run_experiment(
-        ExperimentConfig(axis1, axis2, trials, Description.BOB, seed, stream_id=1), workers
-    )
+    alice = run_experiment(ExperimentConfig(axis1, axis2, trials, "alice", seed, stream_id=0),
+                           workers)
+    bob = run_experiment(ExperimentConfig(axis1, axis2, trials, "bob", seed, stream_id=1), workers)
     tol = covariance_tolerance(analytic, trials)
     return DescriptionComparison(
         theta1=axis1.theta,
@@ -284,10 +283,8 @@ def chsh_details(
             e = quantum_correlation(ax1, ax2)
             contexts.append(ChshContext(label, ax1.theta, ax2.theta, sign, e))
         else:
-            stats = run_experiment(
-                ExperimentConfig(ax1, ax2, trials, Description.ALICE, seed, stream_id=i),
-                workers,
-            )
+            config = ExperimentConfig(ax1, ax2, trials, "alice", seed, stream_id=i)
+            stats = run_experiment(config, workers)
             e = stats.covariance
             contexts.append(EmpiricalContext(label, ax1.theta, ax2.theta, sign, e, stats))
         total += sign * e

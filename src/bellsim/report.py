@@ -23,7 +23,6 @@ raises exactly what it raises, when the renderer is called.
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import math
@@ -105,8 +104,8 @@ def record(value: Any) -> Any:
     """The JSON shape of a result.
 
     A dataclass becomes a dict of its fields in field order, a sign-pair
-    key its glyph (``(1, -1)`` is ``"+-"``), an enum its value and a
-    tuple a list; anything else is kept as it is.
+    key its glyph (``(1, -1)`` is ``"+-"``) and a tuple a list; anything
+    else, such as a choice's string, is kept as it is.
     """
     if is_dataclass(value):
         return {f.name: record(getattr(value, f.name)) for f in fields(value)}
@@ -114,7 +113,7 @@ def record(value: Any) -> Any:
         return {glyph(*k) if isinstance(k, tuple) else k: record(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [record(v) for v in value]
-    return value.value if isinstance(value, enum.Enum) else value
+    return value
 
 
 def build_report(

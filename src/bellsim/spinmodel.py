@@ -13,7 +13,8 @@ singlet correlation -cos(phi) for axes separated by the angle phi.
 
 Conditional statistics are meaningful only relative to one
 hidden-variable set, anchored to a single observer's axis (the "Alice"
-or "Bob" description).  There the anchor is an explicit argument, and
+or "Bob" description, which a simulation names with the string
+``"alice"`` or ``"bob"``).  There the anchor is an explicit argument, and
 :func:`subquantum_correlation` rejects a hidden variable anchored to
 neither measurement axis, so quantities that would mix hidden-variable
 sets from different contexts cannot be formed here.  The observable
@@ -36,7 +37,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -85,13 +85,6 @@ class Direction:
             # fmod of a tiny negative can round the sum up to exactly 2*pi.
             t -= TWO_PI
         object.__setattr__(self, "theta", t)
-
-
-class Description(enum.Enum):
-    """Which observer's measurement axis anchors the hidden-variable set."""
-
-    ALICE = "alice"
-    BOB = "bob"
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,7 +23,6 @@ import numpy as np
 from bellsim import ballprotocol as bp
 from bellsim.errors import ValidationError
 from bellsim.spinmodel import (
-    Description,
     Direction,
     HiddenVariable,
     _marginal,
@@ -91,7 +90,7 @@ def simulate_trial(config, rng) -> TrialRecord:
     observer's outcome is read off with certainty, the other is drawn by
     comparing one uniform against its conditional probability.
     """
-    if config.description is Description.ALICE:
+    if config.description == "alice":
         lam = sample_hidden_variable(config.axis1, rng)
         outcome1 = lam.first_particle
         outcome2 = 1 if rng.random() < conditional_outcome_prob(lam, 2, config.axis2, 1) else -1
@@ -104,12 +103,12 @@ def simulate_trial(config, rng) -> TrialRecord:
 
 @dataclass(frozen=True)
 class SignedBall:
-    color: bp.Color
+    color: str
     sign: int
     addressee: str  # ALICE or BOB
 
     def label(self) -> str:
-        return f"{self.color.value}_{self.addressee}{'+' if self.sign > 0 else '-'}"
+        return f"{self.color}_{self.addressee}{'+' if self.sign > 0 else '-'}"
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,8 @@ class Algorithm:
     sign with probability ``correlated_prob``, else the opposite."""
 
     algorithm_id: str
-    fixed_color: bp.Color
-    variable_color: bp.Color
+    fixed_color: str
+    variable_color: str
     fixed_alice_sign: int
     correlated_prob: float
 
@@ -156,7 +155,7 @@ class DetectionRecord:
     """What one observer's device did with one trial's pair of balls."""
 
     registered: bool
-    color: bp.Color | None
+    color: str | None
     sign: int | None
     passages: int
 
@@ -169,7 +168,7 @@ def observer_detect(balls, filter_color) -> DetectionRecord:
     if len(balls) != 2 or balls[0].addressee != balls[1].addressee:
         raise ValidationError("an observer receives exactly two balls, both addressed to them")
     for ball in balls:
-        if ball.color is bp.Color(filter_color):
+        if ball.color == filter_color:
             return DetectionRecord(True, ball.color, ball.sign, passages=2)
     return DetectionRecord(False, None, None, passages=2)
 
@@ -235,10 +234,10 @@ def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Di
 
 
 def quantum_pair_expectation(axis1: Direction, axis2: Direction,
-                             description: Description = Description.ALICE) -> float:
+                             description: str = "alice") -> float:
     """Outcome-product expectation averaged over both signs: -cos of the axis angle.
 
     The hidden variable is anchored on the described observer's axis.
     """
-    anchor = axis1 if description is Description.ALICE else axis2
+    anchor = axis1 if description == "alice" else axis2
     return _quantum_pair(axis_cosine(anchor, axis1), axis_cosine(anchor, axis2))

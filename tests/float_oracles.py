@@ -14,7 +14,7 @@ from actor_oracles import generator, stage_algorithms
 
 from bellsim import ballprotocol as bp
 from bellsim.rng import BLOCK_DRAWS
-from bellsim.spinmodel import Description, angle_between
+from bellsim.spinmodel import angle_between
 
 
 def _doubles(stream, n: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def mc_counts(config) -> tuple[int, int, int, int]:
     u = _doubles(config.stream(), config.trials)
     signs = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
     signs_f = signs.astype(np.float64)
-    if config.description is Description.ALICE:
+    if config.description == "alice":
         cos_phi = math.cos(angle_between(config.axis1, config.axis2))
         p_plus = 0.5 * (1.0 + (-signs_f) * cos_phi)
         outcome2 = np.where(u[:, 1] < p_plus, 1, -1).astype(np.int64)
@@ -45,7 +45,7 @@ def _signs_for_filter(per_color, filter_colors):
     """Registered sign per trial for one observer (0 = not registered)."""
     out = np.zeros(len(filter_colors), dtype=np.int8)
     for color, signs in per_color.items():
-        out = np.where(filter_colors == ord(color.value), signs.astype(np.int8), out)
+        out = np.where(filter_colors == ord(color), signs.astype(np.int8), out)
     return out
 
 
@@ -60,15 +60,15 @@ def stage_counts(config) -> np.ndarray:
     v = np.where(correlated, s, -s)
 
     m = config.filter_mismatch_prob
-    alice_filter = np.full(n, ord(config.alice_filter.value), dtype=np.uint8)
-    bob_filter = np.full(n, ord(config.bob_filter.value), dtype=np.uint8)
+    alice_filter = np.full(n, ord(config.alice_filter), dtype=np.uint8)
+    bob_filter = np.full(n, ord(config.bob_filter), dtype=np.uint8)
     if m > 0.0:
-        alice_alt = bp.ALICE_FILTERS[1] if config.alice_filter is bp.ALICE_FILTERS[0] \
+        alice_alt = bp.ALICE_FILTERS[1] if config.alice_filter == bp.ALICE_FILTERS[0] \
             else bp.ALICE_FILTERS[0]
-        bob_alt = bp.BOB_FILTERS[1] if config.bob_filter is bp.BOB_FILTERS[0] \
+        bob_alt = bp.BOB_FILTERS[1] if config.bob_filter == bp.BOB_FILTERS[0] \
             else bp.BOB_FILTERS[0]
-        alice_filter = np.where(u[:, 2] < m, ord(alice_alt.value), alice_filter).astype(np.uint8)
-        bob_filter = np.where(u[:, 3] < m, ord(bob_alt.value), bob_filter).astype(np.uint8)
+        alice_filter = np.where(u[:, 2] < m, ord(alice_alt), alice_filter).astype(np.uint8)
+        bob_filter = np.where(u[:, 3] < m, ord(bob_alt), bob_filter).astype(np.uint8)
 
     fixed, variable = bp.STAGE_COLORS[config.stage]
     a = _signs_for_filter({fixed: s, variable: -v}, alice_filter).astype(np.int64)

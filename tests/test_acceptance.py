@@ -21,7 +21,6 @@ from bellsim import commoncause as cc
 from bellsim import montecarlo as mc
 from bellsim.report import record
 from bellsim.spinmodel import (
-    Description,
     Direction,
     HiddenVariable,
     angle_between,
@@ -91,7 +90,7 @@ def test_c03_certainty_and_anticorrelation(tmp_path):
             assert joint_outcome_prob(lam, axis, axis, r, r) == 0.0
             assert joint_outcome_prob(lam, axis, axis, r, -r) == 1.0
     for seed in (0, 1, SEED):
-        for description in (Description.ALICE, Description.BOB):
+        for description in ("alice", "bob"):
             cfg = mc.ExperimentConfig(
                 Direction(0.7), Direction(0.7), 100_000, description, seed
             )

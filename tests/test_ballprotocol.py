@@ -99,41 +99,41 @@ class TestSamEmit:
 class TestObserverDetect:
     def test_records_matching_color(self):
         balls = (
-            SignedBall(bp.Color.AMBER, 1, ALICE),
-            SignedBall(bp.Color.BLUE, -1, ALICE),
+            SignedBall("a", 1, ALICE),
+            SignedBall("b", -1, ALICE),
         )
-        rec = observer_detect(balls, bp.Color.AMBER)
-        assert rec.registered and rec.color is bp.Color.AMBER and rec.sign == 1
+        rec = observer_detect(balls, "a")
+        assert rec.registered and rec.color == "a" and rec.sign == 1
         assert rec.passages == 2
 
     def test_no_matching_color_counts_passages_only(self):
         balls = (
-            SignedBall(bp.Color.AMBER, 1, BOB),
-            SignedBall(bp.Color.BLUE, -1, BOB),
+            SignedBall("a", 1, BOB),
+            SignedBall("b", -1, BOB),
         )
-        rec = observer_detect(balls, bp.Color.CHERRY)
+        rec = observer_detect(balls, "c")
         assert not rec.registered and rec.color is None and rec.sign is None
         assert rec.passages == 2
 
     def test_negative_sign_recorded(self):
         balls = (
-            SignedBall(bp.Color.AMBER, -1, ALICE),
-            SignedBall(bp.Color.CHERRY, 1, ALICE),
+            SignedBall("a", -1, ALICE),
+            SignedBall("c", 1, ALICE),
         )
-        rec = observer_detect(balls, bp.Color.AMBER)
+        rec = observer_detect(balls, "a")
         assert rec.registered and rec.sign == -1
 
     def test_rejects_mixed_addressees(self):
         balls = (
-            SignedBall(bp.Color.AMBER, 1, ALICE),
-            SignedBall(bp.Color.BLUE, -1, BOB),
+            SignedBall("a", 1, ALICE),
+            SignedBall("b", -1, BOB),
         )
         with pytest.raises(ValidationError):
-            observer_detect(balls, bp.Color.AMBER)
+            observer_detect(balls, "a")
 
 
 def _other(filters, chosen):
-    return filters[1] if chosen is filters[0] else filters[0]
+    return filters[1] if chosen == filters[0] else filters[0]
 
 
 class TestActorPathEquivalence:
@@ -158,9 +158,9 @@ class TestActorPathEquivalence:
             assert rows[i] == {
                 "trial": str(i),
                 "algorithm": algorithm_id,
-                "alice_color": alice_filter.value if alice.registered else "",
+                "alice_color": alice_filter if alice.registered else "",
                 "alice_sign": str(alice.sign) if alice.registered else "",
-                "bob_color": bob_filter.value if bob.registered else "",
+                "bob_color": bob_filter if bob.registered else "",
                 "bob_sign": str(bob.sign) if bob.registered else "",
                 "registered": str(int(alice.registered and bob.registered)),
             }
@@ -251,7 +251,7 @@ class TestRunStage:
 
     def test_empty_registered_set_is_an_error(self):
         cfg = bp.StageConfig(
-            stage=1, alice_filter=bp.Color.CHERRY, bob_filter=bp.Color.CHERRY,
+            stage=1, alice_filter="c", bob_filter="c",
             trials=1000, seed=1,
         )
         with pytest.raises(EmptyReportError):
@@ -261,7 +261,7 @@ class TestRunStage:
 
     def test_same_color_filters_anticorrelate_perfectly(self):
         cfg = bp.StageConfig(
-            stage=2, alice_filter=bp.Color.CHERRY, bob_filter=bp.Color.CHERRY,
+            stage=2, alice_filter="c", bob_filter="c",
             trials=50_000, seed=3,
         )
         report = bp.run_stage(cfg)
@@ -349,7 +349,7 @@ class TestBellInequality:
             bp.bell_inequality_check((reports[1], reports[0], reports[2]))
 
     def test_mismatched_filters_rejected(self):
-        bad = bp.StageConfig(stage=2, alice_filter=bp.Color.CHERRY, trials=1)
+        bad = bp.StageConfig(stage=2, alice_filter="c", trials=1)
         reports = (
             bp.analytic_stage_report(bp.StageConfig(stage=1, trials=1)),
             bp.analytic_stage_report(bad),
@@ -448,9 +448,9 @@ class TestStructuralLocality:
 class TestSerialization:
     def test_invalid_filters_rejected(self):
         with pytest.raises(ValidationError):
-            bp.StageConfig(stage=1, alice_filter=bp.Color.BLUE, trials=1)
+            bp.StageConfig(stage=1, alice_filter="b", trials=1)
         with pytest.raises(ValidationError):
-            bp.StageConfig(stage=1, bob_filter=bp.Color.AMBER, trials=1)
+            bp.StageConfig(stage=1, bob_filter="a", trials=1)
 
     @pytest.mark.parametrize("field, value", [
         ("stage", True), ("trials", True), ("trials", 2.0), ("p_stage1", "0.5"), ("p_stage1", True),

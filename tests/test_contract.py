@@ -26,6 +26,7 @@ from bellsim import montecarlo as mc
 from bellsim import rng
 from bellsim import spinmodel as sm
 from bellsim.errors import BellsimError, ValidationError, require_trials
+from bellsim.report import record, render_json
 
 A, B = sm.Direction(0.0), sm.Direction(math.pi / 3)
 LAM = sm.HiddenVariable(A, 1)
@@ -62,7 +63,7 @@ ENTRY_POINTS = {
         lambda stream, trials, coins, worlds, workers, header: rng.simulate(
             stream, trials, coins, worlds, workers, os.devnull, header),
         (STREAM, 10, COINS, WORLDS, 1, "trial,x")),
-    "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, sm.Description.ALICE, 1, 0)),
+    "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, "alice", 1, 0)),
     "run_experiment": (mc.run_experiment, (mc.ExperimentConfig(A, B, 10), 1)),
     "covariance_tolerance": (mc.covariance_tolerance, (-0.5, 10)),
     "description_equivalence": (mc.description_equivalence, (A, B, 10, 1, 1)),
@@ -156,6 +157,9 @@ REFUSED = {
     "simulate(a world whose row is no string)": lambda: rng.simulate(
         STREAM, 10, COINS, [dataclasses.replace(WORLDS[0], row=5), *WORLDS[1:]], 1),
     "ExperimentConfig(0.5, B)": lambda: mc.ExperimentConfig(0.5, B, 10),
+    "ExperimentConfig(A, B, 10, 'both')": lambda: mc.ExperimentConfig(A, B, 10, "both"),
+    "ExperimentConfig(A, B, 10, 'Alice')": lambda: mc.ExperimentConfig(A, B, 10, "Alice"),
+    "ExperimentConfig(A, B, 10, True)": lambda: mc.ExperimentConfig(A, B, 10, True),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
     "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),
@@ -188,6 +192,26 @@ REFUSED = {
 def test_inputs_outside_the_domain_raise_validation_error(case):
     with pytest.raises(ValidationError, match=" must be "):
         REFUSED[case]()
+
+
+#: A config made with a string type, what it runs, and its choices.
+NUMPY_CHOICES = {
+    "StageConfig": (lambda s: bp.StageConfig(2, s("c"), s("c"), 500, 3, filter_mismatch_prob=0.2),
+                    bp.run_stage, ("alice_filter", "bob_filter")),
+    "ExperimentConfig": (lambda s: mc.ExperimentConfig(A, B, 500, s("bob"), 3, 1),
+                         mc.run_experiment, ("description",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_CHOICES))
+def test_a_numpy_string_choice_is_stored_and_run_as_the_plain_string(name, tmp_path):
+    make, run, choices = NUMPY_CHOICES[name]
+    configs = make(str), make(np.str_)
+    assert configs[0] == configs[1]
+    assert all(type(getattr(configs[1], choice)) is str for choice in choices)
+    reports = [run(config, csv_out=tmp_path / f"{i}.csv") for i, config in enumerate(configs)]
+    assert "".join(render_json(record(reports[1]))) == "".join(render_json(record(reports[0])))
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "0.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", [v for v in HOSTILE if not isinstance(v, str)],

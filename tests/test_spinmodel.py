@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from bellsim.errors import ContextMismatchError, ValidationError
 from bellsim.spinmodel import (
     SWEEP_BLOCK,
-    Description,
     Direction,
     HiddenVariable,
     _correlation,
@@ -287,13 +286,13 @@ class TestQuantumCorrelation:
     def test_equal_axes_perfect_anticorrelation(self):
         a = Direction(0.9)
         assert quantum_correlation(a, a) == pytest.approx(-1.0, abs=TOL)
-        for d in (Description.ALICE, Description.BOB):
+        for d in ("alice", "bob"):
             assert quantum_pair_expectation(a, a, d) == pytest.approx(-1.0, abs=TOL)
 
     def test_orthogonal(self):
         a, b = Direction(0.0), Direction(math.pi / 2)
         assert abs(quantum_correlation(a, b)) <= TOL
-        assert abs(quantum_pair_expectation(a, b, Description.BOB)) <= TOL
+        assert abs(quantum_pair_expectation(a, b, "bob")) <= TOL
 
     def test_minus_cosine_identity_1000_random_pairs(self):
         rng = np.random.default_rng(99)
@@ -302,14 +301,14 @@ class TestQuantumCorrelation:
             a, b = Direction(t1), Direction(t2)
             phi = angle_between(a, b)
             assert abs(quantum_correlation(a, b) + math.cos(phi)) <= TOL
-            for d in (Description.ALICE, Description.BOB):
+            for d in ("alice", "bob"):
                 assert abs(quantum_pair_expectation(a, b, d) + math.cos(phi)) <= TOL
 
     @given(angles, angles)
     def test_descriptions_agree(self, t1, t2):
         # The Alice-anchored correlation equals the Bob-anchored average bit for bit.
         a, b = Direction(t1), Direction(t2)
-        bob = quantum_pair_expectation(a, b, Description.BOB)
+        bob = quantum_pair_expectation(a, b, "bob")
         assert quantum_correlation(a, b) == bob == quantum_pair_expectation(a, b)
 
     @given(angles, angles)
