@@ -244,7 +244,6 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         }
 
     results: dict = {}
-    outputs: dict = {}
     if cfg["phi"] is not None:
         results["angles"] = [evaluate(float(p)) for p in cfg["phi"]]
     if cfg["sweep"] is not None:
@@ -255,8 +254,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         if ns.sweep_out is not None:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
                 fh.writelines(rows.blocks)
-            outputs["sweep_data"] = ns.sweep_out
-    return cfg, results, [], None, outputs
+    return cfg, results, [], None
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +309,15 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
             cfg["trials"], cfg["seed"], workers=ns.workers,
         )
         results = {"equivalence": comparison}
-        checks = comparison.checks()
+        # Each description against the analytic value, and the two against each other.
+        checks = [Check.within(f"{name} covariance matches analytic", stats.covariance,
+                               comparison.analytic, comparison.tolerance)
+                  for name, stats in (("alice", comparison.alice), ("bob", comparison.bob))]
+        checks.append(Check.within("descriptions agree with each other", comparison.discrepancy,
+                                   0.0, comparison.combined_tolerance))
     else:
         results, checks = _mc_single(cfg, ns.workers, ns.csv_out)
-    return (cfg, results, checks, cfg["seed"],
-            None if ns.csv_out is None else {"trials_csv": ns.csv_out})
+    return cfg, results, checks, cfg["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +397,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
         results["inequality"] = bp.bell_inequality_check(tuple(stage_reports))
         results["decomposition"] = [bp.contextual_decomposition(stage_config(stage), 1, 1)
                                     for stage in stages]
-    return (cfg, results, checks, cfg["seed"],
-            None if ns.csv_out is None else {"trials_csv": ns.csv_out})
+    return cfg, results, checks, cfg["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +461,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
               value=cause_report.covariance, target=None,
               tolerance=cause_report.tolerance)
     )
-    return cfg, results, checks, cfg["seed"], None
+    return cfg, results, checks, cfg["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +487,12 @@ def cmd_chsh(ns: argparse.Namespace) -> tuple:
         bound = mc.CHSH_SINGLET_BOUND
         checks = [Check("|S| within the singlet bound", result.abs_value <= bound + 1e-12,
                         value=result.abs_value, target=bound, tolerance=1e-12)]
-        return cfg, {"chsh": result}, checks, None, None
+        return cfg, {"chsh": result}, checks, None
     analytic = mc.chsh_details(*axes, mode="analytic")
     tol = sum(mc.covariance_tolerance(ctx.expectation, cfg["trials"]) for ctx in analytic.contexts)
     checks = [Check.within("empirical S matches analytic combination",
                            result.value, analytic.value, tol)]
-    return cfg, {"chsh": result, "analytic": analytic}, checks, cfg["seed"], None
+    return cfg, {"chsh": result, "analytic": analytic}, checks, cfg["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +503,13 @@ class Subcommand(NamedTuple):
 
     help: str
     schema: tuple[Field, ...]
-    handler: Callable[[argparse.Namespace], tuple]  # (cfg, results, checks, seed, outputs)
+    handler: Callable[[argparse.Namespace], tuple]  # (cfg, results, checks, seed)
     flags: tuple[tuple[str, dict], ...] = ()  # as COMMON_FLAGS, added after them
 
 
 CSV_OUT = ("--csv-out", {"metavar": "PATH", "help": "write per-trial records as CSV"})
+#: Each export flag, and the key that names its file in the manifest's outputs.
+OUTPUTS = {"--csv-out": "trials_csv", "--sweep-out": "sweep_data"}
 
 SUBCOMMANDS = {
     "spin-correlation": Subcommand(
@@ -554,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = build_parser().parse_args(argv)  # angle and sweep flags raise UsageError
         require_count(ns.workers, "workers")
         command = SUBCOMMANDS[ns.subcommand]
-        flag = next((f for f, _ in command.flags if f.endswith("-out")), None)  # its one export
+        flag = next((f for f, _ in command.flags if f in OUTPUTS), None)  # its one export
         writing = None if flag is None else getattr(ns, flag[2:].replace("-", "_"))
         for path in (ns.out, writing):
             if path is not None and "\0" in path:  # open() would raise ValueError
@@ -564,7 +567,8 @@ def main(argv: list[str] | None = None) -> int:
             file = os.path.isfile(real) or not os.path.exists(real)  # not a device: /dev/null
             if file and real == os.path.realpath(ns.out):
                 raise UsageError(f"--out and {flag} name the same file {writing!r}")
-        cfg, results, checks, seed, outputs = command.handler(ns)
+        cfg, results, checks, seed = command.handler(ns)
+        outputs = {} if writing is None else {OUTPUTS[flag]: writing}
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
                               timestamp=not ns.no_timestamp)
         pieces = render_json(report) if ns.format == "json" else render_text(report)
