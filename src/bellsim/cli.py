@@ -8,6 +8,9 @@ config-file values over defaults; the resolved configuration is
 embedded in every report's manifest and can be fed back via --config to
 reproduce the run.  A flag that the run would not read, such as --trials
 of an analytic run, is a usage error; a config-file value never is.
+Each handler returns (cfg, results, checks, seed): every check in a report
+is built here.  main refuses output paths it cannot write before the run,
+and names the export's file in the manifest's outputs by OUTPUTS.
 
 Exit codes: 0 when all embedded checks pass, 1 when a check fails or
 the run hits a data-level error (such as an empty registered set), 2
@@ -17,10 +20,12 @@ for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -94,6 +99,27 @@ def _read_json(path: str, what: str) -> Any:
         raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested beyond the decoder's reach
         raise UsageError(f"cannot read {what} file {path!r}: nested too deeply") from exc
+
+
+def _refuse_unwritable(path: str) -> None:
+    """``cannot write`` a path whose open for writing would fail on a missing or unwritable
+    directory, a directory or an unwritable file, told without creating or opening anything.
+
+    Other failures, such as a full device's, are met when the file is written.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:  # open() creates the file if its directory exists
+        parent = os.path.dirname(path) or "."
+        code = (errno.ENOENT if not (path and os.path.isdir(parent))
+                else 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES)
+    except OSError as exc:  # such as a file where a directory should be
+        code = exc.errno
+    else:
+        code = (errno.EISDIR if stat.S_ISDIR(mode)
+                else 0 if os.access(path, os.W_OK) else errno.EACCES)
+    if code:
+        raise UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _sweep(value: Any) -> bool:
@@ -567,6 +593,8 @@ def main(argv: list[str] | None = None) -> int:
             file = os.path.isfile(real) or not os.path.exists(real)  # not a device: /dev/null
             if file and real == os.path.realpath(ns.out):
                 raise UsageError(f"--out and {flag} name the same file {writing!r}")
+        if ns.out is not None:  # refused before the run, so no export is left behind
+            _refuse_unwritable(ns.out)
         cfg, results, checks, seed = command.handler(ns)
         outputs = {} if writing is None else {OUTPUTS[flag]: writing}
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,

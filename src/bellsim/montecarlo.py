@@ -12,6 +12,7 @@ sequential execution.  The per-trial CSV export (``csv_out``) streams
 from the same chunks and returns the same statistics.  The worlds are
 :class:`~bellsim.rng.World` records whose common cause is the hidden
 sign, and each world's probability is the probability of its code.
+:func:`description_equivalence` builds its record whole, verdict included.
 """
 
 from __future__ import annotations
@@ -103,26 +104,27 @@ def _world_table(config: ExperimentConfig) -> tuple[tuple[Coin, ...], list[World
     observer's probability of +1 given lambda = +1 and lambda = -1; a
     world reads the one that matches its sign.  Both compare draw 1, so a
     world's probability is 1/2 times the length of the part of draw 1's
-    range in which both coins take its states; the two ranges are nested,
-    so one pair of states never occurs.  The row text follows the trial
-    number: ``,lambda_sign,outcome1,outcome2``.
+    53-bit range in which both coins take its states, over 2**53, which is
+    exact: the two ranges are nested, so one pair of states never occurs,
+    and neither does a second when the two thresholds are equal.  The row
+    text follows the trial number: ``,lambda_sign,outcome1,outcome2``.
     """
     alice = require_type(config, "config", ExperimentConfig).description == "alice"
     anchor, other = (config.axis1, config.axis2) if alice else (config.axis2, config.axis1)
     anchored, drawn = (1, 2) if alice else (2, 1)  # particles: lambda fixes one, draw 1 the other
     lams = (HiddenVariable(anchor, 1), HiddenVariable(anchor, -1))
-    p_up = [conditional_outcome_prob(lam, drawn, other, 1) for lam in lams]
+    bounds = [threshold(conditional_outcome_prob(lam, drawn, other, 1)) for lam in lams]
     fixed = [lam.predetermined(anchored) for lam in lams]
-    coins = ((0, threshold(0.5)), (1, threshold(p_up[0])), (1, threshold(p_up[1])))
+    coins = ((0, threshold(0.5)), (1, bounds[0]), (1, bounds[1]))
     worlds = []
     for code in range(1 << len(coins)):
         cause = 0 if code & 1 else 1  # lambda = +1 or -1
         up = (code >> 1 & 1, code >> 2 & 1)
-        # Coin k is up where draw 1 is in [0, p_up[k]) and down where it is in [p_up[k], 1).
-        start = max(0.0 if u else p for u, p in zip(up, p_up))
-        end = min(p if u else 1.0 for u, p in zip(up, p_up))
+        # Coin k is up where draw 1's 53 bits are below bounds[k], and down where they are not.
+        start = max(0 if u else b for u, b in zip(up, bounds))
+        end = min(b if u else 1 << 53 for u, b in zip(up, bounds))
         signs = {anchored: fixed[cause], drawn: 1 if up[cause] else -1}
-        worlds.append(World(code, 0.5 * max(0.0, end - start), cause, (signs[1], signs[2]),
+        worlds.append(World(code, max(0, end - start) * 2.0**-54, cause, (signs[1], signs[2]),
                             f",{lams[cause].first_particle},{signs[1]},{signs[2]}\n"))
     return coins, worlds
 

@@ -6,12 +6,14 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import cli
+from bellsim import montecarlo as mc
 from bellsim.cli import main, parse_angle, parse_sweep
 from bellsim.spinmodel import correlation_sweep
 
@@ -183,6 +185,33 @@ class TestMcRun:
         block = report["results"]["equivalence"]
         assert block["passed"] is True
         assert len(report["checks"]) == 3
+
+    @pytest.mark.parametrize("tolerance, verdicts", [
+        ("default", [True, True, True]),
+        ("apart", [True, True, False]),  # each near analytic, on opposite sides of it
+        ("mixed", [False, True, False]),
+        ("zero", [False, False, False]),
+    ])
+    def test_equivalence_passes_when_its_three_checks_do(self, capsys, monkeypatch, tolerance,
+                                                         verdicts):
+        """The library's verdict and the CLI's checks agree, also when a check fails."""
+        args = ("mc-run", "--phi", "45deg", "--trials", "20000", "--seed", "0",
+                "--description", "both")
+        if tolerance != "default":
+            _, report, _ = run_json(capsys, *args)
+            block = report["results"]["equivalence"]
+            errors = [abs(block[name]["covariance"] - block["analytic"])
+                      for name in ("alice", "bob")]
+            tol = {"apart": max(errors), "mixed": sum(errors) / 2, "zero": 0.0}[tolerance]
+            monkeypatch.setattr(mc, "covariance_tolerance", lambda analytic, trials: tol)
+        code, report, _ = run_json(capsys, *args)
+        checks = report["checks"]
+        assert [c["name"] for c in checks] == ["alice covariance matches analytic",
+                                               "bob covariance matches analytic",
+                                               "descriptions agree with each other"]
+        assert [c["passed"] for c in checks] == verdicts
+        assert report["results"]["equivalence"]["passed"] is report["passed"] is all(verdicts)
+        assert code == (0 if all(verdicts) else 1)
 
     def test_csv_out(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
@@ -540,6 +569,31 @@ def test_out_may_not_overwrite_the_export(capsys, tmp_path, monkeypatch, args, o
     assert (code, stdout) == (2, "")
     assert err == f"error: --out and {args[-1]} name the same file {str(path)!r}\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+@pytest.mark.parametrize("out, reason", [("{tmp}/no-such-dir/r.json", errno.ENOENT),
+                                         ("{tmp}", errno.EISDIR),
+                                         ("{tmp}/old.json/r.json", errno.ENOTDIR),
+                                         ("{tmp}/r.json", errno.EACCES),
+                                         ("{tmp}/old.json", errno.EACCES)],
+                         ids=["missing-dir", "directory", "file-as-dir", "dir-denied",
+                              "file-denied"])
+def test_an_unwritable_out_is_refused_before_the_run(capsys, tmp_path, monkeypatch, args, out,
+                                                     reason):
+    """Nothing is simulated or exported, and --out is neither created nor truncated."""
+    import bellsim.rng
+
+    monkeypatch.setattr(bellsim.rng, "_count", None)  # nothing may be simulated
+    if reason == errno.EACCES:  # what a user without write permission sees, even as root
+        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    (tmp_path / "old.json").write_text("kept")
+    export, out = tmp_path / "data.txt", out.format(tmp=tmp_path)
+    code, stdout, err = run_cli(capsys, *args, str(export), "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write {out!r}: {os.strerror(reason)}\n"
+    assert not export.exists() and not os.path.exists(tmp_path / "r.json")
+    assert (tmp_path / "old.json").read_text() == "kept"
 
 
 @pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
@@ -922,6 +976,104 @@ def test_any_config_document_keeps_the_exit_code_contract(tmp_path, subcommand):
                          "--no-timestamp"])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+#: The flags of every subcommand, as pinned: (flag, action, type, choices, dest).
+PINNED_FLAGS = {
+    name: [(a["option_strings"][-1], a["action"], a["type"], a["choices"], a["dest"])
+           for a in parser["actions"] if a["action"] != "_HelpAction"]
+    for name, parser in json.loads((GOLDEN / "parser.json").read_text()).items()
+}
+#: Hostile flag values.  ``{dir}`` is a directory, ``{missing}`` a path in a missing
+#: directory and ``{out}`` the path that a valid --out names.
+PATH_EDGES = ("", "\0", "{dir}", "{missing}", "{out}")
+HUGE = (str(2**64), str(2**64 + 1))  # not for --trials: 2**64 trials are valid
+EDGES = (*PATH_EDGES, *HUGE, "-1", "0",
+         *(f"{v}{unit}" for v in ("nan", "inf", "1e308") for unit in ("", "deg", "rad")))
+ANGLE_TEXT = st.builds("{}{}".format, st.floats(-7.0, 7.0), st.sampled_from(["rad", "deg"]))
+#: Valid values by flag type, or by dest where the type does not decide.  File flags name
+#: files in ``{dir}``; the config file there sets 300 trials.
+VALID_TEXT = {
+    "float": st.floats(0.0, 1.0).map(repr),
+    "parse_angle": ANGLE_TEXT,
+    "<lambda>": st.lists(ANGLE_TEXT, min_size=4, max_size=4).map(",".join),
+    "parse_sweep": st.builds("0:{}:{}deg".format, st.integers(0, 50), st.integers(1, 10)),
+    "trials": st.integers(1, 300).map(str),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "workers": st.integers(1, 2).map(str),
+    "config": st.just("{dir}/config.json"),
+    "model_file": st.just("{dir}/model.json"),
+    "out": st.just("{out}"),
+    "csv_out": st.just("{dir}/trials.csv"),
+    "sweep_out": st.just("{dir}/sweep.dat"),
+}
+#: The dests of the flags that name files: a hostile one is a hostile path.
+FILES = ("config", "model_file", "out", "csv_out", "sweep_out")
+
+
+@st.composite
+def argvs(draw, subcommand):
+    """Each pinned flag absent or valid, but for at most two hostile ones.
+
+    A run without --trials reads the config's 300, never the default million.
+    """
+    pinned = PINNED_FLAGS[subcommand]
+    hostile = draw(st.sets(st.sampled_from([f[0] for f in pinned if f[1] != "_StoreTrueAction"]),
+                           max_size=2))
+    argv, dests = [subcommand], set()
+    for flag, action, kind, choices, dest in pinned:
+        if flag in hostile:
+            value = draw(st.sampled_from(PATH_EDGES if dest in FILES else
+                                         [e for e in EDGES if dest != "trials" or e not in HUGE]))
+        elif draw(st.booleans()):
+            continue
+        elif action == "_StoreTrueAction":
+            argv.append(flag)
+            continue
+        else:
+            value = draw(st.sampled_from([str(c) for c in choices]) if choices
+                         else VALID_TEXT[kind if kind in VALID_TEXT else dest])
+        dests.add(dest)
+        argv.append(f"{flag}={value}")  # one token, so that "-1rad" is not read as a flag
+    if "trials" not in dests and any(f[4] == "trials" for f in pinned):
+        argv = [a for a in argv if not a.startswith("--config=")] + ["--config={dir}/config.json"]
+    return argv
+
+
+@pytest.mark.parametrize("subcommand", sorted(PINNED_FLAGS))
+def test_any_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, subcommand):
+    """Exit 0, 1 or 2; no traceback; one error line, or argparse's usage; and an exit of 2
+    leaves no file behind."""
+    monkeypatch.chdir(tmp_path)  # where a value such as "nan" writes as a relative path
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    (tmp_path / "config.json").write_text('{"trials": 300}')
+    before = sorted(tmp_path.iterdir())
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(argv=argvs(subcommand))
+    def check(argv):
+        places = {"dir": tmp_path, "missing": tmp_path / "missing" / "x",
+                  "out": tmp_path / "report.txt"}
+        argv = [arg.format(**places) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        assert (err == "" or err.startswith("usage: ")
+                or err.startswith("error: ") and err.count("\n") == 1), (argv, err)
+        if code == 2:
+            assert sorted(tmp_path.iterdir()) == before, argv
+        for path in tmp_path.iterdir():
+            if path not in before:
+                path.unlink()
 
     check()
 

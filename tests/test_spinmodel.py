@@ -379,11 +379,14 @@ class TestCosineCore:
 
 def test_importing_the_package_loads_no_numpy():
     """The package root, its checks, the analytic model and the report renderer need no numpy:
-    only the engine (``rng``) imports it, and the sweep where it runs."""
+    only the engine (``rng``) imports it, and the sweep where it runs.  Nor does the Monte
+    Carlo library load the report layer: the CLI judges its runs."""
     import subprocess
     import sys
 
-    child = "import sys, bellsim, bellsim.spinmodel, bellsim.report; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    for modules, absent in (("bellsim, bellsim.spinmodel, bellsim.report", "numpy"),
+                            ("bellsim.montecarlo", "bellsim.report")):
+        child = f"import sys, {modules}; print({absent!r} in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False", modules
