@@ -102,8 +102,8 @@ def _read_json(path: str, what: str) -> Any:
 
 
 def _refuse_unwritable(path: str) -> None:
-    """``cannot write`` a path whose open for writing would fail on a missing or unwritable
-    directory, a directory or an unwritable file, told without creating or opening anything.
+    """Refuse as ``cannot write`` a path that ``open(path, "w")`` would refuse for a missing
+    or unwritable directory, for being a directory or for an unwritable file, opening nothing.
 
     Other failures, such as a full device's, are met when the file is written.
     """
