@@ -335,7 +335,6 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
             cfg["trials"], cfg["seed"], workers=ns.workers,
         )
         results = {"equivalence": comparison}
-        # Each description against the analytic value, and the two against each other.
         checks = [Check.within(f"{name} covariance matches analytic", stats.covariance,
                                comparison.analytic, comparison.tolerance)
                   for name, stats in (("alice", comparison.alice), ("bob", comparison.bob))]
