@@ -15,10 +15,11 @@ once into text, which is all the table keeps.  Both renderers lay it out
 as its list of rows, a block at a time as the report is written (see
 :class:`Rendered`).  :func:`render_json` is
 ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
-each table's rows spliced into that layout, so the standard library's
-pure-Python indenting encoder never walks them.  Anything ``json.dumps``
-refuses (non-string keys, unknown types, NaN or infinity, a cycle)
-raises exactly what it raises, when the renderer is called.
+each table's rows spliced into that layout, whatever the report's
+strings hold, so the standard library's pure-Python indenting encoder
+never walks them.  Anything ``json.dumps`` refuses (non-string keys,
+unknown types, NaN or infinity, a cycle) raises exactly what it raises,
+when the renderer is called.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class FloatTable:
                 and set(map(type, cells)) == {float} and all(map(math.isfinite, cells))):
             raise ValueError("each block of a float table holds whole rows of finite floats")
         return (" ".join(["%r"] * columns) + "\n") * (len(cells) // columns) % tuple(cells)
-
-    def rows(self) -> list[list[float]]:
-        """The rows as lists of floats, parsed from the text: ``float(repr(x))`` is ``x``."""
-        return [list(map(float, line.split(" "))) for text in self.blocks
-                for line in text.splitlines()]
 
     def join(self, before: str, cell: str, row: str, after: str) -> Iterator[str]:
         """``before``, the cells joined by ``cell`` in each row, the rows by ``row``, ``after``."""
@@ -145,7 +141,6 @@ def build_report(
 
 #: What ``json.dumps`` writes for a table, until its rows are spliced in.
 _MARKER = "\0FloatTable\0"
-_QUOTED_MARKER = json.dumps(_MARKER)
 _not_serializable = json.JSONEncoder().default
 
 
@@ -153,23 +148,25 @@ def render_json(report: dict) -> Rendered:
     """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, tables as rows.
 
     Each table is written as a marker string, and its rows are spliced in
-    at the marker line's indentation.  A report whose own strings hold the
-    marker is written by ``json.dumps`` alone.
+    at the marker line's indentation.  While the report's own strings hold
+    the quoted marker, the marker gains a NUL and the report is written
+    again; a string holds it only if it is at least as long, so this ends.
     """
-    tables: list[FloatTable] = []
+    marker, tables = _MARKER, []
 
     def default(o: Any) -> Any:
         if not isinstance(o, FloatTable):
             return _not_serializable(o)
         tables.append(o)
-        return _MARKER
+        return marker
 
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=default)
-    pieces = text.split(_QUOTED_MARKER)
-    if len(pieces) != len(tables) + 1:
-        # Only tables reach ``default`` here: the first pass raised for anything else.
-        return Rendered([json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                                    default=FloatTable.rows), "\n"])
+    while True:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=default)
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(tables) + 1:
+            break
+        marker += "\0"
+        tables.clear()
     out: list = [pieces[0]]
     for table, before, after in zip(tables, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]

@@ -7,12 +7,14 @@ whatever blocks its rows come in.
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellsim.report import _MARKER, FloatTable, build_report, render_json, render_text
+from bellsim.spinmodel import correlation_sweep
 
 
 def stdlib(value) -> str:
@@ -117,7 +119,8 @@ def as_text(results) -> str:
 def test_float_table_renders_as_its_rows(rows, wrappers, size):
     table = table_of(rows, size)
     assert "".join(table.blocks) == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
-    assert table.rows() == rows
+    assert [list(map(float, line.split(" "))) for text in table.blocks
+            for line in text.splitlines()] == rows
     rendered = render_json(nest(table, wrappers))
     assert "".join(rendered) == "".join(rendered) == stdlib(nest(rows, wrappers))
     assert rendered.encode("utf-8") == stdlib(nest(rows, wrappers)).encode("utf-8")
@@ -152,6 +155,26 @@ def test_strings_holding_the_marker_leave_tables_rendered_as_rows(extra):
     rows = [[0.0, -1.0], [1e16, 5e-324]]
     table = table_of(rows)
     assert as_json({"rows": table, **extra}) == stdlib({"rows": rows, **extra})
+
+
+def rendering_peak(report) -> int:
+    """tracemalloc's peak, in bytes, while render_json's pieces are made and dropped in turn."""
+    tracemalloc.start()
+    try:
+        for _ in render_json(report):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("extra", [{"note": _MARKER}, {"note": '"' + _MARKER}, {_MARKER: 1}],
+                         ids=["value", "after-quote", "key"])
+def test_strings_holding_the_marker_leave_tables_spliced_a_block_at_a_time(extra):
+    """No rendering holds a table's rows at once, whatever the report's strings hold."""
+    report = {"rows": FloatTable(2, correlation_sweep(0.0, 1e-3, 20_001)), "row_count": 20_001}
+    rendering_peak(report)  # the first rendering's one-off allocations are not counted
+    assert rendering_peak({**report, **extra}) <= rendering_peak(report) + 64 * 1024
 
 
 @pytest.mark.parametrize("columns, blocks", [
