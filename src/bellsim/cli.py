@@ -10,7 +10,8 @@ reproduce the run.  A flag that the run would not read, such as --trials
 of an analytic run, is a usage error; a config-file value never is.
 Each handler returns (cfg, results, checks, seed): every check in a report
 is built here.  main refuses output paths it cannot write before the run,
-and names the export's file in the manifest's outputs by OUTPUTS.
+names the export's file in the manifest's outputs by OUTPUTS, and removes
+an export that is a regular file when the report's own write fails.
 
 Exit codes: 0 when all embedded checks pass, 1 when a check fails or
 the run hits a data-level error (such as an empty registered set), 2
@@ -20,6 +21,7 @@ for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
@@ -578,6 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     writing = None  # the path being written: an OSError raised by a write names no file
+    exported = None  # the export's path once the run has written it whole
     try:
         ns = build_parser().parse_args(argv)  # angle and sweep flags raise UsageError
         require_count(ns.workers, "workers")
@@ -595,6 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.out is not None:  # refused before the run, so no export is left behind
             _refuse_unwritable(ns.out)
         cfg, results, checks, seed = command.handler(ns)
+        exported = writing
         outputs = {} if writing is None else {OUTPUTS[flag]: writing}
         report = build_report(ns.subcommand, cfg, results, checks, seed=seed, outputs=outputs,
                               timestamp=not ns.no_timestamp)
@@ -615,6 +619,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # reads turn theirs into usage errors, so this came from a write
         name = "output" if writing is None else repr(writing)
         print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+        if exported is not None:  # the report's write failed: no export is left without it
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(exported).st_mode):  # not a device such as /dev/null
+                    os.remove(exported)
         return 2
 
 

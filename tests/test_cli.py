@@ -611,6 +611,56 @@ def test_a_full_device_is_named_in_the_write_error(capsys, args):
     assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
 
+class FullStdout:
+    """A stdout on a full device: every write raises ENOSPC, as a real write's error."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+
+def fail_the_report(monkeypatch, report):
+    """The flags that send the report to a full device: --out /dev/full, or a full stdout."""
+    if report == "stdout":
+        monkeypatch.setattr(cli.sys, "stdout", FullStdout())
+        return (), "output"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full device")
+    return ("--out", "/dev/full"), "'/dev/full'"
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+@pytest.mark.parametrize("report", ["out", "stdout"])
+def test_a_report_that_cannot_be_written_takes_its_export_with_it(capsys, tmp_path, monkeypatch,
+                                                                  args, report):
+    export = tmp_path / "data.txt"
+    out, name = fail_the_report(monkeypatch, report)
+    code, _, err = run_cli(capsys, *args, str(export), *out)
+    assert code == 2
+    assert err == f"error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
+    assert not export.exists()
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+@pytest.mark.parametrize("report", ["out", "stdout"])
+def test_a_device_export_or_a_failed_removal_leaves_the_write_error(capsys, tmp_path, monkeypatch,
+                                                                    args, report):
+    """A device export is not removed; an export that cannot be removed stays, unreported."""
+    def refuse(path):
+        assert path != os.devnull, "a device export was removed"
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli.os, "remove", refuse)
+    out, name = fail_the_report(monkeypatch, report)
+    export = tmp_path / "data.txt"
+    for path in (os.devnull, str(export)):
+        code, _, err = run_cli(capsys, *args, path, *out)
+        assert code == 2
+        assert err == f"error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
+    assert export.stat().st_size > 0
+
+
 @pytest.mark.parametrize("args, message", [
     (("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="), "cannot write"),
     (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out="),
