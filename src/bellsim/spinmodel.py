@@ -19,11 +19,12 @@ or "Bob" description, which a simulation names with the string
 neither measurement axis, so quantities that would mix hidden-variable
 sets from different contexts cannot be formed here.  The observable
 correlation takes no anchor, as both descriptions give the same float:
-its law, ``_correlation``, anchors the hidden variable on the first axis,
-whose own cosine is exactly 1.0, and reads only the cosine to the second.
+its law, ``_quantum_pair(1.0, c)``, anchors the hidden variable on the
+first axis, whose own cosine is exactly 1.0, and reads only the cosine c
+to the second.
 
 Every statistic is a function of cosines between axes, and that
-arithmetic is written once (``_correlation`` and the helpers above it).
+arithmetic is written once (``_quantum_pair`` and the helpers above it).
 The public functions compute each cosine with :func:`axis_cosine` and
 pass floats; :func:`quantum_correlation` is the law's one scalar entry.
 :func:`correlation_sweep`, behind ``spin-correlation --sweep``, passes
@@ -144,16 +145,8 @@ def _pair(first: int, c1, c2):
     return total
 
 
-def _marginal(sign: int, c):
-    return 0.5 * _mean(sign, c) + 0.5 * _mean(-sign, c)
-
-
 def _quantum_pair(c1, c2):
     return 0.5 * _pair(1, c1, c2) + 0.5 * _pair(-1, c1, c2)
-
-
-def _correlation(c):
-    return _quantum_pair(1.0, c) - _marginal(1, 1.0) * _marginal(-1, c)
 
 
 def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[float]]:
@@ -181,7 +174,7 @@ def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[fl
             t[t < 0.0] += TWO_PI
             t[t >= TWO_PI] -= TWO_PI
             cosines = list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist()))))
-            yield np.column_stack((angles, _correlation(np.array(cosines)))).ravel().tolist()
+            yield np.column_stack((angles, _quantum_pair(1.0, np.array(cosines)))).ravel().tolist()
 
     return blocks()
 
@@ -271,4 +264,4 @@ def quantum_correlation(axis1: Direction, axis2: Direction) -> float:
     """
     require_type(axis1, "axis1", Direction)
     require_type(axis2, "axis2", Direction)
-    return _correlation(axis_cosine(axis1, axis2))
+    return _quantum_pair(1.0, axis_cosine(axis1, axis2))

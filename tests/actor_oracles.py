@@ -25,10 +25,10 @@ from bellsim.errors import ValidationError
 from bellsim.spinmodel import (
     Direction,
     HiddenVariable,
-    _marginal,
     _quantum_pair,
     axis_cosine,
     conditional_outcome_prob,
+    mean_value,
 )
 
 ALICE, BOB = "A", "B"
@@ -229,8 +229,9 @@ def find(records, field: str, value):
 
 def marginal_expectation(source_axis: Direction, particle: int, measure_axis: Direction) -> float:
     """Single-particle mean averaged over both hidden-variable signs: 0 for all axes."""
-    sign = HiddenVariable(source_axis, 1).predetermined(particle)
-    return _marginal(sign, axis_cosine(source_axis, measure_axis))
+    plus, minus = (mean_value(HiddenVariable(source_axis, sign), particle, measure_axis)
+                   for sign in (1, -1))
+    return 0.5 * plus + 0.5 * minus
 
 
 def quantum_pair_expectation(axis1: Direction, axis2: Direction,

@@ -20,7 +20,7 @@ from bellsim.spinmodel import (
     SWEEP_BLOCK,
     Direction,
     HiddenVariable,
-    _correlation,
+    _quantum_pair,
     angle_between,
     axis_cosine,
     conditional_outcome_prob,
@@ -368,8 +368,28 @@ class TestCosineCore:
         a, b = Direction(0.0), Direction(math.pi / 3)
         c = quantum_correlation(a, b)
         assert type(c) is float
-        assert c == _correlation(axis_cosine(a, b))
+        assert c == _quantum_pair(1.0, axis_cosine(a, b))
         assert c == pytest.approx(-0.5, abs=TOL)
+
+    def test_the_law_keeps_every_bit_of_the_formula_with_marginals(self):
+        """The law once subtracted the product of the two marginals, each exactly +0.0."""
+
+        def with_marginals(c):
+            def marginal(sign, c):
+                return 0.5 * (sign * c) + 0.5 * (-sign * c)
+
+            return _quantum_pair(1.0, c) - marginal(1, 1.0) * marginal(-1, c)
+
+        rng = np.random.default_rng(29)
+        edges = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+        cosines = edges + rng.uniform(-1.0, 1.0, 20_000).tolist()
+        reference = bits([with_marginals(c) for c in cosines])
+        assert bits([_quantum_pair(1.0, c) for c in cosines]) == reference
+        array = np.array(cosines)
+        assert bits(_quantum_pair(1.0, array)) == bits(with_marginals(array)) == reference
+        for t1, t2 in rng.uniform(-10.0, 10.0, (2_000, 2)).tolist():
+            a, b = Direction(t1), Direction(t2)
+            assert bits([quantum_correlation(a, b)]) == bits([with_marginals(axis_cosine(a, b))])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_sweep_rejects_non_finite_angles(self, bad):
