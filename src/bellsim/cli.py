@@ -595,8 +595,9 @@ def main(argv: list[str] | None = None) -> int:
             file = os.path.isfile(real) or not os.path.exists(real)  # not a device: /dev/null
             if file and real == os.path.realpath(ns.out):
                 raise UsageError(f"--out and {flag} name the same file {writing!r}")
-        if ns.out is not None:  # refused before the run, so no export is left behind
-            _refuse_unwritable(ns.out)
+        for path in (ns.out, writing):  # before the run: no work, and no export left behind
+            if path is not None:
+                _refuse_unwritable(path)
         cfg, results, checks, seed = command.handler(ns)
         exported = writing
         outputs = {} if writing is None else {OUTPUTS[flag]: writing}

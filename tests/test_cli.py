@@ -597,6 +597,26 @@ def test_an_unwritable_out_is_refused_before_the_run(capsys, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
+@pytest.mark.parametrize("export, reason", [("{tmp}/no-such-dir/data.txt", errno.ENOENT),
+                                            ("{tmp}", errno.EISDIR)],
+                         ids=["missing-dir", "directory"])
+def test_an_unwritable_export_is_refused_before_the_run(capsys, tmp_path, monkeypatch, args,
+                                                        export, reason):
+    """Nothing is simulated or computed: the error is the one the export's open would raise."""
+    import bellsim.rng
+
+    def refuse(*_):
+        raise AssertionError("the sweep was computed")
+
+    monkeypatch.setattr(bellsim.rng, "_count", None)  # nothing may be simulated
+    monkeypatch.setattr(cli, "correlation_sweep", refuse)
+    export = export.format(tmp=tmp_path)
+    code, stdout, err = run_cli(capsys, *args, export)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write {export!r}: {os.strerror(reason)}\n"
+
+
+@pytest.mark.parametrize("args", EXPORTS, ids=lambda args: args[0])
 def test_out_and_the_export_may_share_a_device(capsys, args):
     code, out, err = run_cli(capsys, *args, os.devnull, "--out", os.devnull)
     assert (code, out, err) == (0, "", "")
@@ -661,24 +681,22 @@ def test_a_device_export_or_a_failed_removal_leaves_the_write_error(capsys, tmp_
     assert export.stat().st_size > 0
 
 
-@pytest.mark.parametrize("args, message", [
-    (("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="), "cannot write"),
-    (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out="),
-     "requires a single description"),
-    (("ball-protocol", "--stage", "1", "--mode", "analytic", "--csv-out="),
-     "requires a single empirical stage"),
-    (("ball-protocol", "--all-stages", "--csv-out="), "requires a single empirical stage"),
-    (("spin-correlation", "--sweep", "0:10:5deg", "--sweep-out="), "cannot write"),
-    (("spin-correlation", "--phi", "60deg", "--sweep-out="), "--sweep-out needs --sweep"),
-    (("mc-run", "--phi", "60deg", "--trials", "1000", "--out="), "cannot write"),
-    (("chsh", "--out="), "cannot write"),
+@pytest.mark.parametrize("args", [
+    ("mc-run", "--phi", "60deg", "--trials", "1000", "--csv-out="),
+    ("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out="),
+    ("ball-protocol", "--stage", "1", "--mode", "analytic", "--csv-out="),
+    ("ball-protocol", "--all-stages", "--csv-out="),
+    ("spin-correlation", "--sweep", "0:10:5deg", "--sweep-out="),
+    ("spin-correlation", "--phi", "60deg", "--sweep-out="),
+    ("mc-run", "--phi", "60deg", "--trials", "1000", "--out="),
+    ("chsh", "--out="),
 ], ids=["mc-run-csv", "mc-run-both-csv", "ball-analytic-csv", "ball-all-stages-csv", "sweep-out",
         "sweep-out-without-sweep", "mc-run-out", "chsh-out"])
-def test_an_empty_output_path_is_an_output_path(capsys, args, message):
-    """An empty path is given, not absent: it meets the rule or the write error of any path."""
+def test_an_empty_output_path_is_an_output_path(capsys, args):
+    """An empty path is given, not absent: it is refused as any unwritable path is, before
+    the rules of the run (such as ``--sweep-out needs --sweep``) are checked."""
     code, out, err = run_cli(capsys, *args)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and message in err
+    assert (code, out, err) == (2, "", "error: cannot write '': No such file or directory\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -796,6 +814,12 @@ def test_every_draw_goes_through_the_patched_seam(capsys, monkeypatch):
     (("common-cause", "--model", "{path}", "--y-outcome", "-1"), "--y-outcome needs --builtin"),
     (("ball-protocol", "--stage", "2", "--p1", "0.2"), "--p1 needs stage 1"),
     (("ball-protocol", "--stage", "1", "--p23", "0.2"), "--p23 needs stage 2 or 3"),
+    (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out",
+      "{path}"), "per-trial CSV output requires a single description"),
+    (("ball-protocol", "--stage", "1", "--mode", "analytic", "--csv-out", "{path}"),
+     "per-trial CSV output requires a single empirical stage"),
+    (("ball-protocol", "--all-stages", "--csv-out", "{path}"),
+     "per-trial CSV output requires a single empirical stage"),
 ])
 def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     path = tmp_path / "sweep.dat"
