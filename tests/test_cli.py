@@ -711,6 +711,27 @@ def test_an_empty_path_is_named_as_given(capsys, args, message):
     assert (code, out, err) == (2, "", f"error: {message}: No such file or directory\n")
 
 
+READ_FAILS = pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                                reason="no /proc/self/mem, which opens but fails at read")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("mc-run", "--phi", "xdeg"), "malformed angle 'xdeg'"),
+    (("spin-correlation", "--sweep", "0:x:1deg"), "malformed sweep '0:x:1deg'"),
+    (("spin-correlation", "--sweep", "0:180deg"),
+     "sweep '0:180deg' must be start:stop:step with a unit suffix"),
+    pytest.param(("chsh", "--config", "/proc/self/mem"),
+                 f"cannot read config file '/proc/self/mem': {os.strerror(errno.EIO)}",
+                 marks=READ_FAILS),
+    pytest.param(("common-cause", "--model", "/proc/self/mem"),
+                 f"cannot read model file '/proc/self/mem': {os.strerror(errno.EIO)}",
+                 marks=READ_FAILS),
+], ids=["angle", "sweep", "sweep-parts", "config-read", "model-read"])
+def test_an_unparsable_flag_or_unreadable_file_is_named(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("what", ["model", "config"])
 def test_a_path_that_open_refuses_is_named_as_unreadable(capsys, tmp_path, what):
     # open() raises ValueError, not OSError, for a name holding a null byte.
