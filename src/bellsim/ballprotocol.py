@@ -94,7 +94,7 @@ class StageConfig:
             value = getattr(self, name)
             value = default if value is None else require_filter(value, name)
             object.__setattr__(self, name, value)
-        require_trials(self.trials, "trials")
+        object.__setattr__(self, "trials", require_trials(self.trials, "trials"))
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
             object.__setattr__(self, name, require_probability(getattr(self, name), name))
 

@@ -69,7 +69,7 @@ class BinaryEventModel:
         for t in ("joint_given_z", "joint_given_not_z"):
             object.__setattr__(self, t, require_table(getattr(self, t), t, ANALYTIC_TOLERANCE))
         if self.sample_size is not None:
-            require_trials(self.sample_size, "sample_size")
+            object.__setattr__(self, "sample_size", require_trials(self.sample_size, "sample_size"))
 
 
 def binary_event_model_from_json_dict(data: dict) -> BinaryEventModel:

@@ -97,14 +97,13 @@ require_real = Contract("a finite number", is_real, float)
 require_nonnegative = Contract("a nonnegative number", lambda v: is_real(v) and v >= 0, float)
 require_probability = Contract("a probability in [0, 1]",
                                lambda v: is_real(v) and 0 <= v <= 1, float)
-require_count = Contract("a positive integer",
-                         lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1)
+# The integer contracts take any integer type, such as numpy's, and return an int.
+require_count = Contract("a positive integer", lambda v: is_integer(v) and v >= 1, int)
 require_trials = Contract("a positive integer of at most 2**64",
-                          lambda v: require_count.valid(v) and v <= MAX_TRIALS)
+                          lambda v: require_count.valid(v) and v <= MAX_TRIALS, int)
 require_trial_count = Contract("an integer in [0, 2**64]",  # the kernels' run; 0 is empty
-                               lambda v: isinstance(v, int) and not isinstance(v, bool)
-                               and 0 <= v <= MAX_TRIALS)
-require_u64 = Contract("an unsigned 64-bit integer",  # any integer type, returned as an int
+                               lambda v: is_integer(v) and 0 <= v <= MAX_TRIALS, int)
+require_u64 = Contract("an unsigned 64-bit integer",
                        lambda v: is_integer(v) and 0 <= v < MAX_TRIALS, int)
 require_coins = Contract(  # codes are uint8: bit k is coin k
     "a tuple of at most 8 (draw in 0-3, integer threshold in [0, 2**53]) pairs",

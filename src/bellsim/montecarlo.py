@@ -52,7 +52,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         require_type(self.axis1, "axis1", Direction)
         require_type(self.axis2, "axis2", Direction)
-        require_trials(self.trials, "trials")
+        object.__setattr__(self, "trials", require_trials(self.trials, "trials"))
         object.__setattr__(self, "description",
                            require_description(self.description, "description"))
 
@@ -201,7 +201,7 @@ def description_equivalence(
     return DescriptionComparison(
         theta1=axis1.theta,
         theta2=axis2.theta,
-        trials=trials,
+        trials=alice.trials,
         seed=seed,
         analytic=analytic,
         alice=alice,
@@ -288,6 +288,6 @@ def chsh_details(
         value=total,
         abs_value=abs(total),
         contexts=tuple(contexts),
-        trials=trials if mode == "empirical" else None,
+        trials=contexts[-1].stats.trials if mode == "empirical" else None,
         seed=seed if mode == "empirical" else None,
     )

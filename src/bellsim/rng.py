@@ -253,9 +253,9 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
     under ``header``, runs on one, so the file's bytes do not depend on ``workers``.
     Every argument is checked, and the file opened, before anything is drawn.
     """
-    require_count(workers, "workers")
+    workers = require_count(workers, "workers")
     require_type(stream, "stream", RngStream)
-    require_trial_count(trials, "trials")
+    trials = require_trial_count(trials, "trials")
     require_coins(coins, "coins")
     require_type(header, "header", str)
     size = 1 << len(coins)

@@ -239,6 +239,49 @@ def test_an_integer_too_long_to_print_is_named_by_its_digits(check):
         check(-(HUGE - 1) // 9)  # -111...1, five thousand ones
 
 
+#: A config made with an integer type for its trial count, and what it runs.
+NUMPY_COUNTS = {
+    "StageConfig": (lambda i: bp.StageConfig(2, "c", "b", i(500), 3, filter_mismatch_prob=0.2),
+                    bp.run_stage),
+    "ExperimentConfig": (lambda i: mc.ExperimentConfig(A, B, i(500), "bob", 3, 1),
+                         mc.run_experiment),
+}
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint32])
+@pytest.mark.parametrize("name", sorted(NUMPY_COUNTS))
+def test_a_numpy_integer_trial_count_is_stored_and_run_as_an_int(name, integer, tmp_path):
+    make, run = NUMPY_COUNTS[name]
+    configs = make(int), make(integer)
+    assert configs[0] == configs[1] and type(configs[1].trials) is int
+    reports = [run(config, workers, csv_out=tmp_path / f"{i}.csv")
+               for i, (config, workers) in enumerate(zip(configs, (2, integer(2))))]
+    assert "".join(render_json(record(reports[1]))) == "".join(render_json(record(reports[0])))
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "0.csv").read_bytes()
+    for refused in (True, np.True_, np.float64(500.0)):
+        with pytest.raises(ValidationError, match="^trials must be a positive integer"):
+            make(lambda _: refused)
+
+
+def test_numpy_integer_counts_give_the_int_results():
+    """The library's other counts: a model's sample size, the engine's trials and workers,
+    and the trial counts that the comparisons report."""
+    tables = ((0.25, 0.25), (0.25, 0.25)), ((1, 0), (0, 0))
+    models = [cc.BinaryEventModel(0.5, *tables, size) for size in (100, np.int64(100))]
+    assert models[0] == models[1] and type(models[1].sample_size) is int
+    assert record(cc.full_report(models[1])) == record(cc.full_report(models[0]))
+    assert (rng.simulate(STREAM, np.uint16(100), COINS, WORLDS, np.int8(2))
+            == rng.simulate(STREAM, 100, COINS, WORLDS, 2))
+    for results in ([mc.description_equivalence(A, B, trials, 3) for trials in (50, np.int64(50))],
+                    [mc.chsh_details(A, B, B, A, "empirical", trials, 3)
+                     for trials in (50, np.int64(50))]):
+        assert "".join(render_json(record(results[1]))) == "".join(render_json(record(results[0])))
+    with pytest.raises(ValidationError, match="^sample_size must be "):
+        cc.BinaryEventModel(0.5, *tables, True)
+    with pytest.raises(ValidationError, match="^trials must be "):
+        rng.simulate(STREAM, True, COINS, WORLDS)
+
+
 def test_a_numpy_integer_seed_is_stored_as_an_int():
     stream = rng.RngStream(np.uint64(2**64 - 1), np.int8(3))
     assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
