@@ -3,10 +3,12 @@
 Subcommands: spin-correlation, mc-run, ball-protocol, common-cause,
 chsh.  Each subcommand declares its configuration once, as a table of
 fields (config key, default, kind, flag, help); the table builds the
-flags and checks config-file values.  Precedence is flags over
-config-file values over defaults; the resolved configuration is
-embedded in every report's manifest and can be fed back via --config to
-reproduce the run.  A flag that the run would not read, such as --trials
+flags and checks every value, flag or config-file value, before the run.
+A kind is the library's own contract wherever the library has one, so a
+value outside its contract exits 2 before any work.  Precedence is
+flags over config-file values over defaults; the resolved configuration
+is embedded in every report's manifest and can be fed back via --config
+to reproduce the run.  A flag that the run would not read, such as --trials
 of an analytic run, is a usage error; a config-file value never is.
 Each handler returns (cfg, results, checks, seed): every check in a report
 is built here.  main refuses output paths it cannot write before the run,
@@ -35,11 +37,12 @@ from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
 from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, describe,
-                     is_real, one_of, require_count, require_fields, require_trials, require_u64)
+                     is_real, one_of, require_count, require_fields, require_nonnegative,
+                     require_path, require_probability, require_trials, require_u64)
 from .report import Check, FloatTable, build_report, render_json, render_text
 from .rng import SIGN_PAIRS
-from .spinmodel import (MAX_SWEEP_POINTS, Direction, HiddenVariable, angle_between,
-                        correlation_sweep, glyph, quantum_correlation, subquantum_correlation)
+from .spinmodel import (SPINS, Direction, HiddenVariable, angle_between, correlation_sweep, glyph,
+                        quantum_correlation, require_spin, require_sweep, subquantum_correlation)
 
 
 class UsageError(Exception):
@@ -59,7 +62,10 @@ def parse_angle(text: str) -> float:
 
 
 def parse_sweep(text: str) -> dict:
-    """A 'start:stop:step' angle sweep with one unit suffix, e.g. '0:180:5deg'."""
+    """A 'start:stop:step' angle sweep with one unit suffix, e.g. '0:180:5deg'.
+
+    Each bound is read as :func:`parse_angle` reads it with that suffix.
+    """
     t = str(text).strip().lower()
     unit = next((s for s in ("deg", "rad") if t.endswith(s)), None)
     if unit is None:
@@ -68,20 +74,13 @@ def parse_sweep(text: str) -> dict:
     if len(parts) != 3:
         raise UsageError(f"sweep {text!r} must be start:stop:step with a unit suffix")
     try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
+        start, stop, step = (parse_angle(p + unit) for p in parts)
+    except UsageError as exc:
         raise UsageError(f"malformed sweep {text!r}") from exc
-    if unit == "deg":
-        start, stop, step = (math.radians(v) for v in (start, stop, step))
     sweep = {"start": start, "stop": stop, "step": step}
-    if not _sweep(sweep):
-        raise UsageError(f"sweep must be {SWEEP.meaning}, got {text!r}")
+    if not require_sweep.valid(sweep):
+        raise UsageError(f"sweep must be {require_sweep.meaning}, got {text!r}")
     return sweep
-
-
-def _sweep_steps(sweep: dict) -> float:
-    """Steps from start to stop, nudged up so rounding cannot drop the last point."""
-    return (float(sweep["stop"]) - float(sweep["start"])) / float(sweep["step"]) + 1e-9
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -124,24 +123,13 @@ def _refuse_unwritable(path: str) -> None:
         raise UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _sweep(value: Any) -> bool:
-    return (type(value) is dict and sorted(value) == ["start", "step", "stop"]
-            and all(map(is_real, value.values()))
-            and value["step"] > 0 and value["stop"] >= value["start"]
-            # floor(steps) + 1 points; false for an infinite step count too
-            and _sweep_steps(value) < MAX_SWEEP_POINTS
-            # the last point, as spinmodel.correlation_sweep computes it
-            and math.isfinite(float(value["start"])
-                              + math.floor(_sweep_steps(value)) * float(value["step"])))
-
-
 class Kind(NamedTuple):
     """Which JSON values a field takes, and how its flag's text becomes one.
 
-    A kind checks type and shape.  For trials, seeds and choices it is the
-    library's own contract (an ``errors.Contract``'s meaning and predicate)
-    with a flag; other ranges, such as a probability's, are library checks
-    that also exit 2.
+    A kind checks type, shape and range.  Wherever the library has a
+    contract for the value (trials, seeds, probabilities, tolerances, file
+    names, sweeps, spins and choices), the kind is that ``errors.Contract``'s
+    meaning and predicate with a flag, so the two cannot drift apart.
     """
 
     meaning: str  # completes "<key> must be ..."
@@ -162,16 +150,15 @@ FOUR_ANGLES = Kind("a list of four angles in radians",
                    lambda v: type(v) is list and len(v) == 4 and all(map(is_real, v)),
                    {"type": lambda t: [parse_angle(a) for a in t.split(",")],
                     "metavar": "A,A',B,B'"})
-SWEEP = Kind("an object {start, stop, step} in radians with step > 0, stop >= start, "
-             f"a finite last point and at most {MAX_SWEEP_POINTS:,} points",
-             _sweep, {"type": parse_sweep, "metavar": "START:STOP:STEP"})
+SWEEP = Kind(*require_sweep[:2], {"type": parse_sweep, "metavar": "START:STOP:STEP"})
 COUNT = Kind(*require_trials[:2], {"type": int})
 SEED = Kind(*require_u64[:2], {"type": int})
-PROBABILITY = Kind("a probability in [0, 1]", is_real, {"type": float, "metavar": "P"})
-TOLERANCE = Kind("a nonnegative number", is_real, {"type": float})
+PROBABILITY = Kind(*require_probability[:2], {"type": float, "metavar": "P"})
+TOLERANCE = Kind(*require_nonnegative[:2], {"type": float})
 SWITCH = Kind("true or false", lambda v: type(v) is bool,
               {"action": "store_true", "default": None})
-PATH = Kind("a file name", lambda v: type(v) is str, {"metavar": "FILE"})
+PATH = Kind(*require_path[:2], {"metavar": "FILE"})
+SPIN_OUTCOME = Kind(*require_spin[:2], {"type": int, "choices": SPINS})
 
 
 class Field(NamedTuple):
@@ -275,9 +262,8 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
     if cfg["phi"] is not None:
         results["angles"] = [evaluate(float(p)) for p in cfg["phi"]]
     if cfg["sweep"] is not None:
-        sweep = cfg["sweep"]
-        count = math.floor(_sweep_steps(sweep)) + 1
-        rows = FloatTable(2, correlation_sweep(sweep["start"], sweep["step"], count))
+        start, step, count = require_sweep(cfg["sweep"], "sweep")
+        rows = FloatTable(2, correlation_sweep(start, step, count))
         results["sweep"] = {"rows": rows, "row_count": count}
         if ns.sweep_out is not None:
             with open(ns.sweep_out, "w", encoding="utf-8") as fh:
@@ -436,8 +422,8 @@ CAUSE = (
     Field("model_file", None, PATH, "--model",
           "JSON file with p_z, joint_given_z, joint_given_not_z"),
     Field("phi", math.pi / 3, ANGLE, "--phi", "axis angle for --builtin spin"),
-    Field("x_outcome", 1, choice(1, -1), "--x-outcome"),
-    Field("y_outcome", 1, choice(1, -1), "--y-outcome"),
+    Field("x_outcome", 1, SPIN_OUTCOME, "--x-outcome"),
+    Field("y_outcome", 1, SPIN_OUTCOME, "--y-outcome"),
     Field("stage", 1, choice(1, 2, 3), "--stage", "stage for --builtin ball"),
     Field("empirical", False, SWITCH, "--empirical",
           "estimate the ball model from a simulated run"),

@@ -101,8 +101,6 @@ require_probability = Contract("a probability in [0, 1]",
 require_count = Contract("a positive integer", lambda v: is_integer(v) and v >= 1, int)
 require_trials = Contract("a positive integer of at most 2**64",
                           lambda v: require_count.valid(v) and v <= MAX_TRIALS, int)
-require_trial_count = Contract("an integer in [0, 2**64]",  # the kernels' run; 0 is empty
-                               lambda v: is_integer(v) and 0 <= v <= MAX_TRIALS, int)
 require_u64 = Contract("an unsigned 64-bit integer",
                        lambda v: is_integer(v) and 0 <= v < MAX_TRIALS, int)
 require_coins = Contract(  # codes are uint8: bit k is coin k

@@ -24,8 +24,9 @@ coin compares, and it keeps one boolean array per coin.  Its histogram is
 exact integer arithmetic on subset counts: for every subset of coins, the
 number of trials in which all of them came up (``count_nonzero`` of their
 AND); inclusion-exclusion turns those 2**k counts into the trials of each
-world.  :func:`simulate`, the one entry point, returns those world counts
-and its callers fold them.  The chunks' exact histograms add up, so the
+world.  :func:`simulate`, the one entry point, takes 1 to 2**64 trials,
+the count that every config takes, returns those world counts and its
+callers fold them.  The chunks' exact histograms add up, so the
 counts are the same for every worker count: on up to ``os.cpu_count()``
 threads, the calling thread and the plain helper threads it starts and
 joins, each drawing from one Philox generator of its own; a CSV export's
@@ -43,7 +44,7 @@ from threading import Lock, Thread
 import numpy as np
 
 from .errors import (is_real, require, require_coins, require_count, require_path,
-                     require_probability, require_trial_count, require_type, require_u64)
+                     require_probability, require_trials, require_type, require_u64)
 
 #: Draws available per counter block (one Philox block is 4 x 64 bits).
 BLOCK_DRAWS = 4
@@ -202,7 +203,7 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
         else:
             histograms.append(histogram)
 
-    threads = max(1, min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1))
+    threads = min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1)
     helpers = []  # the started ones, each joined even if a later one fails to start
     try:
         for _ in range(threads - 1):
@@ -251,11 +252,12 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
 
     Counting runs on up to ``workers`` threads; writing the rows to ``csv_out``,
     under ``header``, runs on one, so the file's bytes do not depend on ``workers``.
-    Every argument is checked, and the file opened, before anything is drawn.
+    Every argument is checked, ``trials`` by ``require_trials`` as every config checks
+    it, and the file opened, before anything is drawn.
     """
     workers = require_count(workers, "workers")
     require_type(stream, "stream", RngStream)
-    trials = require_trial_count(trials, "trials")
+    trials = require_trials(trials, "trials")
     require_coins(coins, "coins")
     require_type(header, "header", str)
     size = 1 << len(coins)

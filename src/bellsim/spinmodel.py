@@ -30,7 +30,9 @@ pass floats; :func:`quantum_correlation` is the law's one scalar entry.
 :func:`correlation_sweep`, behind ``spin-correlation --sweep``, passes
 one numpy array per block of points and is the only code here that
 imports numpy.  Each step is elementwise in the same order for both, so
-every point equals the float the scalar call gives, bit for bit.
+every point equals the float the scalar call gives, bit for bit.  The
+CLI's sweep, an object ``{start, stop, step}``, is checked by
+:data:`require_sweep`, which gives the sweep's ``(start, step, count)``.
 
 Everything in this module is a pure function of its arguments and is
 safe to call concurrently.
@@ -42,8 +44,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (ContextMismatchError, one_of, require, require_count, require_real,
-                     require_type)
+from .errors import (Contract, ContextMismatchError, is_real, one_of, require, require_count,
+                     require_real, require_type)
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,6 +149,23 @@ def _pair(first: int, c1, c2):
 
 def _quantum_pair(c1, c2):
     return 0.5 * _pair(1, c1, c2) + 0.5 * _pair(-1, c1, c2)
+
+
+def _sweep_steps(sweep: dict) -> float:
+    """Steps from start to stop, nudged up so rounding cannot drop the last point."""
+    return (float(sweep["stop"]) - float(sweep["start"])) / float(sweep["step"]) + 1e-9
+
+
+#: A sweep from start to stop, both included, given as :func:`correlation_sweep`'s arguments.
+require_sweep = Contract(
+    "an object {start, stop, step} in radians with step > 0, stop >= start, "
+    f"a finite last point and at most {MAX_SWEEP_POINTS:,} points",
+    lambda v: (type(v) is dict and sorted(v) == ["start", "step", "stop"]
+               and all(map(is_real, v.values())) and v["step"] > 0 and v["stop"] >= v["start"]
+               and _sweep_steps(v) < MAX_SWEEP_POINTS  # floor(steps) + 1 points, and not inf
+               # the last point, as correlation_sweep computes it
+               and is_real(float(v["start"]) + math.floor(_sweep_steps(v)) * float(v["step"]))),
+    lambda v: (v["start"], v["step"], math.floor(_sweep_steps(v)) + 1))
 
 
 def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[float]]:

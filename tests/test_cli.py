@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bellsim import cli
 from bellsim import montecarlo as mc
 from bellsim.cli import main, parse_angle, parse_sweep
-from bellsim.spinmodel import correlation_sweep
+from bellsim.spinmodel import correlation_sweep, require_sweep
 
 
 def run_cli(capsys, *args):
@@ -46,9 +46,9 @@ class TestAngleParsing:
             parse_angle("60")
 
     def test_sweep(self):
-        sweep = parse_sweep("0:180:5deg")
-        assert math.floor(cli._sweep_steps(sweep)) + 1 == 37
-        (cells,) = correlation_sweep(sweep["start"], sweep["step"], 37)
+        start, step, count = require_sweep(parse_sweep("0:180:5deg"), "sweep")
+        assert count == 37
+        (cells,) = correlation_sweep(start, step, count)
         angles = cells[::2]
         assert angles[0] == 0.0
         assert angles[-1] == pytest.approx(math.pi)
@@ -62,7 +62,7 @@ class TestAngleParsing:
             parse_sweep("10:0:5deg")
         with pytest.raises(UsageError, match="^sweep must be "):
             parse_sweep("0:1e300:1e-300rad")
-        assert math.floor(cli._sweep_steps(parse_sweep("0:200000:1rad"))) + 1 == 200_001
+        assert require_sweep(parse_sweep("0:200000:1rad"), "sweep")[2] == 200_001
         with pytest.raises(UsageError, match="^sweep must be .* at most 200,001 points"):
             parse_sweep("0:200001:1rad")
 
@@ -847,6 +847,43 @@ def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in args))
     assert code == 2 and out == "" and err == f"error: {message}\n"
     assert not path.exists()
+
+
+def test_a_range_error_comes_before_a_flag_without_effect(capsys):
+    """A kind checks its value's range, so the value's error is the first one met."""
+    code, out, err = run_cli(capsys, "ball-protocol", "--stage", "1", "--p23", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: p_stage23 must be a probability in [0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("common-cause", "--builtin", "ball", "--empirical", "--trials", "20000000",
+      "--tolerance", "-1"), "tolerance must be a nonnegative number, got -1.0"),
+    (("ball-protocol", "--stage", "2", "--p23", "1.5"),
+     "p_stage23 must be a probability in [0, 1], got 1.5"),
+], ids=["tolerance", "probability"])
+def test_a_value_out_of_range_exits_2_before_any_trial(capsys, monkeypatch, args, message):
+    import bellsim.rng
+
+    monkeypatch.setattr(bellsim.rng, "_count", None)  # nothing may be simulated
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_every_kind_with_a_library_meaning_is_that_contract():
+    """A kind whose meaning is a library contract's checks with that contract's predicate,
+    so the CLI holds no copy of a library rule that could drift from it."""
+    from bellsim import errors, spinmodel
+
+    contracts = {c.meaning: c.valid for module in (errors, spinmodel)
+                 for c in vars(module).values() if isinstance(c, errors.Contract)}
+    kinds = [f.kind for command in cli.SUBCOMMANDS.values() for f in command.schema]
+    kinds += [k for k in vars(cli).values() if isinstance(k, cli.Kind)]
+    shared = [k for k in kinds if k.meaning in contracts]
+    assert {k.meaning for k in shared} >= {cli.PROBABILITY.meaning, cli.TOLERANCE.meaning,
+                                           cli.PATH.meaning, cli.SWEEP.meaning}
+    for kind in shared:
+        assert kind.valid is contracts[kind.meaning], kind.meaning
 
 
 def test_spin_correlation_takes_no_trials(capsys):

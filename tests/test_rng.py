@@ -231,7 +231,7 @@ COINS = st.lists(st.tuples(st.integers(0, BLOCK_DRAWS - 1),
 
 
 @settings(deadline=None, max_examples=60)
-@given(coins=COINS, trials=st.integers(0, 300), seed=st.integers(0, 2**64 - 1),
+@given(coins=COINS, trials=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
        workers=st.integers(1, 3))
 def test_subset_counts_give_the_histogram_of_the_codes(coins, trials, seed, workers):
     """Both paths of ``simulate``, over 64-trial chunks, return the shift-then-compare codes'
@@ -324,13 +324,16 @@ def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_zero_trials_give_a_zero_histogram(tmp_path, workers):
+def test_zero_trials_are_refused_before_the_file_is_opened(tmp_path, workers):
+    """``simulate`` takes the trial count every config takes: no run is empty."""
     coins = ((0, threshold(0.5)), (1, threshold(0.25)))
     worlds = _worlds([",r\n"] * 4)
-    assert rng.simulate(RngStream(0), 0, coins, worlds, workers) == [0] * 4
     path = tmp_path / "trials.csv"
-    assert rng.simulate(RngStream(0), 0, coins, worlds, workers, path, "trial,row") == [0] * 4
-    assert path.read_text(encoding="utf-8") == "trial,row\n"
+    for csv_out in (None, path):
+        with pytest.raises(ValidationError, match=r"^trials must be a positive integer of at "
+                                                  r"most 2\*\*64, got 0$"):
+            rng.simulate(RngStream(0), 0, coins, worlds, workers, csv_out, "trial,row")
+    assert not path.exists()
 
 
 class _InlineThreads:
@@ -400,7 +403,7 @@ class _TurnTakingThreads(_InlineThreads):
 
 
 @settings(deadline=None, max_examples=60)
-@given(coins=COINS, trials=st.integers(0, 600), seed=st.integers(0, 2**64 - 1),
+@given(coins=COINS, trials=st.integers(1, 600), seed=st.integers(0, 2**64 - 1),
        chunk=st.integers(4, 64), workers=st.integers(1, 3),
        picks=st.lists(st.integers(0, 2), min_size=1, max_size=8))
 def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, seed, chunk,
@@ -423,7 +426,7 @@ def test_each_thread_keeps_one_generator_over_any_interleaving(coins, trials, se
         patch.setattr(rng.os, "cpu_count", lambda: 8)
         patch.setattr(RngStream, "_bit_generator", counted)
         histogram = rng._count(stream, trials, coins, workers)
-    threads = max(1, min(workers, -(-trials // chunk)))
+    threads = min(workers, -(-trials // chunk))
     assert np.array_equal(histogram, expected)
     assert helpers.sizes == [threads - 1] * (threads > 1) and len(built) <= threads
     assert not any(thread.is_alive() for thread in helpers.threads)

@@ -29,6 +29,7 @@ from bellsim.spinmodel import (
     mean_value,
     pair_expectation,
     quantum_correlation,
+    require_sweep,
     subquantum_correlation,
 )
 
@@ -395,6 +396,16 @@ class TestCosineCore:
     def test_sweep_rejects_non_finite_angles(self, bad):
         with pytest.raises(ValidationError):
             correlation_sweep(0.0, bad, 3)
+
+    @pytest.mark.parametrize("sweep, args", [
+        ({"start": 0, "stop": 1, "step": 0.5}, (0, 0.5, 3)),
+        ({"start": 0.0, "stop": 0.0, "step": 1.0}, (0.0, 1.0, 1)),
+        ({"start": 0.0, "stop": 0.3, "step": 0.1}, (0.0, 0.1, 4)),  # 0.3 / 0.1 < 3
+        ({"start": 0, "stop": 200_000, "step": 1}, (0, 1, 200_001)),
+    ])
+    def test_a_sweep_object_gives_the_sweep_arguments(self, sweep, args):
+        assert require_sweep(sweep, "sweep") == args
+        assert len(list(correlation_sweep(*args))[-1]) == 2 * ((args[2] - 1) % SWEEP_BLOCK + 1)
 
 
 def test_importing_the_package_loads_no_numpy():
