@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (EmptyReportError, one_of, require, require_probability, require_trials,
-                     require_type)
+                     require_type, require_u64)
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
 from .spinmodel import glyph, require_spin
 
@@ -95,6 +95,7 @@ class StageConfig:
             value = default if value is None else require_filter(value, name)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "trials", require_trials(self.trials, "trials"))
+        object.__setattr__(self, "seed", require_u64(self.seed, "seed"))
         for name in ("p_stage1", "p_stage23", "filter_mismatch_prob"):
             object.__setattr__(self, name, require_probability(getattr(self, name), name))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import one_of, require, require_real, require_trials, require_type
+from .errors import one_of, require, require_real, require_trials, require_type, require_u64
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
 from .spinmodel import Direction, HiddenVariable, conditional_outcome_prob, quantum_correlation
 
@@ -55,6 +55,7 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", require_trials(self.trials, "trials"))
         object.__setattr__(self, "description",
                            require_description(self.description, "description"))
+        object.__setattr__(self, "seed", require_u64(self.seed, "seed"))
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stream_id)
@@ -192,8 +193,8 @@ def description_equivalence(
     (sqrt(2) wider) tolerance.
     """
     analytic = quantum_correlation(axis1, axis2)
-    alice = run_experiment(ExperimentConfig(axis1, axis2, trials, "alice", seed, stream_id=0),
-                           workers)
+    config = ExperimentConfig(axis1, axis2, trials, "alice", seed, stream_id=0)
+    alice = run_experiment(config, workers)
     bob = run_experiment(ExperimentConfig(axis1, axis2, trials, "bob", seed, stream_id=1), workers)
     tol = covariance_tolerance(analytic, trials)
     combined = math.sqrt(2.0) * tol
@@ -201,8 +202,8 @@ def description_equivalence(
     return DescriptionComparison(
         theta1=axis1.theta,
         theta2=axis2.theta,
-        trials=alice.trials,
-        seed=seed,
+        trials=config.trials,
+        seed=config.seed,
         analytic=analytic,
         alice=alice,
         bob=bob,
@@ -288,6 +289,6 @@ def chsh_details(
         value=total,
         abs_value=abs(total),
         contexts=tuple(contexts),
-        trials=contexts[-1].stats.trials if mode == "empirical" else None,
-        seed=seed if mode == "empirical" else None,
+        trials=config.trials if mode == "empirical" else None,  # the last context's config
+        seed=config.seed if mode == "empirical" else None,
     )

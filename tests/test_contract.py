@@ -160,6 +160,7 @@ REFUSED = {
     "ExperimentConfig(A, B, 10, 'both')": lambda: mc.ExperimentConfig(A, B, 10, "both"),
     "ExperimentConfig(A, B, 10, 'Alice')": lambda: mc.ExperimentConfig(A, B, 10, "Alice"),
     "ExperimentConfig(A, B, 10, True)": lambda: mc.ExperimentConfig(A, B, 10, True),
+    "ExperimentConfig(A, B, 10, seed=-1)": lambda: mc.ExperimentConfig(A, B, 10, seed=-1),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
     "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),
@@ -169,6 +170,7 @@ REFUSED = {
     "StageConfig(stage=1.0)": lambda: bp.StageConfig(stage=1.0),
     "StageConfig(alice_filter='z')": lambda: bp.StageConfig(stage=1, alice_filter="z"),
     "StageConfig(trials=2**64 + 1)": lambda: bp.StageConfig(stage=1, trials=2**64 + 1),
+    "StageConfig(stage=1, seed='x')": lambda: bp.StageConfig(stage=1, seed="x"),
     "analytic_stage_report(None)": lambda: bp.analytic_stage_report(None),
     "run_stage(csv_out=True)": lambda: bp.run_stage(STAGE1, csv_out=True),
     "bell_inequality_check([1, 2, 3])": lambda: bp.bell_inequality_check([1, 2, 3]),
@@ -286,6 +288,18 @@ def test_a_numpy_integer_seed_is_stored_as_an_int():
     stream = rng.RngStream(np.uint64(2**64 - 1), np.int8(3))
     assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
     assert type(stream.seed) is int and type(stream.stream_id) is int
+    for config in (mc.ExperimentConfig(A, B, 10, seed=np.uint64(3)),
+                   bp.StageConfig(stage=1, seed=np.uint64(3))):
+        assert config.seed == 3 and type(config.seed) is int
+
+
+@pytest.mark.parametrize("run", [lambda seed: mc.description_equivalence(A, B, 50, seed),
+                                 lambda seed: mc.chsh_details(A, B, B, A, "empirical", 50, seed)],
+                         ids=["description_equivalence", "chsh_details"])
+def test_a_numpy_integer_seed_renders_as_the_int(run):
+    """The records take the seed their configs hold, the checked int."""
+    assert run(np.uint64(3)).seed == 3 and type(run(np.uint64(3)).seed) is int
+    assert "".join(render_json(record(run(np.uint64(3))))) == "".join(render_json(record(run(3))))
 
 
 def test_the_builders_derive_each_record_field_exactly():
