@@ -9,9 +9,12 @@ value outside its contract exits 2 before any work.  Precedence is
 flags over config-file values over defaults; the resolved configuration
 is embedded in every report's manifest and can be fed back via --config
 to reproduce the run.  A flag that the run would not read, such as --trials
-of an analytic run, is a usage error; a config-file value never is.
+of an analytic run or --csv-out of two descriptions, is a usage error,
+``<flag> needs <what>``, raised by _refuse_unread from the handler's map of
+flag to rule; a config-file value never is.
 Each handler returns (cfg, results, checks, seed): every check in a report
-is built here.  main refuses output paths it cannot write before the run,
+is built here.  main refuses, by _refuse_unwritable, every output path it
+cannot write before the run, a name the system cannot take included; it
 names the export's file in the manifest's outputs by OUTPUTS, and removes
 an export that is a regular file when the report's own write fails.
 
@@ -104,12 +107,15 @@ def _read_json(path: str, what: str) -> Any:
 
 def _refuse_unwritable(path: str) -> None:
     """Refuse as ``cannot write`` a path that ``open(path, "w")`` would refuse for a missing
-    or unwritable directory, for being a directory or for an unwritable file, opening nothing.
+    or unwritable directory, for being a directory, for an unwritable file or for a name that
+    the system cannot take, such as one holding a NUL byte, opening nothing.
 
     Other failures, such as a full device's, are met when the file is written.
     """
     try:
         mode = os.stat(path).st_mode
+    except ValueError as exc:  # a NUL byte, or a character the file system encoding lacks
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
     except FileNotFoundError:  # open() creates the file if its directory exists
         parent = os.path.dirname(path) or "."
         code = (errno.ENOENT if not (path and os.path.isdir(parent))
@@ -200,16 +206,21 @@ def _resolve(schema: tuple[Field, ...], ns: argparse.Namespace) -> dict:
     return cfg
 
 
+def _dest(flag: str, schema: tuple[Field, ...] = ()) -> str:
+    """The namespace name of a flag: its field's key, or else argparse's dest."""
+    return next((f.key for f in schema if f.flag == flag), flag[2:].replace("-", "_"))
+
+
 def _refuse_unread(ns: argparse.Namespace, schema: tuple[Field, ...], needs: dict) -> None:
     """``<flag> needs <what>`` for a flag given although the run will not read it.
 
-    ``needs`` maps a key to (what its flag needs, whether the run has it).
-    Only flags are refused, so a manifest's config still reproduces its run.
+    ``needs`` maps a flag, a field's or one of the subcommand's own, to (what it needs,
+    whether the run has it); the first refused flag in the map's order is named.  Only
+    flags are refused, so a manifest's config still reproduces its run.
     """
-    for f in schema:
-        what, has = needs.get(f.key, (None, True))
-        if not has and getattr(ns, f.key) is not None:
-            raise UsageError(f"{f.flag} needs {what}")
+    for flag, (what, has) in needs.items():
+        if not has and getattr(ns, _dest(flag, schema)) is not None:
+            raise UsageError(f"{flag} needs {what}")
 
 
 #: (flag, add_argument keywords) of the flags, no config keys, that every subcommand takes.
@@ -243,8 +254,7 @@ def cmd_spin_correlation(ns: argparse.Namespace) -> tuple:
         raise UsageError(f"seed must be {SEED.meaning}, got {ns.seed}")
     if cfg["phi"] is None and cfg["sweep"] is None:
         raise UsageError("spin-correlation needs --phi or --sweep")
-    if ns.sweep_out is not None and cfg["sweep"] is None:
-        raise UsageError("--sweep-out needs --sweep")
+    _refuse_unread(ns, SPIN, {"--sweep-out": ("--sweep", cfg["sweep"] is not None)})
 
     def evaluate(phi: float) -> dict:
         axis1, axis2 = Direction(0.0), Direction(phi)
@@ -314,10 +324,9 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
                              "do not combine them")
         ns.theta1, ns.theta2 = 0.0, ns.phi
     cfg = _resolve(MC, ns)
+    _refuse_unread(ns, MC, {"--csv-out": ("one description", cfg["description"] != "both")})
 
     if cfg["description"] == "both":
-        if ns.csv_out is not None:
-            raise UsageError("per-trial CSV output requires a single description")
         comparison = mc.description_equivalence(
             Direction(cfg["theta1"]), Direction(cfg["theta2"]),
             cfg["trials"], cfg["seed"], workers=ns.workers,
@@ -371,14 +380,14 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
         if cfg["stage"] is not None or cfg["alice_filter"] or cfg["bob_filter"]:
             raise UsageError("--all-stages uses the canonical stage filters; "
                              "drop --stage and the filter flags")
-        stages = [1, 2, 3]
-    else:
-        if cfg["stage"] is None:
-            raise UsageError("ball-protocol needs --stage or --all-stages")
-        stages = [cfg["stage"]]
-    _refuse_unread(ns, BALL, {"trials": ("--mode empirical", cfg["mode"] == "empirical"),
-                              "p_stage1": ("stage 1", 1 in stages),
-                              "p_stage23": ("stage 2 or 3", stages != [1])})
+    elif cfg["stage"] is None:
+        raise UsageError("ball-protocol needs --stage or --all-stages")
+    stages = [1, 2, 3] if cfg["all_stages"] else [cfg["stage"]]
+    empirical = cfg["mode"] == "empirical"
+    _refuse_unread(ns, BALL, {"--trials": ("--mode empirical", empirical),
+                              "--p1": ("stage 1", 1 in stages),
+                              "--p23": ("stage 2 or 3", stages != [1]),
+                              "--csv-out": ("one empirical stage", empirical and len(stages) == 1)})
 
     def stage_config(stage: int) -> bp.StageConfig:
         return bp.StageConfig(
@@ -391,9 +400,6 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
             p_stage23=cfg["p_stage23"],
             filter_mismatch_prob=cfg["filter_mismatch_prob"],
         )
-
-    if ns.csv_out is not None and (len(stages) != 1 or cfg["mode"] != "empirical"):
-        raise UsageError("per-trial CSV output requires a single empirical stage")
 
     checks: list[Check] = []
     stage_reports = []
@@ -440,11 +446,11 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
     if cfg["empirical"] and cfg["builtin"] != "ball":
         raise UsageError("--empirical needs --builtin ball")
     builtin = cfg["builtin"]
-    _refuse_unread(ns, CAUSE, {"phi": ("--builtin spin", builtin == "spin"),
-                               "x_outcome": ("--builtin", builtin is not None),
-                               "y_outcome": ("--builtin", builtin is not None),
-                               "stage": ("--builtin ball", builtin == "ball"),
-                               "trials": ("--empirical", cfg["empirical"])})
+    _refuse_unread(ns, CAUSE, {"--phi": ("--builtin spin", builtin == "spin"),
+                               "--x-outcome": ("--builtin", builtin is not None),
+                               "--y-outcome": ("--builtin", builtin is not None),
+                               "--stage": ("--builtin ball", builtin == "ball"),
+                               "--trials": ("--empirical", cfg["empirical"])})
 
     if cfg["model_file"] is not None:
         model = cc.binary_event_model_from_json_dict(_read_json(cfg["model_file"], "model"))
@@ -492,7 +498,7 @@ CHSH = (
 
 def cmd_chsh(ns: argparse.Namespace) -> tuple:
     cfg = _resolve(CHSH, ns)
-    _refuse_unread(ns, CHSH, {"trials": ("--mode empirical", cfg["mode"] == "empirical")})
+    _refuse_unread(ns, CHSH, {"--trials": ("--mode empirical", cfg["mode"] == "empirical")})
     axes = [Direction(float(a)) for a in cfg["angles"]]
     result = mc.chsh_details(*axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
                              workers=ns.workers)
@@ -572,18 +578,15 @@ def main(argv: list[str] | None = None) -> int:
         require_count(ns.workers, "workers")
         command = SUBCOMMANDS[ns.subcommand]
         flag = next((f for f, _ in command.flags if f in OUTPUTS), None)  # its one export
-        writing = None if flag is None else getattr(ns, flag[2:].replace("-", "_"))
-        for path in (ns.out, writing):
-            if path is not None and "\0" in path:  # open() would raise ValueError
-                raise UsageError(f"cannot write {path!r}: embedded null byte")
+        writing = None if flag is None else getattr(ns, _dest(flag))
+        for path in (ns.out, writing):  # before the run: no work, and no export left behind
+            if path is not None:
+                _refuse_unwritable(path)
         if writing is not None and ns.out is not None:
             real = os.path.realpath(writing)
             file = os.path.isfile(real) or not os.path.exists(real)  # not a device: /dev/null
             if file and real == os.path.realpath(ns.out):
                 raise UsageError(f"--out and {flag} name the same file {writing!r}")
-        for path in (ns.out, writing):  # before the run: no work, and no export left behind
-            if path is not None:
-                _refuse_unwritable(path)
         cfg, results, checks, seed = command.handler(ns)
         exported = writing
         outputs = {} if writing is None else {OUTPUTS[flag]: writing}

@@ -536,10 +536,15 @@ class TestSharedParser:
     ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}"),
     ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}"),
     ("ball-protocol", "--stage", "1", "--trials", "100", "--csv-out", "{missing}"),
-    # A name open() refuses: it holds a NUL byte.
+    # Names open() refuses: one holds a NUL byte, the other a lone surrogate, which the
+    # file system encoding cannot encode.
     ("spin-correlation", "--phi", "60deg", "--out", "{missing}\0"),
     ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}\0"),
     ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}\0"),
+    ("spin-correlation", "--phi", "60deg", "--out", "{missing}\ud800"),
+    ("spin-correlation", "--sweep", "0:180:5deg", "--sweep-out", "{missing}\ud800"),
+    ("mc-run", "--phi", "60deg", "--trials", "100", "--csv-out", "{missing}\ud800"),
+    ("ball-protocol", "--stage", "1", "--trials", "100", "--csv-out", "{missing}\ud800"),
 ])
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, args):
     missing = str(tmp_path / "no-such-dir" / "out")
@@ -821,7 +826,8 @@ def test_every_draw_goes_through_the_patched_seam(capsys, monkeypatch):
         run_cli(capsys, "mc-run", "--phi", "60deg", "--trials", "10")
 
 
-@pytest.mark.parametrize("args, message", [
+#: (argv, message) of a flag that the run would not read.
+UNREAD = [
     (("spin-correlation", "--phi", "60deg", "--sweep-out", "{path}"), "--sweep-out needs --sweep"),
     (("common-cause", "--builtin", "spin", "--empirical"), "--empirical needs --builtin ball"),
     (("ball-protocol", "--stage", "1", "--mode", "analytic", "--trials", "5"),
@@ -836,12 +842,15 @@ def test_every_draw_goes_through_the_patched_seam(capsys, monkeypatch):
     (("ball-protocol", "--stage", "2", "--p1", "0.2"), "--p1 needs stage 1"),
     (("ball-protocol", "--stage", "1", "--p23", "0.2"), "--p23 needs stage 2 or 3"),
     (("mc-run", "--phi", "60deg", "--trials", "1000", "--description", "both", "--csv-out",
-      "{path}"), "per-trial CSV output requires a single description"),
+      "{path}"), "--csv-out needs one description"),
     (("ball-protocol", "--stage", "1", "--mode", "analytic", "--csv-out", "{path}"),
-     "per-trial CSV output requires a single empirical stage"),
+     "--csv-out needs one empirical stage"),
     (("ball-protocol", "--all-stages", "--csv-out", "{path}"),
-     "per-trial CSV output requires a single empirical stage"),
-])
+     "--csv-out needs one empirical stage"),
+]
+
+
+@pytest.mark.parametrize("args, message", UNREAD)
 def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     path = tmp_path / "sweep.dat"
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in args))
