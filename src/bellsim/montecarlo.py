@@ -56,6 +56,7 @@ class ExperimentConfig:
         object.__setattr__(self, "description",
                            require_description(self.description, "description"))
         object.__setattr__(self, "seed", require_u64(self.seed, "seed"))
+        object.__setattr__(self, "stream_id", require_u64(self.stream_id, "stream_id"))
 
     def stream(self) -> RngStream:
         return RngStream(self.seed, self.stream_id)
