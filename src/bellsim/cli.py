@@ -39,7 +39,7 @@ from typing import Any, Callable, NamedTuple
 from . import ballprotocol as bp
 from . import commoncause as cc
 from . import montecarlo as mc
-from .errors import (BellsimError, ConditioningUndefinedError, ValidationError, describe,
+from .errors import (BellsimError, ConditioningUndefinedError, Contract, ValidationError, describe,
                      is_real, one_of, require_count, require_fields, require_nonnegative,
                      require_path, require_probability, require_trials, require_u64)
 from .report import Check, FloatTable, build_report, render_json, render_text
@@ -143,9 +143,13 @@ class Kind(NamedTuple):
     flag: dict  # add_argument keywords
 
 
-def choice(*options) -> Kind:
-    """One of the options, by the library's predicate (so true is not 1, nor 1.0)."""
-    return Kind(*one_of(options)[:2], {"type": type(options[0]), "choices": options})
+def choice(options: tuple, contract: Contract | None = None) -> Kind:
+    """One of the options, by the library's predicate (so true is not 1, nor 1.0).
+
+    Where the library checks these options itself, ``contract`` is that check, and the kind
+    is that contract's meaning and predicate.
+    """
+    return Kind(*(contract or one_of(options))[:2], {"type": type(options[0]), "choices": options})
 
 
 ANGLE = Kind("an angle in radians", is_real, {"type": parse_angle, "metavar": "ANGLE"})
@@ -165,6 +169,8 @@ SWITCH = Kind("true or false", lambda v: type(v) is bool,
               {"action": "store_true", "default": None})
 PATH = Kind(*require_path[:2], {"metavar": "FILE"})
 SPIN_OUTCOME = Kind(*require_spin[:2], {"type": int, "choices": SPINS})
+STAGE = choice(tuple(bp.STAGE_COLORS), bp.require_stage)
+ALICE_FILTER, BOB_FILTER = map(choice, (bp.ALICE_FILTERS, bp.BOB_FILTERS), bp.require_filters)
 
 
 class Field(NamedTuple):
@@ -290,7 +296,7 @@ MC = (
     Field("theta2", 0.0, ANGLE, "--theta2", "second measurement axis"),
     _TRIALS,
     _SEED,
-    Field("description", "alice", choice("alice", "bob", "both"), "--description"),
+    Field("description", "alice", choice(("alice", "bob", "both")), "--description"),
 )
 
 
@@ -347,11 +353,11 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
 
 
 BALL = (
-    Field("stage", None, choice(1, 2, 3), "--stage"),
+    Field("stage", None, STAGE, "--stage"),
     Field("all_stages", False, SWITCH, "--all-stages",
           "run stages 1-3 and evaluate the cross-stage inequality"),
-    Field("alice_filter", None, choice("a", "c"), "--alice-filter"),
-    Field("bob_filter", None, choice("b", "c"), "--bob-filter"),
+    Field("alice_filter", None, ALICE_FILTER, "--alice-filter"),
+    Field("bob_filter", None, BOB_FILTER, "--bob-filter"),
     _TRIALS,
     _SEED,
     Field("p_stage1", 0.15, PROBABILITY, "--p1", "stage-1 correlated-configuration probability"),
@@ -359,7 +365,7 @@ BALL = (
           "stage-2/3 correlated-configuration probability"),
     Field("filter_mismatch_prob", 0.0, PROBABILITY, "--mismatch-prob",
           "per-observer chance of an unsuitable filter choice per trial"),
-    Field("mode", "empirical", choice("empirical", "analytic"), "--mode"),
+    Field("mode", "empirical", choice(("empirical", "analytic")), "--mode"),
 )
 
 
@@ -424,13 +430,13 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
 
 
 CAUSE = (
-    Field("builtin", None, choice("spin", "ball"), "--builtin"),
+    Field("builtin", None, choice(("spin", "ball")), "--builtin"),
     Field("model_file", None, PATH, "--model",
           "JSON file with p_z, joint_given_z, joint_given_not_z"),
     Field("phi", math.pi / 3, ANGLE, "--phi", "axis angle for --builtin spin"),
     Field("x_outcome", 1, SPIN_OUTCOME, "--x-outcome"),
     Field("y_outcome", 1, SPIN_OUTCOME, "--y-outcome"),
-    Field("stage", 1, choice(1, 2, 3), "--stage", "stage for --builtin ball"),
+    Field("stage", 1, STAGE, "--stage", "stage for --builtin ball"),
     Field("empirical", False, SWITCH, "--empirical",
           "estimate the ball model from a simulated run"),
     _TRIALS,
@@ -490,7 +496,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
 CHSH = (
     Field("angles", [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4], FOUR_ANGLES, "--angles",
           "four comma-separated angles, e.g. 0deg,90deg,45deg,135deg"),
-    Field("mode", "analytic", choice("analytic", "empirical"), "--mode"),
+    Field("mode", "analytic", choice(("analytic", "empirical"), mc.require_chsh_mode), "--mode"),
     _TRIALS,
     _SEED,
 )

@@ -2,16 +2,19 @@
 
 import contextlib
 import errno
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import ballprotocol as bp
 from bellsim import cli
 from bellsim import montecarlo as mc
 from bellsim.cli import main, parse_angle, parse_sweep
@@ -858,6 +861,7 @@ def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     assert not path.exists()
 
 
+
 def test_a_range_error_comes_before_a_flag_without_effect(capsys):
     """A kind checks its value's range, so the value's error is the first one met."""
     code, out, err = run_cli(capsys, "ball-protocol", "--stage", "1", "--p23", "2")
@@ -882,15 +886,21 @@ def test_a_value_out_of_range_exits_2_before_any_trial(capsys, monkeypatch, args
 def test_every_kind_with_a_library_meaning_is_that_contract():
     """A kind whose meaning is a library contract's checks with that contract's predicate,
     so the CLI holds no copy of a library rule that could drift from it."""
-    from bellsim import errors, spinmodel
+    import bellsim
+    from bellsim import errors
 
-    contracts = {c.meaning: c.valid for module in (errors, spinmodel)
-                 for c in vars(module).values() if isinstance(c, errors.Contract)}
+    library = [importlib.import_module(f"bellsim.{info.name}")
+               for info in pkgutil.iter_modules(bellsim.__path__) if info.name != "cli"]
+    values = [v for module in library for v in vars(module).values()]
+    values += [c for v in values if isinstance(v, tuple) for c in v]  # such as require_filters
+    contracts = {c.meaning: c.valid for c in values if isinstance(c, errors.Contract)}
     kinds = [f.kind for command in cli.SUBCOMMANDS.values() for f in command.schema]
     kinds += [k for k in vars(cli).values() if isinstance(k, cli.Kind)]
     shared = [k for k in kinds if k.meaning in contracts]
-    assert {k.meaning for k in shared} >= {cli.PROBABILITY.meaning, cli.TOLERANCE.meaning,
-                                           cli.PATH.meaning, cli.SWEEP.meaning}
+    assert {k.meaning for k in shared} >= {
+        cli.PROBABILITY.meaning, cli.TOLERANCE.meaning, cli.PATH.meaning, cli.SWEEP.meaning,
+        bp.require_stage.meaning, *(c.meaning for c in bp.require_filters),
+        mc.require_chsh_mode.meaning}
     for kind in shared:
         assert kind.valid is contracts[kind.meaning], kind.meaning
 
