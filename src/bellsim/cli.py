@@ -509,9 +509,9 @@ def cmd_chsh(ns: argparse.Namespace) -> tuple:
     result = mc.chsh_details(*axes, mode=cfg["mode"], trials=cfg["trials"], seed=cfg["seed"],
                              workers=ns.workers)
     if cfg["mode"] == "analytic":
-        bound = mc.CHSH_SINGLET_BOUND
-        checks = [Check("|S| within the singlet bound", result.abs_value <= bound + 1e-12,
-                        value=result.abs_value, target=bound, tolerance=1e-12)]
+        bound, tol = mc.CHSH_SINGLET_BOUND, 1e-12
+        checks = [Check("|S| within the singlet bound", result.abs_value <= bound + tol,
+                        value=result.abs_value, target=bound, tolerance=tol)]
         return cfg, {"chsh": result}, checks, None
     analytic = mc.chsh_details(*axes, mode="analytic")
     tol = sum(mc.covariance_tolerance(ctx.expectation, cfg["trials"]) for ctx in analytic.contexts)

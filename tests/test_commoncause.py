@@ -148,6 +148,18 @@ class TestCauseRelevance:
         assert rx.holds and rx.lhs == 1.0 and rx.rhs == 0.0
         assert not ry.holds  # P(b+|first) = 0.15 < P(b+|mirror) = 0.85
 
+    @pytest.mark.parametrize("tol, holds", [(0.25, (False, False)), (0.125, (True, False)),
+                                            (0.0625, (True, True))])
+    def test_a_rise_equal_to_the_tolerance_is_no_rise(self, tol, holds):
+        """z raises P(x) by 0.25 and P(y) by 0.125, both exact in binary: relevance needs a
+        rise of more than the tolerance, in the conditions and in the orientation table."""
+        model = cc.BinaryEventModel(0.5, ((0.5, 0.25), (0.125, 0.125)),
+                                    ((0.25, 0.25), (0.25, 0.25)))
+        report = cc.full_report(model, tol)
+        rx, ry = (find(report.conditions, "name", name) for name in RELEVANCE)
+        assert (rx.lhs - rx.rhs, ry.lhs - ry.rhs) == (0.25, 0.125)
+        assert (rx.holds, ry.holds) == report.relevance_by_orientation["as_given"] == holds
+
     @given(models())
     def test_each_orientation_is_the_swapped_model_as_given(self, model):
         """Counting x's or y's other state as "occurs" swaps the rows or the columns."""
@@ -191,6 +203,16 @@ class TestScreeningOff:
         assert not s_z.holds
         assert s_z.lhs == pytest.approx(0.9) and s_z.rhs == pytest.approx(0.1)
         assert s_not_z.holds
+
+    @pytest.mark.parametrize("tol, holds", [(0.125, True), (0.0625, False)])
+    def test_a_gap_equal_to_the_tolerance_screens_off(self, tol, holds):
+        """P(y | z & x) = 0.5 and P(y | z & not-x) = 0.375, both exact in binary: a gap of
+        at most the tolerance screens off, and neither branch is vacuous."""
+        model = cc.BinaryEventModel(0.5, ((0.25, 0.25), (0.1875, 0.3125)),
+                                    ((0.25, 0.25), (0.25, 0.25)))
+        s_z = find(cc.full_report(model, tol).conditions, "name", "screening_given_z")
+        assert (s_z.lhs, s_z.rhs, s_z.margin, s_z.vacuous) == (0.5, 0.375, 0.125, False)
+        assert s_z.holds is holds
 
 
 class TestFactorization:

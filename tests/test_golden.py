@@ -230,6 +230,25 @@ def test_sweep_text_report_is_byte_identical(workdir, name):
     assert sweep_report_digest(SWEEP_REPORT_RUNS[name], "text") == pins[name]
 
 
+#: The golden checks that record no number to judge them by: a vacuous screening check, whose
+#: conditioning event has (near) zero probability, and "certified", which has no target.
+UNJUDGED = {(f"common-cause-{name}", check) for name in ("ball", "ball-empirical", "model", "spin")
+            for check in ("screening_given_z holds", "screening_given_not_z holds",
+                          "certified as common-cause explained")}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_every_check_agrees_with_its_recorded_numbers(name):
+    """A check passes exactly when its value lies within its tolerance of its target, so a
+    rule that departs from the numbers its check records shows here."""
+    checks = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["checks"]
+    unjudged = {c["name"] for c in checks if None in (c["value"], c["target"], c["tolerance"])}
+    assert unjudged == {check for report, check in UNJUDGED if report == name}
+    for c in checks:
+        if c["name"] not in unjudged:
+            assert c["passed"] == (abs(c["value"] - c["target"]) <= c["tolerance"]), c
+
+
 def test_parser_is_pinned():
     assert dump(parser_layout()) == (GOLDEN / "parser.json").read_text(encoding="utf-8")
 
