@@ -861,6 +861,18 @@ def test_flag_without_effect_is_a_usage_error(capsys, tmp_path, args, message):
     assert not path.exists()
 
 
+def test_the_readme_table_of_unread_flags_is_what_the_cli_prints():
+    """README's "read only with" column, such as ``--x-outcome, --y-outcome: --builtin``,
+    read as the ``<flag> needs <what>`` messages it promises."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| subcommand | flags | read only with |\n|---|---|---|\n")[1]
+    promised = set()
+    for row in rows.split("\n\n")[0].splitlines():
+        for rule in row.split("|")[3].replace("`", "").split(";"):
+            flags, what = rule.split(":")
+            promised.update(f"{flag.strip()} needs {what.strip()}" for flag in flags.split(","))
+    assert promised == {message for _, message in UNREAD}
+
 
 def test_a_range_error_comes_before_a_flag_without_effect(capsys):
     """A kind checks its value's range, so the value's error is the first one met."""
