@@ -13,7 +13,10 @@ of an analytic run or --csv-out of two descriptions, is a usage error,
 ``<flag> needs <what>``, raised by _refuse_unread from the handler's map of
 flag to rule; a config-file value never is.
 Each handler returns (cfg, results, checks, seed): every check in a report
-is built here.  main refuses, by _refuse_unwritable, every output path it
+is built here.  Both ball subcommands build a stage by _stage_config, which
+passes each resolved key that names a StageConfig field under that name, and
+BALL's stage defaults are StageConfig's own, so the stage numbers are stated
+once, in ballprotocol.  main refuses, by _refuse_unwritable, every output path it
 cannot write before the run, a name the system cannot take included; it
 names the export's file in the manifest's outputs by OUTPUTS, and removes
 an export that is a regular file when the report's own write fails.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import json
@@ -352,6 +356,9 @@ def cmd_mc_run(ns: argparse.Namespace) -> tuple:
 # ball-protocol
 
 
+#: Each StageConfig field's default, by name: the stages' numbers are stated in ballprotocol.
+STAGE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(bp.StageConfig)}
+
 BALL = (
     Field("stage", None, STAGE, "--stage"),
     Field("all_stages", False, SWITCH, "--all-stages",
@@ -360,13 +367,21 @@ BALL = (
     Field("bob_filter", None, BOB_FILTER, "--bob-filter"),
     _TRIALS,
     _SEED,
-    Field("p_stage1", 0.15, PROBABILITY, "--p1", "stage-1 correlated-configuration probability"),
-    Field("p_stage23", 0.04, PROBABILITY, "--p23",
+    Field("p_stage1", STAGE_DEFAULTS["p_stage1"], PROBABILITY, "--p1",
+          "stage-1 correlated-configuration probability"),
+    Field("p_stage23", STAGE_DEFAULTS["p_stage23"], PROBABILITY, "--p23",
           "stage-2/3 correlated-configuration probability"),
-    Field("filter_mismatch_prob", 0.0, PROBABILITY, "--mismatch-prob",
-          "per-observer chance of an unsuitable filter choice per trial"),
+    Field("filter_mismatch_prob", STAGE_DEFAULTS["filter_mismatch_prob"], PROBABILITY,
+          "--mismatch-prob", "per-observer chance of an unsuitable filter choice per trial"),
     Field("mode", "empirical", choice(("empirical", "analytic")), "--mode"),
 )
+
+
+def _stage_config(cfg: dict, stage: int) -> bp.StageConfig:
+    """Stage ``stage`` with each key of the resolved config that names a StageConfig field,
+    under that name; a filter that is None or absent is the stage's canonical one."""
+    given = {key: value for key, value in cfg.items() if key in STAGE_DEFAULTS}
+    return bp.StageConfig(**{**given, "stage": stage})
 
 
 def _stage_checks(report: bp.AggregateReport, config: bp.StageConfig) -> list[Check]:
@@ -395,22 +410,10 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
                               "--p23": ("stage 2 or 3", stages != [1]),
                               "--csv-out": ("one empirical stage", empirical and len(stages) == 1)})
 
-    def stage_config(stage: int) -> bp.StageConfig:
-        return bp.StageConfig(
-            stage=stage,
-            alice_filter=cfg["alice_filter"],  # None with --all-stages, checked above
-            bob_filter=cfg["bob_filter"],
-            trials=cfg["trials"],
-            seed=cfg["seed"],
-            p_stage1=cfg["p_stage1"],
-            p_stage23=cfg["p_stage23"],
-            filter_mismatch_prob=cfg["filter_mismatch_prob"],
-        )
-
+    configs = [_stage_config(cfg, stage) for stage in stages]  # --all-stages: no filters
     checks: list[Check] = []
     stage_reports = []
-    for stage in stages:
-        config = stage_config(stage)
+    for config in configs:
         if cfg["mode"] == "analytic":
             stage_reports.append(bp.analytic_stage_report(config))
         else:
@@ -420,8 +423,7 @@ def cmd_ball_protocol(ns: argparse.Namespace) -> tuple:
     results: dict = {"stages": stage_reports}
     if cfg["all_stages"]:
         results["inequality"] = bp.bell_inequality_check(tuple(stage_reports))
-        results["decomposition"] = [bp.contextual_decomposition(stage_config(stage), 1, 1)
-                                    for stage in stages]
+        results["decomposition"] = [bp.contextual_decomposition(c, 1, 1) for c in configs]
     return cfg, results, checks, cfg["seed"]
 
 
@@ -467,7 +469,7 @@ def cmd_common_cause(ns: argparse.Namespace) -> tuple:
         )
         source = {"kind": "builtin-spin", "phi": cfg["phi"]}
     else:
-        stage_cfg = bp.StageConfig(stage=cfg["stage"], trials=cfg["trials"], seed=cfg["seed"])
+        stage_cfg = _stage_config(cfg, cfg["stage"])
         stage_report = (bp.run_stage(stage_cfg, ns.workers) if cfg["empirical"]
                         else bp.analytic_stage_report(stage_cfg))
         model = cc.ball_event_model(stage_report, cfg["x_outcome"], cfg["y_outcome"])

@@ -1,6 +1,7 @@
 """CLI: subcommands, config precedence, exit codes, byte-stable output."""
 
 import contextlib
+import dataclasses
 import errno
 import importlib
 import io
@@ -308,6 +309,24 @@ class TestBallProtocol:
         )
         assert code == 0
         assert len(path.read_text().splitlines()) == 101
+
+
+def test_both_ball_subcommands_build_one_stage(capsys, monkeypatch):
+    """The CLI passes each config key that names a StageConfig field under that name, so a
+    renamed field would lose its value without a word: every field but the stage is a
+    ball-protocol key, and both ball subcommands evaluate the same stage."""
+    fields = {f.name for f in dataclasses.fields(bp.StageConfig)}
+    assert fields - {"stage"} <= {f.key for f in cli.BALL}
+    evaluated = []
+    report = bp.analytic_stage_report
+    monkeypatch.setattr(bp, "analytic_stage_report",
+                        lambda config: evaluated.append(config) or report(config))
+    for stage in (1, 2, 3):
+        evaluated.clear()
+        for args in (("ball-protocol", "--mode", "analytic"), ("common-cause", "--builtin", "ball")):
+            assert run_cli(capsys, *args, "--stage", str(stage))[0] == 0
+        assert len(evaluated) == 2 and evaluated[0] == evaluated[1]
+        assert evaluated[0].stage == stage
 
 
 class TestCommonCause:
