@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import one_of, require, require_real, require_trials, require_type, require_u64
+from .errors import (is_integer, one_of, require, require_real, require_trials, require_type,
+                     require_u64)
 from .rng import SIGN_PAIRS, Coin, RngStream, World, fold, simulate, threshold
 from .spinmodel import Direction, HiddenVariable, conditional_outcome_prob, quantum_correlation
 
@@ -78,10 +79,12 @@ class EmpiricalStats:
     standard_error: float
 
     @classmethod
-    def from_counts(cls, counts, trials: int) -> "EmpiricalStats":
-        require(len(counts) == 4 and min(counts) >= 0 and sum(counts) == trials, "counts",
-                f"four nonnegative cells summing to trials = {trials!r}", counts)
+    def from_counts(cls, counts) -> "EmpiricalStats":
+        """The statistics of the ++, +-, -+ and -- cell counts; ``trials`` is their sum."""
+        require(len(counts) == 4 and all(is_integer(c) and c >= 0 for c in counts) and any(counts),
+                "counts", "four nonnegative integer cells, not all 0", counts)
         npp, npm, nmp, nmm = (int(c) for c in counts)
+        trials = npp + npm + nmp + nmm
         n = float(trials)
         mean1 = (npp + npm - nmp - nmm) / n
         mean2 = (npp - npm + nmp - nmm) / n
@@ -144,7 +147,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, csv_out=None) -> 
     cells, _ = fold(worlds, simulate(config.stream(), config.trials, coins, worlds, workers,
                                      csv_out, "trial,lambda_sign,outcome1,outcome2"))
     counts = [cells[0][pair] + cells[1][pair] for pair in SIGN_PAIRS]
-    return EmpiricalStats.from_counts(counts, config.trials)
+    return EmpiricalStats.from_counts(counts)  # every world registers: they sum to trials
 
 
 def covariance_tolerance(analytic: float, trials: int) -> float:
@@ -264,9 +267,11 @@ def chsh_details(
     Analytic mode substitutes the model's -cos correlations; empirical
     mode runs four independent experiments, one stream per context.
     """
-    require_chsh_mode(mode, "mode")
+    empirical = require_chsh_mode(mode, "mode") == "empirical"
     for name, axis in (("a", a), ("a_prime", a_prime), ("b", b), ("b_prime", b_prime)):
         require_type(axis, name, Direction)
+    if empirical:  # the record holds the checked values
+        trials, seed = require_trials(trials, "trials"), require_u64(seed, "seed")
     pairs = (
         ("E(a,b)", a, b, 1),
         ("E(a,b')", a, b_prime, -1),
@@ -276,7 +281,7 @@ def chsh_details(
     contexts = []
     total = 0.0
     for i, (label, ax1, ax2, sign) in enumerate(pairs):
-        if mode == "analytic":
+        if not empirical:
             e = quantum_correlation(ax1, ax2)
             contexts.append(ChshContext(label, ax1.theta, ax2.theta, sign, e))
         else:
@@ -290,6 +295,6 @@ def chsh_details(
         value=total,
         abs_value=abs(total),
         contexts=tuple(contexts),
-        trials=config.trials if mode == "empirical" else None,  # the last context's config
-        seed=config.seed if mode == "empirical" else None,
+        trials=trials if empirical else None,
+        seed=seed if empirical else None,
     )

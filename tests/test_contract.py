@@ -163,6 +163,10 @@ REFUSED = {
     "ExperimentConfig(A, B, 10, seed=-1)": lambda: mc.ExperimentConfig(A, B, 10, seed=-1),
     "ExperimentConfig(A, B, 10, stream_id=-1)":
         lambda: mc.ExperimentConfig(A, B, 10, stream_id=-1),
+    "from_counts((0.5, 0.5, 0, 0))": lambda: mc.EmpiricalStats.from_counts((0.5, 0.5, 0, 0)),
+    "from_counts((True, 0, 0, 0))": lambda: mc.EmpiricalStats.from_counts((True, 0, 0, 0)),
+    "from_counts((0, 0, 0, 0))": lambda: mc.EmpiricalStats.from_counts((0, 0, 0, 0)),
+    "from_counts((1, -1, 2, 0))": lambda: mc.EmpiricalStats.from_counts((1, -1, 2, 0)),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
     "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),
@@ -278,7 +282,9 @@ def test_numpy_integer_counts_give_the_int_results():
             == rng.simulate(STREAM, 100, COINS, WORLDS, 2))
     for results in ([mc.description_equivalence(A, B, trials, 3) for trials in (50, np.int64(50))],
                     [mc.chsh_details(A, B, B, A, "empirical", trials, 3)
-                     for trials in (50, np.int64(50))]):
+                     for trials in (50, np.int64(50))],
+                    [mc.EmpiricalStats.from_counts(counts)
+                     for counts in ([1, 2, 3, 4], np.array([1, 2, 3, 4], dtype=np.int64))]):
         assert "".join(render_json(record(results[1]))) == "".join(render_json(record(results[0])))
     with pytest.raises(ValidationError, match="^sample_size must be "):
         cc.BinaryEventModel(0.5, *tables, True)
@@ -310,7 +316,7 @@ def test_the_builders_derive_each_record_field_exactly():
     a, a_prime, b, b_prime = (sm.Direction(k * math.pi / 4) for k in (0, 2, 1, 3))
     chsh = [mc.chsh_details(a, a_prime, b, b_prime, mode, 1000, 5)
             for mode in ("analytic", "empirical")]
-    stats = [mc.EmpiricalStats.from_counts((5, 0, 2, 7), 14),
+    stats = [mc.EmpiricalStats.from_counts((5, 0, 2, 7)),
              *(ctx.stats for ctx in chsh[1].contexts)]
     for s in stats:
         assert s.standard_error == math.sqrt((1.0 - s.pair_mean**2) / s.trials)
