@@ -16,10 +16,11 @@ Each handler returns (cfg, results, checks, seed): every check in a report
 is built here.  Both ball subcommands build a stage by _stage_config, which
 passes each resolved key that names a StageConfig field under that name, and
 BALL's stage defaults are StageConfig's own, so the stage numbers are stated
-once, in ballprotocol.  main refuses, by _refuse_unwritable, every output path it
-cannot write before the run, a name the system cannot take included; it
-names the export's file in the manifest's outputs by OUTPUTS, and removes
-an export that is a regular file when the report's own write fails.
+once, in ballprotocol.  main refuses, by _refuse_unwritable, every output
+path it cannot write before the run, a name the system cannot take
+included; it names the export's file in the manifest's outputs by OUTPUTS,
+and removes an export that is a regular file when the report's own write
+fails.
 
 Exit codes: 0 when all embedded checks pass, 1 when a check fails or
 the run hits a data-level error (such as an empty registered set), 2
