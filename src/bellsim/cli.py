@@ -305,16 +305,30 @@ MC = (
 )
 
 
-def _mc_single(cfg: dict, workers: int, csv_out: str | None) -> tuple[dict, list[Check]]:
-    description = cfg["description"]
+def cmd_mc_run(ns: argparse.Namespace) -> tuple:
+    if ns.phi is not None:
+        if ns.theta1 is not None or ns.theta2 is not None:
+            raise UsageError("--phi is a shorthand for --theta1 0rad --theta2 PHI; "
+                             "do not combine them")
+        ns.theta1, ns.theta2 = 0.0, ns.phi
+    cfg = _resolve(MC, ns)
+    description, trials, seed = cfg["description"], cfg["trials"], cfg["seed"]
+    _refuse_unread(ns, MC, {"--csv-out": ("one description", description != "both")})
     axis1, axis2 = Direction(cfg["theta1"]), Direction(cfg["theta2"])
-    config = mc.ExperimentConfig(
-        axis1, axis2, cfg["trials"], description, cfg["seed"],
-        stream_id=0 if description == "alice" else 1,
-    )
-    stats = mc.run_experiment(config, workers=workers, csv_out=csv_out)
+
+    if description == "both":
+        comparison = mc.description_equivalence(axis1, axis2, trials, seed, workers=ns.workers)
+        checks = [Check.within(f"{name} covariance matches analytic", stats.covariance,
+                               comparison.analytic, comparison.tolerance)
+                  for name, stats in (("alice", comparison.alice), ("bob", comparison.bob))]
+        checks.append(Check.within("descriptions agree with each other", comparison.discrepancy,
+                                   0.0, comparison.combined_tolerance))
+        return cfg, {"equivalence": comparison}, checks, seed
+    config = mc.ExperimentConfig(axis1, axis2, trials, description, seed,
+                                 stream_id=0 if description == "alice" else 1)
+    stats = mc.run_experiment(config, workers=ns.workers, csv_out=ns.csv_out)
     analytic = quantum_correlation(axis1, axis2)
-    tol = mc.covariance_tolerance(analytic, cfg["trials"])
+    tol = mc.covariance_tolerance(analytic, trials)
     results = {
         "description": description,
         "phi": angle_between(axis1, axis2),
@@ -323,34 +337,9 @@ def _mc_single(cfg: dict, workers: int, csv_out: str | None) -> tuple[dict, list
         "error": abs(stats.covariance - analytic),
         "tolerance": tol,
     }
-    check = Check.within(f"{description}: empirical covariance matches analytic",
-                         stats.covariance, analytic, tol)
-    return results, [check]
-
-
-def cmd_mc_run(ns: argparse.Namespace) -> tuple:
-    if ns.phi is not None:
-        if ns.theta1 is not None or ns.theta2 is not None:
-            raise UsageError("--phi is a shorthand for --theta1 0rad --theta2 PHI; "
-                             "do not combine them")
-        ns.theta1, ns.theta2 = 0.0, ns.phi
-    cfg = _resolve(MC, ns)
-    _refuse_unread(ns, MC, {"--csv-out": ("one description", cfg["description"] != "both")})
-
-    if cfg["description"] == "both":
-        comparison = mc.description_equivalence(
-            Direction(cfg["theta1"]), Direction(cfg["theta2"]),
-            cfg["trials"], cfg["seed"], workers=ns.workers,
-        )
-        results = {"equivalence": comparison}
-        checks = [Check.within(f"{name} covariance matches analytic", stats.covariance,
-                               comparison.analytic, comparison.tolerance)
-                  for name, stats in (("alice", comparison.alice), ("bob", comparison.bob))]
-        checks.append(Check.within("descriptions agree with each other", comparison.discrepancy,
-                                   0.0, comparison.combined_tolerance))
-    else:
-        results, checks = _mc_single(cfg, ns.workers, ns.csv_out)
-    return cfg, results, checks, cfg["seed"]
+    checks = [Check.within(f"{description}: empirical covariance matches analytic",
+                           stats.covariance, analytic, tol)]
+    return cfg, results, checks, seed
 
 
 # ---------------------------------------------------------------------------
