@@ -18,6 +18,7 @@ sign, and each world's probability is the probability of its code.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (is_integer, one_of, require, require_real, require_trials, require_type,
@@ -80,9 +81,15 @@ class EmpiricalStats:
 
     @classmethod
     def from_counts(cls, counts) -> "EmpiricalStats":
-        """The statistics of the ++, +-, -+ and -- cell counts; ``trials`` is their sum."""
-        require(len(counts) == 4 and all(is_integer(c) and c >= 0 for c in counts) and any(counts),
-                "counts", "four nonnegative integer cells, not all 0", counts)
+        """The statistics of the ++, +-, -+ and -- cell counts; ``trials`` is their sum.
+
+        The counts are a sequence, such as a list, a tuple or a 1-d numpy array: neither a
+        mapping, whose keys would be read, nor an iterator, which reading would use up.
+        """
+        sequence = isinstance(counts, Sequence) or getattr(counts, "ndim", None) == 1
+        require(sequence and len(counts) == 4 and all(is_integer(c) and c >= 0 for c in counts)
+                and any(counts), "counts",
+                "a sequence of four nonnegative integer cells, not all 0", counts)
         npp, npm, nmp, nmm = (int(c) for c in counts)
         trials = npp + npm + nmp + nmm
         n = float(trials)

@@ -8,13 +8,15 @@ vectors of N trials: no seed is drawn, and the test cannot be flaky.  Each
 vector is judged by the library's own rule, in its own float order.
 
 The rules state no level yet.  At phi = 0 the mc-run check fails more often
-than the 2.7e-3 of a two-sided 3-sigma rule (3.72e-3 at N = 28), so this test
-pins today's figures, not a level: exact zeros where a check cannot fail,
-and the other figures to a relative 1e-9.
+than the 2.7e-3 of a two-sided 3-sigma rule (3.72e-3 at N = 28), and the
+description comparison of mc-run --description both more often still (7.42e-3
+at N = 28), so this test pins today's figures, not a level: exact zeros where
+a check cannot fail, and the other figures to a relative 1e-9.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from bellsim import ballprotocol as bp
@@ -33,20 +35,21 @@ def count_vectors(trials: int):
                 yield a, b, c, trials - a - b - c
 
 
-def false_fail(cells: dict, trials: int, fails) -> float:
-    """The multinomial probability, under cell probabilities ``cells``, that ``fails`` holds.
-
-    Vectors that put a count on a cell of probability 0 never occur and are not judged.
-    """
+def law(cells: dict, trials: int):
+    """Each count vector that can occur under cell probabilities ``cells``, with its
+    multinomial probability: a vector that puts a count on a cell of probability 0 never does."""
     probs = [cells[pair] for pair in SIGN_PAIRS]
-    total = []
     for counts in count_vectors(trials):
-        if any(n and not p for n, p in zip(counts, probs)) or not fails(counts):
+        if any(n and not p for n, p in zip(counts, probs)):
             continue
         a, b, c, _ = counts
         ways = math.comb(trials, a) * math.comb(trials - a, b) * math.comb(trials - a - b, c)
-        total.append(ways * math.prod(p**n for p, n in zip(probs, counts)))
-    return math.fsum(total)
+        yield counts, ways * math.prod(p**n for p, n in zip(probs, counts))
+
+
+def false_fail(cells: dict, trials: int, fails) -> float:
+    """The multinomial probability, under cell probabilities ``cells``, that ``fails`` holds."""
+    return math.fsum(p for counts, p in law(cells, trials) if fails(counts))
 
 
 def joint(worlds) -> dict:
@@ -85,7 +88,36 @@ def stage_false_fail(stage: int, trials: int) -> float:
     return false_fail(joint(bp._world_table(config)[1]), trials, fails)
 
 
-RULES = {"mc-run": mc_run_false_fail, "stage": stage_false_fail}
+def both_false_fail(phi_degrees: float, trials: int) -> float:
+    """``mc-run --phi PHIdeg --trials N --description both``: any of its three checks, as the
+    CLI builds them.
+
+    Each description's law comes from its own world table.  The two runs draw independent
+    streams, so a pair of count vectors has the product of their probabilities.  A check reads
+    only covariances, so each side's vectors are grouped by covariance, and the pairs of groups
+    are judged at once: ``Check.within`` on arrays does the library's float operations.
+    """
+    axis1, axis2 = Direction(0.0), Direction(phi_degrees * (math.pi / 180.0))
+    analytic = quantum_correlation(axis1, axis2)
+    tol = mc.covariance_tolerance(analytic, trials)
+    sides = []
+    for description in ("alice", "bob"):
+        config = mc.ExperimentConfig(axis1, axis2, trials, description)
+        groups = {}
+        for counts, p in law(joint(mc._world_table(config)[1]), trials):
+            covariance = mc.EmpiricalStats.from_counts(counts).covariance
+            groups[covariance] = groups.get(covariance, 0.0) + p
+        covariances = np.array(list(groups))
+        passed = Check.within(description, covariances, analytic, tol).passed
+        sides.append((covariances, np.array(list(groups.values())), passed))
+    (alice, p_alice, alice_passed), (bob, p_bob, bob_passed) = sides
+    discrepancy = np.abs(alice[:, None] - bob[None, :])
+    agree = Check.within("agree", discrepancy, 0.0, math.sqrt(2.0) * tol).passed
+    passed = alice_passed[:, None] & bob_passed[None, :] & agree
+    return math.fsum((p_alice[:, None] * p_bob[None, :])[~passed])
+
+
+RULES = {"mc-run": mc_run_false_fail, "both": both_false_fail, "stage": stage_false_fail}
 #: (rule, phi in degrees or stage, N) -> the exact false-fail probability, 0 where the check
 #: cannot fail.  The nonzero figures are given to 10 significant digits.
 FIGURES = {
@@ -97,6 +129,16 @@ FIGURES = {
     ("mc-run", 60, 12): 0.0,
     ("mc-run", 60, 13): 1.092485036e-8,
     ("mc-run", 60, 50): 1.967830009e-5,
+    ("both", 0, 9): 0.0,
+    ("both", 0, 10): 3.902435303e-3,
+    ("both", 0, 20): 5.147015963e-3,
+    ("both", 0, 28): 7.424499647e-3,
+    ("both", 0, 50): 5.197571617e-3,
+    ("both", 45, 9): 0.0,
+    ("both", 45, 10): 5.955147504e-9,
+    ("both", 60, 12): 0.0,
+    ("both", 60, 13): 2.18497006e-8,
+    ("both", 90, 20): 5.02881123e-8,  # neither single check can fail here: N <= 23 at 90 deg
     ("stage", 1, 5): 0.0,
     ("stage", 1, 6): 3.559570312e-6,
     ("stage", 2, 4): 0.0,

@@ -217,6 +217,19 @@ class TestMcRun:
         assert report["results"]["equivalence"]["passed"] is report["passed"] is all(verdicts)
         assert code == (0 if all(verdicts) else 1)
 
+    @pytest.mark.parametrize("description", ["alice", "bob"])
+    def test_each_description_matches_its_side_of_both(self, capsys, description):
+        """One description's run is its side of the comparison: the same stream, so the same
+        counts, target and band, under the mc-run-both golden's flags."""
+        args = ("mc-run", "--phi", "45deg", "--trials", "20000", "--seed", "1", "--description")
+        _, single, _ = run_json(capsys, *args, description)
+        _, both, _ = run_json(capsys, *args, "both")
+        side, results = both["results"]["equivalence"], single["results"]
+        assert results["stats"] == side[description]
+        assert (results["analytic"], results["tolerance"]) == (side["analytic"], side["tolerance"])
+        assert [c["name"] for c in single["checks"]] == [
+            f"{description}: empirical covariance matches analytic"]
+
     def test_csv_out(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
         code, report, _ = run_json(

@@ -3,11 +3,12 @@
 Every public constructor and entry point of spinmodel, rng, montecarlo,
 ballprotocol and commoncause is called with hostile values in each
 argument.  A call either succeeds or raises a BellsimError; nothing else
-escapes.  Not called: the result records, which the library builds from
-its own counts, and ``spinmodel.glyph``, which only the library calls, with
-signs that checked entry points computed.  A ``csv_out`` string is a path to write, so only
-values that are no path are given there, and ``rng.simulate`` writes its
-CSV rows to the null device.
+escapes.  ``EmpiricalStats.from_counts`` is called too, since it takes a
+caller's counts.  Not called: the result records' constructors, which the
+library calls with its own counts, and ``spinmodel.glyph``, which only the
+library calls, with signs that checked entry points computed.  A
+``csv_out`` string is a path to write, so only values that are no path are
+given there, and ``rng.simulate`` writes its CSV rows to the null device.
 """
 
 import dataclasses
@@ -65,6 +66,7 @@ ENTRY_POINTS = {
         (STREAM, 10, COINS, WORLDS, 1, "trial,x")),
     "ExperimentConfig": (mc.ExperimentConfig, (A, B, 10, "alice", 1, 0)),
     "run_experiment": (mc.run_experiment, (mc.ExperimentConfig(A, B, 10), 1)),
+    "EmpiricalStats.from_counts": (mc.EmpiricalStats.from_counts, ((1, 2, 3, 4),)),
     "covariance_tolerance": (mc.covariance_tolerance, (-0.5, 10)),
     "description_equivalence": (mc.description_equivalence, (A, B, 10, 1, 1)),
     "chsh_details": (mc.chsh_details, (A, B, A, B, "empirical", 10, 1, 1)),
@@ -167,6 +169,12 @@ REFUSED = {
     "from_counts((True, 0, 0, 0))": lambda: mc.EmpiricalStats.from_counts((True, 0, 0, 0)),
     "from_counts((0, 0, 0, 0))": lambda: mc.EmpiricalStats.from_counts((0, 0, 0, 0)),
     "from_counts((1, -1, 2, 0))": lambda: mc.EmpiricalStats.from_counts((1, -1, 2, 0)),
+    "from_counts(None)": lambda: mc.EmpiricalStats.from_counts(None),
+    "from_counts(5)": lambda: mc.EmpiricalStats.from_counts(5),
+    "from_counts(iter([1, 2, 3, 4]))": lambda: mc.EmpiricalStats.from_counts(iter([1, 2, 3, 4])),
+    "from_counts(a generator)": lambda: mc.EmpiricalStats.from_counts(c for c in (1, 2, 3, 4)),
+    "from_counts({1: 1, 2: 2, 3: 3, 4: 4})":
+        lambda: mc.EmpiricalStats.from_counts({1: 1, 2: 2, 3: 3, 4: 4}),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
     "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),
