@@ -84,11 +84,13 @@ class EmpiricalStats:
         """The statistics of the ++, +-, -+ and -- cell counts; ``trials`` is their sum.
 
         The counts are a sequence, such as a list, a tuple or a 1-d numpy array: neither a
-        mapping, whose keys would be read, nor an iterator, which reading would use up.
+        mapping, whose keys would be read, nor an iterator, which reading would use up, nor a
+        binary buffer, whose bytes would be read as the cells.
         """
+        binary = isinstance(counts, (bytes, bytearray, memoryview))
         sequence = isinstance(counts, Sequence) or getattr(counts, "ndim", None) == 1
-        require(sequence and len(counts) == 4 and all(is_integer(c) and c >= 0 for c in counts)
-                and any(counts), "counts",
+        require(sequence and not binary and len(counts) == 4
+                and all(is_integer(c) and c >= 0 for c in counts) and any(counts), "counts",
                 "a sequence of four nonnegative integer cells, not all 0", counts)
         npp, npm, nmp, nmm = (int(c) for c in counts)
         trials = npp + npm + nmp + nmm

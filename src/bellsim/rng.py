@@ -20,18 +20,18 @@ so the exact report and the simulated one are the same sum.
 The driver cuts the trials into fixed chunks of :data:`CHUNK_TRIALS`
 whatever the worker count, so memory does not grow with the trial count:
 a chunk's raw words are 512 KB, which stay in a core's L2 cache for the
-coin compares, and it keeps one boolean array per coin.  Its histogram is
-exact integer arithmetic on subset counts: for every subset of coins, the
-number of trials in which all of them came up (``count_nonzero`` of their
-AND); inclusion-exclusion turns those 2**k counts into the trials of each
-world.  :func:`simulate`, the one entry point, takes 1 to 2**64 trials,
-the count that every config takes, returns those world counts and its
-callers fold them.  The chunks' exact histograms add up, so the
-counts are the same for every worker count: on up to ``os.cpu_count()``
-threads, the calling thread and the plain helper threads it starts and
-joins, each drawing from one Philox generator of its own; a CSV export's
-rows are written in order on the calling thread alone, one chunk before the
-next is drawn.
+coin compares, and it keeps one boolean array per coin.  A chunk is counted
+by subsets of coins: for every subset, the number of trials in which all of
+them came up (``count_nonzero`` of their AND).  Those 2**k subset counts add
+up over chunks and threads as Python ints, and inclusion-exclusion, which is
+linear, turns the run's sums into the trials of each world once per run.
+:func:`simulate`, the one entry point, takes 1 to 2**64 trials, the count
+that every config takes, returns those world counts and its callers fold
+them.  The sums are exact, so the counts are the same for every worker
+count: on up to ``os.cpu_count()`` threads, the calling thread and the
+plain helper threads it starts and joins, each drawing from one Philox
+generator of its own; a CSV export's rows are written in order on the
+calling thread alone, one chunk before the next is drawn.
 """
 
 from __future__ import annotations
@@ -129,44 +129,32 @@ def _draw(bg: np.random.Philox, n: int) -> np.ndarray:
     return bg.random_raw(n * BLOCK_DRAWS).reshape(n, BLOCK_DRAWS)
 
 
-def _histogram(n: int, ups: list) -> np.ndarray:
-    """Exact int64 histogram of the world codes of ``n`` trials, given where each coin came up.
+def _chunk(words: np.ndarray, bounds: list, lo: int, write, totals: list) -> None:
+    """Adds the subset counts of the chunk at ``lo`` to ``totals``, its rows given to ``write``.
 
-    ``counts[s]`` is the number of trials in which every coin of subset ``s``
-    came up, the ``count_nonzero`` of their AND; a loop walks the subsets depth
-    first, keeping at most one AND per coin.  Inclusion-exclusion, one coin at a
-    time, leaves in ``counts[c]`` the trials whose coins came up exactly as in ``c``.
-    """
-    counts, stack = [n] + [0] * ((1 << len(ups)) - 1), [(0, None)]
-    while stack:
-        subset, common = stack.pop()
-        for bit in range(subset.bit_length(), len(ups)):
-            if ups[bit] is not None:  # a subset holding a dead coin stays at 0
-                both = ups[bit] if common is None else common & ups[bit]
-                counts[subset | 1 << bit] = np.count_nonzero(both)
-                stack.append((subset | 1 << bit, both))
-    for bit in range(len(ups)):
-        for code in range(len(counts)):
-            if not code >> bit & 1:
-                counts[code] -= counts[code | 1 << bit]
-    return np.array(counts, dtype=np.int64)
-
-
-def _chunk(words: np.ndarray, bounds: list, lo: int, write) -> np.ndarray:
-    """The histogram of the chunk at ``lo``, its rows given to ``write`` first if there is one.
-
-    A coin's bound is its draw and the largest raw word that comes up, or None if none does.
-    A function of its own, so the chunk's arrays are freed before the next chunk is drawn.
+    ``write`` may be None.  A coin's bound is its draw and the largest raw word that comes up,
+    or None if none does.  ``totals[s]`` gains the number of trials in which every coin of
+    subset ``s`` came up, the ``count_nonzero`` of their AND, as a Python int; a loop walks the
+    subsets depth first, keeping at most one AND per coin.  A function of its own, so the
+    chunk's arrays are freed before the next chunk is drawn.
     """
     ups = [None if bound is None else words[:, bound[0]] <= bound[1] for bound in bounds]
     if write is not None:
         write(lo, len(words), ups)
-    return _histogram(len(words), ups)
+    totals[0] += len(words)  # the empty subset: every trial
+    stack = [(0, None)]
+    while stack:
+        subset, common = stack.pop()
+        for bit in range(subset.bit_length(), len(ups)):
+            if ups[bit] is not None:  # a subset holding a dead coin gains nothing
+                both = ups[bit] if common is None else common & ups[bit]
+                totals[subset | 1 << bit] += int(np.count_nonzero(both))
+                stack.append((subset | 1 << bit, both))
 
 
 def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int,
-           write=None) -> np.ndarray:
-    """Exact int64 histogram of the world codes of trials [0, trials).
+           write=None) -> list[int]:
+    """Exact trial counts of the world codes of trials [0, trials), as Python ints.
 
     ``workers``, the chunk count and the CPU count cap the threads, the
     caller included.  Each thread runs one loop taking chunks from one shared
@@ -174,18 +162,22 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
     thread, so ``write`` (given with one worker) gets the chunks in order.  A
     thread builds one Philox generator and moves it on by a relative
     ``advance`` only to a chunk that does not start where its last one ended.
-    A loop that raises empties the iterator, so the other threads stop after
-    the chunk they hold, and the caller re-raises the first error once every
-    helper has ended.  The histogram is the same for any thread count.
+    It adds its chunks' subset counts into one list of its own.  A loop that
+    raises empties the iterator, so the other threads stop after the chunk
+    they hold, and the caller re-raises the first error once every helper has
+    ended.  After the join the threads' lists are summed, and inclusion-exclusion,
+    one coin at a time, turns the run's subset counts into the trials whose
+    coins came up exactly as in each code: it is linear, so it runs once per
+    run, and the counts are the same for any thread count.
     """
-    starts, lock, histograms, errors = iter(range(0, trials, CHUNK_TRIALS)), Lock(), [], []
+    starts, lock, subset_counts, errors = iter(range(0, trials, CHUNK_TRIALS)), Lock(), [], []
     # (w >> 11) < t is w <= (t << 11) - 1; t = 0 never comes up and has no bound.
     bounds = [(draw, np.uint64((int(limit) << 11) - 1)) if limit else None for draw, limit in coins]
 
     def count() -> None:
         nonlocal starts
         try:
-            histogram = np.zeros(1 << len(coins), dtype=np.int64)
+            totals = [0] * (1 << len(coins))
             bg, end = stream._bit_generator(), 0
             while True:
                 with lock:
@@ -195,13 +187,13 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
                 if lo != end:
                     bg.advance(lo - end)
                 end = min(lo + CHUNK_TRIALS, trials)
-                histogram += _chunk(_draw(bg, end - lo), bounds, lo, write)
+                _chunk(_draw(bg, end - lo), bounds, lo, write, totals)
         except BaseException as exc:  # the caller re-raises it
             with lock:
                 starts = iter(())  # the other threads take no further chunk
                 errors.append(exc)
         else:
-            histograms.append(histogram)
+            subset_counts.append(totals)
 
     threads = min(workers, -(-trials // CHUNK_TRIALS), os.cpu_count() or 1)
     helpers = []  # the started ones, each joined even if a later one fails to start
@@ -216,7 +208,12 @@ def _count(stream: RngStream, trials: int, coins: tuple[Coin, ...], workers: int
             helper.join()
     if errors:
         raise errors[0]
-    return sum(histograms)
+    counts = list(map(sum, zip(*subset_counts)))
+    for bit in range(len(coins)):
+        for code in range(len(counts)):
+            if not code >> bit & 1:
+                counts[code] -= counts[code | 1 << bit]
+    return counts
 
 
 def _row_writer(fh, rows: list[str]):
@@ -266,8 +263,8 @@ def simulate(stream: RngStream, trials: int, coins: tuple[Coin, ...], worlds: li
             "a list of World records, one per world code, of cause 0 or 1 and a sign pair or None",
             worlds)
     if csv_out is None:
-        return _count(stream, trials, coins, workers).tolist()
+        return _count(stream, trials, coins, workers)
     rows = [world.row for world in sorted(worlds, key=lambda world: world.code)]
     with open(require_path(csv_out, "csv_out"), "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        return _count(stream, trials, coins, 1, _row_writer(fh, rows)).tolist()
+        return _count(stream, trials, coins, 1, _row_writer(fh, rows))

@@ -175,6 +175,10 @@ REFUSED = {
     "from_counts(a generator)": lambda: mc.EmpiricalStats.from_counts(c for c in (1, 2, 3, 4)),
     "from_counts({1: 1, 2: 2, 3: 3, 4: 4})":
         lambda: mc.EmpiricalStats.from_counts({1: 1, 2: 2, 3: 3, 4: 4}),
+    "from_counts(bytes)": lambda: mc.EmpiricalStats.from_counts(b"\x01\x02\x03\x04"),
+    "from_counts(bytearray)": lambda: mc.EmpiricalStats.from_counts(bytearray(b"\x01\x02\x03\x04")),
+    "from_counts(memoryview)":
+        lambda: mc.EmpiricalStats.from_counts(memoryview(b"\x01\x02\x03\x04")),
     "run_experiment(workers='2')": lambda: mc.run_experiment(mc.ExperimentConfig(A, B, 10), "2"),
     "chsh_details(0.5, ...)": lambda: mc.chsh_details(0.5, B, A, B),
     "covariance_tolerance(0.5, 0)": lambda: mc.covariance_tolerance(0.5, 0),

@@ -72,9 +72,9 @@ def test_chunked_generation_equals_sequential(monkeypatch, parts):
             held.wait()
         return draw(bg, n)
 
-    def recorded(words, bounds, lo, write):
+    def recorded(words, bounds, lo, write, totals):
         drawn[lo] = words.copy()
-        return chunk(words, bounds, lo, write)
+        chunk(words, bounds, lo, write, totals)
 
     monkeypatch.setattr(rng, "CHUNK_TRIALS", -(-total // parts))
     monkeypatch.setattr(rng, "_draw", draw_once_both_hold_one)
@@ -278,15 +278,38 @@ def test_fold_of_simulate_gives_each_simulations_cells(tmp_path, name, csv):
         assert bp.run_stage(config) == bp._reduce(config, (cells, registered), config.trials)
 
 
-def test_subset_counts_invert_to_world_counts():
-    """A hand-built chunk of three coins: worlds 0b011 and 0b101 hold 2 and 3 trials, the rest 1."""
-    codes = np.array([0, 1, 2, 3, 4, 5, 6, 7, 3, 5, 5], dtype=np.uint8)
-    ups = [(codes >> np.uint8(bit) & 1).astype(bool) for bit in range(3)]
+def test_subset_counts_invert_to_world_counts(monkeypatch):
+    """Hand-built trials of three coins: worlds 0b011 and 0b101 hold 2 and 3 trials, the rest 1.
+
+    Coin k is draw k, with threshold 1: a word of 0 comes up and a word of 2**64 - 1 does not.
+    Each chunk adds its subset counts, and the run's sums invert to the world counts once.
+    """
+    codes = np.array([0, 1, 2, 3, 4, 5, 6, 7, 3, 5, 5], dtype=np.uint64)
+    words = np.zeros((len(codes), BLOCK_DRAWS), dtype=np.uint64)
+    for bit in range(3):
+        words[:, bit] = (codes >> np.uint64(bit) & np.uint64(1)) - np.uint64(1)
+    bounds = [(bit, np.uint64(2047)) for bit in range(3)]  # threshold 1; threshold 0 is None
     # Subsets {0}, {0, 1}, {0, 1, 2} hold 7, 3 and 1 trials: world 0b011 is 3 - 1 = 2.
-    assert rng._histogram(len(codes), ups).tolist() == [1, 1, 1, 2, 1, 3, 1, 1]
-    # A dead coin never comes up: its worlds are empty and the others absorb its trials.
-    assert rng._histogram(len(codes), [ups[0], None, ups[2]]).tolist() == [2, 3, 0, 0, 2, 4, 0, 0]
-    assert rng._histogram(len(codes), []).tolist() == [11]
+    totals = [0] * 8
+    rng._chunk(words[:4], bounds, 0, None, totals)
+    rng._chunk(words[4:], bounds, 4, None, totals)
+    assert totals == [11, 7, 5, 3, 6, 4, 2, 1] and all(type(n) is int for n in totals)
+    # A dead coin never comes up: its subsets stay at 0.
+    totals = [0] * 8
+    rng._chunk(words, [bounds[0], None, bounds[2]], 0, None, totals)
+    assert totals == [11, 7, 0, 0, 6, 4, 0, 0]
+    totals = [0]
+    rng._chunk(words, [], 0, None, totals)
+    assert totals == [11]
+
+    monkeypatch.setattr(rng, "CHUNK_TRIALS", 4)
+    monkeypatch.setattr(rng, "_draw", lambda bg, n: next(drawn))
+    for coins, expected in [(((0, 1), (1, 1), (2, 1)), [1, 1, 1, 2, 1, 3, 1, 1]),
+                            # The dead coin's worlds are empty; the others absorb its trials.
+                            (((0, 1), (1, 0), (2, 1)), [2, 3, 0, 0, 2, 4, 0, 0]),
+                            ((), [11])]:
+        drawn = iter([words[:4], words[4:8], words[8:]])
+        assert rng._count(RngStream(0), len(codes), coins, 1) == expected
 
 
 def test_the_kernels_leave_no_garbage(monkeypatch, tmp_path):
@@ -444,7 +467,7 @@ def test_the_pool_gets_one_task_per_thread_not_per_chunk(monkeypatch, workers):
     sizes = [] if workers == 1 else [workers - 1]  # helpers; the caller is one more thread
     assert helpers.tasks == helpers.sizes == sizes
     assert [size + 1 for size in helpers.sizes] == [workers] * (workers > 1)
-    assert histogram.sum() == trials
+    assert sum(histogram) == trials
     helpers.tasks.clear()
     assert np.array_equal(rng._count(RngStream(7), trials, coins, 1), histogram)
     assert helpers.tasks == [] and helpers.sizes == sizes
