@@ -158,8 +158,9 @@ def choice(options: tuple, contract: Contract | None = None) -> Kind:
 
 
 ANGLE = Kind("an angle in radians", is_real, {"type": parse_angle, "metavar": "ANGLE"})
-ANGLES = Kind("a list of angles in radians, each finite in degrees",  # phi_degrees is reported
-              lambda v: type(v) is list and all(is_real(a) and is_real(math.degrees(a)) for a in v),
+ANGLES = Kind("a nonempty list of angles in radians, each finite in degrees",
+              lambda v: (type(v) is list and v != []  # each phi_degrees is reported
+                         and all(is_real(a) and is_real(math.degrees(a)) for a in v)),
               {"type": parse_angle, "metavar": "ANGLE", "action": "append"})
 FOUR_ANGLES = Kind("a list of four angles in radians",
                    lambda v: type(v) is list and len(v) == 4 and all(map(is_real, v)),

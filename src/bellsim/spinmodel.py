@@ -68,26 +68,31 @@ MAX_SWEEP_POINTS = 200_001
 SWEEP_BLOCK = 1_024  #: most points :func:`correlation_sweep` computes at a time
 
 
+def _canonical(theta):
+    """``theta`` reduced into [0, 2*pi): a float, or a float64 array elementwise.
+
+    Python's float ``%`` and numpy's both take the exact C remainder and add
+    2*pi to a negative one.  That sum rounds up to exactly 2*pi for a tiny
+    negative angle, and the second ``%`` maps it to 0.  A zero result is +0.0.
+    """
+    return theta % TWO_PI % TWO_PI
+
+
 @dataclass(frozen=True, slots=True)
 class Direction:
     """A measurement axis in the y-z plane.
 
     Parameterized by a single angle ``theta`` (radians) against the z
     axis; the unit vector is (0, sin theta, cos theta).  The stored
-    angle is canonicalized into [0, 2*pi), so two directions compare
-    equal exactly when they describe the same axis orientation.
+    angle is canonicalized into [0, 2*pi) by :func:`_canonical`, and a
+    multiple of 2*pi is stored as +0.0, so two directions compare equal
+    exactly when they describe the same axis orientation.
     """
 
     theta: float
 
     def __post_init__(self) -> None:
-        t = math.fmod(require_real(self.theta, "theta"), TWO_PI)
-        if t < 0.0:
-            t += TWO_PI
-        if t >= TWO_PI:
-            # fmod of a tiny negative can round the sum up to exactly 2*pi.
-            t -= TWO_PI
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", _canonical(require_real(self.theta, "theta")))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,11 +179,11 @@ def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[fl
     Each ``corr`` is ``quantum_correlation(Direction(0.0), Direction(angle))``
     bit for bit.  The arguments are checked at the call; then each block of
     at most :data:`SWEEP_BLOCK` points comes as one list.  A block computes
-    and canonicalises its angles as :class:`Direction` does it, as one array
-    (``np.fmod`` is exact, like ``math.fmod``), and runs the law on one array
-    of cosines.  The cosines stay ``math.cos`` and ``math.acos`` per angle,
-    because numpy's ``cos`` differs from ``math.cos`` in the last bit at some
-    angles.  The last angle must be finite, and then so is every other.
+    its angles as one array, reduces them with :func:`_canonical`, as
+    :class:`Direction` does, and runs the law on one array of cosines.  The
+    cosines stay ``math.cos`` and ``math.acos`` per angle, because numpy's
+    ``cos`` differs from ``math.cos`` in the last bit at some angles.  The
+    last angle must be finite, and then so is every other.
     """
     start, step = require_real(start, "start"), require_real(step, "step")
     require(require_count.valid(count) and count <= MAX_SWEEP_POINTS, "count",
@@ -189,10 +194,8 @@ def correlation_sweep(start: float, step: float, count: int) -> Iterator[list[fl
     def blocks() -> Iterator[list[float]]:
         for lo in range(0, count, SWEEP_BLOCK):
             angles = start + np.arange(lo, min(lo + SWEEP_BLOCK, count)) * step
-            t = np.fmod(angles, TWO_PI)
-            t[t < 0.0] += TWO_PI
-            t[t >= TWO_PI] -= TWO_PI
-            cosines = list(map(math.cos, map(math.acos, map(math.cos, (0.0 - t).tolist()))))
+            t = (0.0 - _canonical(angles)).tolist()
+            cosines = list(map(math.cos, map(math.acos, map(math.cos, t))))
             yield np.column_stack((angles, _quantum_pair(1.0, np.array(cosines)))).ravel().tolist()
 
     return blocks()

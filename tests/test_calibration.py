@@ -11,7 +11,9 @@ The rules state no level yet.  At phi = 0 the mc-run check fails more often
 than the 2.7e-3 of a two-sided 3-sigma rule (3.72e-3 at N = 28), and the
 description comparison of mc-run --description both more often still (7.42e-3
 at N = 28), so this test pins today's figures, not a level: exact zeros where
-a check cannot fail, and the other figures to a relative 1e-9.
+a check cannot fail, and the other figures to a relative 1e-9.  The empirical
+chsh check reads four independent contexts; here only the least N at which it
+can fail is pinned, from the extremes of S.
 """
 
 import math
@@ -154,6 +156,44 @@ def test_each_check_fails_as_often_as_recorded(rule, setting, trials):
     """0.0 exactly where no vector that can occur fails the check, else within 1e-9."""
     figure = RULES[rule](setting, trials)
     assert math.isclose(figure, FIGURES[rule, setting, trials], rel_tol=1e-9), figure
+
+
+def chsh_extremes(trials: int) -> tuple[float, float, float, float]:
+    """``chsh --mode empirical --trials N`` at the default angles: the least and the greatest S
+    that can occur, its target and its band, as ``cmd_chsh`` builds them.
+
+    S is ``chsh_details``' float sum over the four contexts.  They draw independent streams,
+    and every cell of every context has a nonzero probability, so each context's least and
+    greatest covariance can occur together.  Rounding is monotone, so the sums of the extremes,
+    in that float order, bound every S that can occur.
+    """
+    angles = next(field.default for field in cli.CHSH if field.key == "angles")
+    analytic = mc.chsh_details(*map(Direction, angles), mode="analytic")
+    tol = sum(mc.covariance_tolerance(ctx.expectation, trials) for ctx in analytic.contexts)
+    low = high = 0.0
+    for ctx in analytic.contexts:
+        config = mc.ExperimentConfig(Direction(ctx.theta1), Direction(ctx.theta2), trials)
+        assert all(joint(mc._world_table(config)[1]).values())
+        covariances = [mc.EmpiricalStats.from_counts(counts).covariance
+                       for counts in count_vectors(trials)]
+        least, greatest = sorted(ctx.sign * c for c in (min(covariances), max(covariances)))
+        low += least
+        high += greatest
+    return low, high, analytic.value, tol
+
+
+@pytest.mark.parametrize("trials", range(1, 12))
+def test_the_empirical_chsh_check_can_fail_from_ten_trials(trials):
+    """At N <= 9 every S that can occur passes; from N = 10 the greatest fails."""
+    low, high, target, tol = chsh_extremes(trials)
+    assert Check.within("S", low, target, tol).passed
+    assert Check.within("S", high, target, tol).passed == (trials <= 9)
+
+
+def test_the_empirical_chsh_boundary_figures():
+    """At N = 9 the band reaches S = 3.9506; at N = 10 it stops short of S = 4."""
+    assert chsh_extremes(9) == (-320 / 81, 320 / 81, -2.82842712474619, 6.82842712474619)
+    assert chsh_extremes(10) == (-4.0, 4.0, -2.82842712474619, 6.283281572999748)
 
 
 @pytest.mark.parametrize("worlds", [

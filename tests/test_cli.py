@@ -435,6 +435,13 @@ class TestChsh:
         assert code == 0
         assert report["results"]["chsh"]["value"] == pytest.approx(-2.0, abs=1e-12)
 
+    def test_a_whole_turn_reports_the_same_axis(self, capsys):
+        # -360deg is the axis 0deg: the results, not the manifest, read the same text.
+        results = [run_json(capsys, "chsh", f"--angles={a},90deg,45deg,135deg")[1]["results"]
+                   for a in ("-360deg", "0deg")]
+        assert json.dumps(results[0]) == json.dumps(results[1])
+        assert '"theta1": 0.0' in json.dumps(results[0])
+
     def test_empirical_mode(self, capsys):
         code, report, _ = run_json(
             capsys, "chsh", "--mode", "empirical", "--trials", "100000", "--seed", "5"
@@ -800,6 +807,15 @@ def test_a_phi_beyond_the_degree_range_is_a_usage_error(capsys, tmp_path, source
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_empty_phi_list_is_a_usage_error(capsys, tmp_path, fmt):
+    # An empty list would run no angle and pass 0/0 checks; --phi cannot give one.
+    (tmp_path / "cfg.json").write_text('{"phi": []}')
+    code, out, err = run_cli(capsys, "spin-correlation", "--config", str(tmp_path / "cfg.json"),
+                             "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: phi must be {cli.ANGLES.meaning}, got []\n")
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGS))
 def test_zero_workers_is_a_usage_error(capsys, name):
     code, out, err = run_cli(capsys, *SUBCOMMAND_ARGS[name], "--workers", "0")
@@ -1113,7 +1129,7 @@ ANGLE_VALUES = st.integers(-7, 7) | st.floats(-10.0, 10.0)
 #: Valid values of each kind, by meaning; choices draw from their options.
 VALID = {
     cli.ANGLE.meaning: ANGLE_VALUES,
-    cli.ANGLES.meaning: st.lists(ANGLE_VALUES, max_size=3),
+    cli.ANGLES.meaning: st.lists(ANGLE_VALUES, min_size=1, max_size=3),
     cli.FOUR_ANGLES.meaning: st.lists(ANGLE_VALUES, min_size=4, max_size=4),
     cli.SWEEP.meaning: st.builds(  # at most 2,000 points
         lambda start, step, n: {"start": start, "stop": start + n * step, "step": step},

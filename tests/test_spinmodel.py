@@ -44,6 +44,7 @@ class TestDirection:
     def test_canonical_range_and_unit_norm(self, theta):
         d = Direction(theta)
         assert 0.0 <= d.theta < 2.0 * math.pi
+        assert math.copysign(1.0, d.theta) == 1.0  # never -0.0
         x, y, z = unit_vector(d)
         assert x == 0.0
         assert abs(math.hypot(y, z) - 1.0) <= TOL
@@ -51,6 +52,11 @@ class TestDirection:
     def test_equality_mod_two_pi(self):
         assert Direction(0.0) == Direction(2.0 * math.pi)
         assert Direction(-math.pi / 2) == Direction(3.0 * math.pi / 2)
+
+    @pytest.mark.parametrize("turns", [-0.0, -1, -2, 1, 2])
+    def test_a_whole_number_of_turns_is_positive_zero(self, turns):
+        theta = Direction(turns * 2.0 * math.pi).theta
+        assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
 
     def test_from_degrees(self):
         assert Direction(math.radians(180.0)) == Direction(math.pi)
